@@ -84,7 +84,10 @@ const ENTRY_EXT: &str = "pse";
 /// produces (protocol fixes, latency-model changes, workload-generator
 /// tweaks, ...). Old store entries then stop matching any key and are
 /// quarantined on contact instead of poisoning resumed sweeps.
-pub const CODE_VERSION: u32 = 1;
+///
+/// History: 2 — links keep a busy-until timestamp and wake only under
+/// contention, which moves same-cycle link ties and every event count.
+pub const CODE_VERSION: u32 = 2;
 
 /// The store key for one fully-resolved simulation configuration.
 ///

@@ -35,6 +35,24 @@
 //! configuration always yields bit-identical routing tables — and
 //! therefore bit-identical simulations — on every platform and thread
 //! count.
+//!
+//! # Link scheduling: one event per hop
+//!
+//! Each link keeps a *busy-until* timestamp (`free_at`), not a busy flag.
+//! A packet that reaches a free link with nobody waiting starts
+//! serializing at once and the engine schedules a single event, the
+//! `Arrive` at the far router; nothing wakes an idle link. Only a packet
+//! that finds the link busy (or earlier arrivals still waiting) is
+//! queued, and the first such packet schedules the link's one pending
+//! `LinkFree` wake-up for the cycle it frees. The wake-up serves the
+//! waiters by the link rules — normal priority before best-effort, FIFO
+//! within a level, best-effort packets that waited past the staleness
+//! bound dropped at service time — and re-arms itself while packets
+//! remain. The model is work-conserving and never overlaps two packets
+//! on a link. Same-cycle tie rule: a packet arriving in the very cycle
+//! the link frees starts in that cycle if no packet is waiting;
+//! otherwise it joins the waiters and is served by priority at a
+//! wake-up.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -904,13 +922,28 @@ enum Event<M> {
         node: NodeId,
         packet: Box<Packet<M>>,
     },
-    /// A link finished serializing its current packet.
+    /// Wake-up of a contended link: it has finished serializing and
+    /// packets are waiting. Never scheduled for a link nobody queued on.
     LinkFree { link: usize },
 }
 
+/// One directed link: a busy-until timestamp instead of a busy flag, so
+/// an uncontended traversal costs exactly one kernel event (the `Arrive`
+/// at the far router) and nothing has to "free" an idle link.
+///
+/// Invariant: exactly one `LinkFree` wake-up sits in the kernel queue
+/// while `queue` is non-empty, and none otherwise — whoever queues first
+/// behind a busy link schedules it, and the wake-up re-arms itself while
+/// packets remain. It is stamped with the `free_at` current when it was
+/// scheduled, which cannot move before it fires: only a transmission
+/// advances `free_at`, and nothing transmits while packets wait.
 #[derive(Debug)]
 struct LinkState<M> {
-    busy: bool,
+    /// First cycle at which the link may start serializing another
+    /// packet. Stays `Cycle::ZERO` forever on unbounded-bandwidth links.
+    free_at: Cycle,
+    /// Packets that reached the link while it was busy (or while earlier
+    /// arrivals were still waiting for the pending wake-up).
     queue: PriorityQueue<Box<Packet<M>>>,
     busy_cycles: u64,
 }
@@ -956,8 +989,8 @@ impl<M: Clone + NocPayload> Fabric<M> {
     pub fn new(config: impl Into<FabricConfig>) -> Self {
         let config = config.into();
         let spec = FabricSpec::build(&config);
-        // Unbounded links never queue (packets start transmitting
-        // immediately); finite links get a little headroom so early
+        // Unbounded links never queue (every packet starts transmitting
+        // at once); finite links get a little headroom so early
         // contention does not reallocate.
         let links = (0..spec.num_links())
             .map(|link| {
@@ -965,7 +998,7 @@ impl<M: Clone + NocPayload> Fabric<M> {
                     .bandwidth
                     .is_unbounded();
                 LinkState {
-                    busy: false,
+                    free_at: Cycle::ZERO,
                     queue: PriorityQueue::with_capacity(if unbounded { 0 } else { 16 }),
                     busy_cycles: 0,
                 }
@@ -1127,8 +1160,22 @@ impl<M: Clone + NocPayload> Fabric<M> {
                 self.route_onward(now, node, packet, sched);
             }
             Event::LinkFree { link } => {
-                self.links[link].busy = false;
-                self.try_start(now, link, sched);
+                let stale = self.config.stale_drop_cycles;
+                let stats = &mut self.stats;
+                let state = &mut self.links[link];
+                debug_assert!(now >= state.free_at && !state.queue.is_empty());
+                // `None` when every waiter was a best-effort packet that
+                // went stale: the queue is empty again and the link idle.
+                let next = state.queue.pop(now, stale, |dropped: Box<Packet<M>>| {
+                    stats.record_drop(dropped.size)
+                });
+                if let Some(packet) = next {
+                    self.transmit(now, link, packet, sched);
+                    let state = &self.links[link];
+                    if !state.queue.is_empty() {
+                        sched(state.free_at, NocEvent(Event::LinkFree { link }));
+                    }
+                }
             }
         }
     }
@@ -1180,8 +1227,10 @@ impl<M: Clone + NocPayload> Fabric<M> {
         self.enqueue(now, node, last, packet, sched);
     }
 
-    /// Queues `branch` on `node`'s out-link slot `slot` and kicks the
-    /// link if it is idle.
+    /// Puts `branch` on `node`'s out-link slot `slot`: transmits at once
+    /// if the link is free and nobody is waiting (no queue traffic, no
+    /// follow-up event), otherwise queues it and makes sure exactly one
+    /// wake-up is scheduled for the cycle the link frees.
     fn enqueue(
         &mut self,
         now: Cycle,
@@ -1191,27 +1240,32 @@ impl<M: Clone + NocPayload> Fabric<M> {
         sched: &mut impl FnMut(Cycle, NocEvent<M>),
     ) {
         let link = self.spec.link_id(node, slot);
-        self.links[link].queue.push(now, branch.priority, branch);
-        if !self.links[link].busy {
-            self.try_start(now, link, sched);
+        let state = &mut self.links[link];
+        let first_in_line = state.queue.is_empty();
+        if first_in_line && now >= state.free_at {
+            self.transmit(now, link, branch, sched);
+            return;
+        }
+        state.queue.push(now, branch.priority, branch);
+        if first_in_line {
+            // The first waiter arms the link's one wake-up; later ones
+            // ride on it.
+            sched(state.free_at, NocEvent(Event::LinkFree { link }));
         }
     }
 
-    /// If `link` is idle and has a serviceable packet, begins transmitting
-    /// it: charges traffic, occupies the link for the serialization delay,
-    /// and schedules the arrival at the neighboring router.
-    fn try_start(&mut self, now: Cycle, link: usize, sched: &mut impl FnMut(Cycle, NocEvent<M>)) {
-        debug_assert!(!self.links[link].busy);
-        let stale = self.config.stale_drop_cycles;
-        let stats = &mut self.stats;
-        let Some(packet) = self.links[link]
-            .queue
-            .pop(now, stale, |dropped: Box<Packet<M>>| {
-                stats.record_drop(dropped.size)
-            })
-        else {
-            return;
-        };
+    /// Begins transmitting `packet` on `link`, which must be free:
+    /// charges traffic, occupies the link for the serialization delay,
+    /// and schedules the arrival at the neighboring router — the only
+    /// event a traversal costs.
+    fn transmit(
+        &mut self,
+        now: Cycle,
+        link: usize,
+        packet: Box<Packet<M>>,
+        sched: &mut impl FnMut(Cycle, NocEvent<M>),
+    ) {
+        debug_assert!(now >= self.links[link].free_at);
         self.stats.record(packet.class, packet.size);
         let class = self.spec.link_class(link);
         let mut serialize = self.serialization_cycles(class, packet.size);
@@ -1265,14 +1319,12 @@ impl<M: Clone + NocPayload> Fabric<M> {
                 packet,
             }),
         );
-        // With unbounded bandwidth the link never saturates; skip the
-        // busy/free bookkeeping entirely so queues stay empty.
+        // With unbounded bandwidth the link never saturates: `free_at`
+        // never moves, so every packet transmits on arrival.
         if !self.spec.class_params[class].bandwidth.is_unbounded() {
-            self.links[link].busy = true;
-            self.links[link].busy_cycles += serialize;
-            sched(now + serialize.max(1), NocEvent(Event::LinkFree { link }));
-        } else if !self.links[link].queue.is_empty() {
-            self.try_start(now, link, sched);
+            let state = &mut self.links[link];
+            state.free_at = now + serialize.max(1);
+            state.busy_cycles += serialize;
         }
     }
 
