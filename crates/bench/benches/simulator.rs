@@ -5,9 +5,10 @@
 use patchsim::{Cycle, NodeId};
 use patchsim_bench::harness::{BatchSize, Criterion};
 use patchsim_bench::{criterion_group, criterion_main};
-use patchsim_kernel::EventQueue;
+use patchsim_kernel::{EventQueue, SimRng};
 use patchsim_mem::{BlockAddr, CacheArray, CacheGeometry, SharerEncoding, SharerSet};
 use patchsim_noc::{DestSet, NocEvent, NocPayload, Priority, Torus, TorusConfig, TrafficClass};
+use patchsim_predictor::{BroadcastIfSharedPredictor, Predictor};
 
 #[derive(Clone)]
 struct Payload;
@@ -148,6 +149,61 @@ fn bench_cache(c: &mut Criterion) {
     });
 }
 
+/// What a node's cache sees inside a run, which the warm single-array
+/// benchmark above cannot: probes for blocks it does not hold, spread over
+/// as many arrays as there are nodes, so each probe finds its set cold in
+/// the host's caches. 16 paper-geometry arrays (16k lines), ~256 resident
+/// blocks each; one iteration probes 256 absent blocks in every array,
+/// round-robin.
+fn bench_cache_cold(c: &mut Criterion) {
+    let mut rng = SimRng::from_seed(14);
+    let mut caches: Vec<CacheArray<u64>> = (0..16)
+        .map(|_| CacheArray::new(CacheGeometry::from_capacity(1 << 20, 64, 4)))
+        .collect();
+    for cache in &mut caches {
+        for i in 0..256 {
+            // Resident blocks are even, probed ones odd.
+            let addr = BlockAddr::new(rng.below(1 << 30) * 2);
+            if !cache.contains(addr) {
+                cache.insert(addr, i);
+            }
+        }
+    }
+    c.bench_function("mem/cache_probe_absent_cold_16x16k", |b| {
+        b.iter(|| {
+            let mut hits = 0u32;
+            for _ in 0..256 {
+                for cache in &mut caches {
+                    let addr = BlockAddr::new(rng.below(1 << 30) * 2 + 1);
+                    hits += cache.get_mut(addr).is_some() as u32;
+                }
+            }
+            hits
+        })
+    });
+}
+
+/// The predictor's share of the same pattern at 128 nodes: every delivered
+/// request trains the receiving node's table. 128 paper-geometry tables
+/// (8k entries); one iteration trains each table on 32 requests,
+/// round-robin, over a block range four times a table's reach.
+fn bench_predictor_cold(c: &mut Criterion) {
+    let mut rng = SimRng::from_seed(14);
+    let mut predictors: Vec<_> = (0..128)
+        .map(|_| BroadcastIfSharedPredictor::new(128))
+        .collect();
+    c.bench_function("predictor/observe_cold_128x8k", |b| {
+        b.iter(|| {
+            for _ in 0..32 {
+                for predictor in &mut predictors {
+                    let addr = BlockAddr::new(rng.below(4 * 8192 * 16));
+                    predictor.observe_request(addr, NodeId::new(rng.below(128) as u16));
+                }
+            }
+        })
+    });
+}
+
 fn bench_sharers(c: &mut Criterion) {
     c.bench_function("mem/sharer_set_coarse_decode_256", |b| {
         let mut set = SharerSet::new(256, SharerEncoding::Coarse { cores_per_bit: 16 });
@@ -171,6 +227,8 @@ criterion_group!(
     bench_event_queue_drain,
     bench_torus,
     bench_cache,
+    bench_cache_cold,
+    bench_predictor_cold,
     bench_sharers,
     bench_dest_set
 );

@@ -77,13 +77,6 @@ impl CacheGeometry {
     }
 }
 
-#[derive(Debug)]
-struct Line<L> {
-    addr: BlockAddr,
-    last_use: u64,
-    payload: L,
-}
-
 /// A victim displaced by [`CacheArray::insert`].
 #[derive(Debug, PartialEq, Eq)]
 pub struct Evicted<L> {
@@ -100,6 +93,26 @@ pub struct Evicted<L> {
 /// stores no data bytes (patchsim is a timing simulator — block contents
 /// are modelled as version numbers at the protocol layer).
 ///
+/// # Host layout
+///
+/// Three parallel per-way arrays, the ways of one set adjacent in each
+/// (`set * ways .. (set + 1) * ways`) — block tags, LRU stamps, payloads —
+/// and one occupancy bit per set. A probe that misses reads the set's bit
+/// and, if the set holds anything, its tags — 32 contiguous bytes at the
+/// paper's 4 ways — and nothing else; stamps and payloads are touched
+/// only on a tag match. Most deliveries a coherence controller sees are
+/// requests for blocks it does not hold, and a simulated system keeps one
+/// array per node, together far larger than the host's caches, so every
+/// line a miss does not touch is a host cache miss saved. The bits (512 B
+/// at the paper's 4096 sets) stay host-cache resident at any node count.
+///
+/// Invariants: way `i` is resident ⇔ `last_use[i] != 0` ⇔
+/// `payloads[i].is_some()`; bit `s` of `occupied` is set ⇔ set `s` has a
+/// resident way. `lru_clock` is bumped before every stamp, so resident
+/// stamps are ≥ 1 and distinct, and 0 marks an empty way. The tag of an
+/// empty way is never trusted, which leaves every [`BlockAddr`] a legal
+/// key; `remove` only makes it differ from the block that left.
+///
 /// # Examples
 ///
 /// ```
@@ -115,18 +128,25 @@ pub struct Evicted<L> {
 #[derive(Debug)]
 pub struct CacheArray<L> {
     geometry: CacheGeometry,
-    lines: Vec<Option<Line<L>>>,
+    tags: Vec<u64>,
+    last_use: Vec<u64>,
+    payloads: Vec<Option<L>>,
+    occupied: Vec<u64>,
     lru_clock: u64,
 }
 
 impl<L> CacheArray<L> {
     /// Creates an empty array with the given geometry.
     pub fn new(geometry: CacheGeometry) -> Self {
-        let mut lines = Vec::new();
-        lines.resize_with(geometry.blocks() as usize, || None);
+        let blocks = geometry.blocks() as usize;
+        let mut payloads = Vec::new();
+        payloads.resize_with(blocks, || None);
         CacheArray {
             geometry,
-            lines,
+            tags: vec![0; blocks],
+            last_use: vec![0; blocks],
+            payloads,
+            occupied: vec![0; (geometry.sets() as usize).div_ceil(64)],
             lru_clock: 0,
         }
     }
@@ -136,39 +156,62 @@ impl<L> CacheArray<L> {
         self.geometry
     }
 
-    fn set_range(&self, addr: BlockAddr) -> std::ops::Range<usize> {
-        let set = self.geometry.set_of(addr);
+    fn ways_of(&self, set: usize) -> std::ops::Range<usize> {
         let ways = self.geometry.ways as usize;
         set * ways..(set + 1) * ways
     }
 
+    /// The way holding `addr`. Reads the set's occupancy bit, its tags if
+    /// it holds anything, and a stamp only where a tag matches.
+    fn way_of(&self, addr: BlockAddr) -> Option<usize> {
+        let set = self.geometry.set_of(addr);
+        if self.occupied[set / 64] >> (set % 64) & 1 == 0 {
+            return None;
+        }
+        let range = self.ways_of(set);
+        let base = range.start;
+        self.tags[range]
+            .iter()
+            .enumerate()
+            .find(|&(w, &tag)| tag == addr.raw() && self.last_use[base + w] != 0)
+            .map(|(w, _)| base + w)
+    }
+
+    /// Where [`CacheArray::insert`] would put `addr` in its set: the way with
+    /// the smallest stamp, first on ties — the lowest-index empty way (stamp
+    /// 0) while the set has one, its LRU line otherwise — or `None` if
+    /// `addr` is resident. One pass over the set's tags and stamps.
+    fn placement(&self, set: usize, addr: BlockAddr) -> Option<usize> {
+        let range = self.ways_of(set);
+        let mut target = range.start;
+        for i in range {
+            let stamp = self.last_use[i];
+            if stamp != 0 && self.tags[i] == addr.raw() {
+                return None;
+            }
+            if stamp < self.last_use[target] {
+                target = i;
+            }
+        }
+        Some(target)
+    }
+
     /// Looks up `addr` without updating recency.
     pub fn peek(&self, addr: BlockAddr) -> Option<&L> {
-        self.lines[self.set_range(addr)]
-            .iter()
-            .flatten()
-            .find(|l| l.addr == addr)
-            .map(|l| &l.payload)
+        self.payloads[self.way_of(addr)?].as_ref()
     }
 
     /// Looks up `addr`, marking the line most-recently-used.
     pub fn get_mut(&mut self, addr: BlockAddr) -> Option<&mut L> {
         self.lru_clock += 1;
-        let clock = self.lru_clock;
-        let range = self.set_range(addr);
-        self.lines[range]
-            .iter_mut()
-            .flatten()
-            .find(|l| l.addr == addr)
-            .map(|l| {
-                l.last_use = clock;
-                &mut l.payload
-            })
+        let way = self.way_of(addr)?;
+        self.last_use[way] = self.lru_clock;
+        self.payloads[way].as_mut()
     }
 
     /// Whether `addr` is resident.
     pub fn contains(&self, addr: BlockAddr) -> bool {
-        self.peek(addr).is_some()
+        self.way_of(addr).is_some()
     }
 
     /// Inserts `addr`, evicting the set's LRU line if the set is full.
@@ -178,87 +221,70 @@ impl<L> CacheArray<L> {
     /// Panics if `addr` is already resident — coherence controllers must
     /// update lines in place, never double-allocate.
     pub fn insert(&mut self, addr: BlockAddr, payload: L) -> Option<Evicted<L>> {
-        assert!(
-            !self.contains(addr),
-            "block {addr} inserted while already resident"
-        );
-        self.lru_clock += 1;
-        let clock = self.lru_clock;
-        let range = self.set_range(addr);
-        let set = &mut self.lines[range];
-        let new_line = Line {
-            addr,
-            last_use: clock,
-            payload,
+        let set = self.geometry.set_of(addr);
+        let Some(way) = self.placement(set, addr) else {
+            panic!("block {addr} inserted while already resident");
         };
-        // Fill an empty way if available.
-        if let Some(slot) = set.iter_mut().find(|s| s.is_none()) {
-            *slot = Some(new_line);
-            return None;
-        }
-        // Evict the LRU way.
-        let victim_idx = set
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, s)| s.as_ref().map(|l| l.last_use))
-            .map(|(i, _)| i)
-            .expect("ways > 0");
-        let old = set[victim_idx].replace(new_line).expect("set was full");
-        Some(Evicted {
-            addr: old.addr,
-            payload: old.payload,
+        self.lru_clock += 1;
+        self.last_use[way] = self.lru_clock;
+        self.occupied[set / 64] |= 1 << (set % 64);
+        let old_addr = BlockAddr::new(std::mem::replace(&mut self.tags[way], addr.raw()));
+        self.payloads[way].replace(payload).map(|payload| Evicted {
+            addr: old_addr,
+            payload,
         })
     }
 
     /// The address that [`CacheArray::insert`] would evict to make room
     /// for `addr`, if the set is full.
     pub fn victim_for(&self, addr: BlockAddr) -> Option<BlockAddr> {
-        if self.contains(addr) {
-            return None;
-        }
-        let set = &self.lines[self.set_range(addr)];
-        if set.iter().any(|s| s.is_none()) {
-            return None;
-        }
-        set.iter()
-            .flatten()
-            .min_by_key(|l| l.last_use)
-            .map(|l| l.addr)
+        let way = self.placement(self.geometry.set_of(addr), addr)?;
+        (self.last_use[way] != 0).then(|| BlockAddr::new(self.tags[way]))
     }
 
     /// Removes `addr`, returning its payload.
     pub fn remove(&mut self, addr: BlockAddr) -> Option<L> {
-        let range = self.set_range(addr);
-        let set = &mut self.lines[range];
-        for slot in set.iter_mut() {
-            if slot.as_ref().is_some_and(|l| l.addr == addr) {
-                return slot.take().map(|l| l.payload);
-            }
+        let way = self.way_of(addr)?;
+        self.last_use[way] = 0;
+        // A block just given away is the likeliest to be probed again (its
+        // old holders keep seeing requests for it): make that probe fail on
+        // the tag alone.
+        self.tags[way] = !addr.raw();
+        let set = self.geometry.set_of(addr);
+        if self.last_use[self.ways_of(set)]
+            .iter()
+            .all(|&stamp| stamp == 0)
+        {
+            self.occupied[set / 64] &= !(1 << (set % 64));
         }
-        None
+        self.payloads[way].take()
     }
 
     /// Number of resident blocks.
     pub fn len(&self) -> usize {
-        self.lines.iter().flatten().count()
+        self.last_use.iter().filter(|&&stamp| stamp != 0).count()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.lines.iter().all(|l| l.is_none())
+        self.occupied.iter().all(|&sets| sets == 0)
     }
 
-    /// Iterates over `(address, payload)` pairs in arbitrary order.
+    /// Iterates over `(address, payload)` pairs in ascending line order
+    /// (set-major, then way).
     pub fn iter(&self) -> impl Iterator<Item = (BlockAddr, &L)> {
-        self.lines.iter().flatten().map(|l| (l.addr, &l.payload))
+        self.tags
+            .iter()
+            .zip(&self.payloads)
+            .filter_map(|(&tag, payload)| Some((BlockAddr::new(tag), payload.as_ref()?)))
     }
 
     /// Iterates mutably over `(address, payload)` pairs.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (BlockAddr, &mut L)> {
-        self.lines
-            .iter_mut()
-            .flatten()
-            .map(|l| (l.addr, &mut l.payload))
+        self.tags
+            .iter()
+            .zip(&mut self.payloads)
+            .filter_map(|(&tag, payload)| Some((BlockAddr::new(tag), payload.as_mut()?)))
     }
 }
 
@@ -406,5 +432,216 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The one-array-of-lines implementation this module had before the
+    /// tag/stamp/payload split, kept as the behavioural reference.
+    mod oracle {
+        use super::super::{CacheGeometry, Evicted};
+        use crate::BlockAddr;
+
+        struct Line<L> {
+            addr: BlockAddr,
+            last_use: u64,
+            payload: L,
+        }
+
+        pub struct LineArray<L> {
+            geometry: CacheGeometry,
+            lines: Vec<Option<Line<L>>>,
+            lru_clock: u64,
+        }
+
+        impl<L> LineArray<L> {
+            pub fn new(geometry: CacheGeometry) -> Self {
+                let mut lines = Vec::new();
+                lines.resize_with(geometry.blocks() as usize, || None);
+                LineArray {
+                    geometry,
+                    lines,
+                    lru_clock: 0,
+                }
+            }
+
+            fn set_range(&self, addr: BlockAddr) -> std::ops::Range<usize> {
+                let set = self.geometry.set_of(addr);
+                let ways = self.geometry.ways as usize;
+                set * ways..(set + 1) * ways
+            }
+
+            pub fn peek(&self, addr: BlockAddr) -> Option<&L> {
+                self.lines[self.set_range(addr)]
+                    .iter()
+                    .flatten()
+                    .find(|l| l.addr == addr)
+                    .map(|l| &l.payload)
+            }
+
+            pub fn get_mut(&mut self, addr: BlockAddr) -> Option<&mut L> {
+                self.lru_clock += 1;
+                let clock = self.lru_clock;
+                let range = self.set_range(addr);
+                self.lines[range]
+                    .iter_mut()
+                    .flatten()
+                    .find(|l| l.addr == addr)
+                    .map(|l| {
+                        l.last_use = clock;
+                        &mut l.payload
+                    })
+            }
+
+            pub fn contains(&self, addr: BlockAddr) -> bool {
+                self.peek(addr).is_some()
+            }
+
+            pub fn insert(&mut self, addr: BlockAddr, payload: L) -> Option<Evicted<L>> {
+                assert!(
+                    !self.contains(addr),
+                    "block {addr} inserted while already resident"
+                );
+                self.lru_clock += 1;
+                let clock = self.lru_clock;
+                let range = self.set_range(addr);
+                let set = &mut self.lines[range];
+                let new_line = Line {
+                    addr,
+                    last_use: clock,
+                    payload,
+                };
+                if let Some(slot) = set.iter_mut().find(|s| s.is_none()) {
+                    *slot = Some(new_line);
+                    return None;
+                }
+                let victim_idx = set
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, s)| s.as_ref().map(|l| l.last_use))
+                    .map(|(i, _)| i)
+                    .expect("ways > 0");
+                let old = set[victim_idx].replace(new_line).expect("set was full");
+                Some(Evicted {
+                    addr: old.addr,
+                    payload: old.payload,
+                })
+            }
+
+            pub fn victim_for(&self, addr: BlockAddr) -> Option<BlockAddr> {
+                if self.contains(addr) {
+                    return None;
+                }
+                let set = &self.lines[self.set_range(addr)];
+                if set.iter().any(|s| s.is_none()) {
+                    return None;
+                }
+                set.iter()
+                    .flatten()
+                    .min_by_key(|l| l.last_use)
+                    .map(|l| l.addr)
+            }
+
+            pub fn remove(&mut self, addr: BlockAddr) -> Option<L> {
+                let range = self.set_range(addr);
+                for slot in self.lines[range].iter_mut() {
+                    if slot.as_ref().is_some_and(|l| l.addr == addr) {
+                        return slot.take().map(|l| l.payload);
+                    }
+                }
+                None
+            }
+
+            pub fn len(&self) -> usize {
+                self.lines.iter().flatten().count()
+            }
+
+            pub fn is_empty(&self) -> bool {
+                self.lines.iter().all(|l| l.is_none())
+            }
+
+            pub fn iter(&self) -> impl Iterator<Item = (BlockAddr, &L)> {
+                self.lines.iter().flatten().map(|l| (l.addr, &l.payload))
+            }
+        }
+    }
+
+    /// Every operation returns what the reference returns — payloads,
+    /// eviction victims in order, `victim_for` predictions, `len`, and the
+    /// `iter` sequence — over 256 seeded op sequences on five geometries
+    /// (one non-power-of-two) and an address pool that collides in a few
+    /// sets and includes 0, `u64::MAX` and a complement pair per set.
+    #[test]
+    fn matches_line_array_oracle() {
+        const GEOMETRIES: [(u32, u32); 5] = [(1, 1), (1, 4), (4, 2), (3, 5), (4096, 4)];
+        let mut rng = SimRng::from_seed(0xD1FF);
+        let (mut evictions, mut hits, mut extremes) = (0, 0, 0);
+        for case in 0..256 {
+            let (sets, ways) = GEOMETRIES[case % GEOMETRIES.len()];
+            let geometry = CacheGeometry::new(sets, ways);
+            let mut pool = vec![0, 1, u64::MAX - 1, u64::MAX];
+            for set in [0, 1 % sets, sets - 1] {
+                for k in 0..ways + 3 {
+                    let raw = (set + k * sets) as u64;
+                    pool.extend([raw, !raw]);
+                }
+            }
+            let mut new = CacheArray::new(geometry);
+            let mut old = oracle::LineArray::new(geometry);
+            for op in 0..(1 + rng.below(299)) {
+                let addr = a(pool[rng.below(pool.len() as u64) as usize]);
+                match rng.below(6) {
+                    0 if !old.contains(addr) => {
+                        let payload = ((case as u64) << 32) | op;
+                        let victim = new.insert(addr, payload);
+                        assert_eq!(victim, old.insert(addr, payload));
+                        evictions += victim.is_some() as u32;
+                        extremes += (addr.raw() == 0 || addr.raw() == u64::MAX) as u32;
+                    }
+                    1 => {
+                        let (n, o) = (new.get_mut(addr), old.get_mut(addr));
+                        assert_eq!(n, o);
+                        if let (Some(n), Some(o)) = (n, o) {
+                            *n ^= 1;
+                            *o ^= 1;
+                            hits += 1;
+                        }
+                    }
+                    2 => assert_eq!(new.peek(addr), old.peek(addr)),
+                    3 => assert_eq!(new.remove(addr), old.remove(addr)),
+                    4 => assert_eq!(new.victim_for(addr), old.victim_for(addr)),
+                    _ => assert_eq!(new.contains(addr), old.contains(addr)),
+                }
+                assert_eq!(new.len(), old.len());
+                assert_eq!(new.is_empty(), old.is_empty());
+                // The full scan is too slow to repeat per op on 16k lines.
+                if sets < 4096 {
+                    assert!(new.iter().eq(old.iter()));
+                }
+            }
+            assert!(new.iter().eq(old.iter()));
+            assert!(new.iter_mut().map(|(addr, p)| (addr, &*p)).eq(old.iter()));
+        }
+        // Vacuity guards: the sequences did reach the interesting paths.
+        assert!(evictions > 500 && hits > 500 && extremes > 50);
+    }
+
+    /// A removed block's way is reusable by any address, including the one
+    /// `remove` parks in its tag, while a neighbour keeps the set occupied.
+    #[test]
+    fn removed_tag_is_never_trusted() {
+        let mut c = CacheArray::new(CacheGeometry::new(1, 2));
+        c.insert(a(7), "seven");
+        c.insert(a(8), "eight");
+        assert_eq!(c.remove(a(7)), Some("seven"));
+        for addr in [a(7), a(!7), a(0), a(u64::MAX)] {
+            assert!(!c.contains(addr) && c.peek(addr).is_none() && c.get_mut(addr).is_none());
+            assert_eq!(c.victim_for(addr), None, "way 0 is free");
+        }
+        assert_eq!(c.len(), 1);
+        assert!(c.insert(a(!7), "complement").is_none());
+        assert_eq!(c.peek(a(!7)), Some(&"complement"));
+        assert!(!c.contains(a(7)));
+        assert_eq!(c.remove(a(8)), Some("eight"));
+        assert_eq!(c.remove(a(!7)), Some("complement"));
+        assert!(c.is_empty() && !c.contains(a(8)));
     }
 }

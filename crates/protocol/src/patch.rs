@@ -58,7 +58,6 @@ struct PatchLine {
 
 #[derive(Debug)]
 struct PatchTbe {
-    addr: BlockAddr,
     kind: AccessKind,
     serial: u64,
     issued_at: Cycle,
@@ -193,7 +192,6 @@ impl PatchController {
         self.tbes.insert(
             op.addr,
             PatchTbe {
-                addr: op.addr,
                 kind: op.kind,
                 serial,
                 issued_at: now,
@@ -237,10 +235,9 @@ impl PatchController {
         }
         // The transaction may already be satisfiable from tokens the line
         // retained (e.g. a write upgrade that raced); check immediately.
+        // If it is not, an untenured line (upgrade with tokens, not yet
+        // activated) gets its probation clock running from the start.
         self.try_progress(op.addr, now, out);
-        // An untenured line (upgrade with tokens, not yet activated) needs
-        // its probation clock running from the start.
-        self.arm_tenure_timer_if_needed(op.addr, now, out);
     }
 
     /// Answers a request (direct or forwarded) from this cache's current
@@ -379,51 +376,38 @@ impl PatchController {
         }
     }
 
-    fn arm_tenure_timer_if_needed(&mut self, addr: BlockAddr, now: Cycle, out: &mut Outbox) {
-        let timeout = self.tenure_timeout();
-        let has_tokens = self.cache.peek(addr).is_some_and(|l| !l.tokens.is_empty());
-        let Some(tbe) = self.tbes.get_mut(&addr) else {
-            return;
-        };
-        if tbe.activated || tbe.timer_armed || !has_tokens {
-            return;
-        }
-        tbe.timer_generation += 1;
-        tbe.timer_armed = true;
-        out.arm_timer(
-            now + timeout,
-            TimerKey {
-                addr: tbe.addr,
-                kind: TimerKind::Tenure,
-                generation: tbe.timer_generation,
-            },
-        );
-    }
-
     /// Advances the outstanding miss: performs the access once tokens
-    /// suffice, and deactivates once both performed and activated.
+    /// suffice, deactivates once both performed and activated, and until
+    /// then keeps the probation clock of untenured tokens running.
     fn try_progress(&mut self, addr: BlockAddr, now: Cycle, out: &mut Outbox) {
         let total = self.total();
         let Some(tbe) = self.tbes.get_mut(&addr) else {
             return;
         };
-        let satisfied = match self.cache.peek(addr) {
-            Some(line) => match tbe.kind {
-                AccessKind::Read => line.valid && line.tokens.can_read(),
-                AccessKind::Write => line.valid && line.tokens.can_write(total),
-            },
-            None => false,
+        // One look at the line answers every question below; performing
+        // the access changes none of the answers. The line is probed again
+        // only to perform, which also marks it recently used.
+        let (satisfied, has_tokens, new_owner) = match self.cache.peek(addr) {
+            Some(line) => {
+                let enough = match tbe.kind {
+                    AccessKind::Read => line.tokens.can_read(),
+                    AccessKind::Write => line.tokens.can_write(total),
+                };
+                (
+                    line.valid && enough,
+                    !line.tokens.is_empty(),
+                    line.tokens.has_owner(),
+                )
+            }
+            None => (false, false, false),
         };
         if satisfied && !tbe.performed {
             tbe.performed = true;
             if !tbe.activated {
                 self.counters.satisfied_before_activation += 1;
             }
-            let kind = tbe.kind;
-            let issued_at = tbe.issued_at;
-            let marks = tbe.marks;
             let line = self.cache.get_mut(addr).expect("satisfied implies line");
-            let version = match kind {
+            let version = match tbe.kind {
                 AccessKind::Read => line.version,
                 AccessKind::Write => {
                     line.version += 1;
@@ -431,64 +415,73 @@ impl PatchController {
                     line.version
                 }
             };
-            self.latency.record(now - issued_at);
+            self.latency.record(now - tbe.issued_at);
             out.complete(Completion {
                 addr,
-                kind,
+                kind: tbe.kind,
                 version,
-                issued_at,
-                marks,
+                issued_at: tbe.issued_at,
+                marks: tbe.marks,
             });
         }
-        let tbe = self.tbes.get_mut(&addr).expect("still present");
-        if tbe.activated && satisfied {
-            // Deactivate: report the resulting state to the home.
-            let serial = tbe.serial;
-            let line = self.cache.peek(addr).expect("satisfied implies line");
-            let new_owner = line.tokens.has_owner();
-            self.tbes.remove(&addr);
-            let home = addr.home(self.n());
-            out.send_one(
-                self.n(),
-                home,
-                Msg::new(
-                    addr,
-                    MsgBody::Deactivate {
-                        requester: self.id,
-                        serial,
-                        new_owner,
-                        keeps_copy: true,
-                    },
-                ),
-            );
-            if self.config.deact_window {
-                let until = now + self.tenure_timeout();
-                self.deact_windows.insert(addr, until);
+        if !(tbe.activated && satisfied) {
+            // Untenured tokens (held, not yet activated) are on probation.
+            if has_tokens && !tbe.activated && !tbe.timer_armed {
+                tbe.timer_generation += 1;
+                tbe.timer_armed = true;
                 out.arm_timer(
-                    until,
+                    now + self.config.tenure.timeout(self.latency.average()),
                     TimerKey {
                         addr,
-                        kind: TimerKind::DeactWindow,
-                        generation: 0,
+                        kind: TimerKind::Tenure,
+                        generation: tbe.timer_generation,
                     },
                 );
             }
-            // A deferred core op for this block can now proceed (it may
-            // even hit on the tokens the transaction just collected).
-            if self.deferred.is_some_and(|op| op.addr == addr) {
-                let op = self.deferred.take().expect("checked");
-                if let CoreResponse::Hit { version } = self.core_request(op, now, out) {
-                    out.complete(Completion {
-                        addr: op.addr,
-                        kind: op.kind,
-                        version,
-                        issued_at: now,
-                        marks: SpanMarks::default(),
-                    });
-                }
+            return;
+        }
+        // Deactivate: report the resulting state to the home.
+        let serial = tbe.serial;
+        self.tbes.remove(&addr);
+        let home = addr.home(self.n());
+        out.send_one(
+            self.n(),
+            home,
+            Msg::new(
+                addr,
+                MsgBody::Deactivate {
+                    requester: self.id,
+                    serial,
+                    new_owner,
+                    keeps_copy: true,
+                },
+            ),
+        );
+        if self.config.deact_window {
+            let until = now + self.tenure_timeout();
+            self.deact_windows.insert(addr, until);
+            out.arm_timer(
+                until,
+                TimerKey {
+                    addr,
+                    kind: TimerKind::DeactWindow,
+                    generation: 0,
+                },
+            );
+        }
+        // A deferred core op for this block can now proceed (it may
+        // even hit on the tokens the transaction just collected).
+        if self.deferred.is_some_and(|op| op.addr == addr) {
+            let op = self.deferred.take().expect("checked");
+            if let CoreResponse::Hit { version } = self.core_request(op, now, out) {
+                out.complete(Completion {
+                    addr: op.addr,
+                    kind: op.kind,
+                    version,
+                    issued_at: now,
+                    marks: SpanMarks::default(),
+                });
             }
-        } else {
-            self.arm_tenure_timer_if_needed(addr, now, out);
         }
     }
 
@@ -573,37 +566,31 @@ impl PatchController {
         if let Some(from) = from {
             self.predictor.observe_response(addr, from);
         }
-        let has_tbe = self.tbes.contains_key(&addr);
-        if let Some(tbe) = self.tbes.get_mut(&addr) {
-            // Span telemetry: the first response of any kind ends the
-            // network phase. Pure data write — no protocol effect.
-            if tbe.marks.first_progress.is_none() {
-                tbe.marks.first_progress = Some(now);
-            }
-        }
-        if !has_tbe {
+        let Some(tbe) = self.tbes.get_mut(&addr) else {
             // No transaction outstanding: bounce stray tokens to the home
             // immediately (an instant probation expiry). This keeps
             // tenured owner tokens only where the directory can find
             // them.
             self.put_tokens(addr, tokens, data_version.unwrap_or(0), out);
             return;
+        };
+        // Span telemetry: the first response of any kind ends the
+        // network phase. Pure data write — no protocol effect.
+        if tbe.marks.first_progress.is_none() {
+            tbe.marks.first_progress = Some(now);
+        }
+        // The activation bit is transaction-specific: a late response
+        // from a *previous* transaction on this block must not
+        // activate the current one (its tokens are still welcome).
+        if activation && tbe.serial == serial {
+            tbe.activated = true;
+            tbe.timer_armed = false; // pending timers are now stale
+            if tbe.marks.ordered.is_none() {
+                tbe.marks.ordered = Some(now);
+            }
         }
         if !tokens.is_empty() || data_version.is_some() {
             self.absorb_tokens(addr, tokens, data_version, out);
-        }
-        if activation {
-            // The activation bit is transaction-specific: a late response
-            // from a *previous* transaction on this block must not
-            // activate the current one (its tokens are still welcome).
-            let tbe = self.tbes.get_mut(&addr).expect("checked above");
-            if tbe.serial == serial {
-                tbe.activated = true;
-                tbe.timer_armed = false; // pending timers are now stale
-                if tbe.marks.ordered.is_none() {
-                    tbe.marks.ordered = Some(now);
-                }
-            }
         }
         self.try_progress(addr, now, out);
     }

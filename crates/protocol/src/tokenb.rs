@@ -427,30 +427,33 @@ impl TokenBController {
                 }
             }
         }
-        if !has_tbe && !self.cache.contains(addr) {
-            // Stray tokens with nowhere to live: return them to memory.
-            self.put_tokens(addr, tokens, data_version.unwrap_or(0), out);
-            return;
-        }
-        if let Some(line) = self.cache.get_mut(addr) {
-            line.tokens.merge(tokens);
-            if let Some(v) = data_version {
-                line.valid = true;
-                line.version = v;
+        match self.cache.get_mut(addr) {
+            Some(line) => {
+                line.tokens.merge(tokens);
+                if let Some(v) = data_version {
+                    line.valid = true;
+                    line.version = v;
+                }
             }
-        } else {
-            let line = TbLine {
-                tokens,
-                version: data_version.unwrap_or(0),
-                valid: data_version.is_some(),
-            };
-            if let Some(victim) = self.cache.insert(addr, line) {
-                self.put_tokens(
-                    victim.addr,
-                    victim.payload.tokens,
-                    victim.payload.version,
-                    out,
-                );
+            None if has_tbe => {
+                let line = TbLine {
+                    tokens,
+                    version: data_version.unwrap_or(0),
+                    valid: data_version.is_some(),
+                };
+                if let Some(victim) = self.cache.insert(addr, line) {
+                    self.put_tokens(
+                        victim.addr,
+                        victim.payload.tokens,
+                        victim.payload.version,
+                        out,
+                    );
+                }
+            }
+            None => {
+                // Stray tokens with nowhere to live: return them to memory.
+                self.put_tokens(addr, tokens, data_version.unwrap_or(0), out);
+                return;
             }
         }
         self.try_progress(now, out);
