@@ -66,6 +66,40 @@ fn bench_event_queue_drain(c: &mut Criterion) {
     });
 }
 
+/// The queue as `mesh128_scale` drives it, which `push_pop_1k`'s handful
+/// of hot buckets cannot show: payloads the size of `System`'s `Event`,
+/// ~1256 events pending, schedule distances of 1..64 cycles, and now and
+/// then 300 events for one cycle. One iteration moves simulated time eight
+/// times round the wheel, so every slot's storage is revisited after the
+/// whole working set has gone by.
+fn bench_event_queue_sweep(c: &mut Criterion) {
+    const PENDING: usize = 1256;
+    let mut rng = SimRng::from_seed(15);
+    let mut q = EventQueue::<[u64; 4]>::with_capacity(2048);
+    for i in 0..PENDING as u64 {
+        q.push(Cycle::new(1 + rng.below(63)), [i; 4]);
+    }
+    c.bench_function("kernel/wheel_sweep_1k_slots_bursty", |b| {
+        b.iter(|| {
+            let until = q.now() + 8 * 1024;
+            let mut sum = 0u64;
+            while q.now() < until {
+                let (now, ev) = q.pop().expect("refilled below");
+                sum += ev[0];
+                // After a burst, pops alone bring the backlog back down.
+                if q.len() < PENDING {
+                    let copies = if rng.below(4096) == 0 { 300 } else { 1 };
+                    let at = now + 1 + rng.below(63);
+                    for _ in 0..copies {
+                        q.push(at, ev);
+                    }
+                }
+            }
+            sum
+        })
+    });
+}
+
 fn bench_torus(c: &mut Criterion) {
     c.bench_function("noc/unicast_64node_torus", |b| {
         b.iter_batched(
@@ -225,6 +259,7 @@ criterion_group!(
     simulator,
     bench_event_queue,
     bench_event_queue_drain,
+    bench_event_queue_sweep,
     bench_torus,
     bench_cache,
     bench_cache_cold,

@@ -1,7 +1,7 @@
 //! Deterministic time-ordered event queue backed by a timer wheel.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::Cycle;
 
@@ -14,6 +14,8 @@ const WHEEL_SLOTS: usize = 1024;
 const SLOT_MASK: u64 = WHEEL_SLOTS as u64 - 1;
 /// Occupancy-bitmap words (64 slots per word).
 const BITMAP_WORDS: usize = WHEEL_SLOTS / 64;
+/// "No node": ends a slot's list and the free list.
+const NIL: u32 = u32::MAX;
 
 /// An entry in the overflow heap: ordered by time, then by insertion
 /// sequence so that same-cycle events pop in FIFO order. `BinaryHeap` is a
@@ -44,6 +46,13 @@ impl<E> Ord for Entry<E> {
     }
 }
 
+/// One slab cell: a pending event linked into its slot's list, or a free
+/// cell (`event` is `None`) linked into the free list.
+struct Node<E> {
+    next: u32,
+    event: Option<E>,
+}
+
 /// A deterministic discrete-event queue.
 ///
 /// Events are delivered in non-decreasing timestamp order; events scheduled
@@ -58,12 +67,21 @@ impl<E> Ord for Entry<E> {
 /// an occupancy bitmap for constant-ish-time scans, backed by a spill
 /// [`BinaryHeap`] for the rare timer scheduled further out. Since almost
 /// every NoC event lands within a few dozen cycles of `now`, pushes and
-/// pops are O(1) on the hot path instead of the heap's O(log n) — and
-/// same-cycle events sit contiguously in one bucket, so draining a cycle
-/// touches no comparison logic at all.
+/// pops are O(1) on the hot path instead of the heap's O(log n).
+///
+/// Every wheel-resident event lives in **one slab** (`nodes`), whose
+/// length is the largest number of events the wheel ever held at once. A
+/// bucket is an intrusive singly linked FIFO through that slab: append at
+/// `tails[slot]`, pop at `heads[slot]`, so bucket order is exactly push
+/// order. Every node is on exactly one slot's list or on the free list,
+/// which is LIFO — the node a pop frees is the one the next push reuses,
+/// while it is still in cache. A slot never mixes cycles (every resident
+/// event is within `now .. now + 1024`, and `push` refuses anything
+/// earlier than `now`), so no timestamp is stored: an event popped from
+/// `slot` is due at `now + ((slot − now's slot) mod 1024)`.
 ///
 /// Overflow entries migrate into the wheel as simulated time advances
-/// (whenever `now` moves, at the end of each pop). An overflow entry for
+/// (at the end of each pop that moved `now`). An overflow entry for
 /// cycle `t` always migrates before any *later-pushed* event for `t` can
 /// enter the wheel — a direct push for `t` requires `t - now <
 /// WHEEL_SLOTS`, and the pop that first advanced `now` past `t -
@@ -83,10 +101,16 @@ impl<E> Ord for Entry<E> {
 /// assert_eq!(order, ["c", "a", "b"]);
 /// ```
 pub struct EventQueue<E> {
-    /// Near-future buckets; slot `t & SLOT_MASK` holds the events for
-    /// cycle `t` while `t - now < WHEEL_SLOTS`. Every resident event is
-    /// within that window, so a slot never mixes cycles.
-    wheel: Box<[VecDeque<(Cycle, E)>]>,
+    /// Storage for every wheel-resident event, and the free cells left by
+    /// popped ones. Never shrinks; grows only when the free list is empty.
+    nodes: Vec<Node<E>>,
+    /// Most recently freed node, or `NIL`.
+    free: u32,
+    /// First and last node of each slot's list; slot `t & SLOT_MASK` holds
+    /// the events for cycle `t` while `t - now < WHEEL_SLOTS`. Meaningful
+    /// only while the slot's `occupied` bit is set.
+    heads: Box<[u32]>,
+    tails: Box<[u32]>,
     /// One bit per wheel slot: set iff the bucket is non-empty.
     occupied: [u64; BITMAP_WORDS],
     /// Events scheduled at or beyond `now + WHEEL_SLOTS`.
@@ -102,25 +126,18 @@ pub struct EventQueue<E> {
 impl<E> EventQueue<E> {
     /// Creates an empty queue positioned at [`Cycle::ZERO`].
     pub fn new() -> Self {
-        EventQueue {
-            wheel: (0..WHEEL_SLOTS).map(|_| VecDeque::new()).collect(),
-            occupied: [0; BITMAP_WORDS],
-            overflow: BinaryHeap::new(),
-            wheel_len: 0,
-            next_seq: 0,
-            now: Cycle::ZERO,
-        }
+        Self::with_capacity(0)
     }
 
-    /// Creates an empty queue pre-sized for roughly `events` concurrently
-    /// pending events, so steady-state operation performs no bucket
-    /// reallocation.
+    /// Creates an empty queue whose slab starts with room for `events`
+    /// concurrently pending events: until more than that are pending at
+    /// once, a push allocates nothing.
     pub fn with_capacity(events: usize) -> Self {
-        let per_bucket = events.div_ceil(WHEEL_SLOTS).clamp(1, 32);
         EventQueue {
-            wheel: (0..WHEEL_SLOTS)
-                .map(|_| VecDeque::with_capacity(per_bucket))
-                .collect(),
+            nodes: Vec::with_capacity(events),
+            free: NIL,
+            heads: vec![NIL; WHEEL_SLOTS].into(),
+            tails: vec![NIL; WHEEL_SLOTS].into(),
             occupied: [0; BITMAP_WORDS],
             overflow: BinaryHeap::with_capacity(events.min(1024)),
             wheel_len: 0,
@@ -131,35 +148,55 @@ impl<E> EventQueue<E> {
 
     /// Schedules `event` to be delivered at cycle `at`.
     ///
+    /// # Panics
+    ///
     /// Scheduling earlier than the most recently popped timestamp is
-    /// always a simulator bug; debug builds panic on it.
+    /// always a simulator bug, and the wheel derives an event's time from
+    /// its slot, so such an event would be delivered at the wrong cycle.
     pub fn push(&mut self, at: Cycle, event: E) {
-        debug_assert!(
+        assert!(
             at >= self.now,
             "scheduled event at {at} but simulation time has reached {}",
             self.now
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        // `at >= now` is an invariant (debug-asserted above); saturating
-        // keeps release builds from corrupting the wheel if it is broken.
-        if at.as_u64().saturating_sub(self.now.as_u64()) < WHEEL_SLOTS as u64 {
+        if at.as_u64() - self.now.as_u64() < WHEEL_SLOTS as u64 {
             self.wheel_insert(at, event);
         } else {
             self.overflow.push(Entry { at, seq, event });
         }
     }
 
+    /// Appends `event` to the list of `at`'s slot, in a recycled node if
+    /// there is one.
     #[inline]
     fn wheel_insert(&mut self, at: Cycle, event: E) {
         let slot = (at.as_u64() & SLOT_MASK) as usize;
-        let bucket = &mut self.wheel[slot];
-        debug_assert!(
-            bucket.back().is_none_or(|(t, _)| *t == at),
-            "wheel slot mixes cycles"
-        );
-        bucket.push_back((at, event));
-        self.occupied[slot / 64] |= 1 << (slot % 64);
+        let node = Node {
+            next: NIL,
+            event: Some(event),
+        };
+        let mut idx = self.free;
+        if idx != NIL {
+            self.free = self.nodes[idx as usize].next;
+            self.nodes[idx as usize] = node;
+        } else {
+            assert!(
+                self.nodes.len() < NIL as usize,
+                "slab index would reach NIL"
+            );
+            idx = self.nodes.len() as u32;
+            self.nodes.push(node);
+        }
+        let bit = 1 << (slot % 64);
+        if self.occupied[slot / 64] & bit == 0 {
+            self.occupied[slot / 64] |= bit;
+            self.heads[slot] = idx;
+        } else {
+            self.nodes[self.tails[slot] as usize].next = idx;
+        }
+        self.tails[slot] = idx;
         self.wheel_len += 1;
     }
 
@@ -170,7 +207,7 @@ impl<E> EventQueue<E> {
     /// order.
     fn migrate_overflow(&mut self) {
         while let Some(head) = self.overflow.peek() {
-            if head.at.as_u64().saturating_sub(self.now.as_u64()) >= WHEEL_SLOTS as u64 {
+            if head.at.as_u64() - self.now.as_u64() >= WHEEL_SLOTS as u64 {
                 break;
             }
             let entry = self.overflow.pop().expect("peeked entry exists");
@@ -198,6 +235,20 @@ impl<E> EventQueue<E> {
         None
     }
 
+    /// The first occupied slot at or cyclically after `now`'s, and the
+    /// cycle its events are due: every resident event is less than one
+    /// turn ahead of `now`, so the distance between the slots is the
+    /// distance in time. Call only while the wheel holds something.
+    #[inline]
+    fn earliest_wheel_slot(&self) -> (usize, Cycle) {
+        let cursor = (self.now.as_u64() & SLOT_MASK) as usize;
+        let slot = self
+            .next_occupied_slot(cursor)
+            .expect("wheel_len > 0 implies an occupied slot");
+        let ahead = (slot.wrapping_sub(cursor) as u64) & SLOT_MASK;
+        (slot, self.now + ahead)
+    }
+
     /// Removes and returns the earliest event together with its timestamp,
     /// advancing the queue's notion of "now" to that timestamp.
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
@@ -206,32 +257,34 @@ impl<E> EventQueue<E> {
             // (wheel < now + WHEEL_SLOTS <= overflow), and the first
             // occupied slot scanning from now's slot is the earliest
             // cycle in the wheel.
-            let cursor = (self.now.as_u64() & SLOT_MASK) as usize;
-            let slot = self
-                .next_occupied_slot(cursor)
-                .expect("wheel_len > 0 implies an occupied slot");
-            let bucket = &mut self.wheel[slot];
-            let (at, event) = bucket.pop_front().expect("occupied slot is non-empty");
-            if bucket.is_empty() {
+            let (slot, at) = self.earliest_wheel_slot();
+            let idx = self.heads[slot];
+            let node = &mut self.nodes[idx as usize];
+            let event = node.event.take().expect("listed node holds an event");
+            if node.next == NIL {
                 self.occupied[slot / 64] &= !(1 << (slot % 64));
+            } else {
+                self.heads[slot] = node.next;
             }
+            node.next = self.free;
+            self.free = idx;
             self.wheel_len -= 1;
             (at, event)
         } else {
             let entry = self.overflow.pop()?;
             (entry.at, entry.event)
         };
-        debug_assert!(at >= self.now);
-        self.now = at;
-        // `now` advanced: pull newly in-horizon overflow entries into the
-        // wheel *before* returning, so they precede any later push for
-        // the same cycle.
-        self.migrate_overflow();
+        if at > self.now {
+            self.now = at;
+            // `now` advanced: pull newly in-horizon overflow entries into
+            // the wheel *before* returning, so they precede any later push
+            // for the same cycle.
+            self.migrate_overflow();
+        }
         Some((at, event))
     }
 
-    /// Drains every event already queued for the earliest pending cycle,
-    /// without rescanning the wheel between events.
+    /// Drains every event already queued for the earliest pending cycle.
     ///
     /// Events pushed for that same cycle *while* iterating are not seen by
     /// the iterator (it borrows the queue exclusively); they pop next, in
@@ -259,11 +312,7 @@ impl<E> EventQueue<E> {
     /// it.
     pub fn peek_time(&self) -> Option<Cycle> {
         if self.wheel_len > 0 {
-            let cursor = (self.now.as_u64() & SLOT_MASK) as usize;
-            let slot = self
-                .next_occupied_slot(cursor)
-                .expect("wheel_len > 0 implies an occupied slot");
-            return self.wheel[slot].front().map(|(at, _)| *at);
+            return Some(self.earliest_wheel_slot().1);
         }
         self.overflow.peek().map(|e| e.at)
     }
@@ -302,6 +351,7 @@ impl<E> std::fmt::Debug for EventQueue<E> {
             .field("len", &self.len())
             .field("wheel_len", &self.wheel_len)
             .field("overflow_len", &self.overflow.len())
+            .field("slab", &self.nodes.len())
             .field("now", &self.now)
             .field("total_pushed", &self.next_seq)
             .finish()
@@ -320,31 +370,11 @@ impl<E> Iterator for DrainCurrentCycle<'_, E> {
     type Item = (Cycle, E);
 
     fn next(&mut self) -> Option<(Cycle, E)> {
-        let at = self.at?;
-        // Fast path: every remaining event for `at` sits in `at`'s bucket
-        // (a slot never mixes cycles), so pop its front directly — no
-        // bitmap scan per event. The first event can instead still be in
-        // the overflow heap when the wheel is empty; the slow path below
-        // pops it, and migration then fills the bucket for the rest.
-        let q = &mut *self.queue;
-        let slot = (at.as_u64() & SLOT_MASK) as usize;
-        let bucket = &mut q.wheel[slot];
-        if let Some(&(t, _)) = bucket.front() {
-            debug_assert_eq!(t, at, "current-cycle bucket holds a different cycle");
-            let (t, event) = bucket.pop_front().expect("front exists");
-            if bucket.is_empty() {
-                q.occupied[slot / 64] &= !(1 << (slot % 64));
-            }
-            q.wheel_len -= 1;
-            q.now = t;
-            q.migrate_overflow();
-            return Some((t, event));
+        if self.queue.peek_time() == Some(self.at?) {
+            self.queue.pop()
+        } else {
+            None
         }
-        if q.peek_time() == Some(at) {
-            return q.pop();
-        }
-        self.at = None;
-        None
     }
 }
 
@@ -388,7 +418,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
     #[should_panic(expected = "scheduled event at cycle 1")]
     fn scheduling_into_the_past_panics() {
         let mut q = EventQueue::new();
@@ -526,12 +555,20 @@ mod tests {
         fn pop(&mut self) -> Option<(Cycle, E)> {
             self.heap.pop().map(|e| (e.at, e.event))
         }
+        fn peek_time(&self) -> Option<Cycle> {
+            self.heap.peek().map(|e| e.at)
+        }
     }
 
     /// Property test: random (time, payload) mixes with interleaved pops
-    /// produce exactly the reference heap's (time, seq) order. Schedule
+    /// produce exactly the reference heap's (time, seq) order, and
+    /// `peek_time` names the next pop's time after every step. Schedule
     /// distances mix the wheel hot path, the wrap boundary, and the
-    /// overflow heap. Randomised over 64 seeded episodes.
+    /// overflow heap; same-cycle bursts of 300+ events make one slot's
+    /// list long while other slots' nodes interleave with it in the slab;
+    /// and each episode sweeps the wheel at least three times round, so
+    /// every slot is reused at a later cycle. Randomised over 64 seeded
+    /// episodes.
     #[test]
     fn wheel_matches_reference_heap_order() {
         let mut rng = SimRng::from_seed(0x37EE1);
@@ -539,8 +576,12 @@ mod tests {
             let mut wheel = EventQueue::new();
             let mut reference = ReferenceHeap::new();
             let mut now = 0u64;
-            for step in 0..800u64 {
-                if rng.below(3) < 2 || wheel.is_empty() {
+            let mut next_id = 0u64;
+            let mut bursts = 0;
+            for step in 0..4_000u64 {
+                // Push less often the longer the backlog, so a burst drains
+                // and simulated time keeps moving.
+                if rng.below(wheel.len() as u64 + 64) < 64 {
                     // Push at a distance that exercises all three regimes.
                     let dist = match rng.below(10) {
                         0..=5 => rng.below(16),                  // hot bucket
@@ -548,25 +589,136 @@ mod tests {
                         8 => WHEEL_SLOTS as u64 + rng.below(64), // horizon edge
                         _ => rng.below(100_000),                 // deep overflow
                     };
-                    wheel.push(Cycle::new(now + dist), step);
-                    reference.push(Cycle::new(now + dist), step);
+                    // One burst per episode for certain, more by chance.
+                    let count = if step == 1_000 || rng.below(500) == 0 {
+                        bursts += 1;
+                        300 + rng.below(100)
+                    } else {
+                        1
+                    };
+                    for _ in 0..count {
+                        wheel.push(Cycle::new(now + dist), next_id);
+                        reference.push(Cycle::new(now + dist), next_id);
+                        next_id += 1;
+                    }
                 } else {
                     let got = wheel.pop();
-                    let want = reference.pop();
-                    assert_eq!(got, want, "pop sequences diverged");
+                    assert_eq!(got, reference.pop(), "pop sequences diverged");
                     if let Some((at, _)) = got {
                         now = at.as_u64();
                     }
                 }
+                assert_eq!(wheel.peek_time(), reference.peek_time(), "peek diverged");
+                assert_eq!(wheel.len(), reference.heap.len());
             }
+            assert!(bursts >= 1);
+            assert!(
+                now >= 3 * WHEEL_SLOTS as u64,
+                "episode ended at cycle {now}: the wheel did not wrap three times"
+            );
             loop {
                 let got = wheel.pop();
-                let want = reference.pop();
-                assert_eq!(got, want, "drain sequences diverged");
+                assert_eq!(got, reference.pop(), "drain sequences diverged");
+                assert_eq!(wheel.peek_time(), reference.peek_time(), "peek diverged");
                 if got.is_none() {
                     break;
                 }
             }
         }
+    }
+
+    /// The free list is really reused: a million pushes with never more
+    /// than `K` events pending leave a slab of at most `K` nodes.
+    #[test]
+    fn slab_is_bounded_by_high_water_mark() {
+        const K: usize = 48;
+        let mut rng = SimRng::from_seed(0x51AB);
+        let mut q = EventQueue::with_capacity(K);
+        let mut now = 0u64;
+        for i in 0..1_000_000u64 {
+            if q.len() == K || (!q.is_empty() && rng.below(2) == 0) {
+                now = q.pop().expect("non-empty").0.as_u64();
+            }
+            q.push(Cycle::new(now + rng.below(WHEEL_SLOTS as u64)), i);
+        }
+        assert_eq!(q.total_pushed(), 1_000_000);
+        assert!(q.nodes.len() <= K, "slab grew to {} nodes", q.nodes.len());
+        assert_eq!(q.nodes.capacity(), K, "slab reallocated");
+        assert!(format!("{q:?}").contains(&format!("slab: {}", q.nodes.len())));
+    }
+
+    /// Wheel edge (`now + 1023`) and overflow edge (exactly `now + 1024`)
+    /// both pop at the cycle they were pushed for — the wheel stores no
+    /// timestamp — after `now` has crossed several multiples of 1024, and
+    /// a migrated event still precedes a later direct push to its cycle.
+    #[test]
+    fn derived_timestamps_survive_the_wrap() {
+        let mut q = EventQueue::new();
+        let mut now = 0u64;
+        for lap in 0..5u64 {
+            // An off-grid start so slot and cursor differ in every lap.
+            let edge = now + WHEEL_SLOTS as u64 - 1;
+            let over = now + WHEEL_SLOTS as u64;
+            q.push(Cycle::new(over), "over"); // overflow heap
+            q.push(Cycle::new(edge), "edge"); // last wheel slot ahead of now
+            q.push(Cycle::new(now + 700), "mid");
+            assert_eq!(q.overflow.len(), 1);
+            assert_eq!(q.pop(), Some((Cycle::new(now + 700), "mid")));
+            // 700 cycles on, `over` is inside the horizon and has migrated.
+            assert_eq!(q.overflow.len(), 0);
+            q.push(Cycle::new(over), "direct");
+            assert_eq!(q.peek_time(), Some(Cycle::new(edge)));
+            assert_eq!(q.pop(), Some((Cycle::new(edge), "edge")));
+            assert_eq!(q.pop(), Some((Cycle::new(over), "over")));
+            assert_eq!(q.pop(), Some((Cycle::new(over), "direct")));
+            assert!(q.is_empty());
+            now = over + 37 * lap;
+            q.push(Cycle::new(now), "advance");
+            assert_eq!(q.pop(), Some((Cycle::new(now), "advance")));
+        }
+        assert!(now > 5 * WHEEL_SLOTS as u64);
+    }
+
+    /// The free list is LIFO: the node a pop just released is the one the
+    /// next push takes.
+    #[test]
+    fn freed_node_is_reused_first() {
+        let mut q = EventQueue::new();
+        for (at, e) in [(1, 'a'), (2, 'b'), (3, 'c')] {
+            q.push(Cycle::new(at), e); // nodes 0, 1, 2
+        }
+        assert_eq!(q.pop(), Some((Cycle::new(1), 'a'))); // frees 0
+        assert_eq!(q.pop(), Some((Cycle::new(2), 'b'))); // frees 1
+        q.push(Cycle::new(9), 'd');
+        assert_eq!(q.tails[9], 1, "the last node freed is reused first");
+        q.push(Cycle::new(9), 'e');
+        assert_eq!(q.tails[9], 0);
+        q.push(Cycle::new(9), 'f');
+        assert_eq!(q.tails[9], 3, "free list empty: the slab grows");
+        let rest: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(rest, ['c', 'd', 'e', 'f']);
+        assert_eq!(q.nodes.len(), 4);
+    }
+
+    /// Two cycles whose nodes alternate in the slab each pop in their own
+    /// push order.
+    #[test]
+    fn interleaved_slots_keep_per_slot_fifo() {
+        let mut q = EventQueue::new();
+        for i in 0..50u32 {
+            q.push(Cycle::new(9), 2 * i + 1);
+            q.push(Cycle::new(5), 2 * i);
+        }
+        for i in 0..50u32 {
+            assert_eq!(q.pop(), Some((Cycle::new(5), 2 * i)));
+        }
+        // Refill cycle 9 through recycled nodes, in reverse slab order.
+        for i in 50..100u32 {
+            q.push(Cycle::new(9), 2 * i + 1);
+        }
+        for i in 0..100u32 {
+            assert_eq!(q.pop(), Some((Cycle::new(9), 2 * i + 1)));
+        }
+        assert!(q.is_empty());
     }
 }
