@@ -7,7 +7,9 @@ use patchsim_bench::harness::{BatchSize, Criterion};
 use patchsim_bench::{criterion_group, criterion_main};
 use patchsim_kernel::{EventQueue, SimRng};
 use patchsim_mem::{BlockAddr, CacheArray, CacheGeometry, SharerEncoding, SharerSet};
-use patchsim_noc::{DestSet, NocEvent, NocPayload, Priority, Torus, TorusConfig, TrafficClass};
+use patchsim_noc::{
+    DestSet, Fabric, FabricConfig, FabricKind, NocEvent, NocPayload, Priority, TrafficClass,
+};
 use patchsim_predictor::{BroadcastIfSharedPredictor, Predictor};
 
 #[derive(Clone)]
@@ -32,32 +34,6 @@ fn bench_event_queue(c: &mut Criterion) {
                 let mut sum = 0u64;
                 while let Some((_, v)) = q.pop() {
                     sum += v as u64;
-                }
-                sum
-            },
-            BatchSize::SmallInput,
-        )
-    });
-}
-
-fn bench_event_queue_drain(c: &mut Criterion) {
-    // The drain_current_cycle fast path versus pop-per-event on a
-    // same-cycle-heavy mix (the shape of a saturated interconnect tick).
-    c.bench_function("kernel/event_queue_drain_cycles_1k", |b| {
-        b.iter_batched(
-            || {
-                let mut q = EventQueue::<u32>::with_capacity(1024);
-                for i in 0..1000u32 {
-                    q.push(Cycle::new(i as u64 / 50), i);
-                }
-                q
-            },
-            |mut q| {
-                let mut sum = 0u64;
-                while !q.is_empty() {
-                    for (_, v) in q.drain_current_cycle() {
-                        sum += v as u64;
-                    }
                 }
                 sum
             },
@@ -103,7 +79,7 @@ fn bench_event_queue_sweep(c: &mut Criterion) {
 fn bench_torus(c: &mut Criterion) {
     c.bench_function("noc/unicast_64node_torus", |b| {
         b.iter_batched(
-            || Torus::<Payload>::new(TorusConfig::new(64)),
+            || Fabric::<Payload>::new(FabricConfig::new(FabricKind::Torus, 64)),
             |mut net| {
                 let mut q: EventQueue<NocEvent<Payload>> = EventQueue::new();
                 for i in 0..64u16 {
@@ -134,7 +110,7 @@ fn bench_torus(c: &mut Criterion) {
 
     c.bench_function("noc/broadcast_64node_torus", |b| {
         b.iter_batched(
-            || Torus::<Payload>::new(TorusConfig::new(64)),
+            || Fabric::<Payload>::new(FabricConfig::new(FabricKind::Torus, 64)),
             |mut net| {
                 let mut q: EventQueue<NocEvent<Payload>> = EventQueue::new();
                 net.send(
@@ -258,7 +234,6 @@ fn bench_dest_set(c: &mut Criterion) {
 criterion_group!(
     simulator,
     bench_event_queue,
-    bench_event_queue_drain,
     bench_event_queue_sweep,
     bench_torus,
     bench_cache,

@@ -26,8 +26,8 @@
 //! alongside recording the telemetry-on overhead.
 //!
 //! `--fabric` swaps the interconnect topology (default `torus`); CI's
-//! perf-smoke job records a crossbar row alongside the torus row into
-//! `BENCH_4.json` so the fabric subsystem's throughput is tracked too.
+//! perf-smoke job runs a crossbar row alongside the torus row and checks
+//! both for thread-count determinism.
 //! `--record-trace` writes the first replication's access stream to a
 //! `.ptrc` trace; `--replay-trace` replays one (replay skips workload
 //! generation, so CI's perf-smoke job records its events/sec next to
@@ -55,8 +55,9 @@ use patchsim_kernel::replicate_seed;
 /// The pinned base seed; replications derive from it with `replicate_seed`.
 const BASE_SEED: u64 = 0xB_0A7;
 
-/// Default output path, matching the perf-trajectory naming scheme.
-const DEFAULT_OUT: &str = "BENCH_3.json";
+/// Default output path (git-ignored; the committed `BENCH_<pr>.json`
+/// ledger is written by `scripts/ab.sh`, not by this binary).
+const DEFAULT_OUT: &str = "perf_baseline.json";
 
 /// Measured operations per core for the pinned configuration.
 const fn pinned_ops(quick: bool) -> u64 {

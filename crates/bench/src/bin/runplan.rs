@@ -12,7 +12,9 @@
 //! for scripting). A missing or unknown plan name prints the described
 //! registry and exits with status 2. The `saturation` plan emits its own
 //! open-loop column set (offered/achieved rate, drop %, sojourn
-//! percentiles) instead of the standard closed-loop columns.
+//! percentiles) instead of the standard closed-loop columns. `fig5` is
+//! `fig4`'s sweep with those same standard columns, byte for byte; only
+//! the `fig5_traffic` binary adds Figure 5's per-class traffic columns.
 //!
 //! Two store-maintenance subcommands ride along (see `SUBCOMMANDS` in
 //! `runplan --help`): `merge-store A B -o C` merges two result stores

@@ -1340,7 +1340,7 @@ pub const PLAN_INFO: [(&str, &str); 16] = [
     ),
     (
         "fig5",
-        "Figure 5 traffic grid: fig4's sweep with per-class columns",
+        "Figure 5's grid: same table as fig4 (class columns: fig5_traffic)",
     ),
     ("fig6", "Figure 6 bandwidth-adaptivity sweep on ocean"),
     ("fig7", "Figure 7 bandwidth-adaptivity sweep on jbb"),

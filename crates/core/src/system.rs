@@ -895,14 +895,10 @@ impl System {
         let queued_packets = self.noc.queued_packets() as u64;
         let num_links = self.noc.spec().num_links() as u64;
         let mut gauges = ProtocolGauges::default();
-        let (mut misses, mut persistent, mut reissues, mut tenure) = (0, 0, 0, 0);
+        let mut counters = ProtocolCounters::default();
         for node in &self.nodes {
             gauges.add(node.gauges());
-            let c = node.counters();
-            misses += c.misses;
-            persistent += c.persistent_requests;
-            reissues += c.reissues;
-            tenure += c.tenure_timeouts;
+            counters.add(node.counters());
         }
         let backlog = if self.open.is_some() {
             self.cores.iter().map(|c| c.backlog.len() as u64).collect()
@@ -925,19 +921,21 @@ impl System {
             tbes: gauges.tbes,
             home_entries: gauges.home_entries,
             persistent_entries: gauges.persistent_entries,
-            misses_delta: misses.saturating_sub(m.prev_misses),
-            persistent_delta: persistent.saturating_sub(m.prev_persistent),
-            reissues_delta: reissues.saturating_sub(m.prev_reissues),
-            tenure_timeouts_delta: tenure.saturating_sub(m.prev_tenure),
+            misses_delta: counters.misses.saturating_sub(m.prev_misses),
+            persistent_delta: counters
+                .persistent_requests
+                .saturating_sub(m.prev_persistent),
+            reissues_delta: counters.reissues.saturating_sub(m.prev_reissues),
+            tenure_timeouts_delta: counters.tenure_timeouts.saturating_sub(m.prev_tenure),
             backlog,
         });
         m.prev_cycle = boundary;
         m.prev_events = events;
         m.prev_busy = busy;
-        m.prev_misses = misses;
-        m.prev_persistent = persistent;
-        m.prev_reissues = reissues;
-        m.prev_tenure = tenure;
+        m.prev_misses = counters.misses;
+        m.prev_persistent = counters.persistent_requests;
+        m.prev_reissues = counters.reissues;
+        m.prev_tenure = counters.tenure_timeouts;
     }
 
     /// Processes one popped event: the livelock bound, then telemetry
@@ -1173,16 +1171,7 @@ impl System {
         });
         let mut counters = ProtocolCounters::default();
         for node in &self.nodes {
-            let c = node.counters();
-            counters.hits += c.hits;
-            counters.misses += c.misses;
-            counters.satisfied_before_activation += c.satisfied_before_activation;
-            counters.tenure_timeouts += c.tenure_timeouts;
-            counters.direct_responses += c.direct_responses;
-            counters.direct_ignored += c.direct_ignored;
-            counters.reissues += c.reissues;
-            counters.persistent_requests += c.persistent_requests;
-            counters.writebacks += c.writebacks;
+            counters.add(node.counters());
         }
         Ok(RunResult {
             protocol: self.nodes[0].protocol_name(),

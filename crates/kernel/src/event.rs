@@ -284,30 +284,6 @@ impl<E> EventQueue<E> {
         Some((at, event))
     }
 
-    /// Drains every event already queued for the earliest pending cycle.
-    ///
-    /// Events pushed for that same cycle *while* iterating are not seen by
-    /// the iterator (it borrows the queue exclusively); they pop next, in
-    /// FIFO position, exactly as [`EventQueue::pop`] would deliver them.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use patchsim_kernel::{Cycle, EventQueue};
-    ///
-    /// let mut q = EventQueue::new();
-    /// q.push(Cycle::new(3), "a");
-    /// q.push(Cycle::new(3), "b");
-    /// q.push(Cycle::new(9), "later");
-    /// let batch: Vec<_> = q.drain_current_cycle().collect();
-    /// assert_eq!(batch, [(Cycle::new(3), "a"), (Cycle::new(3), "b")]);
-    /// assert_eq!(q.len(), 1);
-    /// ```
-    pub fn drain_current_cycle(&mut self) -> DrainCurrentCycle<'_, E> {
-        let at = self.peek_time();
-        DrainCurrentCycle { queue: self, at }
-    }
-
     /// Returns the timestamp of the earliest pending event without removing
     /// it.
     pub fn peek_time(&self) -> Option<Cycle> {
@@ -355,26 +331,6 @@ impl<E> std::fmt::Debug for EventQueue<E> {
             .field("now", &self.now)
             .field("total_pushed", &self.next_seq)
             .finish()
-    }
-}
-
-/// Draining iterator over the events of the earliest pending cycle. See
-/// [`EventQueue::drain_current_cycle`].
-#[derive(Debug)]
-pub struct DrainCurrentCycle<'a, E> {
-    queue: &'a mut EventQueue<E>,
-    at: Option<Cycle>,
-}
-
-impl<E> Iterator for DrainCurrentCycle<'_, E> {
-    type Item = (Cycle, E);
-
-    fn next(&mut self) -> Option<(Cycle, E)> {
-        if self.queue.peek_time() == Some(self.at?) {
-            self.queue.pop()
-        } else {
-            None
-        }
     }
 }
 
@@ -491,31 +447,6 @@ mod tests {
         assert_eq!(q.pop(), Some((Cycle::new(1_023), 23)));
         assert_eq!(q.pop(), Some((Cycle::new(1_024), 24)));
         assert_eq!(q.pop(), Some((Cycle::new(1_030), 30)));
-    }
-
-    #[test]
-    fn drain_current_cycle_takes_exactly_one_cycle() {
-        let mut q = EventQueue::new();
-        q.push(Cycle::new(4), 1);
-        q.push(Cycle::new(4), 2);
-        q.push(Cycle::new(4), 3);
-        q.push(Cycle::new(5), 4);
-        let batch: Vec<_> = q.drain_current_cycle().map(|(_, e)| e).collect();
-        assert_eq!(batch, [1, 2, 3]);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.now(), Cycle::new(4));
-        // Draining an empty queue yields nothing.
-        q.pop();
-        assert_eq!(q.drain_current_cycle().count(), 0);
-    }
-
-    #[test]
-    fn drain_current_cycle_partial_leaves_rest() {
-        let mut q = EventQueue::new();
-        q.push(Cycle::new(4), 1);
-        q.push(Cycle::new(4), 2);
-        assert_eq!(q.drain_current_cycle().next(), Some((Cycle::new(4), 1)));
-        assert_eq!(q.pop(), Some((Cycle::new(4), 2)));
     }
 
     #[test]

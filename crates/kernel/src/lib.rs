@@ -35,5 +35,5 @@ pub mod stats;
 pub mod streams;
 
 pub use cycle::Cycle;
-pub use event::{DrainCurrentCycle, EventQueue};
+pub use event::EventQueue;
 pub use rng::{replicate_seed, stream_seed, SimRng};

@@ -983,11 +983,8 @@ pub struct Fabric<M> {
 }
 
 impl<M: Clone + NocPayload> Fabric<M> {
-    /// Builds the interconnect for `config` (a [`FabricConfig`], or
-    /// anything convertible into one, such as the legacy
-    /// [`TorusConfig`](crate::TorusConfig)).
-    pub fn new(config: impl Into<FabricConfig>) -> Self {
-        let config = config.into();
+    /// Builds the interconnect for `config`.
+    pub fn new(config: FabricConfig) -> Self {
         let spec = FabricSpec::build(&config);
         // Unbounded links never queue (every packet starts transmitting
         // at once); finite links get a little headroom so early

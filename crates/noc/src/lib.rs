@@ -37,14 +37,16 @@
 //! The interconnect is driven by the simulation's central event queue: calls
 //! to [`Fabric::send`] and [`Fabric::handle`] emit follow-up [`NocEvent`]s
 //! via a scheduling callback, and completed deliveries via a delivery
-//! callback. [`Torus`] is a type alias for the engine; the legacy
-//! [`TorusConfig`] converts into a [`FabricConfig`].
+//! callback.
 //!
 //! # Examples
 //!
 //! ```
 //! use patchsim_kernel::Cycle;
-//! use patchsim_noc::{DestSet, NocEvent, NocPayload, NodeId, Priority, Torus, TorusConfig, TrafficClass};
+//! use patchsim_noc::{
+//!     DestSet, Fabric, FabricConfig, FabricKind, NocEvent, NocPayload, NodeId, Priority,
+//!     TrafficClass,
+//! };
 //!
 //! #[derive(Clone, Debug)]
 //! struct Ping;
@@ -53,7 +55,7 @@
 //!     fn traffic_class(&self) -> TrafficClass { TrafficClass::IndirectRequest }
 //! }
 //!
-//! let mut net: Torus<Ping> = Torus::new(TorusConfig::new(16));
+//! let mut net: Fabric<Ping> = Fabric::new(FabricConfig::new(FabricKind::Torus, 16));
 //! let mut pending: Vec<(Cycle, NocEvent<Ping>)> = Vec::new();
 //! net.send(
 //!     Cycle::ZERO,
@@ -94,7 +96,6 @@ pub use faults::{DegradeFault, DelayFault, DuplicateFault, FaultSpec, ReorderFau
 pub use link::Priority;
 pub use node_id::NodeId;
 pub use topology::{RouteTable, Topology};
-pub use torus::{Torus, TorusConfig};
 pub use traffic::{LinkBandwidth, TrafficClass, TrafficStats};
 
 /// Payload carried by the interconnect.

@@ -1,143 +1,14 @@
-//! The paper's 2D-torus interconnect, as one instance of the generic
-//! [`Fabric`] engine.
-//!
-//! Until the fabric subsystem landed, the torus *was* the interconnect:
-//! it owned the next-hop table, link layout, and multicast fan-out. It is
-//! now [`FabricKind::Torus`](crate::FabricKind::Torus) built through the
-//! same generic BFS routing builder as every other topology — with
-//! byte-identical behavior, pinned by the golden equivalence tests in
-//! `tests/fabric_routing.rs`.
-
-use crate::fabric::{Fabric, FabricConfig, FabricKind};
-use crate::topology::Topology;
-use crate::LinkBandwidth;
-
-/// Configuration of the torus interconnect.
-///
-/// Defaults match the paper's baseline: 16 bytes/cycle links, a per-hop
-/// latency calibrated so that an average traversal costs about 15 cycles,
-/// and a 100-cycle staleness bound for best-effort messages.
-///
-/// This is the legacy torus-only configuration; it converts into a
-/// [`FabricConfig`] (`FabricConfig::from(torus_config)`), which is what
-/// [`Fabric::new`] accepts.
-///
-/// # Examples
-///
-/// ```
-/// use patchsim_noc::{LinkBandwidth, TorusConfig};
-///
-/// let cfg = TorusConfig::new(64)
-///     .with_bandwidth(LinkBandwidth::BytesPerCycle(2.0))
-///     .with_stale_drop_cycles(100);
-/// assert_eq!(cfg.num_nodes(), 64);
-/// ```
-#[derive(Clone, Copy, Debug)]
-pub struct TorusConfig {
-    num_nodes: u16,
-    bandwidth: LinkBandwidth,
-    hop_latency: u64,
-    local_latency: u64,
-    stale_drop_cycles: u64,
-}
-
-impl TorusConfig {
-    /// Default link bandwidth: the paper's bandwidth-rich 16 bytes/cycle.
-    pub const DEFAULT_BANDWIDTH: LinkBandwidth = FabricConfig::DEFAULT_BANDWIDTH;
-    /// Default best-effort staleness bound (paper: 100 cycles).
-    pub const DEFAULT_STALE_DROP: u64 = FabricConfig::DEFAULT_STALE_DROP;
-
-    /// Creates a configuration for `num_nodes` nodes with paper-default
-    /// timing. The per-hop latency is chosen so that the average traversal
-    /// (over the most nearly square torus of that size) totals roughly 15
-    /// cycles of link latency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_nodes` is zero.
-    pub fn new(num_nodes: u16) -> Self {
-        let topo = Topology::new(num_nodes);
-        let avg_hops = topo.average_hop_distance().max(1.0);
-        let hop_latency = ((15.0 / avg_hops).round() as u64).max(1);
-        TorusConfig {
-            num_nodes,
-            bandwidth: Self::DEFAULT_BANDWIDTH,
-            hop_latency,
-            local_latency: 1,
-            stale_drop_cycles: Self::DEFAULT_STALE_DROP,
-        }
-    }
-
-    /// Sets the link bandwidth.
-    pub fn with_bandwidth(mut self, bandwidth: LinkBandwidth) -> Self {
-        self.bandwidth = bandwidth;
-        self
-    }
-
-    /// Sets the per-hop propagation latency in cycles.
-    pub fn with_hop_latency(mut self, cycles: u64) -> Self {
-        self.hop_latency = cycles;
-        self
-    }
-
-    /// Sets the latency of a node sending a message to itself (e.g. to its
-    /// own home-directory slice).
-    pub fn with_local_latency(mut self, cycles: u64) -> Self {
-        self.local_latency = cycles;
-        self
-    }
-
-    /// Sets how long a best-effort message may wait at one link before
-    /// being dropped.
-    pub fn with_stale_drop_cycles(mut self, cycles: u64) -> Self {
-        self.stale_drop_cycles = cycles;
-        self
-    }
-
-    /// Number of nodes.
-    pub fn num_nodes(&self) -> u16 {
-        self.num_nodes
-    }
-
-    /// Link bandwidth.
-    pub fn bandwidth(&self) -> LinkBandwidth {
-        self.bandwidth
-    }
-
-    /// Per-hop propagation latency in cycles.
-    pub fn hop_latency(&self) -> u64 {
-        self.hop_latency
-    }
-
-    /// Self-send latency in cycles.
-    pub fn local_latency(&self) -> u64 {
-        self.local_latency
-    }
-
-    /// Best-effort staleness bound in cycles.
-    pub fn stale_drop_cycles(&self) -> u64 {
-        self.stale_drop_cycles
-    }
-}
-
-impl From<TorusConfig> for FabricConfig {
-    fn from(t: TorusConfig) -> FabricConfig {
-        FabricConfig::new(FabricKind::Torus, t.num_nodes)
-            .with_hop_latency(t.hop_latency)
-            .with_bandwidth(t.bandwidth)
-            .with_local_latency(t.local_latency)
-            .with_stale_drop_cycles(t.stale_drop_cycles)
-    }
-}
-
-/// The 2D-torus interconnect: the generic [`Fabric`] engine built on the
-/// torus topology. `Torus::new(TorusConfig::new(n))` works unchanged.
-pub type Torus<M> = Fabric<M>;
+//! The paper's 2D torus — [`FabricKind::Torus`](crate::FabricKind::Torus)
+//! through the generic [`Fabric`](crate::Fabric) engine — pinned by
+//! behaviour tests: latency, contention, fan-out multicast, best-effort
+//! drop, traffic accounting. (`tests/fabric_routing.rs` pins its routes.)
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::{DestSet, NocEvent, NocPayload, NodeId, Priority, TrafficClass};
+    use crate::{
+        DestSet, Fabric, FabricConfig, FabricKind, LinkBandwidth, NocEvent, NocPayload, NodeId,
+        Priority, Topology, TrafficClass,
+    };
     use patchsim_kernel::{Cycle, EventQueue};
 
     #[derive(Clone, Debug, PartialEq)]
@@ -172,10 +43,14 @@ mod tests {
         }
     }
 
+    fn torus(n: u16) -> FabricConfig {
+        FabricConfig::new(FabricKind::Torus, n)
+    }
+
     /// Drives a torus to completion through a kernel event queue, returning
     /// `(arrival_cycle, node, msg)` tuples in delivery order.
     fn run(
-        net: &mut Torus<TestMsg>,
+        net: &mut Fabric<TestMsg>,
         sends: Vec<(u64, NodeId, DestSet, Priority, TestMsg)>,
     ) -> Vec<(u64, NodeId, TestMsg)> {
         let mut q: EventQueue<NocEvent<TestMsg>> = EventQueue::new();
@@ -199,11 +74,11 @@ mod tests {
 
     #[test]
     fn unicast_latency_is_hops_times_latency_plus_serialization() {
-        let cfg = TorusConfig::new(16)
+        let cfg = torus(16)
             .with_hop_latency(5)
             .with_local_latency(1)
             .with_bandwidth(LinkBandwidth::BytesPerCycle(8.0));
-        let mut net = Torus::new(cfg);
+        let mut net = Fabric::new(cfg);
         // 4x4 torus: node 0 -> node 2 is 2 hops in x.
         let out = run(
             &mut net,
@@ -223,7 +98,7 @@ mod tests {
 
     #[test]
     fn self_send_is_local() {
-        let mut net = Torus::new(TorusConfig::new(4).with_local_latency(3));
+        let mut net = Fabric::new(torus(4).with_local_latency(3));
         let out = run(
             &mut net,
             vec![(
@@ -245,7 +120,7 @@ mod tests {
 
     #[test]
     fn multicast_reaches_every_destination_once() {
-        let mut net = Torus::new(TorusConfig::new(16));
+        let mut net = Fabric::new(torus(16));
         let dests = DestSet::all_except(16, NodeId::new(0));
         let out = run(
             &mut net,
@@ -261,7 +136,7 @@ mod tests {
         // On a 4x4 torus, a broadcast from node 0 reaches 15 nodes.
         // Fan-out multicast uses a spanning-tree-like set of links; the
         // traversal count must be well below a 15-unicast lower bound.
-        let mut net = Torus::new(TorusConfig::new(16));
+        let mut net = Fabric::new(torus(16));
         let dests = DestSet::all_except(16, NodeId::new(0));
         run(
             &mut net,
@@ -283,10 +158,10 @@ mod tests {
         // Two large packets from node 0 to node 1 share the same link; with
         // 1 B/cycle links the second must wait out the first's 72-cycle
         // serialization.
-        let cfg = TorusConfig::new(4)
+        let cfg = torus(4)
             .with_hop_latency(5)
             .with_bandwidth(LinkBandwidth::BytesPerCycle(1.0));
-        let mut net = Torus::new(cfg);
+        let mut net = Fabric::new(cfg);
         let out = run(
             &mut net,
             vec![
@@ -316,10 +191,10 @@ mod tests {
 
     #[test]
     fn unbounded_bandwidth_never_queues() {
-        let cfg = TorusConfig::new(4)
+        let cfg = torus(4)
             .with_hop_latency(5)
             .with_bandwidth(LinkBandwidth::Unbounded);
-        let mut net = Torus::new(cfg);
+        let mut net = Fabric::new(cfg);
         let sends = (0..10)
             .map(|i| {
                 (
@@ -341,11 +216,11 @@ mod tests {
     fn best_effort_yields_to_normal_and_gets_dropped_when_stale() {
         // Saturate the 0->1 link with normal data, then inject a
         // best-effort hint: it must be dropped once stale.
-        let cfg = TorusConfig::new(4)
+        let cfg = torus(4)
             .with_hop_latency(5)
             .with_bandwidth(LinkBandwidth::BytesPerCycle(1.0))
             .with_stale_drop_cycles(100);
-        let mut net = Torus::new(cfg);
+        let mut net = Fabric::new(cfg);
         let mut sends = vec![];
         for i in 0..4 {
             sends.push((
@@ -374,8 +249,8 @@ mod tests {
 
     #[test]
     fn best_effort_delivered_when_bandwidth_is_plentiful() {
-        let cfg = TorusConfig::new(4).with_bandwidth(LinkBandwidth::BytesPerCycle(16.0));
-        let mut net = Torus::new(cfg);
+        let cfg = torus(4).with_bandwidth(LinkBandwidth::BytesPerCycle(16.0));
+        let mut net = Fabric::new(cfg);
         let out = run(
             &mut net,
             vec![(
@@ -392,8 +267,8 @@ mod tests {
 
     #[test]
     fn traffic_charged_per_traversal() {
-        let cfg = TorusConfig::new(16).with_bandwidth(LinkBandwidth::BytesPerCycle(16.0));
-        let mut net = Torus::new(cfg);
+        let cfg = torus(16).with_bandwidth(LinkBandwidth::BytesPerCycle(16.0));
+        let mut net = Fabric::new(cfg);
         // 0 -> 2 on 4x4 is two hops: 2 traversals * 72 bytes.
         run(
             &mut net,
@@ -412,7 +287,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "no destinations")]
     fn empty_destination_set_panics() {
-        let mut net = Torus::new(TorusConfig::new(4));
+        let mut net = Fabric::new(torus(4));
         net.send(
             Cycle::ZERO,
             NodeId::new(0),
@@ -425,32 +300,12 @@ mod tests {
 
     #[test]
     fn default_hop_latency_calibrated_to_15_cycle_traversals() {
-        let cfg = TorusConfig::new(64);
+        let net = Fabric::<TestMsg>::new(torus(64));
         let avg = Topology::new(64).average_hop_distance();
-        let total = cfg.hop_latency() as f64 * avg;
+        let total = net.spec().class_params()[0].latency as f64 * avg;
         assert!(
             (total - 15.0).abs() <= 5.0,
             "average traversal {total:.1} should be near 15 cycles"
         );
-    }
-
-    /// The legacy `TorusConfig` and the generic auto-calibrated
-    /// `FabricConfig` resolve to identical link parameters.
-    #[test]
-    fn torus_config_converts_losslessly() {
-        for n in [1u16, 4, 16, 64, 120] {
-            let legacy = TorusConfig::new(n);
-            let via_legacy = Torus::<TestMsg>::new(legacy);
-            let generic = Torus::<TestMsg>::new(FabricConfig::new(crate::FabricKind::Torus, n));
-            assert_eq!(
-                via_legacy.spec().class_params()[0].latency,
-                legacy.hop_latency()
-            );
-            assert_eq!(
-                via_legacy.spec().class_params(),
-                generic.spec().class_params(),
-                "auto-calibration must match the legacy formula for {n} nodes"
-            );
-        }
     }
 }

@@ -68,6 +68,18 @@ pub struct SpanMarks {
     pub ordered: Option<Cycle>,
 }
 
+impl SpanMarks {
+    /// Stamps the first response of any kind; later ones keep the first.
+    pub fn note_progress(&mut self, now: Cycle) {
+        self.first_progress.get_or_insert(now);
+    }
+
+    /// Stamps the ordering point; later calls keep the first.
+    pub fn note_ordered(&mut self, now: Cycle) {
+        self.ordered.get_or_insert(now);
+    }
+}
+
 /// Instantaneous controller-occupancy gauges, sampled by the epoch
 /// metrics layer. Reading them has no side effects.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -223,6 +235,21 @@ pub struct ProtocolCounters {
     pub persistent_requests: u64,
     /// Writebacks (evictions and token returns) sent to the home.
     pub writebacks: u64,
+}
+
+impl ProtocolCounters {
+    /// Accumulates another node's counters into a system-wide total.
+    pub fn add(&mut self, other: ProtocolCounters) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.satisfied_before_activation += other.satisfied_before_activation;
+        self.tenure_timeouts += other.tenure_timeouts;
+        self.direct_responses += other.direct_responses;
+        self.direct_ignored += other.direct_ignored;
+        self.reissues += other.reissues;
+        self.persistent_requests += other.persistent_requests;
+        self.writebacks += other.writebacks;
+    }
 }
 
 /// A per-node coherence controller hosting the node's private cache side

@@ -237,15 +237,7 @@ impl DirectoryController {
         out.send_one(
             self.n(),
             home,
-            Msg::new(
-                op.addr,
-                MsgBody::Request {
-                    kind: op.kind,
-                    requester: self.id,
-                    serial,
-                    style: RequestStyle::Indirect,
-                },
-            ),
+            Msg::request(op.addr, op.kind, self.id, serial, RequestStyle::Indirect),
         );
     }
 
@@ -342,15 +334,7 @@ impl DirectoryController {
         out.send_one(
             self.n(),
             home,
-            Msg::new(
-                tbe.addr,
-                MsgBody::Deactivate {
-                    requester: self.id,
-                    serial: tbe.serial,
-                    new_owner: true,
-                    keeps_copy: true,
-                },
-            ),
+            Msg::deactivate(tbe.addr, self.id, tbe.serial, true, true),
         );
     }
 
@@ -775,12 +759,8 @@ impl Controller for DirectoryController {
                 // Span telemetry: data carries the home's ordering decision,
                 // so it ends both the network and home phases. Pure data
                 // writes — no protocol effect.
-                if tbe.marks.first_progress.is_none() {
-                    tbe.marks.first_progress = Some(now);
-                }
-                if tbe.marks.ordered.is_none() {
-                    tbe.marks.ordered = Some(now);
-                }
+                tbe.marks.note_progress(now);
+                tbe.marks.note_ordered(now);
                 tbe.grant = Some(Grant { version, dirty });
                 tbe.acks_expected = Some(acks_expected);
                 tbe.exclusive |= exclusive;
@@ -795,9 +775,7 @@ impl Controller for DirectoryController {
                 assert_eq!(tbe.serial, serial, "stale ack");
                 // Span telemetry: the first response of any kind ends the
                 // network phase.
-                if tbe.marks.first_progress.is_none() {
-                    tbe.marks.first_progress = Some(now);
-                }
+                tbe.marks.note_progress(now);
                 tbe.acks_got += 1;
                 self.try_complete(now, out);
             }
@@ -814,12 +792,8 @@ impl Controller for DirectoryController {
                 assert_eq!(tbe.serial, serial);
                 // Span telemetry: activation is the home's ordering decision
                 // for this miss.
-                if tbe.marks.first_progress.is_none() {
-                    tbe.marks.first_progress = Some(now);
-                }
-                if tbe.marks.ordered.is_none() {
-                    tbe.marks.ordered = Some(now);
-                }
+                tbe.marks.note_progress(now);
+                tbe.marks.note_ordered(now);
                 tbe.acks_expected = Some(acks_expected);
                 tbe.exclusive |= exclusive;
                 self.try_complete(now, out);

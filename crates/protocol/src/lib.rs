@@ -32,6 +32,7 @@ mod directory;
 mod msg;
 mod patch;
 mod tokenb;
+mod tokens;
 
 pub use common::{LatencyEstimator, MigratoryDetector};
 pub use config::{ProtocolConfig, ProtocolKind, TenureConfig};

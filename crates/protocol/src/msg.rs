@@ -171,6 +171,40 @@ impl Msg {
         Msg { addr, body }
     }
 
+    /// A coherence request issued in the given `style`.
+    pub fn request(
+        addr: BlockAddr,
+        kind: AccessKind,
+        requester: NodeId,
+        serial: u64,
+        style: RequestStyle,
+    ) -> Self {
+        let body = MsgBody::Request {
+            kind,
+            requester,
+            serial,
+            style,
+        };
+        Msg { addr, body }
+    }
+
+    /// The requester's transaction-complete notice to the home.
+    pub fn deactivate(
+        addr: BlockAddr,
+        requester: NodeId,
+        serial: u64,
+        new_owner: bool,
+        keeps_copy: bool,
+    ) -> Self {
+        let body = MsgBody::Deactivate {
+            requester,
+            serial,
+            new_owner,
+            keeps_copy,
+        };
+        Msg { addr, body }
+    }
+
     /// The tokens this message carries (for conservation auditing).
     pub fn tokens(&self) -> TokenSet {
         match &self.body {

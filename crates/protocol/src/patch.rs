@@ -22,6 +22,12 @@
 //!    the caches holding tenured tokens, so activation forwards always
 //!    reach every tenured holder.
 //!
+//! The token-counting rules themselves (Table 1: how a holder answers,
+//! absorbs, performs on and returns tokens, and the messages they travel
+//! in) live in `tokens.rs`, shared with TokenB; this file is PATCH's
+//! *policy* on top of them — the directory, direct requests, tenure
+//! timers, activation and the deactivation window.
+//!
 //! Two implementation rules keep the directory's owner pointer
 //! authoritative (and are asserted in the module tests):
 //!
@@ -37,7 +43,7 @@
 use patchsim_kernel::collections::{fx_map_with_capacity, FxHashMap};
 
 use patchsim_kernel::Cycle;
-use patchsim_mem::{AccessKind, BlockAddr, CacheArray, OwnerStatus, SharerSet, TokenSet};
+use patchsim_mem::{AccessKind, BlockAddr, SharerSet, TokenSet};
 use patchsim_noc::{DestSet, NodeId, Priority};
 use patchsim_predictor::Predictor;
 
@@ -46,15 +52,8 @@ use crate::controller::{
     Completion, Controller, CoreResponse, MemOp, Outbox, ProtocolCounters, ProtocolGauges,
     SpanMarks, TimerKey, TimerKind,
 };
+use crate::tokens::{token_put, token_reply, Memory, TokenCache};
 use crate::{Msg, MsgBody, ProtocolConfig, RequestStyle};
-
-#[derive(Clone, Copy, Debug)]
-struct PatchLine {
-    tokens: TokenSet,
-    version: u64,
-    /// The valid-data bit (Table 1, Rule 5).
-    valid: bool,
-}
 
 #[derive(Debug)]
 struct PatchTbe {
@@ -84,11 +83,7 @@ struct PatchBusy {
 
 #[derive(Debug)]
 struct PatchHomeEntry {
-    /// Tokens currently held by memory.
-    tokens: TokenSet,
-    /// Memory's valid-data bit (Rule 5).
-    valid: bool,
-    version: u64,
+    memory: Memory,
     owner: Option<NodeId>,
     sharers: SharerSet,
     busy: Option<PatchBusy>,
@@ -102,7 +97,7 @@ struct PatchHomeEntry {
 pub struct PatchController {
     config: ProtocolConfig,
     id: NodeId,
-    cache: CacheArray<PatchLine>,
+    cache: TokenCache,
     /// Open transactions, one per block. A transaction can outlive its
     /// access: a miss satisfied early by direct requests stays open until
     /// the home's activation lets it deactivate, while the core moves on.
@@ -133,7 +128,7 @@ impl PatchController {
     /// Creates the controller for `node`, instantiating the configured
     /// destination-set predictor.
     pub fn new(config: ProtocolConfig, node: NodeId) -> Self {
-        let cache = CacheArray::new(config.cache_geometry);
+        let cache = TokenCache::new(config.cache_geometry, config.total_tokens);
         let (home_cap, cache_cap) = (config.home_table_capacity(), config.cache_table_capacity());
         let predictor = config.predictor.build(config.num_nodes);
         PatchController {
@@ -156,19 +151,13 @@ impl PatchController {
         self.config.num_nodes
     }
 
-    fn total(&self) -> u32 {
-        self.config.total_tokens
-    }
-
     fn home_entry(&mut self, addr: BlockAddr) -> &mut PatchHomeEntry {
         debug_assert_eq!(addr.home(self.config.num_nodes), self.id);
         let encoding = self.config.sharer_encoding;
         let n = self.config.num_nodes;
         let total = self.config.total_tokens;
         self.home.entry(addr).or_insert_with(|| PatchHomeEntry {
-            tokens: TokenSet::full(total, OwnerStatus::Clean),
-            valid: true,
-            version: 0,
+            memory: Memory::full(total),
             owner: None,
             sharers: SharerSet::new(n, encoding),
             busy: None,
@@ -206,15 +195,7 @@ impl PatchController {
         out.send_one(
             self.n(),
             home,
-            Msg::new(
-                op.addr,
-                MsgBody::Request {
-                    kind: op.kind,
-                    requester: self.id,
-                    serial,
-                    style: RequestStyle::Indirect,
-                },
-            ),
+            Msg::request(op.addr, op.kind, self.id, serial, RequestStyle::Indirect),
         );
         let predicted = self.predictor.predict(op.addr, op.kind, self.id);
         if !predicted.is_empty() {
@@ -222,15 +203,7 @@ impl PatchController {
                 predicted,
                 self.config.direct_priority,
                 0,
-                Msg::new(
-                    op.addr,
-                    MsgBody::Request {
-                        kind: op.kind,
-                        requester: self.id,
-                        serial,
-                        style: RequestStyle::Direct,
-                    },
-                ),
+                Msg::request(op.addr, op.kind, self.id, serial, RequestStyle::Direct),
             );
         }
         // The transaction may already be satisfiable from tokens the line
@@ -251,170 +224,42 @@ impl PatchController {
         invalidating: bool,
         out: &mut Outbox,
     ) -> bool {
-        let Some(line) = self.cache.get_mut(addr) else {
+        let Some((tokens, version)) = self.cache.surrender(addr, kind, invalidating) else {
             return false;
         };
-        if line.tokens.is_empty() {
-            self.cache.remove(addr);
-            return false;
-        }
-        if invalidating || kind.is_write() {
-            // Hand over everything we hold.
-            let tokens = line.tokens.take_all();
-            let version = line.version;
-            let has_owner = tokens.has_owner();
-            debug_assert!(!has_owner || line.valid, "owner token implies valid data");
-            self.cache.remove(addr);
-            let body = if has_owner {
-                MsgBody::Data {
-                    from: self.id,
-                    serial,
-                    tokens,
-                    version,
-                    acks_expected: 0,
-                    exclusive: false,
-                    dirty: tokens.owner_status() == Some(OwnerStatus::Dirty),
-                    activation: false,
-                }
-            } else {
-                MsgBody::Ack {
-                    from: self.id,
-                    serial,
-                    tokens,
-                    activation: false,
-                }
-            };
-            out.send_one(self.n(), requester, Msg::new(addr, body));
-            true
-        } else {
-            // Read: only the owner-token holder supplies data. It sends
-            // the owner token (ownership migrates) and keeps any plain
-            // tokens, staying a sharer.
-            if !line.tokens.has_owner() {
-                return false;
-            }
-            debug_assert!(line.valid);
-            let tokens = line.tokens.split_owner(0);
-            let version = line.version;
-            if line.tokens.is_empty() {
-                self.cache.remove(addr);
-            }
-            out.send_one(
-                self.n(),
-                requester,
-                Msg::new(
-                    addr,
-                    MsgBody::Data {
-                        from: self.id,
-                        serial,
-                        tokens,
-                        version,
-                        acks_expected: 0,
-                        exclusive: false,
-                        dirty: tokens.owner_status() == Some(OwnerStatus::Dirty),
-                        activation: false,
-                    },
-                ),
-            );
-            true
-        }
+        let reply = token_reply(addr, self.id, serial, tokens, version, false);
+        out.send_one(self.n(), requester, reply);
+        true
     }
 
-    /// Returns all of this cache's tokens for `addr` to the home (tenure
-    /// timeout, eviction, or bounced stray arrivals).
+    /// Returns tokens to the home (tenure timeout, eviction, or bounced
+    /// stray arrivals).
     fn put_tokens(&mut self, addr: BlockAddr, tokens: TokenSet, version: u64, out: &mut Outbox) {
         if tokens.is_empty() {
             return;
         }
         self.counters.writebacks += 1;
         let home = addr.home(self.n());
-        let with_data = tokens.owner_status() == Some(OwnerStatus::Dirty);
-        out.send_one(
-            self.n(),
-            home,
-            Msg::new(
-                addr,
-                MsgBody::Put {
-                    node: self.id,
-                    tokens,
-                    version: with_data.then_some(version),
-                    dirty: with_data,
-                },
-            ),
-        );
-    }
-
-    /// Folds arriving tokens (and data) into the line backing the current
-    /// demand miss, allocating (and possibly evicting) as needed.
-    fn absorb_tokens(
-        &mut self,
-        addr: BlockAddr,
-        tokens: TokenSet,
-        data_version: Option<u64>,
-        out: &mut Outbox,
-    ) {
-        if let Some(line) = self.cache.get_mut(addr) {
-            line.tokens.merge(tokens);
-            if let Some(v) = data_version {
-                line.valid = true;
-                line.version = v;
-            }
-            return;
-        }
-        let line = PatchLine {
-            tokens,
-            version: data_version.unwrap_or(0),
-            valid: data_version.is_some(),
-        };
-        if let Some(victim) = self.cache.insert(addr, line) {
-            self.put_tokens(
-                victim.addr,
-                victim.payload.tokens,
-                victim.payload.version,
-                out,
-            );
-        }
+        out.send_one(self.n(), home, token_put(addr, self.id, tokens, version));
     }
 
     /// Advances the outstanding miss: performs the access once tokens
     /// suffice, deactivates once both performed and activated, and until
     /// then keeps the probation clock of untenured tokens running.
     fn try_progress(&mut self, addr: BlockAddr, now: Cycle, out: &mut Outbox) {
-        let total = self.total();
         let Some(tbe) = self.tbes.get_mut(&addr) else {
             return;
         };
         // One look at the line answers every question below; performing
         // the access changes none of the answers. The line is probed again
         // only to perform, which also marks it recently used.
-        let (satisfied, has_tokens, new_owner) = match self.cache.peek(addr) {
-            Some(line) => {
-                let enough = match tbe.kind {
-                    AccessKind::Read => line.tokens.can_read(),
-                    AccessKind::Write => line.tokens.can_write(total),
-                };
-                (
-                    line.valid && enough,
-                    !line.tokens.is_empty(),
-                    line.tokens.has_owner(),
-                )
-            }
-            None => (false, false, false),
-        };
-        if satisfied && !tbe.performed {
+        let line = self.cache.status(addr, tbe.kind);
+        if line.satisfied && !tbe.performed {
             tbe.performed = true;
             if !tbe.activated {
                 self.counters.satisfied_before_activation += 1;
             }
-            let line = self.cache.get_mut(addr).expect("satisfied implies line");
-            let version = match tbe.kind {
-                AccessKind::Read => line.version,
-                AccessKind::Write => {
-                    line.version += 1;
-                    line.tokens.set_owner_dirty();
-                    line.version
-                }
-            };
+            let version = self.cache.perform(addr, tbe.kind);
             self.latency.record(now - tbe.issued_at);
             out.complete(Completion {
                 addr,
@@ -424,9 +269,9 @@ impl PatchController {
                 marks: tbe.marks,
             });
         }
-        if !(tbe.activated && satisfied) {
+        if !(tbe.activated && line.satisfied) {
             // Untenured tokens (held, not yet activated) are on probation.
-            if has_tokens && !tbe.activated && !tbe.timer_armed {
+            if line.has_tokens && !tbe.activated && !tbe.timer_armed {
                 tbe.timer_generation += 1;
                 tbe.timer_armed = true;
                 out.arm_timer(
@@ -447,15 +292,7 @@ impl PatchController {
         out.send_one(
             self.n(),
             home,
-            Msg::new(
-                addr,
-                MsgBody::Deactivate {
-                    requester: self.id,
-                    serial,
-                    new_owner,
-                    keeps_copy: true,
-                },
-            ),
+            Msg::deactivate(addr, self.id, serial, line.has_owner, true),
         );
         if self.config.deact_window {
             let until = now + self.tenure_timeout();
@@ -576,21 +413,21 @@ impl PatchController {
         };
         // Span telemetry: the first response of any kind ends the
         // network phase. Pure data write — no protocol effect.
-        if tbe.marks.first_progress.is_none() {
-            tbe.marks.first_progress = Some(now);
-        }
+        tbe.marks.note_progress(now);
         // The activation bit is transaction-specific: a late response
         // from a *previous* transaction on this block must not
         // activate the current one (its tokens are still welcome).
         if activation && tbe.serial == serial {
             tbe.activated = true;
             tbe.timer_armed = false; // pending timers are now stale
-            if tbe.marks.ordered.is_none() {
-                tbe.marks.ordered = Some(now);
-            }
+            tbe.marks.note_ordered(now);
         }
         if !tokens.is_empty() || data_version.is_some() {
-            self.absorb_tokens(addr, tokens, data_version, out);
+            if let Some((victim, tokens, version)) =
+                self.cache.absorb(addr, tokens, data_version, true)
+            {
+                self.put_tokens(victim, tokens, version, out);
+            }
         }
         self.try_progress(addr, now, out);
     }
@@ -629,8 +466,8 @@ impl PatchController {
         // The home contributes everything it holds, with the activation
         // bit riding along; if it holds nothing, a standalone activation
         // is sent.
-        let home_tokens = entry.tokens.take_all();
-        let (valid, version) = (entry.valid, entry.version);
+        let home_tokens = entry.memory.tokens.take_all();
+        let (valid, version) = (entry.memory.valid, entry.memory.version);
         let owner = entry.busy.as_ref().expect("just set").old_owner;
         let fwd_targets = {
             let mut t = if invalidating {
@@ -684,15 +521,7 @@ impl PatchController {
                 n,
                 requester,
                 dir_latency,
-                Msg::new(
-                    addr,
-                    MsgBody::Ack {
-                        from: self.id,
-                        serial,
-                        tokens: home_tokens,
-                        activation: true,
-                    },
-                ),
+                token_reply(addr, self.id, serial, home_tokens, version, true),
             );
         }
 
@@ -722,65 +551,33 @@ impl PatchController {
         &mut self,
         addr: BlockAddr,
         node: NodeId,
-        mut tokens: TokenSet,
+        tokens: TokenSet,
         version: Option<u64>,
         out: &mut Outbox,
     ) {
         let n = self.n();
+        let id = self.id;
         let dir_latency = self.config.dir_latency;
         let entry = self.home_entry(addr);
         entry.sharers.remove_if_exact(node);
         if let Some(busy) = &entry.busy {
             // Redirect everything to the active requester — including a
             // requester's own discarded tokens coming back after a tenure
-            // timeout that raced its activation. If the tokens include a
-            // clean owner (a data-less return), memory's copy is valid
-            // (Rule 5), so data is attached from memory.
-            let requester = busy.requester;
-            let serial = busy.serial;
-            let send_version = match version {
-                Some(v) => Some(v),
-                None if tokens.has_owner() => {
-                    debug_assert!(entry.valid, "clean owner implies valid memory data");
-                    Some(entry.version)
-                }
-                None => None,
-            };
-            let body = if let Some(v) = send_version {
-                MsgBody::Data {
-                    from: self.id,
-                    serial,
-                    tokens,
-                    version: v,
-                    acks_expected: 0,
-                    exclusive: false,
-                    dirty: tokens.owner_status() == Some(OwnerStatus::Dirty),
-                    activation: true,
-                }
-            } else {
-                MsgBody::Ack {
-                    from: self.id,
-                    serial,
-                    tokens,
-                    activation: true,
-                }
-            };
-            out.send_one_after(n, requester, dir_latency, Msg::new(addr, body));
+            // timeout that raced its activation. A put carries a version
+            // only with a dirty owner; a clean owner (a data-less return)
+            // means memory's copy is valid (Rule 5), so data is attached
+            // from memory.
+            debug_assert!(version.is_some() || !tokens.has_owner() || entry.memory.valid);
+            let version = version.unwrap_or(entry.memory.version);
+            let redirect = token_reply(addr, id, busy.serial, tokens, version, true);
+            out.send_one_after(n, busy.requester, dir_latency, redirect);
         } else {
-            // Absorb into memory: Rule 1 cleans the owner token, Rule 5
-            // sets the valid-data bit. If the returning node was the
+            // Absorb into memory. If the returning node was the
             // directory's owner pointer, ownership reverts to memory.
-            if let Some(v) = version {
-                entry.version = v;
+            if tokens.has_owner() && entry.owner == Some(node) {
+                entry.owner = None;
             }
-            if tokens.has_owner() {
-                tokens.set_owner_clean();
-                entry.valid = true;
-                if entry.owner == Some(node) {
-                    entry.owner = None;
-                }
-            }
-            entry.tokens.merge(tokens);
+            entry.memory.absorb(tokens, version);
         }
     }
 
@@ -832,25 +629,9 @@ impl PatchController {
 
 impl Controller for PatchController {
     fn core_request(&mut self, op: MemOp, now: Cycle, out: &mut Outbox) -> CoreResponse {
-        let total = self.total();
-        if let Some(line) = self.cache.get_mut(op.addr) {
-            match op.kind {
-                AccessKind::Read if line.valid && line.tokens.can_read() => {
-                    self.counters.hits += 1;
-                    return CoreResponse::Hit {
-                        version: line.version,
-                    };
-                }
-                AccessKind::Write if line.valid && line.tokens.can_write(total) => {
-                    line.version += 1;
-                    line.tokens.set_owner_dirty();
-                    self.counters.hits += 1;
-                    return CoreResponse::Hit {
-                        version: line.version,
-                    };
-                }
-                _ => {}
-            }
+        if let Some(version) = self.cache.hit(op.addr, op.kind) {
+            self.counters.hits += 1;
+            return CoreResponse::Hit { version };
         }
         if self.tbes.contains_key(&op.addr) {
             // An earlier transaction for this block is still open (e.g.
@@ -964,9 +745,7 @@ impl Controller for PatchController {
                     if tbe.serial == serial {
                         tbe.activated = true;
                         tbe.timer_armed = false;
-                        if tbe.marks.ordered.is_none() {
-                            tbe.marks.ordered = Some(now);
-                        }
+                        tbe.marks.note_ordered(now);
                         self.try_progress(addr, now, out);
                     }
                 }
@@ -990,16 +769,10 @@ impl Controller for PatchController {
                 tbe.timer_armed = false;
                 // Probation expired: discard all untenured tokens to the
                 // home (Rule 4 of token tenure).
-                if let Some(line) = self.cache.get_mut(key.addr) {
-                    let tokens = line.tokens.take_all();
-                    let version = line.version;
-                    self.cache.remove(key.addr);
-                    if !tokens.is_empty() {
-                        self.counters.tenure_timeouts += 1;
-                        self.put_tokens(key.addr, tokens, version, out);
-                    }
+                if let Some((tokens, version)) = self.cache.take_all(key.addr) {
+                    self.counters.tenure_timeouts += 1;
+                    self.put_tokens(key.addr, tokens, version, out);
                 }
-                let _ = now;
             }
             TimerKind::DeactWindow => {
                 if self
@@ -1024,17 +797,12 @@ impl Controller for PatchController {
     }
 
     fn held_tokens(&self, addr: BlockAddr) -> Option<TokenSet> {
-        let mut total = TokenSet::empty();
-        if let Some(line) = self.cache.peek(addr) {
-            total.merge(line.tokens);
-        }
+        let mut held = self.cache.held(addr);
         if addr.home(self.config.num_nodes) == self.id {
-            match self.home.get(&addr) {
-                Some(entry) => total.merge(entry.tokens),
-                None => total.merge(TokenSet::full(self.config.total_tokens, OwnerStatus::Clean)),
-            }
+            let untouched = Memory::full(self.config.total_tokens);
+            held.merge(self.home.get(&addr).map_or(untouched, |e| e.memory).tokens);
         }
-        Some(total)
+        Some(held)
     }
 
     fn counters(&self) -> ProtocolCounters {
@@ -1058,6 +826,7 @@ impl Controller for PatchController {
 mod tests {
     use super::*;
     use crate::ProtocolKind;
+    use patchsim_mem::OwnerStatus;
     use patchsim_predictor::PredictorChoice;
 
     fn config(n: u16) -> ProtocolConfig {
@@ -1073,14 +842,7 @@ mod tests {
     }
 
     fn stable_line(c: &mut PatchController, addr: BlockAddr, tokens: TokenSet, version: u64) {
-        c.cache.insert(
-            addr,
-            PatchLine {
-                tokens,
-                version,
-                valid: true,
-            },
-        );
+        c.cache.absorb(addr, tokens, Some(version), true);
     }
 
     #[test]
@@ -1539,7 +1301,7 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        assert!(!c.cache.contains(a(0)));
+        assert!(c.cache.held(a(0)).is_empty());
     }
 
     #[test]
@@ -1578,7 +1340,7 @@ mod tests {
             other => panic!("{other:?}"),
         }
         // Keeps two plain tokens: still a sharer.
-        assert_eq!(c.cache.peek(a(0)).unwrap().tokens.count(), 2);
+        assert_eq!(c.cache.held(a(0)).count(), 2);
     }
 
     #[test]

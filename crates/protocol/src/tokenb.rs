@@ -18,6 +18,11 @@
 //!   active, every node forwards all tokens it holds — or later receives —
 //!   for that block to the starver, guaranteeing eventual completion.
 //!
+//! Safety is the token-counting substrate in `tokens.rs` (Table 1), the
+//! same code PATCH runs on; everything in this file — broadcast, reissue,
+//! the persistent table and its arbiter — is performance and
+//! forward-progress *policy*.
+//!
 //! The contrast with PATCH's token tenure is the point of the comparison:
 //! TokenB needs broadcast and per-node tables for forward progress, where
 //! token tenure needs only the directory's per-block point of ordering
@@ -28,7 +33,7 @@ use std::collections::VecDeque;
 use patchsim_kernel::collections::{fx_map_with_capacity, FxHashMap};
 
 use patchsim_kernel::Cycle;
-use patchsim_mem::{AccessKind, BlockAddr, CacheArray, OwnerStatus, TokenSet};
+use patchsim_mem::{AccessKind, BlockAddr, TokenSet};
 use patchsim_noc::{DestSet, NodeId};
 
 use crate::common::LatencyEstimator;
@@ -36,14 +41,8 @@ use crate::controller::{
     Completion, Controller, CoreResponse, MemOp, Outbox, ProtocolCounters, ProtocolGauges,
     SpanMarks, TimerKey, TimerKind,
 };
+use crate::tokens::{token_put, token_reply, Memory, TokenCache};
 use crate::{Msg, MsgBody, ProtocolConfig, RequestStyle};
-
-#[derive(Clone, Copy, Debug)]
-struct TbLine {
-    tokens: TokenSet,
-    version: u64,
-    valid: bool,
-}
 
 #[derive(Debug)]
 struct TbTbe {
@@ -57,14 +56,6 @@ struct TbTbe {
     persistent: bool,
     /// Span telemetry phase timestamps (pure observation).
     marks: SpanMarks,
-}
-
-/// The home memory controller's token holdings for one block.
-#[derive(Debug)]
-struct TbHome {
-    tokens: TokenSet,
-    valid: bool,
-    version: u64,
 }
 
 /// Home-side persistent-request arbitration (centralized, per block).
@@ -86,9 +77,9 @@ struct ArbEntry {
 pub struct TokenBController {
     config: ProtocolConfig,
     id: NodeId,
-    cache: CacheArray<TbLine>,
+    cache: TokenCache,
     demand: Option<TbTbe>,
-    home: FxHashMap<BlockAddr, TbHome>,
+    home: FxHashMap<BlockAddr, Memory>,
     arb: FxHashMap<BlockAddr, ArbEntry>,
     /// This node's persistent-request table: blocks whose tokens must be
     /// forwarded to a starver, keyed with the activation's serial.
@@ -111,7 +102,7 @@ impl std::fmt::Debug for TokenBController {
 impl TokenBController {
     /// Creates the controller for `node`.
     pub fn new(config: ProtocolConfig, node: NodeId) -> Self {
-        let cache = CacheArray::new(config.cache_geometry);
+        let cache = TokenCache::new(config.cache_geometry, config.total_tokens);
         let (home_cap, cache_cap) = (config.home_table_capacity(), config.cache_table_capacity());
         TokenBController {
             config,
@@ -131,18 +122,10 @@ impl TokenBController {
         self.config.num_nodes
     }
 
-    fn total(&self) -> u32 {
-        self.config.total_tokens
-    }
-
-    fn home_slice(&mut self, addr: BlockAddr) -> &mut TbHome {
+    fn home_slice(&mut self, addr: BlockAddr) -> &mut Memory {
         debug_assert_eq!(addr.home(self.config.num_nodes), self.id);
         let total = self.config.total_tokens;
-        self.home.entry(addr).or_insert_with(|| TbHome {
-            tokens: TokenSet::full(total, OwnerStatus::Clean),
-            valid: true,
-            version: 0,
-        })
+        self.home.entry(addr).or_insert_with(|| Memory::full(total))
     }
 
     // ------------------------------------------------------------------
@@ -161,15 +144,7 @@ impl TokenBController {
             // interconnect delivers to self after the local latency.
             dests.insert(id);
         }
-        let msg = Msg::new(
-            tbe.addr,
-            MsgBody::Request {
-                kind: tbe.kind,
-                requester: id,
-                serial: tbe.serial,
-                style,
-            },
-        );
+        let msg = Msg::request(tbe.addr, tbe.kind, id, tbe.serial, style);
         tbe.timer_generation += 1;
         let generation = tbe.timer_generation;
         let timeout = ((timeout_base * 2.0) as u64).max(100) << tbe.reissues.min(8);
@@ -209,44 +184,6 @@ impl TokenBController {
     // Responding to transient requests
     // ------------------------------------------------------------------
 
-    /// Cache-side response to a transient request; mirrors PATCH's rules.
-    fn cache_respond(
-        &mut self,
-        addr: BlockAddr,
-        kind: AccessKind,
-        requester: NodeId,
-        serial: u64,
-        out: &mut Outbox,
-    ) {
-        let Some(line) = self.cache.get_mut(addr) else {
-            return;
-        };
-        if line.tokens.is_empty() {
-            self.cache.remove(addr);
-            return;
-        }
-        match kind {
-            AccessKind::Write => {
-                let tokens = line.tokens.take_all();
-                let version = line.version;
-                self.cache.remove(addr);
-                self.send_tokens(addr, requester, serial, tokens, version, out);
-            }
-            AccessKind::Read => {
-                if !line.tokens.has_owner() {
-                    return;
-                }
-                debug_assert!(line.valid);
-                let tokens = line.tokens.split_owner(0);
-                let version = line.version;
-                if line.tokens.is_empty() {
-                    self.cache.remove(addr);
-                }
-                self.send_tokens(addr, requester, serial, tokens, version, out);
-            }
-        }
-    }
-
     /// Memory-side response from this node's home slice.
     ///
     /// The memory controller must consult its per-block token state before
@@ -263,79 +200,18 @@ impl TokenBController {
     ) {
         let lookup = self.config.dir_latency;
         let dram = self.config.dram_latency + lookup;
-        let n = self.n();
+        let (n, id) = (self.n(), self.id);
         let slice = self.home_slice(addr);
-        if slice.tokens.is_empty() {
+        // Writes take whatever memory holds; reads only an owner's data
+        // (and then every token with it).
+        if slice.tokens.is_empty() || (!kind.is_write() && !slice.tokens.has_owner()) {
             return;
         }
-        match kind {
-            AccessKind::Write => {
-                let tokens = slice.tokens.take_all();
-                let (version, valid) = (slice.version, slice.valid);
-                if tokens.has_owner() {
-                    debug_assert!(valid);
-                    out.send_one_after(
-                        n,
-                        requester,
-                        dram,
-                        Msg::new(
-                            addr,
-                            MsgBody::Data {
-                                from: self.id,
-                                serial,
-                                tokens,
-                                version,
-                                acks_expected: 0,
-                                exclusive: false,
-                                dirty: false,
-                                activation: false,
-                            },
-                        ),
-                    );
-                } else {
-                    out.send_one_after(
-                        n,
-                        requester,
-                        lookup,
-                        Msg::new(
-                            addr,
-                            MsgBody::Ack {
-                                from: self.id,
-                                serial,
-                                tokens,
-                                activation: false,
-                            },
-                        ),
-                    );
-                }
-            }
-            AccessKind::Read => {
-                if !slice.tokens.has_owner() {
-                    return;
-                }
-                debug_assert!(slice.valid);
-                let tokens = slice.tokens.take_all();
-                let version = slice.version;
-                out.send_one_after(
-                    n,
-                    requester,
-                    dram,
-                    Msg::new(
-                        addr,
-                        MsgBody::Data {
-                            from: self.id,
-                            serial,
-                            tokens,
-                            version,
-                            acks_expected: 0,
-                            exclusive: false,
-                            dirty: false,
-                            activation: false,
-                        },
-                    ),
-                );
-            }
-        }
+        debug_assert!(!slice.tokens.has_owner() || slice.valid);
+        let tokens = slice.tokens.take_all();
+        let delay = if tokens.has_owner() { dram } else { lookup };
+        let reply = token_reply(addr, id, serial, tokens, slice.version, false);
+        out.send_one_after(n, requester, delay, reply);
     }
 
     fn send_tokens(
@@ -348,26 +224,8 @@ impl TokenBController {
         out: &mut Outbox,
     ) {
         debug_assert!(!tokens.is_empty());
-        let body = if tokens.has_owner() {
-            MsgBody::Data {
-                from: self.id,
-                serial,
-                tokens,
-                version,
-                acks_expected: 0,
-                exclusive: false,
-                dirty: tokens.owner_status() == Some(OwnerStatus::Dirty),
-                activation: false,
-            }
-        } else {
-            MsgBody::Ack {
-                from: self.id,
-                serial,
-                tokens,
-                activation: false,
-            }
-        };
-        out.send_one(self.n(), to, Msg::new(addr, body));
+        let reply = token_reply(addr, self.id, serial, tokens, version, false);
+        out.send_one(self.n(), to, reply);
     }
 
     /// Returns tokens to the home memory slice (eviction or stray
@@ -378,20 +236,7 @@ impl TokenBController {
         }
         self.counters.writebacks += 1;
         let home = addr.home(self.n());
-        let with_data = tokens.owner_status() == Some(OwnerStatus::Dirty);
-        out.send_one(
-            self.n(),
-            home,
-            Msg::new(
-                addr,
-                MsgBody::Put {
-                    node: self.id,
-                    tokens,
-                    version: with_data.then_some(version),
-                    dirty: with_data,
-                },
-            ),
-        );
+        out.send_one(self.n(), home, token_put(addr, self.id, tokens, version));
     }
 
     // ------------------------------------------------------------------
@@ -416,43 +261,22 @@ impl TokenBController {
                 return;
             }
         }
-        let has_tbe = self.demand.as_ref().is_some_and(|t| t.addr == addr);
-        if has_tbe {
-            // Span telemetry: the first token arrival for the outstanding
-            // miss ends the network phase. Pure data write — no protocol
-            // effect.
-            if let Some(tbe) = self.demand.as_mut() {
-                if tbe.marks.first_progress.is_none() {
-                    tbe.marks.first_progress = Some(now);
-                }
+        // Span telemetry: the first token arrival for the outstanding miss
+        // ends the network phase.
+        let has_tbe = match self.demand.as_mut() {
+            Some(tbe) if tbe.addr == addr => {
+                tbe.marks.note_progress(now);
+                true
             }
-        }
-        match self.cache.get_mut(addr) {
-            Some(line) => {
-                line.tokens.merge(tokens);
-                if let Some(v) = data_version {
-                    line.valid = true;
-                    line.version = v;
-                }
-            }
-            None if has_tbe => {
-                let line = TbLine {
-                    tokens,
-                    version: data_version.unwrap_or(0),
-                    valid: data_version.is_some(),
-                };
-                if let Some(victim) = self.cache.insert(addr, line) {
-                    self.put_tokens(
-                        victim.addr,
-                        victim.payload.tokens,
-                        victim.payload.version,
-                        out,
-                    );
-                }
-            }
-            None => {
-                // Stray tokens with nowhere to live: return them to memory.
-                self.put_tokens(addr, tokens, data_version.unwrap_or(0), out);
+            _ => false,
+        };
+        // Stray tokens with nowhere to live (no line, no miss) go back to
+        // memory, as does whatever an allocation evicts.
+        if let Some((addr, tokens, version)) =
+            self.cache.absorb(addr, tokens, data_version, has_tbe)
+        {
+            self.put_tokens(addr, tokens, version, out);
+            if !has_tbe {
                 return;
             }
         }
@@ -460,32 +284,16 @@ impl TokenBController {
     }
 
     fn try_progress(&mut self, now: Cycle, out: &mut Outbox) {
-        let total = self.total();
-        let Some(tbe) = self.demand.as_mut() else {
+        let Some(tbe) = self.demand.as_ref() else {
             return;
         };
         let addr = tbe.addr;
-        let satisfied = match self.cache.peek(addr) {
-            Some(line) => match tbe.kind {
-                AccessKind::Read => line.valid && line.tokens.can_read(),
-                AccessKind::Write => line.valid && line.tokens.can_write(total),
-            },
-            None => false,
-        };
-        if !satisfied {
+        let line = self.cache.status(addr, tbe.kind);
+        if !line.satisfied {
             return;
         }
         let tbe = self.demand.take().expect("present");
-        let line = self.cache.get_mut(addr).expect("satisfied implies line");
-        let version = match tbe.kind {
-            AccessKind::Read => line.version,
-            AccessKind::Write => {
-                line.version += 1;
-                line.tokens.set_owner_dirty();
-                line.version
-            }
-        };
-        let new_owner = line.tokens.has_owner();
+        let version = self.cache.perform(addr, tbe.kind);
         self.latency.record(now - tbe.issued_at);
         out.complete(Completion {
             addr,
@@ -497,19 +305,8 @@ impl TokenBController {
         if tbe.persistent {
             // Tell the home arbiter the starvation is over.
             let home = addr.home(self.n());
-            out.send_one(
-                self.n(),
-                home,
-                Msg::new(
-                    addr,
-                    MsgBody::Deactivate {
-                        requester: self.id,
-                        serial: tbe.serial,
-                        new_owner,
-                        keeps_copy: true,
-                    },
-                ),
-            );
+            let done = Msg::deactivate(addr, self.id, tbe.serial, line.has_owner, true);
+            out.send_one(self.n(), home, done);
         }
     }
 
@@ -561,86 +358,34 @@ impl TokenBController {
                 .is_some_and(|t| t.addr == addr && t.persistent && t.serial == serial);
             if !ours {
                 let home = addr.home(self.config.num_nodes);
-                out.send_one(
-                    self.n(),
-                    home,
-                    Msg::new(
-                        addr,
-                        MsgBody::Deactivate {
-                            requester: self.id,
-                            serial,
-                            new_owner: false,
-                            keeps_copy: false,
-                        },
-                    ),
-                );
+                let release = Msg::deactivate(addr, self.id, serial, false, false);
+                out.send_one(self.n(), home, release);
                 return;
             }
             // Span telemetry: our own persistent activation is the point
-            // where the system serializes this starving miss. Pure data
-            // write — no protocol effect.
+            // where the system serializes this starving miss.
             if let Some(tbe) = self.demand.as_mut() {
-                if tbe.marks.ordered.is_none() {
-                    tbe.marks.ordered = Some(now);
-                }
+                tbe.marks.note_ordered(now);
             }
         }
         self.table.insert(addr, (starver, kind, serial));
         if starver != self.id {
             // Surrender current cache holdings.
-            if let Some(line) = self.cache.get_mut(addr) {
-                let tokens = line.tokens.take_all();
-                let version = line.version;
-                self.cache.remove(addr);
-                if !tokens.is_empty() {
-                    self.send_tokens(addr, starver, 0, tokens, version, out);
-                }
+            if let Some((tokens, version)) = self.cache.take_all(addr) {
+                self.send_tokens(addr, starver, 0, tokens, version, out);
             }
         }
         // Surrender the memory slice's holdings too.
         if addr.home(self.config.num_nodes) == self.id {
             let dram = self.config.dram_latency;
-            let n = self.n();
-            let id = self.id;
+            let (n, id) = (self.n(), self.id);
             let slice = self.home_slice(addr);
             if !slice.tokens.is_empty() {
+                debug_assert!(!slice.tokens.has_owner() || slice.valid);
                 let tokens = slice.tokens.take_all();
-                let (version, valid) = (slice.version, slice.valid);
-                if tokens.has_owner() {
-                    debug_assert!(valid);
-                    out.send_one_after(
-                        n,
-                        starver,
-                        dram,
-                        Msg::new(
-                            addr,
-                            MsgBody::Data {
-                                from: id,
-                                serial: 0,
-                                tokens,
-                                version,
-                                acks_expected: 0,
-                                exclusive: false,
-                                dirty: false,
-                                activation: false,
-                            },
-                        ),
-                    );
-                } else {
-                    out.send_one(
-                        n,
-                        starver,
-                        Msg::new(
-                            addr,
-                            MsgBody::Ack {
-                                from: id,
-                                serial: 0,
-                                tokens,
-                                activation: false,
-                            },
-                        ),
-                    );
-                }
+                let delay = if tokens.has_owner() { dram } else { 0 };
+                let reply = token_reply(addr, id, 0, tokens, slice.version, false);
+                out.send_one_after(n, starver, delay, reply);
             }
         }
     }
@@ -648,25 +393,9 @@ impl TokenBController {
 
 impl Controller for TokenBController {
     fn core_request(&mut self, op: MemOp, now: Cycle, out: &mut Outbox) -> CoreResponse {
-        let total = self.total();
-        if let Some(line) = self.cache.get_mut(op.addr) {
-            match op.kind {
-                AccessKind::Read if line.valid && line.tokens.can_read() => {
-                    self.counters.hits += 1;
-                    return CoreResponse::Hit {
-                        version: line.version,
-                    };
-                }
-                AccessKind::Write if line.valid && line.tokens.can_write(total) => {
-                    line.version += 1;
-                    line.tokens.set_owner_dirty();
-                    self.counters.hits += 1;
-                    return CoreResponse::Hit {
-                        version: line.version,
-                    };
-                }
-                _ => {}
-            }
+        if let Some(version) = self.cache.hit(op.addr, op.kind) {
+            self.counters.hits += 1;
+            return CoreResponse::Hit { version };
         }
         self.issue_miss(op, now, out);
         CoreResponse::MissPending
@@ -711,7 +440,9 @@ impl Controller for TokenBController {
                 // Cache side responds unless it has its own miss
                 // outstanding for the block (races resolve by reissue).
                 if requester != self.id && self.demand.as_ref().is_none_or(|t| t.addr != addr) {
-                    self.cache_respond(addr, kind, requester, serial, out);
+                    if let Some((tokens, version)) = self.cache.surrender(addr, kind, false) {
+                        self.send_tokens(addr, requester, serial, tokens, version, out);
+                    }
                 }
             }
             MsgBody::Data {
@@ -736,16 +467,7 @@ impl Controller for TokenBController {
                     }
                     return;
                 }
-                let slice = self.home_slice(addr);
-                let mut tokens = tokens;
-                if let Some(v) = version {
-                    slice.version = v;
-                }
-                if tokens.has_owner() {
-                    tokens.set_owner_clean();
-                    slice.valid = true;
-                }
-                slice.tokens.merge(tokens);
+                self.home_slice(addr).absorb(tokens, version);
             }
             MsgBody::Deactivate {
                 requester, serial, ..
@@ -824,19 +546,8 @@ impl Controller for TokenBController {
             self.counters.persistent_requests += 1;
             let home = tbe.addr.home(self.config.num_nodes);
             let (kind, serial) = (tbe.kind, tbe.serial);
-            out.send_one(
-                self.n(),
-                home,
-                Msg::new(
-                    key.addr,
-                    MsgBody::Request {
-                        kind,
-                        requester: self.id,
-                        serial,
-                        style: RequestStyle::Persistent,
-                    },
-                ),
-            );
+            let escalate = Msg::request(key.addr, kind, self.id, serial, RequestStyle::Persistent);
+            out.send_one(self.n(), home, escalate);
         }
     }
 
@@ -849,17 +560,12 @@ impl Controller for TokenBController {
     }
 
     fn held_tokens(&self, addr: BlockAddr) -> Option<TokenSet> {
-        let mut total = TokenSet::empty();
-        if let Some(line) = self.cache.peek(addr) {
-            total.merge(line.tokens);
-        }
+        let mut held = self.cache.held(addr);
         if addr.home(self.config.num_nodes) == self.id {
-            match self.home.get(&addr) {
-                Some(slice) => total.merge(slice.tokens),
-                None => total.merge(TokenSet::full(self.config.total_tokens, OwnerStatus::Clean)),
-            }
+            let untouched = Memory::full(self.config.total_tokens);
+            held.merge(self.home.get(&addr).copied().unwrap_or(untouched).tokens);
         }
-        Some(total)
+        Some(held)
     }
 
     fn counters(&self) -> ProtocolCounters {
@@ -883,6 +589,7 @@ impl Controller for TokenBController {
 mod tests {
     use super::*;
     use crate::ProtocolKind;
+    use patchsim_mem::OwnerStatus;
 
     fn config(n: u16) -> ProtocolConfig {
         ProtocolConfig::new(ProtocolKind::TokenB, n)
@@ -1106,14 +813,7 @@ mod tests {
     #[test]
     fn persistent_activation_surrenders_tokens() {
         let mut c = ctrl(4, 1);
-        c.cache.insert(
-            a(2),
-            TbLine {
-                tokens: TokenSet::plain(2),
-                version: 0,
-                valid: true,
-            },
-        );
+        c.cache.absorb(a(2), TokenSet::plain(2), Some(0), true);
         let mut out = Outbox::new();
         c.handle_message(
             Msg::new(
@@ -1165,14 +865,8 @@ mod tests {
     #[test]
     fn transient_requests_suppressed_during_persistent() {
         let mut c = ctrl(4, 1);
-        c.cache.insert(
-            a(2),
-            TbLine {
-                tokens: TokenSet::full(4, OwnerStatus::Dirty),
-                version: 1,
-                valid: true,
-            },
-        );
+        c.cache
+            .absorb(a(2), TokenSet::full(4, OwnerStatus::Dirty), Some(1), true);
         let mut out = Outbox::new();
         c.handle_message(
             Msg::new(
@@ -1207,14 +901,8 @@ mod tests {
     #[test]
     fn owner_answers_read_broadcast_with_owner_token() {
         let mut c = ctrl(4, 1);
-        c.cache.insert(
-            a(2),
-            TbLine {
-                tokens: TokenSet::full(3, OwnerStatus::Dirty),
-                version: 6,
-                valid: true,
-            },
-        );
+        c.cache
+            .absorb(a(2), TokenSet::full(3, OwnerStatus::Dirty), Some(6), true);
         let mut out = Outbox::new();
         c.handle_message(
             Msg::new(
@@ -1244,20 +932,13 @@ mod tests {
             other => panic!("{other:?}"),
         }
         // Keeps its plain tokens as a sharer.
-        assert_eq!(c.cache.peek(a(2)).unwrap().tokens.count(), 2);
+        assert_eq!(c.cache.held(a(2)).count(), 2);
     }
 
     #[test]
     fn sharer_ignores_read_broadcast() {
         let mut c = ctrl(4, 1);
-        c.cache.insert(
-            a(2),
-            TbLine {
-                tokens: TokenSet::plain(1),
-                version: 0,
-                valid: true,
-            },
-        );
+        c.cache.absorb(a(2), TokenSet::plain(1), Some(0), true);
         let mut out = Outbox::new();
         c.handle_message(
             Msg::new(
