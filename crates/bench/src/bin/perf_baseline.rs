@@ -30,8 +30,8 @@
 //! both for thread-count determinism.
 //! `--record-trace` writes the first replication's access stream to a
 //! `.ptrc` trace; `--replay-trace` replays one (replay skips workload
-//! generation, so CI's perf-smoke job records its events/sec next to
-//! generate-mode into `BENCH_5.json` — the gap prices the generators).
+//! generation; CI's perf-smoke job asserts the two result hashes are
+//! equal).
 //!
 //! The result hash folds each run's `RunResult` (runtime, traffic,
 //! counters, miss histogram) with the deterministic Fx hasher; it must be

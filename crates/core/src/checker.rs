@@ -3,7 +3,7 @@
 use patchsim_kernel::collections::FxHashMap;
 
 use patchsim_kernel::Cycle;
-use patchsim_mem::{AccessKind, BlockAddr, TokenSet};
+use patchsim_mem::{AccessKind, BlockAddr};
 use patchsim_protocol::{Controller, Msg};
 
 /// Verifies the single-writer/read-latest property using logical block
@@ -233,16 +233,6 @@ impl TokenAuditor {
                 || self.net_tokens == self.in_flight.values().map(|f| f.tokens).sum::<u64>()
         );
         self.net_tokens
-    }
-
-    /// The sum of `TokenSet` holdings a protocol reports for `addr`; test
-    /// helper mirroring the audit's gathering step.
-    pub fn gather(addr: BlockAddr, nodes: &[Box<dyn Controller + Send>]) -> Option<TokenSet> {
-        let mut total = TokenSet::empty();
-        for node in nodes {
-            total.merge(node.held_tokens(addr)?);
-        }
-        Some(total)
     }
 }
 

@@ -522,14 +522,7 @@ fn encode_entry(key: u64, result: &RunResult) -> Vec<u8> {
     ] {
         push_u64(&mut payload, v);
     }
-    let pairs: Vec<(u64, u64)> = result.miss_latency.buckets().collect();
-    push_u64(&mut payload, pairs.len() as u64);
-    for (lower, count) in pairs {
-        push_u64(&mut payload, lower);
-        push_u64(&mut payload, count);
-    }
-    push_u64(&mut payload, result.miss_latency.sum());
-    push_u64(&mut payload, result.miss_latency.max());
+    push_histogram(&mut payload, &result.miss_latency);
     match &result.open_loop {
         None => push_u64(&mut payload, 0),
         Some(ol) => {
@@ -545,14 +538,7 @@ fn encode_entry(key: u64, result: &RunResult) -> Vec<u8> {
             ] {
                 push_u64(&mut payload, v);
             }
-            let pairs: Vec<(u64, u64)> = ol.sojourn.buckets().collect();
-            push_u64(&mut payload, pairs.len() as u64);
-            for (lower, count) in pairs {
-                push_u64(&mut payload, lower);
-                push_u64(&mut payload, count);
-            }
-            push_u64(&mut payload, ol.sojourn.sum());
-            push_u64(&mut payload, ol.sojourn.max());
+            push_histogram(&mut payload, &ol.sojourn);
         }
     }
     match &result.spans {
@@ -754,18 +740,7 @@ fn decode_entry(bytes: &[u8], expect_key: Option<u64>) -> Result<(u64, RunResult
         persistent_requests: r.u64()?,
         writebacks: r.u64()?,
     };
-    let n_pairs = usize::try_from(r.u64()?).map_err(|_| "histogram length overflows")?;
-    if n_pairs > 32 {
-        return Err(format!("histogram claims {n_pairs} buckets (max 32)"));
-    }
-    let mut pairs = Vec::with_capacity(n_pairs);
-    for _ in 0..n_pairs {
-        let lower = r.u64()?;
-        let count = r.u64()?;
-        pairs.push((lower, count));
-    }
-    let sum = r.u64()?;
-    let max = r.u64()?;
+    let miss_latency = read_histogram(&mut r, "miss-latency")?;
     let open_loop = match r.u64()? {
         0 => None,
         1 => {
@@ -776,20 +751,7 @@ fn decode_entry(bytes: &[u8], expect_key: Option<u64>) -> Result<(u64, RunResult
             let blocked_cycles = r.u64()?;
             let backlog_hwm = r.u64()?;
             let in_flight_at_horizon = r.u64()?;
-            let n = usize::try_from(r.u64()?).map_err(|_| "histogram length overflows")?;
-            if n > 32 {
-                return Err(format!("sojourn histogram claims {n} buckets (max 32)"));
-            }
-            let mut soj_pairs = Vec::with_capacity(n);
-            for _ in 0..n {
-                let lower = r.u64()?;
-                let count = r.u64()?;
-                soj_pairs.push((lower, count));
-            }
-            let soj_sum = r.u64()?;
-            let soj_max = r.u64()?;
-            let sojourn = Histogram::from_parts(&soj_pairs, soj_sum, soj_max)
-                .ok_or("malformed sojourn histogram buckets")?;
+            let sojourn = read_histogram(&mut r, "sojourn")?;
             Some(OpenLoopStats {
                 arrivals,
                 drops,
@@ -820,8 +782,6 @@ fn decode_entry(bytes: &[u8], expect_key: Option<u64>) -> Result<(u64, RunResult
         other => return Err(format!("bad spans presence flag {other}")),
     };
     r.done()?;
-    let miss_latency =
-        Histogram::from_parts(&pairs, sum, max).ok_or("malformed histogram buckets")?;
     Ok((
         key,
         RunResult {

@@ -9,7 +9,7 @@
 //! > MICRO-41, 2008, pp. 47–58.
 //!
 //! This crate is the public API: it assembles the substrates built in the
-//! sibling crates (DES kernel, 2D-torus interconnect, cache/directory
+//! sibling crates (DES kernel, interconnect fabrics, cache/directory
 //! structures, the three coherence protocols, destination-set predictors,
 //! and synthetic workloads) into a runnable simulated multicore, and
 //! provides the declarative experiment-plan API ([`exp`]) used to

@@ -191,17 +191,6 @@ pub struct RunSummary {
 }
 
 impl RunSummary {
-    /// This summary's runtime normalized to `baseline`'s (the y-axis of
-    /// the paper's runtime figures: < 1.0 is faster than the baseline).
-    pub fn runtime_normalized_to(&self, baseline: &RunSummary) -> f64 {
-        self.runtime.mean / baseline.runtime.mean
-    }
-
-    /// This summary's traffic normalized to `baseline`'s.
-    pub fn traffic_normalized_to(&self, baseline: &RunSummary) -> f64 {
-        self.bytes_per_miss.mean / baseline.bytes_per_miss.mean
-    }
-
     /// Mean bytes per miss for one traffic class.
     pub fn class_mean(&self, class: TrafficClass) -> f64 {
         self.class_bytes_per_miss[class]
@@ -337,13 +326,6 @@ mod tests {
         assert!(p.p95 <= p.p99);
         let max = summary.runs.iter().map(|r| r.miss_latency.max()).max();
         assert!(p.p99 <= max.unwrap());
-    }
-
-    #[test]
-    fn normalization_is_relative() {
-        let summary = summarize(&runs());
-        let ratio = summary.runtime_normalized_to(&summary);
-        assert!((ratio - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -419,11 +419,6 @@ impl FlightRecorder {
         );
         Some(path)
     }
-
-    /// Whether this recorder has already dumped.
-    pub fn has_dumped(&self) -> bool {
-        self.dumped
-    }
 }
 
 /// Owns a [`FlightRecorder`] and dumps it when a panic unwinds past it —

@@ -8,8 +8,8 @@
 //!   which makes whole-system runs bit-reproducible for a given seed.
 //! * [`SimRng`] — a small, fast, seedable random-number generator with
 //!   support for deriving independent per-component streams.
-//! * [`stats`] — counters, histograms, and confidence-interval helpers used
-//!   by the experiment harness.
+//! * [`stats`] — running means, histograms, and confidence-interval helpers
+//!   used by the experiment harness.
 //!
 //! # Examples
 //!

@@ -132,11 +132,6 @@ impl SimRng {
         result
     }
 
-    /// Returns the next raw 32-bit output (upper half of [`Self::next_u64`]).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Returns a uniformly distributed value in `[0, bound)`.
     ///
     /// # Panics

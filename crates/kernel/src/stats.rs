@@ -1,5 +1,5 @@
-//! Statistics primitives: counters, running means, histograms, and
-//! confidence intervals.
+//! Statistics primitives: running means, histograms, and confidence
+//! intervals.
 //!
 //! The experiment harness reports means with 95% confidence intervals over
 //! multiple perturbed runs, mirroring the methodology of the paper (which
@@ -7,51 +7,6 @@
 //! PC"*).
 
 use std::fmt;
-
-/// A monotonically increasing event counter.
-///
-/// # Examples
-///
-/// ```
-/// use patchsim_kernel::stats::Counter;
-/// let mut c = Counter::new();
-/// c.add(3);
-/// c.incr();
-/// assert_eq!(c.get(), 4);
-/// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub const fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds `n` to the counter.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Adds one to the counter.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Returns the current count.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.fmt(f)
-    }
-}
 
 /// An online mean/variance accumulator (Welford's algorithm).
 ///
@@ -389,15 +344,6 @@ fn t_critical_95(df: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(9);
-        assert_eq!(c.get(), 10);
-        assert_eq!(c.to_string(), "10");
-    }
 
     #[test]
     fn running_stats_mean_and_variance() {

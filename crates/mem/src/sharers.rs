@@ -16,6 +16,10 @@
 //!    group; an overflowed pointer set implicates everyone.
 //! 2. **Staleness**: individual departures (evictions) cannot always be
 //!    removed, so stale sharers accumulate until a write resets the set.
+//!
+//! On the host every encoding is one [`DestSet`] of set bits (plus the
+//! limited-pointer overflow flag); what an entry would cost in directory
+//! bits is [`SharerSet::bits_per_entry`], computed from the encoding.
 
 use std::fmt;
 
@@ -51,15 +55,6 @@ impl SharerEncoding {
             SharerEncoding::LimitedPointer { .. } => 1,
         }
     }
-
-    /// Whether the encoding always represents sharer sets exactly.
-    pub fn is_exact(self) -> bool {
-        match self {
-            SharerEncoding::FullMap => true,
-            SharerEncoding::Coarse { cores_per_bit } => cores_per_bit == 1,
-            SharerEncoding::LimitedPointer { .. } => false,
-        }
-    }
 }
 
 impl fmt::Display for SharerEncoding {
@@ -72,18 +67,6 @@ impl fmt::Display for SharerEncoding {
             },
         }
     }
-}
-
-#[derive(Clone, PartialEq, Eq)]
-enum Repr {
-    /// Bit vector with `cores_per_bit` cores per bit (1 = full map).
-    Bits { cores_per_bit: u16, bits: Vec<u64> },
-    /// Exact pointers up to a limit, then broadcast.
-    Pointers {
-        max: u16,
-        list: Vec<NodeId>,
-        overflowed: bool,
-    },
 }
 
 /// A directory entry's sharer set, stored under a chosen encoding.
@@ -110,7 +93,14 @@ enum Repr {
 #[derive(Clone, PartialEq, Eq)]
 pub struct SharerSet {
     num_nodes: u16,
-    repr: Repr,
+    /// Never `Coarse { cores_per_bit: 1 }`: that is stored as `FullMap`.
+    encoding: SharerEncoding,
+    /// The set bits, one per group of `encoding.cores_per_bit()` nodes: the
+    /// nodes themselves under a full map, the pointed-to nodes under
+    /// limited pointers. Empty while `overflowed`.
+    groups: DestSet,
+    /// A limited-pointer entry ran out of pointers: everyone may share.
+    overflowed: bool,
 }
 
 impl SharerSet {
@@ -121,26 +111,27 @@ impl SharerSet {
     /// Panics if `num_nodes` is zero or the encoding's parameter is zero.
     pub fn new(num_nodes: u16, encoding: SharerEncoding) -> Self {
         assert!(num_nodes > 0, "a system needs at least one node");
-        let repr = match encoding {
-            SharerEncoding::LimitedPointer { pointers } => {
-                assert!(pointers > 0, "at least one pointer required");
-                Repr::Pointers {
-                    max: pointers,
-                    list: Vec::with_capacity(pointers as usize),
-                    overflowed: false,
-                }
-            }
-            _ => {
-                let k = encoding.cores_per_bit();
-                assert!(k > 0, "group size must be at least 1");
-                let groups = (num_nodes as usize).div_ceil(k as usize);
-                Repr::Bits {
-                    cores_per_bit: k,
-                    bits: vec![0; groups.div_ceil(64)],
-                }
-            }
+        let encoding = match encoding {
+            SharerEncoding::Coarse { cores_per_bit: 1 } => SharerEncoding::FullMap,
+            _ => encoding,
         };
-        SharerSet { num_nodes, repr }
+        assert!(
+            !matches!(encoding, SharerEncoding::LimitedPointer { pointers: 0 }),
+            "at least one pointer required"
+        );
+        let k = encoding.cores_per_bit();
+        assert!(k > 0, "group size must be at least 1");
+        SharerSet {
+            num_nodes,
+            encoding,
+            groups: DestSet::empty(num_nodes.div_ceil(k)),
+            overflowed: false,
+        }
+    }
+
+    /// The bit of `groups` that stands for `node`.
+    fn group_of(&self, node: NodeId) -> NodeId {
+        NodeId::new(node.raw() / self.encoding.cores_per_bit())
     }
 
     /// Records `node` as a sharer (implicating its whole group under a
@@ -152,172 +143,82 @@ impl SharerSet {
     /// Panics if `node` is out of range.
     pub fn insert(&mut self, node: NodeId) {
         assert!(node.raw() < self.num_nodes, "{node} out of range");
-        match &mut self.repr {
-            Repr::Bits {
-                cores_per_bit,
-                bits,
-            } => {
-                let g = node.index() / *cores_per_bit as usize;
-                bits[g / 64] |= 1 << (g % 64);
-            }
-            Repr::Pointers {
-                max,
-                list,
-                overflowed,
-            } => {
-                if *overflowed || list.contains(&node) {
-                    return;
-                }
-                if list.len() < *max as usize {
-                    list.push(node);
-                } else {
-                    *overflowed = true;
-                    list.clear();
-                }
+        if self.overflowed {
+            return;
+        }
+        let group = self.group_of(node);
+        if let SharerEncoding::LimitedPointer { pointers } = self.encoding {
+            // A new node arriving at a full entry overflows it.
+            if !self.groups.contains(group) && self.groups.len() == pointers as usize {
+                self.groups.clear();
+                self.overflowed = true;
+                return;
             }
         }
+        self.groups.insert(group);
     }
 
     /// Attempts to remove `node`. Exact representations (full map, or a
     /// non-overflowed pointer list) can remove individuals; coarse groups
     /// and overflowed entries cannot. Returns `true` if the set changed.
     pub fn remove_if_exact(&mut self, node: NodeId) -> bool {
-        if node.raw() >= self.num_nodes {
-            return false;
-        }
-        match &mut self.repr {
-            Repr::Bits {
-                cores_per_bit,
-                bits,
-            } => {
-                if *cores_per_bit != 1 {
-                    return false;
-                }
-                let g = node.index();
-                let was = bits[g / 64] & (1 << (g % 64)) != 0;
-                bits[g / 64] &= !(1 << (g % 64));
-                was
-            }
-            Repr::Pointers {
-                list, overflowed, ..
-            } => {
-                if *overflowed {
-                    return false;
-                }
-                if let Some(pos) = list.iter().position(|&n| n == node) {
-                    list.swap_remove(pos);
-                    true
-                } else {
-                    false
-                }
-            }
-        }
+        self.encoding.cores_per_bit() == 1 && !self.overflowed && self.groups.remove(node)
     }
 
     /// Empties the set (a write miss resets sharers exactly).
     pub fn clear(&mut self) {
-        match &mut self.repr {
-            Repr::Bits { bits, .. } => bits.iter_mut().for_each(|w| *w = 0),
-            Repr::Pointers {
-                list, overflowed, ..
-            } => {
-                list.clear();
-                *overflowed = false;
-            }
-        }
+        self.groups.clear();
+        self.overflowed = false;
     }
 
     /// Whether `node` *may* be a sharer. `false` is definitive; `true` may
     /// be an over-approximation.
     pub fn may_contain(&self, node: NodeId) -> bool {
-        if node.raw() >= self.num_nodes {
-            return false;
-        }
-        match &self.repr {
-            Repr::Bits {
-                cores_per_bit,
-                bits,
-            } => {
-                let g = node.index() / *cores_per_bit as usize;
-                bits[g / 64] & (1 << (g % 64)) != 0
-            }
-            Repr::Pointers {
-                list, overflowed, ..
-            } => *overflowed || list.contains(&node),
-        }
+        node.raw() < self.num_nodes
+            && (self.overflowed || self.groups.contains(self.group_of(node)))
     }
 
     /// Whether no sharer is recorded.
     pub fn is_empty(&self) -> bool {
-        match &self.repr {
-            Repr::Bits { bits, .. } => bits.iter().all(|&w| w == 0),
-            Repr::Pointers {
-                list, overflowed, ..
-            } => !*overflowed && list.is_empty(),
-        }
+        !self.overflowed && self.groups.is_empty()
     }
 
     /// Decodes the (super)set of sharers as concrete nodes — the set a
     /// directory would forward invalidations to.
     pub fn members(&self) -> DestSet {
-        match &self.repr {
-            Repr::Bits {
-                cores_per_bit,
-                bits,
-            } => {
-                let mut out = DestSet::empty(self.num_nodes);
-                let k = *cores_per_bit as usize;
-                let groups = (self.num_nodes as usize).div_ceil(k);
-                for g in 0..groups {
-                    if bits[g / 64] & (1 << (g % 64)) != 0 {
-                        let start = g * k;
-                        let end = (start + k).min(self.num_nodes as usize);
-                        for n in start..end {
-                            out.insert(NodeId::new(n as u16));
-                        }
-                    }
-                }
-                out
-            }
-            Repr::Pointers {
-                list, overflowed, ..
-            } => {
-                if *overflowed {
-                    DestSet::all(self.num_nodes)
-                } else {
-                    DestSet::from_nodes(self.num_nodes, list.iter().copied())
-                }
+        if self.overflowed {
+            return DestSet::all(self.num_nodes);
+        }
+        let k = self.encoding.cores_per_bit() as usize;
+        if k == 1 {
+            return self.groups.clone();
+        }
+        let mut out = DestSet::empty(self.num_nodes);
+        for g in &self.groups {
+            let start = g.index() * k;
+            // The last group may be ragged.
+            let end = (start + k).min(self.num_nodes as usize);
+            for n in start..end {
+                out.insert(NodeId::new(n as u16));
             }
         }
+        out
     }
 
     /// The encoding in use.
     pub fn encoding(&self) -> SharerEncoding {
-        match &self.repr {
-            Repr::Bits { cores_per_bit, .. } => {
-                if *cores_per_bit == 1 {
-                    SharerEncoding::FullMap
-                } else {
-                    SharerEncoding::Coarse {
-                        cores_per_bit: *cores_per_bit,
-                    }
-                }
-            }
-            Repr::Pointers { max, .. } => SharerEncoding::LimitedPointer { pointers: *max },
-        }
+        self.encoding
     }
 
     /// Directory state cost of this encoding in bits per entry (excluding
     /// the exact owner pointer).
     pub fn bits_per_entry(&self) -> u32 {
-        match &self.repr {
-            Repr::Bits { cores_per_bit, .. } => {
-                (self.num_nodes as u32).div_ceil(*cores_per_bit as u32)
-            }
-            Repr::Pointers { max, .. } => {
+        match self.encoding {
+            SharerEncoding::LimitedPointer { pointers } => {
                 let ptr_bits = (self.num_nodes as u32).next_power_of_two().trailing_zeros();
-                *max as u32 * ptr_bits.max(1) + 1 // +1 overflow bit
+                pointers as u32 * ptr_bits.max(1) + 1 // +1 overflow bit
             }
+            _ => (self.num_nodes as u32).div_ceil(self.encoding.cores_per_bit() as u32),
         }
     }
 }
@@ -332,6 +233,180 @@ impl fmt::Debug for SharerSet {
 mod tests {
     use super::*;
     use patchsim_kernel::SimRng;
+
+    /// The representation this file had before it sat on `DestSet` — a bit
+    /// vector of `k`-core groups for full-map/coarse, a pointer list for
+    /// limited pointers — kept as the reference the property test compares
+    /// against.
+    enum Oracle {
+        Bits {
+            k: usize,
+            bits: Vec<u64>,
+        },
+        Ptrs {
+            max: usize,
+            list: Vec<NodeId>,
+            full: bool,
+        },
+    }
+
+    fn bit(bits: &[u64], g: usize) -> bool {
+        bits[g / 64] & (1 << (g % 64)) != 0
+    }
+
+    impl Oracle {
+        fn new(num_nodes: u16, encoding: SharerEncoding) -> Self {
+            match encoding {
+                SharerEncoding::LimitedPointer { pointers } => Oracle::Ptrs {
+                    max: pointers as usize,
+                    list: Vec::new(),
+                    full: false,
+                },
+                _ => {
+                    let k = encoding.cores_per_bit() as usize;
+                    let groups = (num_nodes as usize).div_ceil(k);
+                    let bits = vec![0; groups.div_ceil(64)];
+                    Oracle::Bits { k, bits }
+                }
+            }
+        }
+
+        fn insert(&mut self, node: NodeId) {
+            match self {
+                Oracle::Bits { k, bits } => {
+                    let g = node.index() / *k;
+                    bits[g / 64] |= 1 << (g % 64);
+                }
+                Oracle::Ptrs { max, list, full } => {
+                    if *full || list.contains(&node) {
+                        return;
+                    }
+                    if list.len() < *max {
+                        list.push(node);
+                    } else {
+                        *full = true;
+                        list.clear();
+                    }
+                }
+            }
+        }
+
+        fn remove_if_exact(&mut self, node: NodeId) -> bool {
+            match self {
+                Oracle::Bits { k, bits } => {
+                    let g = node.index();
+                    let was = *k == 1 && bit(bits, g);
+                    if was {
+                        bits[g / 64] &= !(1 << (g % 64));
+                    }
+                    was
+                }
+                Oracle::Ptrs { list, full, .. } => {
+                    let pos = list.iter().position(|&n| n == node);
+                    !*full && pos.map(|p| list.swap_remove(p)).is_some()
+                }
+            }
+        }
+
+        fn clear(&mut self) {
+            match self {
+                Oracle::Bits { bits, .. } => bits.iter_mut().for_each(|w| *w = 0),
+                Oracle::Ptrs { list, full, .. } => {
+                    list.clear();
+                    *full = false;
+                }
+            }
+        }
+
+        fn may_contain(&self, node: NodeId) -> bool {
+            match self {
+                Oracle::Bits { k, bits } => bit(bits, node.index() / k),
+                Oracle::Ptrs { list, full, .. } => *full || list.contains(&node),
+            }
+        }
+
+        fn is_empty(&self) -> bool {
+            match self {
+                Oracle::Bits { bits, .. } => bits.iter().all(|&w| w == 0),
+                Oracle::Ptrs { list, full, .. } => !*full && list.is_empty(),
+            }
+        }
+
+        fn bits_per_entry(&self, num_nodes: u32) -> u32 {
+            match self {
+                Oracle::Bits { k, .. } => num_nodes.div_ceil(*k as u32),
+                Oracle::Ptrs { max, .. } => {
+                    let ptr_bits = num_nodes.next_power_of_two().trailing_zeros();
+                    *max as u32 * ptr_bits.max(1) + 1
+                }
+            }
+        }
+    }
+
+    /// Seeded random `insert`/`remove_if_exact`/`clear` sequences leave the
+    /// `DestSet`-backed set and the oracle indistinguishable, over all
+    /// three encodings and sizes on both sides of the inline/spill
+    /// `DestSet` boundary (with ragged last groups).
+    #[test]
+    fn matches_repr_oracle() {
+        let mut rng = SimRng::from_seed(0x5E75);
+        let (mut overflows, mut exact_removals, mut ragged) = (0, 0, 0);
+        for n in [1u16, 16, 64, 65, 128, 300] {
+            for _ in 0..24 {
+                let encoding = match rng.below(3) {
+                    0 => SharerEncoding::FullMap,
+                    1 => SharerEncoding::Coarse {
+                        cores_per_bit: 1 + rng.below(n as u64 + 2) as u16,
+                    },
+                    _ => SharerEncoding::LimitedPointer {
+                        pointers: 1 + rng.below(5) as u16,
+                    },
+                };
+                ragged += u32::from(n % encoding.cores_per_bit() != 0);
+                let mut set = SharerSet::new(n, encoding);
+                let mut oracle = Oracle::new(n, encoding);
+                assert_eq!(set.bits_per_entry(), oracle.bits_per_entry(n as u32));
+                let outside = NodeId::new(n);
+                assert!(!set.may_contain(outside) && !set.remove_if_exact(outside));
+                for _ in 0..64 {
+                    let node = NodeId::new(rng.below(n as u64) as u16);
+                    match rng.below(8) {
+                        0 => {
+                            set.clear();
+                            oracle.clear();
+                        }
+                        1 | 2 => {
+                            let removed = set.remove_if_exact(node);
+                            assert_eq!(removed, oracle.remove_if_exact(node));
+                            exact_removals += u32::from(removed);
+                        }
+                        _ => {
+                            set.insert(node);
+                            oracle.insert(node);
+                        }
+                    }
+                    // The oracle's answer per node is also what `members`
+                    // must decode to.
+                    let members = set.members();
+                    for probe in (0..n).map(NodeId::new) {
+                        let expected = oracle.may_contain(probe);
+                        assert_eq!(set.may_contain(probe), expected, "{n} nodes, {encoding}");
+                        assert_eq!(members.contains(probe), expected, "{n} nodes, {encoding}");
+                    }
+                    assert_eq!(set.is_empty(), oracle.is_empty());
+                    overflows += u32::from(matches!(oracle, Oracle::Ptrs { full: true, .. }));
+                }
+            }
+        }
+        // Vacuity guards: the interesting paths were all taken.
+        assert!(overflows > 0 && exact_removals > 0 && ragged > 0);
+    }
+
+    /// The home tables hold one `SharerSet` per touched block.
+    #[test]
+    fn layout_is_pinned() {
+        assert!(std::mem::size_of::<SharerSet>() <= 40);
+    }
 
     /// Draws a random sharer set of up to 19 distinct nodes in `0..100`.
     fn random_nodes(rng: &mut SimRng) -> std::collections::BTreeSet<u16> {

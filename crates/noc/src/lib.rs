@@ -95,7 +95,7 @@ pub use fabric::{
 pub use faults::{DegradeFault, DelayFault, DuplicateFault, FaultSpec, ReorderFault, StormFault};
 pub use link::Priority;
 pub use node_id::NodeId;
-pub use topology::{RouteTable, Topology};
+pub use topology::Topology;
 pub use traffic::{LinkBandwidth, TrafficClass, TrafficStats};
 
 /// Payload carried by the interconnect.

@@ -1,4 +1,8 @@
-//! Torus geometry and dimension-order routing.
+//! Grid geometry for the fabric builders: where a node sits in the
+//! `width × height` grid and who its four neighbours are. Routes are the
+//! generic BFS tables of [`FabricSpec`](crate::FabricSpec); the reference
+//! dimension-order router they are checked against lives with its tests
+//! in `tests/fabric_routing.rs`.
 
 use crate::NodeId;
 
@@ -24,16 +28,6 @@ impl Direction {
         Direction::YPlus,
         Direction::YMinus,
     ];
-
-    /// Index of this direction in [`Direction::ALL`].
-    pub fn index(self) -> usize {
-        match self {
-            Direction::XPlus => 0,
-            Direction::XMinus => 1,
-            Direction::YPlus => 2,
-            Direction::YMinus => 3,
-        }
-    }
 }
 
 /// The shape of a 2D torus: a `width × height` grid with wraparound links.
@@ -49,7 +43,7 @@ impl Direction {
 ///
 /// let t = Topology::new(64);
 /// assert_eq!((t.width(), t.height()), (8, 8));
-/// assert_eq!(t.hop_distance(NodeId::new(0), NodeId::new(63)), 2); // wraparound
+/// assert_eq!(t.coords(NodeId::new(63)), (7, 7));
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Topology {
@@ -126,135 +120,11 @@ impl Topology {
         };
         self.node_at(nx, ny)
     }
-
-    /// The output direction a packet at `from` takes toward `to` under
-    /// dimension-order (X then Y) routing with shortest-way wraparound, or
-    /// `None` if `from == to`.
-    pub fn next_hop(self, from: NodeId, to: NodeId) -> Option<Direction> {
-        if from == to {
-            return None;
-        }
-        let (fx, fy) = self.coords(from);
-        let (tx, ty) = self.coords(to);
-        if fx != tx {
-            let forward = (tx + self.width - fx) % self.width;
-            // Ties (exactly half way around) break toward XPlus.
-            Some(if forward * 2 <= self.width {
-                Direction::XPlus
-            } else {
-                Direction::XMinus
-            })
-        } else {
-            let forward = (ty + self.height - fy) % self.height;
-            Some(if forward * 2 <= self.height {
-                Direction::YPlus
-            } else {
-                Direction::YMinus
-            })
-        }
-    }
-
-    /// Minimal hop count between two nodes on the torus.
-    pub fn hop_distance(self, a: NodeId, b: NodeId) -> u32 {
-        let (ax, ay) = self.coords(a);
-        let (bx, by) = self.coords(b);
-        let dx = {
-            let fwd = (bx + self.width - ax) % self.width;
-            fwd.min(self.width - fwd)
-        };
-        let dy = {
-            let fwd = (by + self.height - ay) % self.height;
-            fwd.min(self.height - fwd)
-        };
-        dx as u32 + dy as u32
-    }
-
-    /// Average hop distance between distinct node pairs; used to calibrate
-    /// per-hop latency against the paper's "total link latency of 15
-    /// cycles".
-    pub fn average_hop_distance(self) -> f64 {
-        let n = self.num_nodes();
-        if n < 2 {
-            return 0.0;
-        }
-        // Distances from node 0 are representative: the torus is
-        // vertex-transitive.
-        let total: u64 = (0..n)
-            .map(|i| self.hop_distance(NodeId::new(0), NodeId::new(i)) as u64)
-            .sum();
-        total as f64 / (n - 1) as f64
-    }
-}
-
-/// A precomputed next-hop table: `num_nodes × num_nodes` output
-/// directions under dimension-order routing.
-///
-/// [`Topology::next_hop`] recomputes coordinates, wrap distances, and the
-/// tie-break on every call; the interconnect asks that question once per
-/// destination per hop, which makes it one of the hottest functions in a
-/// multicast-heavy run. This table collapses the whole computation to a
-/// single byte load. Built once per [`Torus`](crate::Torus).
-///
-/// # Examples
-///
-/// ```
-/// use patchsim_noc::{NodeId, RouteTable, Topology};
-///
-/// let topo = Topology::new(16);
-/// let routes = RouteTable::new(topo);
-/// assert_eq!(
-///     routes.next_hop(NodeId::new(0), NodeId::new(2)),
-///     topo.next_hop(NodeId::new(0), NodeId::new(2)),
-/// );
-/// ```
-#[derive(Clone, Debug)]
-pub struct RouteTable {
-    num_nodes: usize,
-    /// Entry `from * num_nodes + to`: the direction's index in
-    /// [`Direction::ALL`], or `SELF` when `from == to`.
-    dirs: Vec<u8>,
-}
-
-/// Table marker for `from == to` (no hop to take).
-const SELF: u8 = 4;
-
-impl RouteTable {
-    /// Precomputes every pairwise next hop for `topo`.
-    pub fn new(topo: Topology) -> Self {
-        let n = topo.num_nodes() as usize;
-        let mut dirs = vec![SELF; n * n];
-        for from in 0..n {
-            for to in 0..n {
-                if let Some(dir) = topo.next_hop(NodeId::new(from as u16), NodeId::new(to as u16)) {
-                    dirs[from * n + to] = dir.index() as u8;
-                }
-            }
-        }
-        RouteTable { num_nodes: n, dirs }
-    }
-
-    /// The output direction a packet at `from` takes toward `to`, or
-    /// `None` if `from == to`. Identical to [`Topology::next_hop`], one
-    /// byte load instead of a route computation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either node is out of range for the table's system size.
-    #[inline]
-    pub fn next_hop(&self, from: NodeId, to: NodeId) -> Option<Direction> {
-        let d = self.dirs[from.index() * self.num_nodes + to.index()];
-        if d == SELF {
-            None
-        } else {
-            Some(Direction::ALL[d as usize])
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use patchsim_kernel::SimRng;
 
     #[test]
     fn squarest_factorization() {
@@ -295,78 +165,6 @@ mod tests {
             t.neighbor(NodeId::new(12), Direction::YPlus),
             NodeId::new(0)
         );
-    }
-
-    #[test]
-    fn next_hop_none_for_self() {
-        let t = Topology::new(16);
-        assert_eq!(t.next_hop(NodeId::new(5), NodeId::new(5)), None);
-    }
-
-    #[test]
-    fn wraparound_distance() {
-        let t = Topology::new(64); // 8x8
-                                   // corner to corner: 1 hop x (wrap) + 1 hop y (wrap)
-        assert_eq!(t.hop_distance(NodeId::new(0), NodeId::new(63)), 2);
-        // max distance on 8x8 torus is 4+4
-        let max = (0..64)
-            .map(|i| t.hop_distance(NodeId::new(0), NodeId::new(i)))
-            .max()
-            .unwrap();
-        assert_eq!(max, 8);
-    }
-
-    #[test]
-    fn average_hop_distance_known_value() {
-        // 2x2 torus: distances from 0 are [0,1,1,2] -> avg over others = 4/3
-        let t = Topology::new(4);
-        assert!((t.average_hop_distance() - 4.0 / 3.0).abs() < 1e-12);
-        assert_eq!(Topology::new(1).average_hop_distance(), 0.0);
-    }
-
-    /// Following next_hop repeatedly always reaches the destination in
-    /// exactly hop_distance steps (routing is minimal and loop-free).
-    /// Randomised over 512 seeded (size, from, to) draws.
-    #[test]
-    fn routing_is_minimal() {
-        let mut rng = SimRng::from_seed(0x707);
-        for _ in 0..512 {
-            let n = 1 + rng.below(149) as u16;
-            let t = Topology::new(n);
-            let from = NodeId::new(rng.below(n as u64) as u16);
-            let to = NodeId::new(rng.below(n as u64) as u16);
-            let mut cur = from;
-            let mut steps = 0;
-            while let Some(dir) = t.next_hop(cur, to) {
-                cur = t.neighbor(cur, dir);
-                steps += 1;
-                assert!(
-                    steps <= t.hop_distance(from, to),
-                    "route exceeded minimal length"
-                );
-            }
-            assert_eq!(cur, to);
-            assert_eq!(steps, t.hop_distance(from, to));
-        }
-    }
-
-    /// The route table agrees with the on-the-fly computation for every
-    /// pair, across shapes with and without odd wrap ties.
-    #[test]
-    fn route_table_matches_next_hop() {
-        for n in [1u16, 4, 6, 15, 16, 64] {
-            let t = Topology::new(n);
-            let table = RouteTable::new(t);
-            for from in 0..n {
-                for to in 0..n {
-                    assert_eq!(
-                        table.next_hop(NodeId::new(from), NodeId::new(to)),
-                        t.next_hop(NodeId::new(from), NodeId::new(to)),
-                        "mismatch for {n}-node torus {from}->{to}"
-                    );
-                }
-            }
-        }
     }
 
     /// The factorization always multiplies back to the node count

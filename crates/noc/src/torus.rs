@@ -7,7 +7,7 @@
 mod tests {
     use crate::{
         DestSet, Fabric, FabricConfig, FabricKind, LinkBandwidth, NocEvent, NocPayload, NodeId,
-        Priority, Topology, TrafficClass,
+        Priority, TrafficClass,
     };
     use patchsim_kernel::{Cycle, EventQueue};
 
@@ -301,7 +301,7 @@ mod tests {
     #[test]
     fn default_hop_latency_calibrated_to_15_cycle_traversals() {
         let net = Fabric::<TestMsg>::new(torus(64));
-        let avg = Topology::new(64).average_hop_distance();
+        let avg = net.spec().average_hop_distance();
         let total = net.spec().class_params()[0].latency as f64 * avg;
         assert!(
             (total - 15.0).abs() <= 5.0,

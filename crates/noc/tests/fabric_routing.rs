@@ -1,12 +1,12 @@
 //! Fabric-subsystem contract tests.
 //!
 //! 1. **Golden equivalence**: the generic BFS routing-table builder,
-//!    instantiated on the torus adjacency, must reproduce the legacy
-//!    dimension-order next-hop table *exactly* — every `(src, dst)` pair,
-//!    several shapes (square, rectangular, odd widths with wrap ties, and
-//!    the paper's 512-node sweep size). This pins the fabric refactor
-//!    against the PR-3 perf-hash goldens: identical next hops mean
-//!    identical event sequences.
+//!    instantiated on the torus adjacency, must reproduce dimension-order
+//!    routing *exactly* — every `(src, dst)` pair, several shapes (square,
+//!    rectangular, odd widths with wrap ties, and the paper's 512-node
+//!    sweep size); the reference router is defined, and itself tested,
+//!    below. This pins the fabric against the perf-hash goldens:
+//!    identical next hops mean identical event sequences.
 //! 2. **Multicast-tree properties**: on every shipped fabric, the fan-out
 //!    expansion of a random `DestSet` delivers to exactly the destination
 //!    set (no duplicates, none missing) over edges that are real fabric
@@ -16,8 +16,141 @@
 use patchsim_kernel::{Cycle, EventQueue, SimRng};
 use patchsim_noc::{
     DestSet, Fabric, FabricConfig, FabricKind, FabricSpec, NocEvent, NocPayload, NodeId, Priority,
-    RouteTable, Topology, TrafficClass,
+    Topology, TrafficClass,
 };
+
+// ---------------------------------------------------------------------------
+// The reference dimension-order router.
+// ---------------------------------------------------------------------------
+
+/// Out-link slots of a torus node, in the order the torus adjacency lists
+/// its links (`Direction::ALL`).
+const X_PLUS: usize = 0;
+const X_MINUS: usize = 1;
+const Y_PLUS: usize = 2;
+const Y_MINUS: usize = 3;
+
+/// The out-link slot a packet at `from` takes toward `to` under
+/// dimension-order (X then Y) routing with shortest-way wraparound, or
+/// `None` if `from == to`.
+fn next_hop(t: Topology, from: NodeId, to: NodeId) -> Option<usize> {
+    if from == to {
+        return None;
+    }
+    let (fx, fy) = t.coords(from);
+    let (tx, ty) = t.coords(to);
+    if fx != tx {
+        let forward = (tx + t.width() - fx) % t.width();
+        // Ties (exactly half way around) break toward XPlus.
+        Some(if forward * 2 <= t.width() {
+            X_PLUS
+        } else {
+            X_MINUS
+        })
+    } else {
+        let forward = (ty + t.height() - fy) % t.height();
+        Some(if forward * 2 <= t.height() {
+            Y_PLUS
+        } else {
+            Y_MINUS
+        })
+    }
+}
+
+/// The node one hop from `node` through out-link `slot`.
+fn step(t: Topology, node: NodeId, slot: usize) -> NodeId {
+    let (x, y) = t.coords(node);
+    let (w, h) = (t.width(), t.height());
+    match slot {
+        X_PLUS => t.node_at((x + 1) % w, y),
+        X_MINUS => t.node_at((x + w - 1) % w, y),
+        Y_PLUS => t.node_at(x, (y + 1) % h),
+        Y_MINUS => t.node_at(x, (y + h - 1) % h),
+        _ => panic!("a torus node has four out-links, not slot {slot}"),
+    }
+}
+
+/// Minimal hop count between two nodes on the torus.
+fn hop_distance(t: Topology, a: NodeId, b: NodeId) -> u32 {
+    let (ax, ay) = t.coords(a);
+    let (bx, by) = t.coords(b);
+    let dx = {
+        let fwd = (bx + t.width() - ax) % t.width();
+        fwd.min(t.width() - fwd)
+    };
+    let dy = {
+        let fwd = (by + t.height() - ay) % t.height();
+        fwd.min(t.height() - fwd)
+    };
+    dx as u32 + dy as u32
+}
+
+/// Average hop distance between distinct node pairs.
+fn average_hop_distance(t: Topology) -> f64 {
+    let n = t.width() * t.height();
+    if n < 2 {
+        return 0.0;
+    }
+    // Distances from node 0 are representative: the torus is
+    // vertex-transitive.
+    let total: u64 = (0..n)
+        .map(|i| hop_distance(t, NodeId::new(0), NodeId::new(i)) as u64)
+        .sum();
+    total as f64 / (n - 1) as f64
+}
+
+#[test]
+fn next_hop_none_for_self() {
+    let t = Topology::new(16);
+    assert_eq!(next_hop(t, NodeId::new(5), NodeId::new(5)), None);
+}
+
+#[test]
+fn wraparound_distance() {
+    let t = Topology::new(64); // 8x8
+                               // corner to corner: 1 hop x (wrap) + 1 hop y (wrap)
+    assert_eq!(hop_distance(t, NodeId::new(0), NodeId::new(63)), 2);
+    // max distance on 8x8 torus is 4+4
+    let max = (0..64)
+        .map(|i| hop_distance(t, NodeId::new(0), NodeId::new(i)))
+        .max()
+        .unwrap();
+    assert_eq!(max, 8);
+}
+
+#[test]
+fn average_hop_distance_known_value() {
+    // 2x2 torus: distances from 0 are [0,1,1,2] -> avg over others = 4/3
+    let t = Topology::new(4);
+    assert!((average_hop_distance(t) - 4.0 / 3.0).abs() < 1e-12);
+    assert_eq!(average_hop_distance(Topology::new(1)), 0.0);
+}
+
+/// Following next_hop repeatedly always reaches the destination in
+/// exactly hop_distance steps (routing is minimal and loop-free).
+/// Randomised over 512 seeded (size, from, to) draws.
+#[test]
+fn routing_is_minimal() {
+    let mut rng = SimRng::from_seed(0x707);
+    for _ in 0..512 {
+        let n = 1 + rng.below(149) as u16;
+        let t = Topology::new(n);
+        let from = NodeId::new(rng.below(n as u64) as u16);
+        let to = NodeId::new(rng.below(n as u64) as u16);
+        let mut cur = from;
+        let mut steps = 0;
+        while let Some(slot) = next_hop(t, cur, to) {
+            cur = step(t, cur, slot);
+            steps += 1;
+            assert!(
+                steps <= hop_distance(t, from, to),
+                "route exceeded minimal length"
+            );
+        }
+        assert_eq!(cur, to);
+        assert_eq!(steps, hop_distance(t, from, to));
+    }
+}
 
 /// Torus shapes exercised by the golden test: tiny, square, rectangular,
 /// odd sizes with exact half-way wrap ties, and the paper's largest
@@ -28,23 +161,14 @@ const GOLDEN_SHAPES: [u16; 8] = [1, 2, 4, 6, 15, 16, 64, 512];
 fn bfs_builder_reproduces_dimension_order_routing_on_the_torus() {
     for n in GOLDEN_SHAPES {
         let topo = Topology::new(n);
-        let legacy = RouteTable::new(topo);
         let spec = FabricSpec::build(&FabricConfig::new(FabricKind::Torus, n));
         for from in 0..n {
             for to in 0..n {
                 let (from, to) = (NodeId::new(from), NodeId::new(to));
-                // The torus adjacency lists links in `Direction::ALL`
-                // order, so the generic out-link slot *is* the legacy
-                // direction index.
                 assert_eq!(
                     spec.next_slot(from, to),
-                    legacy.next_hop(from, to).map(|d| d.index()),
+                    next_hop(topo, from, to),
                     "{n}-node torus {from}->{to}: BFS builder diverged from dimension-order"
-                );
-                assert_eq!(
-                    spec.next_slot(from, to),
-                    topo.next_hop(from, to).map(|d| d.index()),
-                    "{n}-node torus {from}->{to}: BFS builder diverged from on-the-fly routing"
                 );
             }
         }
@@ -59,10 +183,10 @@ fn fabric_hop_distances_match_torus_geometry() {
         for a in 0..n {
             for b in 0..n {
                 let (a, b) = (NodeId::new(a), NodeId::new(b));
-                assert_eq!(spec.hop_distance(a, b), topo.hop_distance(a, b));
+                assert_eq!(spec.hop_distance(a, b), hop_distance(topo, a, b));
             }
         }
-        assert!((spec.average_hop_distance() - topo.average_hop_distance()).abs() < 1e-12);
+        assert!((spec.average_hop_distance() - average_hop_distance(topo)).abs() < 1e-12);
     }
 }
 

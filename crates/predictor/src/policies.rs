@@ -111,11 +111,6 @@ impl OwnerPredictor {
             table: PredictorTable::new(num_nodes),
         }
     }
-
-    /// Creates the policy with a custom table.
-    pub fn with_table(table: PredictorTable) -> Self {
-        OwnerPredictor { table }
-    }
 }
 
 impl Predictor for OwnerPredictor {
@@ -149,11 +144,6 @@ impl BroadcastIfSharedPredictor {
         BroadcastIfSharedPredictor {
             table: PredictorTable::new(num_nodes),
         }
-    }
-
-    /// Creates the policy with a custom table.
-    pub fn with_table(table: PredictorTable) -> Self {
-        BroadcastIfSharedPredictor { table }
     }
 }
 

@@ -16,6 +16,11 @@
 //!   sharers ack directly to the requester, and the data response carries
 //!   the number of acks to expect.
 //!
+//! How the blocking home orders, forwards and retires a request is shared
+//! with PATCH and lives in `home.rs`; this file keeps DIRECTORY's *policy*
+//! on top of it — the messages an activation sends, ack counting, the
+//! cold-read `E` grant and queued writebacks.
+//!
 //! ## Writeback races
 //!
 //! PUTs that arrive while the home is busy are queued like requests. This
@@ -28,19 +33,18 @@
 //! may safely discard its writeback state upon the ack, having answered
 //! any forwards from its ghost state in the meantime.
 
-use std::collections::VecDeque;
-
 use patchsim_kernel::collections::{fx_map_with_capacity, FxHashMap};
 
 use patchsim_kernel::Cycle;
-use patchsim_mem::{AccessKind, BlockAddr, CacheArray, SharerSet, TokenSet};
-use patchsim_noc::{DestSet, NodeId};
+use patchsim_mem::{AccessKind, BlockAddr, CacheArray, TokenSet};
+use patchsim_noc::NodeId;
 
 use crate::common::{LatencyEstimator, MigratoryDetector};
 use crate::controller::{
     Completion, Controller, CoreResponse, MemOp, Outbox, ProtocolCounters, ProtocolGauges,
     SpanMarks, TimerKey,
 };
+use crate::home::HomeEntry;
 use crate::{Msg, MsgBody, ProtocolConfig, RequestStyle};
 
 /// Stable cache states (I is represented by absence from the array).
@@ -112,17 +116,6 @@ struct WbTbe {
     state: CacheState,
 }
 
-/// One in-flight transaction at the home.
-#[derive(Debug)]
-struct BusyInfo {
-    requester: NodeId,
-    /// Whether the grant was exclusive (writes and migratory-upgraded
-    /// reads), which resets the sharer set on deactivation.
-    exclusive: bool,
-    serial: u64,
-    old_owner: Option<NodeId>,
-}
-
 /// A queued arrival at a busy home: either a request or a writeback.
 #[derive(Debug)]
 enum QueuedArrival {
@@ -138,14 +131,8 @@ enum QueuedArrival {
     },
 }
 
-#[derive(Debug)]
-struct HomeEntry {
-    owner: Option<NodeId>,
-    sharers: SharerSet,
-    busy: Option<BusyInfo>,
-    queue: VecDeque<QueuedArrival>,
-    mem_version: u64,
-}
+/// A block's home entry; its memory is the last written-back version.
+type DirHomeEntry = HomeEntry<u64, QueuedArrival>;
 
 /// The DIRECTORY controller for one node: private cache side plus the
 /// node's slice of the distributed directory/memory.
@@ -159,7 +146,7 @@ pub struct DirectoryController {
     wb: FxHashMap<BlockAddr, WbTbe>,
     /// A core op waiting for a writeback of the same block to finish.
     deferred: Option<MemOp>,
-    home: FxHashMap<BlockAddr, HomeEntry>,
+    home: FxHashMap<BlockAddr, DirHomeEntry>,
     migratory: MigratoryDetector,
     latency: LatencyEstimator,
     counters: ProtocolCounters,
@@ -200,17 +187,13 @@ impl DirectoryController {
         self.config.num_nodes
     }
 
-    fn home_entry(&mut self, addr: BlockAddr) -> &mut HomeEntry {
+    fn home_entry(&mut self, addr: BlockAddr) -> &mut DirHomeEntry {
         debug_assert_eq!(addr.home(self.config.num_nodes), self.id);
         let encoding = self.config.sharer_encoding;
         let n = self.config.num_nodes;
-        self.home.entry(addr).or_insert_with(|| HomeEntry {
-            owner: None,
-            sharers: SharerSet::new(n, encoding),
-            busy: None,
-            queue: VecDeque::new(),
-            mem_version: 0,
-        })
+        self.home
+            .entry(addr)
+            .or_insert_with(|| HomeEntry::new(n, encoding, 0))
     }
 
     // ------------------------------------------------------------------
@@ -393,10 +376,11 @@ impl DirectoryController {
                     }
                 }
             }
-            Some(_) => {
-                // A plain sharer: only invalidations are ever forwarded to
-                // sharers.
-                debug_assert!(invalidating, "read forwarded to a non-owner");
+            held => {
+                // A plain sharer, or a departed one (a stale invalidation,
+                // possible under coarse encodings — the ack still counts):
+                // only invalidations are ever forwarded to non-owners.
+                assert!(invalidating, "{}: read forwarded to a non-owner", self.id);
                 out.send_one(
                     self.n(),
                     requester,
@@ -410,31 +394,9 @@ impl DirectoryController {
                         },
                     ),
                 );
-                if !from_ghost {
+                if held.is_some() && !from_ghost {
                     self.cache.remove(addr);
                 }
-            }
-            None => {
-                // Stale invalidation to a departed sharer (possible under
-                // coarse encodings): the ack still counts.
-                assert!(
-                    invalidating,
-                    "{}: read forwarded to a node without the block",
-                    self.id
-                );
-                out.send_one(
-                    self.n(),
-                    requester,
-                    Msg::new(
-                        addr,
-                        MsgBody::Ack {
-                            from: self.id,
-                            serial,
-                            tokens: TokenSet::empty(),
-                            activation: false,
-                        },
-                    ),
-                );
             }
         }
     }
@@ -463,23 +425,9 @@ impl DirectoryController {
             false
         };
         let entry = self.home_entry(addr);
-        debug_assert!(entry.busy.is_none());
         let invalidating = kind.is_write() || exclusive_grant;
         let owner = entry.owner;
-
-        // Forward targets: the owner (for data) plus, when invalidating,
-        // every (possibly stale) sharer. The requester never receives its
-        // own forward.
-        let mut targets = DestSet::empty(n);
-        if invalidating {
-            targets.union_with(&entry.sharers.members());
-        }
-        if let Some(o) = owner {
-            if o != requester {
-                targets.insert(o);
-            }
-        }
-        targets.remove(requester);
+        let targets = entry.forward_targets(n, requester, invalidating);
         let owner_responds = owner.is_some() && owner != Some(requester);
         let acks_expected = (targets.len() as u32).saturating_sub(u32::from(owner_responds));
 
@@ -489,13 +437,8 @@ impl DirectoryController {
                 && targets.is_empty()
                 && entry.sharers.is_empty());
 
-        entry.busy = Some(BusyInfo {
-            requester,
-            exclusive: invalidating || exclusive,
-            serial,
-            old_owner: owner,
-        });
-        let mem_version = entry.mem_version;
+        entry.activate(requester, serial, invalidating || exclusive);
+        let mem_version = entry.memory;
 
         if !targets.is_empty() {
             let fwd_kind = kind;
@@ -573,7 +516,7 @@ impl DirectoryController {
         let stale = if entry.owner == Some(node) {
             // Owner writeback: absorb the data.
             if let Some(v) = version {
-                entry.mem_version = v;
+                entry.memory = v;
             }
             entry.owner = None;
             entry.sharers.remove_if_exact(node);
@@ -601,24 +544,8 @@ impl DirectoryController {
         serial: u64,
         out: &mut Outbox,
     ) {
-        let entry = self.home_entry(addr);
-        let busy = entry.busy.take().expect("deactivate at idle home");
-        assert_eq!(busy.requester, requester, "deactivate from wrong node");
-        assert_eq!(busy.serial, serial, "deactivate serial mismatch");
-        if busy.exclusive {
-            // Write or exclusive grant: the requester is the sole holder.
-            entry.sharers.clear();
-            entry.owner = Some(requester);
-        } else {
-            // Read: ownership migrated; the previous owner keeps a shared
-            // copy.
-            entry.owner = Some(requester);
-            if let Some(old) = busy.old_owner {
-                if old != requester {
-                    entry.sharers.insert(old);
-                }
-            }
-        }
+        // DIRECTORY's requesters always take ownership.
+        self.home_entry(addr).deactivate(requester, serial, true);
         self.drain_queue(addr, out);
     }
 
@@ -837,10 +764,7 @@ impl Controller for DirectoryController {
         self.demand.is_none()
             && self.wb.is_empty()
             && self.deferred.is_none()
-            && self
-                .home
-                .values()
-                .all(|e| e.busy.is_none() && e.queue.is_empty())
+            && self.home.values().all(HomeEntry::is_idle)
     }
 
     fn held_tokens(&self, _addr: BlockAddr) -> Option<TokenSet> {
@@ -879,6 +803,12 @@ mod tests {
 
     fn a(n: u64) -> BlockAddr {
         BlockAddr::new(n)
+    }
+
+    /// The home table holds one entry per touched block.
+    #[test]
+    fn home_entry_layout_is_pinned() {
+        assert!(std::mem::size_of::<DirHomeEntry>() <= 104);
     }
 
     #[test]

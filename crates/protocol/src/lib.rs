@@ -8,7 +8,8 @@
 //!   resolved without nacks by a busy state per block at the home; write
 //!   misses complete by counting invalidation acknowledgements.
 //! * [`PatchController`] — **PATCH**, the paper's contribution (§5.2): the
-//!   same directory skeleton with token state added everywhere, completion
+//!   same blocking home (`home.rs`, shared with DIRECTORY) with token
+//!   state added everywhere (`tokens.rs`, shared with TokenB), completion
 //!   by token counting, predictive best-effort direct requests, and
 //!   forward progress by **token tenure** (§4).
 //! * [`TokenBController`] — **TokenB**, the broadcast token-coherence
@@ -19,7 +20,7 @@
 //! Controllers are *node* objects: each hosts the node's private cache
 //! side and its slice of the distributed home (directory/memory). They
 //! communicate only through [`Msg`] values exchanged via an [`Outbox`] —
-//! the `patchsim` core crate wires outboxes to the torus interconnect and
+//! the `patchsim` core crate wires outboxes to the interconnect fabric and
 //! the event queue.
 
 #![forbid(unsafe_code)]
@@ -29,6 +30,7 @@ mod common;
 mod config;
 mod controller;
 mod directory;
+mod home;
 mod msg;
 mod patch;
 mod tokenb;

@@ -24,9 +24,11 @@
 //!
 //! The token-counting rules themselves (Table 1: how a holder answers,
 //! absorbs, performs on and returns tokens, and the messages they travel
-//! in) live in `tokens.rs`, shared with TokenB; this file is PATCH's
-//! *policy* on top of them — the directory, direct requests, tenure
-//! timers, activation and the deactivation window.
+//! in) live in `tokens.rs`, shared with TokenB, and the blocking home
+//! (how a request is ordered, forwarded and retired) in `home.rs`, shared
+//! with DIRECTORY; this file is PATCH's *policy* on top of the two — what
+//! the home sends on activation, direct requests, tenure timers, token
+//! redirection and the deactivation window.
 //!
 //! Two implementation rules keep the directory's owner pointer
 //! authoritative (and are asserted in the module tests):
@@ -43,8 +45,8 @@
 use patchsim_kernel::collections::{fx_map_with_capacity, FxHashMap};
 
 use patchsim_kernel::Cycle;
-use patchsim_mem::{AccessKind, BlockAddr, SharerSet, TokenSet};
-use patchsim_noc::{DestSet, NodeId, Priority};
+use patchsim_mem::{AccessKind, BlockAddr, TokenSet};
+use patchsim_noc::{NodeId, Priority};
 use patchsim_predictor::Predictor;
 
 use crate::common::{LatencyEstimator, MigratoryDetector};
@@ -52,6 +54,7 @@ use crate::controller::{
     Completion, Controller, CoreResponse, MemOp, Outbox, ProtocolCounters, ProtocolGauges,
     SpanMarks, TimerKey, TimerKind,
 };
+use crate::home::HomeEntry;
 use crate::tokens::{token_put, token_reply, Memory, TokenCache};
 use crate::{Msg, MsgBody, ProtocolConfig, RequestStyle};
 
@@ -72,23 +75,10 @@ struct PatchTbe {
     marks: SpanMarks,
 }
 
-#[derive(Debug)]
-struct PatchBusy {
-    requester: NodeId,
-    kind: AccessKind,
-    exclusive: bool,
-    serial: u64,
-    old_owner: Option<NodeId>,
-}
-
-#[derive(Debug)]
-struct PatchHomeEntry {
-    memory: Memory,
-    owner: Option<NodeId>,
-    sharers: SharerSet,
-    busy: Option<PatchBusy>,
-    queue: std::collections::VecDeque<(AccessKind, NodeId, u64)>,
-}
+/// A block's home entry: memory holds tokens, and only requests — as
+/// `(kind, requester, serial)` — queue behind a busy block (returned tokens
+/// are redirected at once).
+type PatchHomeEntry = HomeEntry<Memory, (AccessKind, NodeId, u64)>;
 
 /// The PATCH controller for one node: private cache side plus the node's
 /// slice of the distributed home.
@@ -156,13 +146,9 @@ impl PatchController {
         let encoding = self.config.sharer_encoding;
         let n = self.config.num_nodes;
         let total = self.config.total_tokens;
-        self.home.entry(addr).or_insert_with(|| PatchHomeEntry {
-            memory: Memory::full(total),
-            owner: None,
-            sharers: SharerSet::new(n, encoding),
-            busy: None,
-            queue: std::collections::VecDeque::new(),
-        })
+        self.home
+            .entry(addr)
+            .or_insert_with(|| HomeEntry::new(n, encoding, Memory::full(total)))
     }
 
     fn tenure_timeout(&self) -> u64 {
@@ -452,35 +438,16 @@ impl PatchController {
         } else {
             false
         };
-        let entry = self.home_entry(addr);
-        debug_assert!(entry.busy.is_none());
-        entry.busy = Some(PatchBusy {
-            requester,
-            kind,
-            exclusive,
-            serial,
-            old_owner: entry.owner,
-        });
         let invalidating = kind.is_write() || exclusive;
+        let entry = self.home_entry(addr);
+        let fwd_targets = entry.forward_targets(n, requester, invalidating);
+        entry.activate(requester, serial, invalidating);
 
         // The home contributes everything it holds, with the activation
         // bit riding along; if it holds nothing, a standalone activation
         // is sent.
         let home_tokens = entry.memory.tokens.take_all();
-        let (valid, version) = (entry.memory.valid, entry.memory.version);
-        let owner = entry.busy.as_ref().expect("just set").old_owner;
-        let fwd_targets = {
-            let mut t = if invalidating {
-                entry.sharers.members()
-            } else {
-                DestSet::empty(n)
-            };
-            if let Some(o) = owner {
-                t.insert(o);
-            }
-            t.remove(requester);
-            t
-        };
+        let version = entry.memory.version;
 
         if home_tokens.is_empty() {
             out.send_one_after(
@@ -497,7 +464,6 @@ impl PatchController {
                 ),
             );
         } else if home_tokens.has_owner() {
-            debug_assert!(valid, "home owner token implies valid memory data (Rule 5)");
             out.send_one_after(
                 n,
                 requester,
@@ -567,7 +533,6 @@ impl PatchController {
             // only with a dirty owner; a clean owner (a data-less return)
             // means memory's copy is valid (Rule 5), so data is attached
             // from memory.
-            debug_assert!(version.is_some() || !tokens.has_owner() || entry.memory.valid);
             let version = version.unwrap_or(entry.memory.version);
             let redirect = token_reply(addr, id, busy.serial, tokens, version, true);
             out.send_one_after(n, busy.requester, dir_latency, redirect);
@@ -589,30 +554,10 @@ impl PatchController {
         new_owner: bool,
         out: &mut Outbox,
     ) {
-        let entry = self.home_entry(addr);
-        let busy = entry.busy.take().expect("deactivate at idle home");
-        assert_eq!(busy.requester, requester);
-        assert_eq!(busy.serial, serial);
-        if busy.kind.is_write() || busy.exclusive {
-            entry.sharers.clear();
-            entry.owner = Some(requester);
-        } else {
-            if new_owner {
-                entry.owner = Some(requester);
-            } else {
-                entry.sharers.insert(requester);
-            }
-            if let Some(old) = busy.old_owner {
-                if old != requester && entry.owner != Some(old) {
-                    entry.sharers.insert(old);
-                }
-            }
-        }
-        // Requesters always keep at least one token on completion; track
-        // them as sharers unless they became the owner.
-        if entry.owner != Some(requester) {
-            entry.sharers.insert(requester);
-        }
+        // Requesters always keep at least one token on completion, so one
+        // that did not become the owner is tracked as a sharer.
+        self.home_entry(addr)
+            .deactivate(requester, serial, new_owner);
         self.drain_queue(addr, out);
     }
 
@@ -790,10 +735,7 @@ impl Controller for PatchController {
     fn is_quiescent(&self) -> bool {
         self.tbes.is_empty()
             && self.deferred.is_none()
-            && self
-                .home
-                .values()
-                .all(|e| e.busy.is_none() && e.queue.is_empty())
+            && self.home.values().all(HomeEntry::is_idle)
     }
 
     fn held_tokens(&self, addr: BlockAddr) -> Option<TokenSet> {
@@ -843,6 +785,13 @@ mod tests {
 
     fn stable_line(c: &mut PatchController, addr: BlockAddr, tokens: TokenSet, version: u64) {
         c.cache.absorb(addr, tokens, Some(version), true);
+    }
+
+    /// The home table holds one entry per touched block.
+    #[test]
+    fn home_entry_layout_is_pinned() {
+        assert_eq!(std::mem::size_of::<Memory>(), 16);
+        assert!(std::mem::size_of::<PatchHomeEntry>() <= 112);
     }
 
     #[test]

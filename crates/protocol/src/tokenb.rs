@@ -207,7 +207,6 @@ impl TokenBController {
         if slice.tokens.is_empty() || (!kind.is_write() && !slice.tokens.has_owner()) {
             return;
         }
-        debug_assert!(!slice.tokens.has_owner() || slice.valid);
         let tokens = slice.tokens.take_all();
         let delay = if tokens.has_owner() { dram } else { lookup };
         let reply = token_reply(addr, id, serial, tokens, slice.version, false);
@@ -381,7 +380,6 @@ impl TokenBController {
             let (n, id) = (self.n(), self.id);
             let slice = self.home_slice(addr);
             if !slice.tokens.is_empty() {
-                debug_assert!(!slice.tokens.has_owner() || slice.valid);
                 let tokens = slice.tokens.take_all();
                 let delay = if tokens.has_owner() { dram } else { 0 };
                 let reply = token_reply(addr, id, 0, tokens, slice.version, false);

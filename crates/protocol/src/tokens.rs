@@ -183,12 +183,12 @@ impl TokenCache {
     }
 }
 
-/// The home memory's token holdings for one block.
+/// The home memory's token holdings for one block. It keeps no valid-data
+/// bit: memory's copy is read only while it holds the owner token, and the
+/// owner token never returns without current data (Rules 4 and 5).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Memory {
     pub tokens: TokenSet,
-    /// Memory's valid-data bit (Rule 5).
-    pub valid: bool,
     pub version: u64,
 }
 
@@ -197,20 +197,18 @@ impl Memory {
     pub fn full(total: u32) -> Self {
         Memory {
             tokens: TokenSet::full(total, OwnerStatus::Clean),
-            valid: true,
             version: 0,
         }
     }
 
-    /// Takes returned tokens: Rule 1 cleans the owner token, Rule 5 sets
-    /// the valid-data bit. `version` is the written-back data, if any.
+    /// Takes returned tokens; Rule 1 cleans the owner token. `version` is
+    /// the written-back data, if any.
     pub fn absorb(&mut self, mut tokens: TokenSet, version: Option<u64>) {
         if let Some(v) = version {
             self.version = v;
         }
         if tokens.has_owner() {
             tokens.set_owner_clean();
-            self.valid = true;
         }
         self.tokens.merge(tokens);
     }
@@ -356,14 +354,12 @@ mod tests {
     fn memory_absorb_cleans_the_owner_sets_valid_and_takes_a_given_version() {
         let mut m = Memory {
             tokens: TokenSet::plain(1),
-            valid: false,
             version: 3,
         };
         m.absorb(TokenSet::plain(1), None);
-        assert!(!m.valid, "plain tokens prove nothing about memory's data");
+        assert_eq!((m.tokens, m.version), (TokenSet::plain(2), 3));
         m.absorb(TokenSet::full(2, OwnerStatus::Dirty), Some(8));
         assert_eq!(m.tokens, TokenSet::full(T, OwnerStatus::Clean));
-        assert!(m.valid);
         assert_eq!(m.version, 8);
         let mut clean_return = Memory {
             tokens: TokenSet::empty(),
