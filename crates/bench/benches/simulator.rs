@@ -159,6 +159,11 @@ fn bench_cache(c: &mut Criterion) {
     });
 }
 
+/// The paper's private cache: 1 MB, 4-way, 64-byte blocks — 16k lines.
+fn paper_geometry() -> CacheGeometry {
+    CacheGeometry::from_capacity(1 << 20, 64, 4)
+}
+
 /// What a node's cache sees inside a run, which the warm single-array
 /// benchmark above cannot: probes for blocks it does not hold, spread over
 /// as many arrays as there are nodes, so each probe finds its set cold in
@@ -167,9 +172,8 @@ fn bench_cache(c: &mut Criterion) {
 /// round-robin.
 fn bench_cache_cold(c: &mut Criterion) {
     let mut rng = SimRng::from_seed(14);
-    let mut caches: Vec<CacheArray<u64>> = (0..16)
-        .map(|_| CacheArray::new(CacheGeometry::from_capacity(1 << 20, 64, 4)))
-        .collect();
+    let mut caches: Vec<CacheArray<u64>> =
+        (0..16).map(|_| CacheArray::new(paper_geometry())).collect();
     for cache in &mut caches {
         for i in 0..256 {
             // Resident blocks are even, probed ones odd.
@@ -189,6 +193,71 @@ fn bench_cache_cold(c: &mut Criterion) {
                 }
             }
             hits
+        })
+    });
+}
+
+/// The other half of the same pattern: probes that hit. Same 16 arrays
+/// and ~256 resident blocks each; one iteration looks up 256 resident
+/// blocks in every array, round-robin, so each hit walks from the set's
+/// occupancy bit to its payload through host lines that went cold since
+/// the array was last visited.
+fn bench_cache_hit_cold(c: &mut Criterion) {
+    let mut rng = SimRng::from_seed(21);
+    let mut caches: Vec<CacheArray<u64>> =
+        (0..16).map(|_| CacheArray::new(paper_geometry())).collect();
+    let resident: Vec<Vec<BlockAddr>> = caches
+        .iter_mut()
+        .map(|cache| {
+            let mut blocks = Vec::new();
+            while blocks.len() < 256 {
+                let addr = BlockAddr::new(rng.below(1 << 30));
+                // A block that evicted an earlier one would leave a miss behind.
+                if cache.victim_for(addr).is_none() && !cache.contains(addr) {
+                    cache.insert(addr, 0);
+                    blocks.push(addr);
+                }
+            }
+            blocks
+        })
+        .collect();
+    c.bench_function("mem/cache_hit_cold_16x16k", |b| {
+        b.iter(|| {
+            let mut hits = 0u32;
+            for _ in 0..256 {
+                for (cache, blocks) in caches.iter_mut().zip(&resident) {
+                    let addr = blocks[rng.below(256) as usize];
+                    if let Some(payload) = cache.get_mut(addr) {
+                        *payload += 1;
+                        hits += 1;
+                    }
+                }
+            }
+            assert_eq!(hits, 256 * 16);
+            hits
+        })
+    });
+}
+
+/// What constructing a large system costs per node: 128 paper-geometry
+/// arrays, each built and then given the 150 distinct sets a node of
+/// `mesh128_scale` fills in a pass.
+fn bench_cache_new(c: &mut Criterion) {
+    let mut rng = SimRng::from_seed(21);
+    let geometry = paper_geometry();
+    c.bench_function("mem/cache_new_128x16k", |b| {
+        b.iter(|| {
+            let caches: Vec<CacheArray<u64>> = (0..128)
+                .map(|_| {
+                    let mut cache = CacheArray::new(geometry);
+                    let first = rng.below(1 << 30);
+                    for i in 0..150 {
+                        cache.insert(BlockAddr::new(first + i * 27), i);
+                    }
+                    cache
+                })
+                .collect();
+            caches
         })
     });
 }
@@ -238,6 +307,8 @@ criterion_group!(
     bench_torus,
     bench_cache,
     bench_cache_cold,
+    bench_cache_hit_cold,
+    bench_cache_new,
     bench_predictor_cold,
     bench_sharers,
     bench_dest_set

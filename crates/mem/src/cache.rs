@@ -1,8 +1,6 @@
 //! Set-associative cache arrays with LRU replacement.
 
-use std::fmt;
-
-use crate::BlockAddr;
+use crate::{BlockAddr, Chunked};
 
 /// The shape of a cache: number of sets × associativity.
 ///
@@ -95,23 +93,36 @@ pub struct Evicted<L> {
 ///
 /// # Host layout
 ///
-/// Three parallel per-way arrays, the ways of one set adjacent in each
-/// (`set * ways .. (set + 1) * ways`) — block tags, LRU stamps, payloads —
-/// and one occupancy bit per set. A probe that misses reads the set's bit
-/// and, if the set holds anything, its tags — 32 contiguous bytes at the
-/// paper's 4 ways — and nothing else; stamps and payloads are touched
-/// only on a tag match. Most deliveries a coherence controller sees are
-/// requests for blocks it does not hold, and a simulated system keeps one
-/// array per node, together far larger than the host's caches, so every
-/// line a miss does not touch is a host cache miss saved. The bits (512 B
-/// at the paper's 4096 sets) stay host-cache resident at any node count.
+/// Memory follows first touch, not geometry. Construction allocates two
+/// per-set tables and nothing per way: one occupancy bit per set, and
+/// `slot_of_set`, a `u32` per set that stays 0 until the set first
+/// receives an [`insert`](CacheArray::insert). That insert gives the set
+/// the next free *slot* in two [`Chunked`] arrays — one holds a set's tags
+/// followed by its LRU stamps, the other its payloads — and the set keeps
+/// the slot for the array's lifetime, also while it holds nothing. Storage
+/// comes in chunks of 64 slots, allocated when their first slot is handed
+/// out and never moved, so growth copies no line. A simulated system
+/// keeps one array per node and a run fills a sliver of each (150 of 4096
+/// sets per node on a 128-node mesh), so storage sized by geometry was most
+/// of the simulator's resident set and nearly all of its construction time.
 ///
-/// Invariants: way `i` is resident ⇔ `last_use[i] != 0` ⇔
-/// `payloads[i].is_some()`; bit `s` of `occupied` is set ⇔ set `s` has a
-/// resident way. `lru_clock` is bumped before every stamp, so resident
-/// stamps are ≥ 1 and distinct, and 0 marks an empty way. The tag of an
-/// empty way is never trusted, which leaves every [`BlockAddr`] a legal
-/// key; `remove` only makes it differ from the block that left.
+/// A probe reads the set's occupancy bit and stops there if the set is
+/// empty. Otherwise it reads the set's slot, then its tags — 32 contiguous
+/// bytes at the paper's 4 ways, with the stamps in the 32 after them —
+/// and touches the payloads only on a tag match. Most deliveries a
+/// coherence controller sees are requests for blocks it does not hold, and
+/// the arrays together are far larger than the host's caches, so every line
+/// a miss does not touch is a host cache miss saved. The bits (512 B at the
+/// paper's 4096 sets) stay host-cache resident at any node count.
+///
+/// Invariants: the non-zero values of `slot_of_set` are distinct and are
+/// exactly `1..=materialised`, and both arrays have storage for slots
+/// `0..materialised`. Way `w` of a slot is resident ⇔ its stamp is non-zero ⇔ its payload is `Some`;
+/// bit `s` of `occupied` is set ⇔ set `s` has a slot with a resident way.
+/// `lru_clock` is bumped before every stamp, so resident stamps are ≥ 1 and
+/// distinct, and 0 marks an empty way. The tag of an empty way is never
+/// trusted, which leaves every [`BlockAddr`] a legal key; `remove` only
+/// makes it differ from the block that left.
 ///
 /// # Examples
 ///
@@ -128,25 +139,53 @@ pub struct Evicted<L> {
 #[derive(Debug)]
 pub struct CacheArray<L> {
     geometry: CacheGeometry,
-    tags: Vec<u64>,
-    last_use: Vec<u64>,
-    payloads: Vec<Option<L>>,
     occupied: Vec<u64>,
+    slot_of_set: Vec<u32>,
+    /// How many sets have a slot: slots `0..materialised` are in use.
+    materialised: u32,
+    /// Per slot, the set's tags then its stamps.
+    meta: Chunked<u64>,
+    /// Per slot, the set's payloads.
+    payloads: Chunked<Option<L>>,
     lru_clock: u64,
 }
 
+/// The way holding `addr` in a set with these tags and stamps.
+fn way_of(tags: &[u64], stamps: &[u64], addr: BlockAddr) -> Option<usize> {
+    let holds = |(&tag, &stamp): (&u64, &u64)| tag == addr.raw() && stamp != 0;
+    tags.iter().zip(stamps).position(holds)
+}
+
+/// Where [`CacheArray::insert`] would put `addr` in a set: the way with the
+/// smallest stamp, first on ties — the lowest-index empty way (stamp 0)
+/// while the set has one, its LRU line otherwise — or `None` if `addr` is
+/// resident. One pass over the set's tags and stamps.
+fn placement(tags: &[u64], stamps: &[u64], addr: BlockAddr) -> Option<usize> {
+    let mut target = 0;
+    for (way, (&tag, &stamp)) in tags.iter().zip(stamps).enumerate() {
+        if stamp != 0 && tag == addr.raw() {
+            return None;
+        }
+        if stamp < stamps[target] {
+            target = way;
+        }
+    }
+    Some(target)
+}
+
 impl<L> CacheArray<L> {
-    /// Creates an empty array with the given geometry.
+    /// Creates an empty array with the given geometry. Allocates per set
+    /// (an occupancy bit and a slot index), never per way.
     pub fn new(geometry: CacheGeometry) -> Self {
-        let blocks = geometry.blocks() as usize;
-        let mut payloads = Vec::new();
-        payloads.resize_with(blocks, || None);
+        let sets = geometry.sets() as usize;
+        let ways = geometry.ways() as usize;
         CacheArray {
             geometry,
-            tags: vec![0; blocks],
-            last_use: vec![0; blocks],
-            payloads,
-            occupied: vec![0; (geometry.sets() as usize).div_ceil(64)],
+            occupied: vec![0; sets.div_ceil(64)],
+            slot_of_set: vec![0; sets],
+            materialised: 0,
+            meta: Chunked::new(2 * ways),
+            payloads: Chunked::new(ways),
             lru_clock: 0,
         }
     }
@@ -156,62 +195,67 @@ impl<L> CacheArray<L> {
         self.geometry
     }
 
-    fn ways_of(&self, set: usize) -> std::ops::Range<usize> {
+    /// `set`'s slot, if the set ever received a line.
+    fn slot_of(&self, set: usize) -> Option<usize> {
+        Some(self.slot_of_set[set].checked_sub(1)? as usize)
+    }
+
+    /// The tags and the stamps of the set in `slot`.
+    fn tags_and_stamps(&self, slot: usize) -> (&[u64], &[u64]) {
+        self.meta[slot].split_at(self.geometry.ways as usize)
+    }
+
+    fn tags_and_stamps_mut(&mut self, slot: usize) -> (&mut [u64], &mut [u64]) {
         let ways = self.geometry.ways as usize;
-        set * ways..(set + 1) * ways
+        self.meta[slot].split_at_mut(ways)
     }
 
-    /// The way holding `addr`. Reads the set's occupancy bit, its tags if
-    /// it holds anything, and a stamp only where a tag matches.
-    fn way_of(&self, addr: BlockAddr) -> Option<usize> {
+    /// The set `addr` maps to, if it holds anything: the occupancy test
+    /// every probe starts with, and where most of them end.
+    fn occupied_set(&self, addr: BlockAddr) -> Option<usize> {
         let set = self.geometry.set_of(addr);
-        if self.occupied[set / 64] >> (set % 64) & 1 == 0 {
-            return None;
-        }
-        let range = self.ways_of(set);
-        let base = range.start;
-        self.tags[range]
-            .iter()
-            .enumerate()
-            .find(|&(w, &tag)| tag == addr.raw() && self.last_use[base + w] != 0)
-            .map(|(w, _)| base + w)
-    }
-
-    /// Where [`CacheArray::insert`] would put `addr` in its set: the way with
-    /// the smallest stamp, first on ties — the lowest-index empty way (stamp
-    /// 0) while the set has one, its LRU line otherwise — or `None` if
-    /// `addr` is resident. One pass over the set's tags and stamps.
-    fn placement(&self, set: usize, addr: BlockAddr) -> Option<usize> {
-        let range = self.ways_of(set);
-        let mut target = range.start;
-        for i in range {
-            let stamp = self.last_use[i];
-            if stamp != 0 && self.tags[i] == addr.raw() {
-                return None;
-            }
-            if stamp < self.last_use[target] {
-                target = i;
-            }
-        }
-        Some(target)
+        (self.occupied[set / 64] >> (set % 64) & 1 != 0).then_some(set)
     }
 
     /// Looks up `addr` without updating recency.
+    #[inline]
     pub fn peek(&self, addr: BlockAddr) -> Option<&L> {
-        self.payloads[self.way_of(addr)?].as_ref()
+        self.peek_in(self.occupied_set(addr)?, addr)
+    }
+
+    // What `peek` and `get_mut` do past the occupancy test — read the set's
+    // slot, then its tags, then a stamp and the payload where a tag matches
+    // — is kept out of line so that the test itself inlines into the
+    // controllers: a probe that ends there should not pay for a call frame.
+    #[inline(never)]
+    fn peek_in(&self, set: usize, addr: BlockAddr) -> Option<&L> {
+        let slot = self.slot_of(set).expect("an occupied set has a slot");
+        let (tags, stamps) = self.tags_and_stamps(slot);
+        let way = way_of(tags, stamps, addr)?;
+        self.payloads[slot][way].as_ref()
     }
 
     /// Looks up `addr`, marking the line most-recently-used.
+    #[inline]
     pub fn get_mut(&mut self, addr: BlockAddr) -> Option<&mut L> {
         self.lru_clock += 1;
-        let way = self.way_of(addr)?;
-        self.last_use[way] = self.lru_clock;
-        self.payloads[way].as_mut()
+        self.get_mut_in(self.occupied_set(addr)?, addr)
+    }
+
+    #[inline(never)]
+    fn get_mut_in(&mut self, set: usize, addr: BlockAddr) -> Option<&mut L> {
+        let slot = self.slot_of(set).expect("an occupied set has a slot");
+        let now = self.lru_clock;
+        let (tags, stamps) = self.tags_and_stamps_mut(slot);
+        let way = way_of(tags, stamps, addr)?;
+        stamps[way] = now;
+        self.payloads[slot][way].as_mut()
     }
 
     /// Whether `addr` is resident.
+    #[inline]
     pub fn contains(&self, addr: BlockAddr) -> bool {
-        self.way_of(addr).is_some()
+        self.peek(addr).is_some()
     }
 
     /// Inserts `addr`, evicting the set's LRU line if the set is full.
@@ -222,14 +266,26 @@ impl<L> CacheArray<L> {
     /// update lines in place, never double-allocate.
     pub fn insert(&mut self, addr: BlockAddr, payload: L) -> Option<Evicted<L>> {
         let set = self.geometry.set_of(addr);
-        let Some(way) = self.placement(set, addr) else {
+        let slot = self.slot_of(set).unwrap_or_else(|| {
+            // First touch: the next slot, for good.
+            let slot = self.materialised as usize;
+            self.meta.touch(slot);
+            self.payloads.touch(slot);
+            self.materialised += 1;
+            self.slot_of_set[set] = self.materialised;
+            slot
+        });
+        self.lru_clock += 1;
+        let now = self.lru_clock;
+        let (tags, stamps) = self.tags_and_stamps_mut(slot);
+        let Some(way) = placement(tags, stamps, addr) else {
             panic!("block {addr} inserted while already resident");
         };
-        self.lru_clock += 1;
-        self.last_use[way] = self.lru_clock;
+        stamps[way] = now;
+        let old_addr = BlockAddr::new(std::mem::replace(&mut tags[way], addr.raw()));
         self.occupied[set / 64] |= 1 << (set % 64);
-        let old_addr = BlockAddr::new(std::mem::replace(&mut self.tags[way], addr.raw()));
-        self.payloads[way].replace(payload).map(|payload| Evicted {
+        let evicted = self.payloads[slot][way].replace(payload);
+        evicted.map(|payload| Evicted {
             addr: old_addr,
             payload,
         })
@@ -238,31 +294,47 @@ impl<L> CacheArray<L> {
     /// The address that [`CacheArray::insert`] would evict to make room
     /// for `addr`, if the set is full.
     pub fn victim_for(&self, addr: BlockAddr) -> Option<BlockAddr> {
-        let way = self.placement(self.geometry.set_of(addr), addr)?;
-        (self.last_use[way] != 0).then(|| BlockAddr::new(self.tags[way]))
+        let slot = self.slot_of(self.geometry.set_of(addr))?;
+        let (tags, stamps) = self.tags_and_stamps(slot);
+        let way = placement(tags, stamps, addr)?;
+        (stamps[way] != 0).then(|| BlockAddr::new(tags[way]))
     }
 
     /// Removes `addr`, returning its payload.
     pub fn remove(&mut self, addr: BlockAddr) -> Option<L> {
-        let way = self.way_of(addr)?;
-        self.last_use[way] = 0;
+        let set = self.occupied_set(addr)?;
+        let slot = self.slot_of(set).expect("an occupied set has a slot");
+        let (tags, stamps) = self.tags_and_stamps_mut(slot);
+        let way = way_of(tags, stamps, addr)?;
+        stamps[way] = 0;
         // A block just given away is the likeliest to be probed again (its
         // old holders keep seeing requests for it): make that probe fail on
         // the tag alone.
-        self.tags[way] = !addr.raw();
-        let set = self.geometry.set_of(addr);
-        if self.last_use[self.ways_of(set)]
-            .iter()
-            .all(|&stamp| stamp == 0)
-        {
+        tags[way] = !addr.raw();
+        if stamps.iter().all(|&stamp| stamp == 0) {
             self.occupied[set / 64] &= !(1 << (set % 64));
         }
-        self.payloads[way].take()
+        self.payloads[slot][way].take()
+    }
+
+    /// How many ways have storage: what the chunks allocated so far hold.
+    #[cfg(test)]
+    fn allocated_ways(&self) -> usize {
+        assert_eq!(
+            self.meta.allocated(),
+            self.payloads.allocated(),
+            "tags, stamps and payloads are allocated together"
+        );
+        self.payloads.allocated() * self.geometry.ways as usize
     }
 
     /// Number of resident blocks.
     pub fn len(&self) -> usize {
-        self.last_use.iter().filter(|&&stamp| stamp != 0).count()
+        let slots = 0..self.materialised as usize;
+        slots
+            .flat_map(|slot| &self.payloads[slot])
+            .flatten()
+            .count()
     }
 
     /// Whether the cache is empty.
@@ -271,32 +343,12 @@ impl<L> CacheArray<L> {
     }
 
     /// Iterates over `(address, payload)` pairs in ascending line order
-    /// (set-major, then way).
+    /// (set-major, then way), whatever order the sets were first filled in.
     pub fn iter(&self) -> impl Iterator<Item = (BlockAddr, &L)> {
-        self.tags
-            .iter()
-            .zip(&self.payloads)
+        (0..self.slot_of_set.len())
+            .filter_map(|set| self.slot_of(set))
+            .flat_map(|slot| self.meta[slot].iter().zip(&self.payloads[slot]))
             .filter_map(|(&tag, payload)| Some((BlockAddr::new(tag), payload.as_ref()?)))
-    }
-
-    /// Iterates mutably over `(address, payload)` pairs.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (BlockAddr, &mut L)> {
-        self.tags
-            .iter()
-            .zip(&mut self.payloads)
-            .filter_map(|(&tag, payload)| Some((BlockAddr::new(tag), payload.as_mut()?)))
-    }
-}
-
-impl<L> fmt::Display for CacheArray<L> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "cache {}x{} ({} resident)",
-            self.geometry.sets,
-            self.geometry.ways,
-            self.len()
-        )
     }
 }
 
@@ -391,18 +443,6 @@ mod tests {
         assert_eq!(got, vec![0, 1, 2]);
     }
 
-    #[test]
-    fn iter_mut_updates_payloads() {
-        let mut c = CacheArray::new(CacheGeometry::new(2, 1));
-        c.insert(a(0), 1);
-        c.insert(a(1), 2);
-        for (_, p) in c.iter_mut() {
-            *p *= 10;
-        }
-        assert_eq!(c.peek(a(0)), Some(&10));
-        assert_eq!(c.peek(a(1)), Some(&20));
-    }
-
     /// The cache never holds more blocks than its capacity, never holds
     /// duplicates, and every resident block was inserted and not yet
     /// evicted/removed. Randomised over 256 seeded op sequences.
@@ -469,6 +509,7 @@ mod tests {
                 set * ways..(set + 1) * ways
             }
 
+            #[inline]
             pub fn peek(&self, addr: BlockAddr) -> Option<&L> {
                 self.lines[self.set_range(addr)]
                     .iter()
@@ -477,6 +518,7 @@ mod tests {
                     .map(|l| &l.payload)
             }
 
+            #[inline]
             pub fn get_mut(&mut self, addr: BlockAddr) -> Option<&mut L> {
                 self.lru_clock += 1;
                 let clock = self.lru_clock;
@@ -491,6 +533,7 @@ mod tests {
                     })
             }
 
+            #[inline]
             pub fn contains(&self, addr: BlockAddr) -> bool {
                 self.peek(addr).is_some()
             }
@@ -566,14 +609,18 @@ mod tests {
 
     /// Every operation returns what the reference returns — payloads,
     /// eviction victims in order, `victim_for` predictions, `len`, and the
-    /// `iter` sequence — over 256 seeded op sequences on five geometries
-    /// (one non-power-of-two) and an address pool that collides in a few
-    /// sets and includes 0, `u64::MAX` and a complement pair per set.
+    /// `iter` sequence — over 256 seeded op sequences on six geometries (two
+    /// with a non-power-of-two associativity) and an address pool that
+    /// collides in a few sets and includes 0, `u64::MAX` and a complement
+    /// pair per set. Every case starts by probing sets nothing touched yet;
+    /// the larger geometries then fill 140 sets in a scrambled order, so the
+    /// 65th and the 129th set to be touched open a chunk of their own, and
+    /// keep operating on all of them.
     #[test]
     fn matches_line_array_oracle() {
-        const GEOMETRIES: [(u32, u32); 5] = [(1, 1), (1, 4), (4, 2), (3, 5), (4096, 4)];
+        const GEOMETRIES: [(u32, u32); 6] = [(1, 1), (1, 4), (4, 2), (3, 5), (4096, 4), (200, 3)];
         let mut rng = SimRng::from_seed(0xD1FF);
-        let (mut evictions, mut hits, mut extremes) = (0, 0, 0);
+        let (mut evictions, mut hits, mut extremes, mut refills) = (0, 0, 0, 0);
         for case in 0..256 {
             let (sets, ways) = GEOMETRIES[case % GEOMETRIES.len()];
             let geometry = CacheGeometry::new(sets, ways);
@@ -584,17 +631,40 @@ mod tests {
                     pool.extend([raw, !raw]);
                 }
             }
+            // 37 is coprime to both set counts: 140 distinct sets, neither
+            // ascending nor descending.
+            let scrambled: Vec<u64> = (0..140)
+                .filter(|_| sets >= 200)
+                .map(|k| u64::from((k * 37 + 11) % sets))
+                .collect();
+            for &set in &scrambled {
+                pool.extend([set, set + u64::from(sets)]);
+            }
             let mut new = CacheArray::new(geometry);
             let mut old = oracle::LineArray::new(geometry);
-            for op in 0..(1 + rng.below(299)) {
-                let addr = a(pool[rng.below(pool.len() as u64) as usize]);
-                match rng.below(6) {
+            // Resident blocks per set that was ever filled.
+            let mut filled = std::collections::BTreeMap::new();
+            let probed: Vec<u64> = pool.iter().copied().step_by(7).collect();
+            let never_touched = probed
+                .iter()
+                .flat_map(|&raw| (1..6).map(move |kind| (raw, kind)));
+            let fill = scrambled.iter().map(|&raw| (raw, 0));
+            let ops = 1 + rng.below(299);
+            let random: Vec<_> = (0..ops)
+                .map(|_| (pool[rng.below(pool.len() as u64) as usize], rng.below(6)))
+                .collect();
+            for (op, (raw, kind)) in never_touched.chain(fill).chain(random).enumerate() {
+                let addr = a(raw);
+                match kind {
                     0 if !old.contains(addr) => {
-                        let payload = ((case as u64) << 32) | op;
+                        let payload = ((case as u64) << 32) | op as u64;
                         let victim = new.insert(addr, payload);
                         assert_eq!(victim, old.insert(addr, payload));
                         evictions += victim.is_some() as u32;
-                        extremes += (addr.raw() == 0 || addr.raw() == u64::MAX) as u32;
+                        extremes += (raw == 0 || raw == u64::MAX) as u32;
+                        let set = geometry.set_of(addr);
+                        refills += (filled.get(&set) == Some(&0)) as u32;
+                        *filled.entry(set).or_insert(0) += victim.is_none() as usize;
                     }
                     1 => {
                         let (n, o) = (new.get_mut(addr), old.get_mut(addr));
@@ -606,22 +676,90 @@ mod tests {
                         }
                     }
                     2 => assert_eq!(new.peek(addr), old.peek(addr)),
-                    3 => assert_eq!(new.remove(addr), old.remove(addr)),
+                    3 => {
+                        let removed = new.remove(addr);
+                        assert_eq!(removed, old.remove(addr));
+                        if removed.is_some() {
+                            *filled.get_mut(&geometry.set_of(addr)).unwrap() -= 1;
+                        }
+                    }
                     4 => assert_eq!(new.victim_for(addr), old.victim_for(addr)),
                     _ => assert_eq!(new.contains(addr), old.contains(addr)),
                 }
-                assert_eq!(new.len(), old.len());
                 assert_eq!(new.is_empty(), old.is_empty());
-                // The full scan is too slow to repeat per op on 16k lines.
+                // The full scans are too slow to repeat per op on 16k lines.
                 if sets < 4096 {
+                    assert_eq!(new.len(), old.len());
                     assert!(new.iter().eq(old.iter()));
                 }
+                if op + 1 == 5 * probed.len() + scrambled.len() && !scrambled.is_empty() {
+                    assert_eq!(new.allocated_ways(), 3 * 64 * ways as usize);
+                }
             }
+            assert_eq!(new.len(), old.len());
             assert!(new.iter().eq(old.iter()));
-            assert!(new.iter_mut().map(|(addr, p)| (addr, &*p)).eq(old.iter()));
+            assert_eq!(
+                new.allocated_ways(),
+                filled.len().div_ceil(64) * 64 * ways as usize
+            );
         }
         // Vacuity guards: the sequences did reach the interesting paths.
-        assert!(evictions > 500 && hits > 500 && extremes > 50);
+        assert!(evictions > 500 && hits > 500 && extremes > 50 && refills > 50);
+    }
+
+    /// Memory follows first touch: construction allocates no per-way
+    /// storage whatever the geometry, lookups never allocate, and after
+    /// inserts into `k` distinct sets — in any order, with removals,
+    /// re-inserts and evictions in between — exactly `ceil(k / 64)` chunks of
+    /// 64 sets' ways exist.
+    #[test]
+    fn storage_follows_first_touch() {
+        let paper = CacheGeometry::from_capacity(1 << 20, 64, 4);
+        assert_eq!(CacheArray::<u64>::new(paper).allocated_ways(), 0);
+        let mut rng = SimRng::from_seed(0xF1257);
+        for (sets, ways) in [(4096, 4), (200, 3), (64, 1), (1, 2)] {
+            let mut c = CacheArray::new(CacheGeometry::new(sets, ways));
+            let mut touched = std::collections::BTreeSet::new();
+            for op in 0..2000 {
+                let addr = a(rng.below(8 * u64::from(sets)));
+                match rng.below(4) {
+                    0 if !c.contains(addr) => {
+                        c.insert(addr, op);
+                        touched.insert(addr.raw() % u64::from(sets));
+                    }
+                    1 => drop(c.remove(addr)),
+                    2 => drop(c.get_mut(addr)),
+                    _ => drop((c.peek(addr), c.victim_for(addr))),
+                }
+                let chunks = touched.len().div_ceil(64);
+                assert_eq!(c.allocated_ways(), chunks * 64 * ways as usize);
+            }
+            assert!(touched.len() >= 129.min(sets as usize), "vacuous: {sets}");
+        }
+    }
+
+    /// A set emptied by `remove` keeps its slot: refilling it allocates
+    /// nothing, and what `remove` parked in its tags is never trusted.
+    #[test]
+    fn emptied_set_is_refilled_in_place() {
+        let mut c = CacheArray::new(CacheGeometry::new(128, 2));
+        for set in 0..64 {
+            c.insert(a(set), set);
+        }
+        assert_eq!(c.allocated_ways(), 64 * 2);
+        assert_eq!(c.remove(a(5)), Some(5));
+        assert_eq!(c.victim_for(a(5)), None);
+        assert!(!c.contains(a(5)) && !c.contains(a(!5)) && c.peek(a(133)).is_none());
+        assert!(
+            c.insert(a(133), 133).is_none(),
+            "set 5 again, another block"
+        );
+        assert!(c.insert(a(5), 5).is_none());
+        assert_eq!(c.allocated_ways(), 64 * 2, "set 5 kept its slot");
+        assert_eq!(c.insert(a(261), 261).map(|v| v.addr), Some(a(133)));
+        c.insert(a(64), 64);
+        assert_eq!(c.allocated_ways(), 2 * 64 * 2, "the 65th set opens a chunk");
+        assert_eq!(c.len(), 66);
     }
 
     /// A removed block's way is reusable by any address, including the one

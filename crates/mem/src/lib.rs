@@ -11,6 +11,9 @@
 //!   of Table 2.
 //! * [`CacheArray`] — a set-associative array with LRU replacement, generic
 //!   over the per-line coherence payload.
+//! * [`Chunked`] — the append-only record storage under `CacheArray` and the
+//!   predictors' table, which lets a per-node table cost what a run touches
+//!   of it rather than what the paper's geometry could hold.
 //! * [`SharerSet`] / [`SharerEncoding`] — exact (full-map) and inexact
 //!   (coarse-vector) directory sharer encodings. The coarse encodings drive
 //!   the paper's scalability results (Figures 9–10): with `K` cores per
@@ -24,11 +27,13 @@
 mod access;
 mod addr;
 mod cache;
+mod chunked;
 mod sharers;
 mod token;
 
 pub use access::AccessKind;
 pub use addr::BlockAddr;
 pub use cache::{CacheArray, CacheGeometry, Evicted};
+pub use chunked::Chunked;
 pub use sharers::{SharerEncoding, SharerSet};
 pub use token::{MoesiState, OwnerStatus, TokenSet};

@@ -1,6 +1,6 @@
 //! The macroblock-indexed prediction table shared by the trained policies.
 
-use patchsim_mem::BlockAddr;
+use patchsim_mem::{BlockAddr, Chunked};
 use patchsim_noc::{DestSet, NodeId};
 
 /// A direct-mapped prediction table indexed by macroblock.
@@ -26,29 +26,35 @@ use patchsim_noc::{DestSet, NodeId};
 ///
 /// # Host layout
 ///
-/// Three parallel per-slot arrays: macroblock tags, owner candidates
-/// (`u16`), and one flat vector of sharing-group bit words
-/// (`ceil(num_nodes / 64)` per slot, bit `n % 64` of word `n / 64` for node
-/// `n`). A lookup whose tag does not match reads one tag and nothing else,
-/// and no slot owns a heap allocation at any node count.
+/// One [`Chunked`] array of entries indexed by table slot — macroblock tag,
+/// owner candidate, then the sharing group's bit words (`ceil(num_nodes /
+/// 64)` of them, bit `n % 64` of word `n / 64` for node `n`) — whose storage
+/// is allocated 64 slots at a time, the first time a macroblock is recorded
+/// in one of them. Consecutive macroblocks map to consecutive slots, so the
+/// few hundred macroblocks a node of a large system sees in a run land in a
+/// handful of chunks out of 128, and construction allocates nothing. A
+/// lookup or an update reads one entry, its words adjacent in memory; no
+/// slot owns a heap allocation at any node count.
 ///
-/// Invariant: a slot never written holds tag 0, no owner and an empty
-/// group — exactly the state of a slot just recycled — so slot occupancy
-/// needs no flag and every macroblock number is a legal tag: an untouched
-/// slot that happens to match answers like a miss.
+/// Invariant: an entry never written holds tag 0, no owner and an empty
+/// group — exactly the state of an entry just recycled — so occupancy needs
+/// no flag and every macroblock number is a legal tag: an untouched entry
+/// that happens to match answers like a miss, as a slot without storage
+/// does.
 #[derive(Debug)]
 pub struct PredictorTable {
     num_nodes: u16,
     blocks_per_macroblock: u64,
-    words_per_slot: usize,
-    tags: Vec<u64>,
-    owners: Vec<u16>,
-    groups: Vec<u64>,
+    slots: usize,
+    entries: Chunked<u64>,
 }
 
-/// The `owners` value for "no owner candidate". Never a node id: ids are
-/// below `num_nodes`, itself a `u16`.
-const NO_OWNER: u16 = u16::MAX;
+/// Where an entry keeps its macroblock number.
+const TAG: usize = 0;
+/// Where an entry keeps its owner candidate: 1 + the node id, 0 for none.
+const OWNER: usize = 1;
+/// Where an entry's sharing-group words start.
+const GROUP: usize = 2;
 
 impl PredictorTable {
     /// The paper's table size.
@@ -75,50 +81,44 @@ impl PredictorTable {
     pub fn with_geometry(num_nodes: u16, entries: usize, blocks_per_macroblock: u64) -> Self {
         assert!(entries > 0, "table needs at least one entry");
         assert!(blocks_per_macroblock > 0);
-        let words_per_slot = (num_nodes as usize).div_ceil(64);
         PredictorTable {
             num_nodes,
             blocks_per_macroblock,
-            words_per_slot,
-            tags: vec![0; entries],
-            owners: vec![NO_OWNER; entries],
-            groups: vec![0; entries * words_per_slot],
+            slots: entries,
+            entries: Chunked::new(GROUP + (num_nodes as usize).div_ceil(64)),
         }
     }
 
     /// `addr`'s macroblock and the slot it maps to.
     fn locate(&self, addr: BlockAddr) -> (u64, usize) {
         let mb = addr.macroblock(self.blocks_per_macroblock);
-        (mb, (mb % self.tags.len() as u64) as usize)
+        (mb, (mb % self.slots as u64) as usize)
     }
 
-    fn group_words(&self, idx: usize) -> &[u64] {
-        &self.groups[idx * self.words_per_slot..(idx + 1) * self.words_per_slot]
-    }
-
-    /// The slot holding `addr`'s macroblock, if the table has it.
-    fn peek(&self, addr: BlockAddr) -> Option<usize> {
-        let (mb, idx) = self.locate(addr);
-        (self.tags[idx] == mb).then_some(idx)
+    /// The entry holding `addr`'s macroblock, if the table has it.
+    fn peek(&self, addr: BlockAddr) -> Option<&[u64]> {
+        let (mb, slot) = self.locate(addr);
+        self.entries.get(slot).filter(|entry| entry[TAG] == mb)
     }
 
     /// Adds `from` to the sharing group of `addr`'s macroblock, first
-    /// recycling the slot on a conflict (or cold) miss. Returns the slot.
-    fn record(&mut self, addr: BlockAddr, from: NodeId) -> usize {
+    /// recycling the slot's entry on a conflict (or cold) miss. Returns the
+    /// entry.
+    fn record(&mut self, addr: BlockAddr, from: NodeId) -> &mut [u64] {
         assert!(
             from.raw() < self.num_nodes,
             "{from} out of range for {}-node system",
             self.num_nodes
         );
-        let (mb, idx) = self.locate(addr);
-        let base = idx * self.words_per_slot;
-        if self.tags[idx] != mb {
-            self.tags[idx] = mb;
-            self.owners[idx] = NO_OWNER;
-            self.groups[base..base + self.words_per_slot].fill(0);
+        let (mb, slot) = self.locate(addr);
+        let entry = self.entries.touch(slot);
+        if entry[TAG] != mb {
+            entry[TAG] = mb;
+            entry[OWNER] = 0;
+            entry[GROUP..].fill(0);
         }
-        self.groups[base + from.index() / 64] |= 1 << (from.index() % 64);
-        idx
+        entry[GROUP + from.index() / 64] |= 1 << (from.index() % 64);
+        entry
     }
 
     /// Records an incoming request from `from` for `addr`'s macroblock.
@@ -129,25 +129,24 @@ impl PredictorTable {
     /// Records a data/ack response from `from` for `addr`'s macroblock;
     /// `from` becomes the owner candidate.
     pub fn record_responder(&mut self, addr: BlockAddr, from: NodeId) {
-        let idx = self.record(addr, from);
-        self.owners[idx] = from.raw();
+        self.record(addr, from)[OWNER] = u64::from(from.raw()) + 1;
     }
 
     /// The owner candidate for `addr`'s macroblock, if the table has one.
     pub fn last_owner(&self, addr: BlockAddr) -> Option<NodeId> {
-        let owner = self.owners[self.peek(addr)?];
-        (owner != NO_OWNER).then(|| NodeId::new(owner))
+        let owner = self.peek(addr)?[OWNER].checked_sub(1)?;
+        Some(NodeId::new(owner as u16))
     }
 
     /// Whether `addr`'s macroblock has recently involved any processor
     /// other than `me` — the "recently shared" test of the
     /// broadcast-if-shared policy.
     pub fn recently_shared(&self, addr: BlockAddr, me: NodeId) -> bool {
-        let Some(idx) = self.peek(addr) else {
+        let Some(entry) = self.peek(addr) else {
             return false;
         };
         let (my_word, my_bit) = (me.index() / 64, 1u64 << (me.index() % 64));
-        self.group_words(idx)
+        entry[GROUP..]
             .iter()
             .enumerate()
             .any(|(w, &bits)| bits & !(if w == my_word { my_bit } else { 0 }) != 0)
@@ -155,7 +154,7 @@ impl PredictorTable {
 
     /// The recent sharing group for `addr`'s macroblock.
     pub fn group(&self, addr: BlockAddr) -> DestSet {
-        let words = self.peek(addr).map_or(&[][..], |idx| self.group_words(idx));
+        let words = self.peek(addr).map_or(&[][..], |entry| &entry[GROUP..]);
         let members = words.iter().enumerate().flat_map(|(w, &word)| {
             (0..64)
                 .filter(move |bit| word >> bit & 1 != 0)
@@ -306,6 +305,11 @@ mod tests {
         }
     }
 
+    /// The tag in the slot `addr` maps to, if the slot has storage.
+    fn slot_tag(t: &PredictorTable, addr: BlockAddr) -> Option<u64> {
+        Some(t.entries.get(t.locate(addr).1)?[TAG])
+    }
+
     /// Node counts on both sides of every group-word boundary.
     const SIZES: [u16; 5] = [8, 64, 65, 128, 1024];
 
@@ -352,7 +356,7 @@ mod tests {
             for _ in 0..400 {
                 let addr = a(pool[below(pool.len())]);
                 let node = nodes[below(nodes.len())];
-                if new.peek(addr).is_none() && new.tags[new.locate(addr).1] != 0 {
+                if new.peek(addr).is_none() && slot_tag(&new, addr).is_some_and(|tag| tag != 0) {
                     conflicts += 1;
                 }
                 if below(10) < 3 {
@@ -380,6 +384,72 @@ mod tests {
         assert!(
             conflicts > 1000 && owners > 1000,
             "vacuous: {conflicts} {owners}"
+        );
+    }
+
+    /// A table every slot of which is in use — each with its own macroblock,
+    /// owner and group — answers as the reference does, before and after a
+    /// second lap of conflicting macroblocks evicts them all.
+    #[test]
+    fn full_table_matches_entry_table_oracle() {
+        const SLOTS: u64 = PredictorTable::DEFAULT_ENTRIES as u64;
+        const BPM: u64 = PredictorTable::DEFAULT_BLOCKS_PER_MACROBLOCK;
+        for n in [8, 128] {
+            let mut new = PredictorTable::new(n);
+            let mut old = oracle::EntryTable::with_geometry(n, SLOTS as usize, BPM);
+            for lap in 0..2 {
+                // Descending on the first lap: slots fill from the last chunk.
+                for i in 0..SLOTS {
+                    let mb = lap * SLOTS + if lap == 0 { SLOTS - 1 - i } else { i };
+                    let (addr, node) = (
+                        a(mb * BPM + mb % BPM),
+                        NodeId::new((mb * 7 % u64::from(n)) as u16),
+                    );
+                    if mb.is_multiple_of(3) {
+                        new.record_responder(addr, node);
+                        old.record_responder(addr, node);
+                    } else {
+                        new.record_requester(addr, node);
+                        old.record_requester(addr, node);
+                    }
+                }
+                assert_eq!(new.entries.allocated(), SLOTS as usize);
+                for mb in 0..2 * SLOTS {
+                    let addr = a(mb * BPM);
+                    assert_eq!(new.last_owner(addr), old.last_owner(addr));
+                    assert_eq!(new.group(addr), old.group(addr));
+                    let me = NodeId::new((mb * 7 % u64::from(n)) as u16);
+                    assert_eq!(new.recently_shared(addr, me), old.recently_shared(addr, me));
+                    assert_eq!(new.group(addr).len(), (mb / SLOTS == lap) as usize);
+                }
+            }
+        }
+    }
+
+    /// Memory follows first touch: construction allocates no entry, lookups
+    /// never do, and recording allocates the 64 slots around the macroblock's.
+    #[test]
+    fn storage_follows_first_touch() {
+        let mut t = PredictorTable::new(128);
+        assert_eq!(t.entries.allocated(), 0);
+        for mb in [0, 63, 64, 8191, u64::MAX / 16] {
+            let addr = a(mb * 16);
+            assert_eq!(t.last_owner(addr), None);
+            assert!(!t.recently_shared(addr, NodeId::new(0)));
+            assert_eq!(t.group(addr), DestSet::empty(128));
+        }
+        assert_eq!(t.entries.allocated(), 0);
+        // The 256 macroblocks of a 4096-block table: four chunks of 128.
+        for block in (0..4096).rev() {
+            t.record_requester(a(block), NodeId::new((block % 128) as u16));
+        }
+        assert_eq!(t.entries.allocated(), 256);
+        t.record_responder(a(8191 * 16), NodeId::new(0));
+        assert_eq!(t.entries.allocated(), 256 + 64);
+        assert_eq!(
+            t.last_owner(a(8190 * 16)),
+            None,
+            "same chunk, never recorded"
         );
     }
 
@@ -430,7 +500,11 @@ mod tests {
             assert_eq!(t.group(a(32)), DestSet::single(n, NodeId::new(1)));
             assert_eq!(t.last_owner(a(32)), None, "owner candidate evicted too");
             assert_eq!(t.group(a(0)), DestSet::empty(n));
-            assert!(t.groups.iter().map(|w| w.count_ones()).sum::<u32>() == 1);
+            let entries = (0..2).map(|slot| t.entries.get(slot).unwrap());
+            let members = entries
+                .flat_map(|entry| &entry[GROUP..])
+                .map(|w| w.count_ones());
+            assert_eq!(members.sum::<u32>(), 1);
         }
     }
 
