@@ -1,5 +1,5 @@
 //! Ablation: zero-token acknowledgement elision (paper §3 "avoiding
-//! unnecessary acknowledgments"; DESIGN.md §7).
+//! unnecessary acknowledgments").
 //!
 //! PATCH's scalability under inexact encodings comes from token holders
 //! being the only responders. Forcing PATCH to send DIRECTORY-style

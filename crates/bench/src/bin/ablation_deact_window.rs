@@ -1,5 +1,5 @@
 //! Ablation: the post-deactivation direct-request ignore window
-//! (paper §5.2, DESIGN.md §7).
+//! (paper §5.2).
 //!
 //! After deactivating, a PATCH processor keeps ignoring direct requests
 //! for one more timeout window so racing direct requests cannot scatter

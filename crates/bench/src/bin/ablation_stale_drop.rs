@@ -1,5 +1,5 @@
 //! Ablation: the best-effort staleness bound (paper §8.1 uses 100
-//! cycles; DESIGN.md §7).
+//! cycles).
 //!
 //! A direct request queued behind congestion for long enough is useless —
 //! its miss has probably been served through the directory already — and

@@ -1,4 +1,4 @@
-//! Ablation: the token-tenure timeout policy (DESIGN.md §7).
+//! Ablation: the token-tenure timeout policy (paper §4).
 //!
 //! The paper sets the tenure timeout adaptively to twice the dynamic
 //! average round-trip. This ablation compares that policy against fixed

@@ -19,7 +19,7 @@
 //! | Fault-injection robustness (extension) | `runplan faults` | [`faults_plan`] |
 //! | Service-shaped traffic (extension) | `runplan service` | [`service_plan`] |
 //! | Open-loop saturation (extension) | `runplan saturation` | [`saturation_plan`] |
-//! | DESIGN.md ablations | `ablation_*` | [`ablation_tenure_timeout_plan`], ... |
+//! | Design-choice ablations | `ablation_*` | [`ablation_tenure_timeout_plan`], ... |
 //! | Any of the above by name | `runplan <plan>` | [`plan_by_name`] |
 //!
 //! All binaries share one hardened command line ([`BenchArgs`]):

@@ -11,11 +11,14 @@ use patchsim_protocol::{Controller, Msg};
 ///
 /// Every write produces version `v+1` from the version it observed; the
 /// checker asserts the per-block write sequence is strictly `1, 2, 3, …`
-/// (two racing writers that both observed `v` would both produce `v+1`,
-/// tripping the assertion) and that every read returns the latest written
-/// version. A read completing in the very cycle of the latest write may
-/// legally observe the version just overwritten — the sub-cycle event
-/// order is a simulator artifact — so that single case is tolerated.
+/// (a writer whose copy another write had already superseded — a race,
+/// or data lost on the way — repeats a version or goes backwards: a lost
+/// update; one that skips a version held permission while the write
+/// before it was still in progress) and that every read returns the
+/// latest written version. A read completing in the very cycle of the
+/// latest write may legally observe the version just overwritten — the
+/// sub-cycle event order is a simulator artifact — so that single case is
+/// tolerated.
 ///
 /// # Examples
 ///
@@ -59,13 +62,16 @@ impl CoherenceChecker {
         });
         match kind {
             AccessKind::Write => {
-                assert_eq!(
-                    version,
-                    entry.latest + 1,
+                assert!(
+                    version == entry.latest + 1,
                     "coherence violation at {addr}: write produced v{version} but the \
-                     last committed write was v{} — two writers held permission \
-                     concurrently",
-                    entry.latest
+                     last committed write was v{} — {}",
+                    entry.latest,
+                    if version <= entry.latest {
+                        "lost update: the writer started from a stale copy"
+                    } else {
+                        "two writers held permission concurrently"
+                    }
                 );
                 entry.latest = version;
                 entry.written_at = now;
@@ -253,11 +259,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "coherence violation")]
+    #[should_panic(expected = "was v1 — lost update")]
     fn duplicate_write_version_panics() {
         let mut c = CoherenceChecker::new();
         c.check(a(1), AccessKind::Write, 1, Cycle::new(5));
         c.check(a(1), AccessKind::Write, 1, Cycle::new(9));
+    }
+
+    #[test]
+    #[should_panic(expected = "was v1 — two writers held permission")]
+    fn skipped_write_version_panics() {
+        let mut c = CoherenceChecker::new();
+        c.check(a(1), AccessKind::Write, 1, Cycle::new(5));
+        c.check(a(1), AccessKind::Write, 3, Cycle::new(9));
     }
 
     #[test]

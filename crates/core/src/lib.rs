@@ -95,11 +95,15 @@
 //!   versions; reads observe the latest written version.
 //! * **Forward progress** — every issued operation completes and the
 //!   system fully quiesces at the end of a run.
+//!
+//! [`Cluster`] puts the same two checkers under hand-driven controllers
+//! with no fabric or event queue, for tests that pick every delivery.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod checker;
+mod cluster;
 mod config;
 pub mod exp;
 mod report;
@@ -107,6 +111,7 @@ mod system;
 pub mod telemetry;
 
 pub use checker::{CoherenceChecker, TokenAuditor};
+pub use cluster::Cluster;
 pub use config::{CheckLevel, SimConfig, TelemetryConfig};
 pub use report::{
     summarize, ClassBytes, LatencyPercentiles, OpenLoopSummary, RunSummary, SpanSummary,

@@ -12,8 +12,8 @@
 //! [`fabric`]. The modelled properties:
 //!
 //! * **Shortest-path table routing** with a fixed deterministic tie-break
-//!   (on the torus this reproduces dimension-order routing exactly; the
-//!   substitution for GEMS' adaptive routing is documented in `DESIGN.md`).
+//!   (on the torus this reproduces dimension-order routing exactly; it
+//!   stands in for GEMS' adaptive routing).
 //! * **Fan-out multicast**: a multi-destination message occupies each link
 //!   on its routing tree once, no matter how many destinations lie beyond
 //!   it. This is what makes invalidation *forwards* cheap while

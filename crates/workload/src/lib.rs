@@ -5,7 +5,7 @@
 //! jbb), simulated with Simics full-system simulation, plus a scalability
 //! microbenchmark. Full-system binary traces are not reproducible here, so
 //! this crate substitutes **sharing-pattern-parameterized synthetic
-//! generators** (see `DESIGN.md` §5): what the coherence protocol actually
+//! generators** (see `docs/workloads.md`): what the coherence protocol actually
 //! sees is a per-core stream of reads and writes with particular
 //! private/shared/migratory/producer–consumer statistics, and those
 //! statistics — not instruction semantics — drive every effect the paper

@@ -9,72 +9,32 @@
 //! requester P1, and the home then activates P3, which completes too
 //! (Figure 2).
 //!
-//! The example drives the PATCH controllers directly, playing postman so
-//! the adversarial delivery order is explicit. Every step is narrated.
+//! The example drives the PATCH controllers through `patchsim::Cluster`,
+//! playing postman so the adversarial delivery order is explicit (the
+//! cluster checks coherence and token conservation after every step).
+//! Every step is narrated.
 //!
 //! Run with: `cargo run --example token_tenure_race`
 
-use patchsim::{AccessKind, BlockAddr, Cycle, NodeId, PredictorChoice, ProtocolKind};
-use patchsim_protocol::{
-    Completion, Controller, MemOp, Msg, MsgBody, OutMsg, Outbox, PatchController, ProtocolConfig,
-    RequestStyle, TimerKey, TimerKind,
-};
+use patchsim::{AccessKind, BlockAddr, Cluster, Cycle, NodeId, PredictorChoice, ProtocolKind};
+use patchsim_protocol::{MemOp, Msg, MsgBody, ProtocolConfig, RequestStyle, TimerKind};
 
-/// A hand-cranked network: undelivered messages and unfired timers.
-struct PostOffice {
-    in_flight: Vec<(NodeId, Msg)>,
-    timers: Vec<(NodeId, Cycle, TimerKey)>,
-    completions: Vec<(NodeId, Completion)>,
+/// Delivers the oldest undelivered message matching `pred`, narrating it.
+fn deliver(c: &mut Cluster, now: u64, pred: impl Fn(NodeId, &Msg) -> bool, note: &str) {
+    let idx = c
+        .in_flight
+        .iter()
+        .position(|(d, m)| pred(*d, m))
+        .unwrap_or_else(|| panic!("no message matching: {note}"));
+    let (dest, msg) = &c.in_flight[idx];
+    println!("  -> deliver to {dest}: {} ({note})", describe(msg));
+    c.deliver(idx, Cycle::new(now));
 }
 
-impl PostOffice {
-    fn new() -> Self {
-        PostOffice {
-            in_flight: Vec::new(),
-            timers: Vec::new(),
-            completions: Vec::new(),
-        }
-    }
-
-    fn collect(&mut self, from: NodeId, out: Outbox) {
-        for OutMsg { dests, msg, .. } in out.sends {
-            for dest in dests.iter() {
-                self.in_flight.push((dest, msg.clone()));
-            }
-        }
-        for (at, key) in out.timers {
-            self.timers.push((from, at, key));
-        }
-        for c in out.completions {
-            self.completions.push((from, c));
-        }
-    }
-
-    /// Delivers the first queued message matching `pred`.
-    fn deliver(
-        &mut self,
-        nodes: &mut [PatchController],
-        now: Cycle,
-        pred: impl Fn(&NodeId, &Msg) -> bool,
-        note: &str,
-    ) {
-        let idx = self
-            .in_flight
-            .iter()
-            .position(|(d, m)| pred(d, m))
-            .unwrap_or_else(|| panic!("no message matching: {note}"));
-        let (dest, msg) = self.in_flight.remove(idx);
-        println!("  -> deliver to {dest}: {} ({note})", describe(&msg));
-        let mut out = Outbox::new();
-        nodes[dest.index()].handle_message(msg, now, &mut out);
-        self.collect(dest, out);
-    }
-
-    /// Delivers every queued message, in queue order, until none remain.
-    fn deliver_all(&mut self, nodes: &mut [PatchController], now: Cycle) {
-        while !self.in_flight.is_empty() {
-            self.deliver(nodes, now, |_, _| true, "drain");
-        }
+/// Delivers every undelivered message, oldest first, until none remain.
+fn deliver_all(c: &mut Cluster, now: u64) {
+    while !c.in_flight.is_empty() {
+        deliver(c, now, |_, _| true, "drain");
     }
 }
 
@@ -109,167 +69,115 @@ fn describe(msg: &Msg) -> String {
 }
 
 fn main() {
-    let n = 4u16;
-    let config = ProtocolConfig::new(ProtocolKind::Patch, n).with_predictor(PredictorChoice::All);
-    let mut nodes: Vec<PatchController> = (0..n)
-        .map(|i| PatchController::new(config.clone(), NodeId::new(i)))
-        .collect();
+    let config = ProtocolConfig::new(ProtocolKind::Patch, 4).with_predictor(PredictorChoice::All);
+    let mut c = Cluster::new(&config);
     let block = BlockAddr::new(0); // homed at node 0
-    let mut post = PostOffice::new();
-    let p = |i: u16| NodeId::new(i);
+    let p = NodeId::new;
+    let held = |c: &Cluster, i: u16| c.node(p(i)).held_tokens(block).unwrap();
+    let op = |kind| MemOp { addr: block, kind };
 
     println!("== setup: P1 writes the block, then P2 reads it ==");
-    let mut out = Outbox::new();
-    nodes[1].core_request(
-        MemOp {
-            addr: block,
-            kind: AccessKind::Write,
-        },
-        Cycle::new(0),
-        &mut out,
-    );
-    post.collect(p(1), out);
-    post.deliver_all(&mut nodes, Cycle::new(10));
-    let mut out = Outbox::new();
-    nodes[2].core_request(
-        MemOp {
-            addr: block,
-            kind: AccessKind::Read,
-        },
-        Cycle::new(20),
-        &mut out,
-    );
-    post.collect(p(2), out);
-    post.deliver_all(&mut nodes, Cycle::new(30));
-    post.completions.clear();
+    c.issue(p(1), op(AccessKind::Write), Cycle::new(0));
+    deliver_all(&mut c, 10);
+    c.issue(p(2), op(AccessKind::Read), Cycle::new(20));
+    deliver_all(&mut c, 30);
+    c.completions.clear();
     println!(
         "  state: P1 holds {} | P2 holds {} (owner) | home holds {}\n",
-        nodes[1].held_tokens(block).unwrap(),
-        nodes[2].held_tokens(block).unwrap(),
-        nodes[0].held_tokens(block).unwrap(),
+        held(&c, 1),
+        held(&c, 2),
+        held(&c, 0),
     );
 
     println!("== the race of Figure 1 ==");
     println!("time 1: P3 issues a write; its direct requests race ahead of its");
     println!("        indirect request, which we delay adversarially.");
-    let mut out = Outbox::new();
-    nodes[3].core_request(
-        MemOp {
-            addr: block,
-            kind: AccessKind::Write,
-        },
-        Cycle::new(2000),
-        &mut out,
-    );
-    post.collect(p(3), out);
+    c.issue(p(3), op(AccessKind::Write), Cycle::new(2000));
 
     println!("time 2: the direct requests strip P1's and P2's tokens:");
-    post.deliver(
-        &mut nodes,
-        Cycle::new(2005),
-        |d, m| *d == p(1) && matches!(m.body, MsgBody::Request { .. }),
+    deliver(
+        &mut c,
+        2005,
+        |d, m| d == p(1) && matches!(m.body, MsgBody::Request { .. }),
         "direct request to P1",
     );
-    post.deliver(
-        &mut nodes,
-        Cycle::new(2005),
-        |d, m| *d == p(2) && matches!(m.body, MsgBody::Request { .. }),
+    deliver(
+        &mut c,
+        2005,
+        |d, m| d == p(2) && matches!(m.body, MsgBody::Request { .. }),
         "direct request to P2",
     );
-    post.deliver(
-        &mut nodes,
-        Cycle::new(2010),
-        |d, m| *d == p(3) && matches!(m.body, MsgBody::Ack { .. } | MsgBody::Data { .. }),
+    deliver(
+        &mut c,
+        2010,
+        |d, m| d == p(3) && matches!(m.body, MsgBody::Ack { .. } | MsgBody::Data { .. }),
         "P1's tokens reach P3",
     );
-    post.deliver(
-        &mut nodes,
-        Cycle::new(2015),
-        |d, m| *d == p(3) && matches!(m.body, MsgBody::Data { .. } | MsgBody::Ack { .. }),
+    deliver(
+        &mut c,
+        2015,
+        |d, m| d == p(3) && matches!(m.body, MsgBody::Data { .. } | MsgBody::Ack { .. }),
         "P2's owner token + data reach P3",
     );
     println!(
         "        P3 now holds {} — all of them, UNTENURED; its write performs",
-        nodes[3].held_tokens(block).unwrap()
+        held(&c, 3)
     );
-    assert!(
-        post.completions.iter().any(|(n, _)| *n == p(3)),
-        "P3's write performed early"
-    );
-    post.completions.clear();
+    assert!(c.completions.contains(&p(3)), "P3's write performed early");
+    c.completions.clear();
 
     println!("time 3: P1 also issues a write; ITS indirect request reaches the");
     println!("        home first, so the home activates P1 (not P3):");
-    let mut out = Outbox::new();
-    nodes[1].core_request(
-        MemOp {
-            addr: block,
-            kind: AccessKind::Write,
-        },
-        Cycle::new(2020),
-        &mut out,
-    );
-    post.collect(p(1), out);
-    post.deliver(
-        &mut nodes,
-        Cycle::new(2030),
+    c.issue(p(1), op(AccessKind::Write), Cycle::new(2020));
+    deliver(
+        &mut c,
+        2030,
         |d, m| {
-            *d == p(0)
+            d == p(0)
                 && matches!(m.body, MsgBody::Request { requester, style: RequestStyle::Indirect, .. } if requester == p(1))
         },
         "P1's indirect request wins at the home",
     );
     // The home's forwards/activation go out; P2 has no tokens left and
     // stays silent (no unnecessary acks). P1 is active but token-less.
-    post.deliver_all(&mut nodes, Cycle::new(2040));
+    deliver_all(&mut c, 2040);
     println!("        P1 is active but the tokens sit untenured at P3: Figure 1's deadlock...");
 
     println!("\n== token tenure resolves it (Figure 2) ==");
     println!("time 4: P3's tenure timer expires (it was never activated);");
     println!("        it discards every token to the home:");
-    let (node, at, key) = post
+    let idx = c
         .timers
         .iter()
-        .copied()
-        .find(|(n, _, k)| *n == p(3) && k.kind == TimerKind::Tenure)
+        .position(|(n, _, k)| *n == p(3) && k.kind == TimerKind::Tenure)
         .expect("P3 armed a tenure timer");
-    let mut out = Outbox::new();
-    nodes[node.index()].timer_fired(key, at, &mut out);
-    post.collect(node, out);
-    println!(
-        "        P3 tenure timeouts: {}",
-        nodes[3].counters().tenure_timeouts
-    );
-    assert_eq!(nodes[3].counters().tenure_timeouts, 1);
+    c.fire(idx, c.timers[idx].1);
+    let timeouts = c.node(p(3)).counters().tenure_timeouts;
+    println!("        P3 tenure timeouts: {timeouts}");
+    assert_eq!(timeouts, 1);
 
     println!("time 5: the home redirects the returned tokens to active P1:");
-    post.deliver(
-        &mut nodes,
-        Cycle::new(3000),
-        |d, m| *d == p(0) && matches!(m.body, MsgBody::Put { .. }),
+    deliver(
+        &mut c,
+        3000,
+        |d, m| d == p(0) && matches!(m.body, MsgBody::Put { .. }),
         "P3's token return reaches the home",
     );
-    post.deliver(
-        &mut nodes,
-        Cycle::new(3010),
-        |d, m| *d == p(1) && matches!(m.body, MsgBody::Data { .. }),
+    deliver(
+        &mut c,
+        3010,
+        |d, m| d == p(1) && matches!(m.body, MsgBody::Data { .. }),
         "redirected tokens reach P1",
     );
-    assert!(
-        post.completions.iter().any(|(n, _)| *n == p(1)),
-        "P1's write completed"
-    );
+    assert!(c.completions.contains(&p(1)), "P1's write completed");
     println!("        P1 completes its write and deactivates.");
 
     println!("time 6: the home activates the queued P3 and the tokens flow on:");
-    post.deliver_all(&mut nodes, Cycle::new(3100));
-    assert!(
-        nodes.iter().all(|n| n.is_quiescent()),
-        "everything quiesced"
-    );
+    deliver_all(&mut c, 3100);
+    c.assert_quiescent();
     println!(
         "        final: P3 holds {} — both racing writes completed.\n",
-        nodes[3].held_tokens(block).unwrap()
+        held(&c, 3)
     );
     println!("Both P1 and P3 completed without any broadcast: token tenure needed");
     println!("only local timeouts and the home's per-block point of ordering.");

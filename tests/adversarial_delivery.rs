@@ -4,248 +4,225 @@
 //! latency assignment can produce. This harness is stronger: it drives
 //! the controllers directly and delivers pending messages in *uniformly
 //! random* order (seeded), interleaved with eligible timer firings —
-//! every interleaving of an unordered network is fair game. Throughout,
-//! it checks the single-writer/read-latest property from completion
-//! versions and finishes by asserting quiescence and token conservation.
+//! every interleaving of an unordered network is fair game. `Cluster`
+//! runs the production `CoherenceChecker` and `TokenAuditor` after every
+//! issue, delivery and timer; each run ends by asserting quiescence.
 
-use std::collections::HashMap;
-
-use patchsim::{AccessKind, BlockAddr, Cycle, NodeId, PredictorChoice, ProtocolKind, SimRng};
-use patchsim_mem::TokenSet;
-use patchsim_protocol::{
-    build_controller, Controller, CoreResponse, MemOp, Msg, Outbox, ProtocolConfig, TimerKey,
+use patchsim::{
+    AccessKind, BlockAddr, CacheGeometry, Cluster, Cycle, NodeId, PredictorChoice, ProtocolKind,
+    SimRng,
 };
+use patchsim_protocol::{MemOp, ProtocolConfig};
 
-struct Harness {
-    nodes: Vec<Box<dyn Controller + Send>>,
-    pending: Vec<(NodeId, Msg)>,
-    timers: Vec<(NodeId, Cycle, TimerKey)>,
+const BLOCKS: u64 = 6;
+const OPS: u32 = 60;
+
+/// The seeded scheduler: everything else (fan-out, blocking cores, the
+/// oracles) is [`Cluster`].
+struct Scheduler {
+    cluster: Cluster,
     clock: Cycle,
     rng: SimRng,
-    /// Per-node outstanding op (blocking cores).
-    outstanding: Vec<Option<MemOp>>,
     ops_left: Vec<u32>,
-    completed: u64,
-    /// SWMR checker state: last committed version per block.
-    versions: HashMap<BlockAddr, u64>,
-    total_tokens: u32,
 }
 
-impl Harness {
-    fn new(config: &ProtocolConfig, ops_per_node: u32, seed: u64) -> Self {
-        let n = config.num_nodes;
-        Harness {
-            nodes: (0..n)
-                .map(|i| build_controller(config, NodeId::new(i)))
-                .collect(),
-            pending: Vec::new(),
-            timers: Vec::new(),
-            clock: Cycle::ZERO,
-            rng: SimRng::from_seed(seed),
-            outstanding: vec![None; n as usize],
-            ops_left: vec![ops_per_node; n as usize],
-            completed: 0,
-            versions: HashMap::new(),
-            total_tokens: config.total_tokens,
-        }
-    }
+/// Swaps a uniformly drawn entry of `pending` to the end (so that taking
+/// it leaves the others in place) and returns its index.
+fn draw<T>(rng: &mut SimRng, pending: &mut [T]) -> Option<usize> {
+    let last = pending.len().checked_sub(1)?;
+    pending.swap(rng.below(pending.len() as u64) as usize, last);
+    Some(last)
+}
 
-    fn collect(&mut self, from: NodeId, out: Outbox) {
-        for send in out.sends {
-            for dest in send.dests.iter() {
-                self.pending.push((dest, send.msg.clone()));
-            }
-        }
-        for (at, key) in out.timers {
-            self.timers.push((from, at, key));
-        }
-        for c in out.completions {
-            self.check_completion(from, c.addr, c.kind, c.version);
-        }
-    }
-
-    fn check_completion(&mut self, node: NodeId, addr: BlockAddr, kind: AccessKind, version: u64) {
-        let op = self.outstanding[node.index()]
-            .take()
-            .expect("completion without an outstanding op");
-        assert_eq!(op.addr, addr);
-        let last = self.versions.entry(addr).or_insert(0);
-        match kind {
-            AccessKind::Write => {
-                assert_eq!(version, *last + 1, "two writers raced on {addr}");
-                *last = version;
-            }
-            AccessKind::Read => {
-                assert_eq!(version, *last, "stale read of {addr}");
-            }
-        }
-        self.completed += 1;
-    }
-
-    fn maybe_issue(&mut self, blocks: u64) {
-        for i in 0..self.nodes.len() {
-            if self.outstanding[i].is_some() || self.ops_left[i] == 0 {
+impl Scheduler {
+    fn maybe_issue(&mut self) {
+        for i in 0..self.ops_left.len() {
+            if self.cluster.outstanding[i].is_some() || self.ops_left[i] == 0 {
                 continue;
             }
             self.ops_left[i] -= 1;
             let op = MemOp {
-                addr: BlockAddr::new(self.rng.below(blocks)),
+                addr: BlockAddr::new(self.rng.below(BLOCKS)),
                 kind: if self.rng.chance(0.5) {
                     AccessKind::Write
                 } else {
                     AccessKind::Read
                 },
             };
-            self.outstanding[i] = Some(op);
-            let node = NodeId::new(i as u16);
-            let mut out = Outbox::new();
             self.clock += 1;
-            let resp = self.nodes[i].core_request(op, self.clock, &mut out);
-            // Hits complete synchronously.
-            if let CoreResponse::Hit { version } = resp {
-                self.check_completion(node, op.addr, op.kind, version);
-            }
-            self.collect(node, out);
+            self.cluster.issue(NodeId::new(i as u16), op, self.clock);
         }
     }
 
     /// Delivers one uniformly random pending message.
     fn deliver_random(&mut self) -> bool {
-        if self.pending.is_empty() {
+        let Some(last) = draw(&mut self.rng, &mut self.cluster.in_flight) else {
             return false;
-        }
-        let idx = self.rng.below(self.pending.len() as u64) as usize;
-        let (dest, msg) = self.pending.swap_remove(idx);
+        };
         self.clock += 1;
-        let mut out = Outbox::new();
-        self.nodes[dest.index()].handle_message(msg, self.clock, &mut out);
-        self.collect(dest, out);
+        self.cluster.deliver(last, self.clock);
         true
     }
 
     /// Fires one random timer, jumping the clock to its deadline.
     fn fire_random_timer(&mut self) -> bool {
-        if self.timers.is_empty() {
+        let Some(last) = draw(&mut self.rng, &mut self.cluster.timers) else {
             return false;
-        }
-        let idx = self.rng.below(self.timers.len() as u64) as usize;
-        let (node, at, key) = self.timers.swap_remove(idx);
-        self.clock = self.clock.max(at) + 1;
-        let mut out = Outbox::new();
-        self.nodes[node.index()].timer_fired(key, self.clock, &mut out);
-        self.collect(node, out);
+        };
+        self.clock = self.clock.max(self.cluster.timers[last].1) + 1;
+        self.cluster.fire(last, self.clock);
         true
     }
 
-    fn run(&mut self, blocks: u64) {
+    fn run(&mut self) {
         let mut idle_rounds = 0;
         loop {
-            self.maybe_issue(blocks);
+            self.maybe_issue();
             // Mostly deliver messages; occasionally fire a timer early
             // relative to other traffic (always at/after its deadline).
-            let did = if !self.pending.is_empty() && !self.rng.chance(0.1) {
+            let did = if !self.cluster.in_flight.is_empty() && !self.rng.chance(0.1) {
                 self.deliver_random()
             } else {
                 self.fire_random_timer() || self.deliver_random()
             };
-            if !did {
-                if self.ops_left.iter().all(|&o| o == 0)
-                    && self.outstanding.iter().all(|o| o.is_none())
-                {
-                    break;
-                }
-                idle_rounds += 1;
-                if idle_rounds >= 10_000 {
-                    for (i, o) in self.outstanding.iter().enumerate() {
-                        if let Some(op) = o {
-                            eprintln!("node {i}: outstanding {op:?}");
-                        }
-                    }
-                    for b in 0..blocks {
-                        let addr = BlockAddr::new(b);
-                        for (i, node) in self.nodes.iter().enumerate() {
-                            if let Some(t) = node.held_tokens(addr) {
-                                if !t.is_empty() {
-                                    eprintln!("block {b}: node {i} holds {t}");
-                                }
-                            }
-                        }
-                    }
-                    panic!("stuck: nothing to deliver but ops outstanding");
-                }
-            } else {
+            if did {
                 idle_rounds = 0;
+                continue;
+            }
+            if self.cluster.outstanding.iter().all(|o| o.is_none())
+                && self.ops_left.iter().all(|&o| o == 0)
+            {
+                break;
+            }
+            idle_rounds += 1;
+            if idle_rounds >= 10_000 {
+                self.dump_stuck();
+                panic!("stuck: nothing to deliver but ops outstanding");
             }
         }
     }
 
-    fn assert_final_invariants(&self, blocks: u64) {
-        for node in &self.nodes {
-            assert!(node.is_quiescent(), "controller not quiescent");
-        }
-        // Token conservation over every touched block.
-        for b in 0..blocks {
-            let addr = BlockAddr::new(b);
-            let mut total = TokenSet::empty();
-            let mut token_protocol = true;
-            for node in &self.nodes {
-                match node.held_tokens(addr) {
-                    Some(t) => total.merge(t),
-                    None => token_protocol = false,
-                }
+    fn dump_stuck(&self) {
+        for (i, op) in self.cluster.outstanding.iter().enumerate() {
+            if let Some(op) = op {
+                eprintln!("node {i}: outstanding {op:?}");
             }
-            if token_protocol {
-                assert_eq!(
-                    total.count(),
-                    self.total_tokens,
-                    "token conservation violated for {addr}"
-                );
-                assert!(total.has_owner(), "owner token lost for {addr}");
+        }
+        for b in 0..BLOCKS {
+            for i in 0..self.ops_left.len() {
+                let node = self.cluster.node(NodeId::new(i as u16));
+                if let Some(t) = node
+                    .held_tokens(BlockAddr::new(b))
+                    .filter(|t| !t.is_empty())
+                {
+                    eprintln!("block {b}: node {i} holds {t}");
+                }
             }
         }
     }
 }
 
-fn fuzz(kind: ProtocolKind, predictor: PredictorChoice, seeds: std::ops::Range<u64>) {
-    const BLOCKS: u64 = 6;
-    const OPS: u32 = 60;
+/// 2 sets x 1 way: with six blocks in play most fills evict, so the
+/// writeback paths race the adversarial order too.
+fn tiny() -> Option<CacheGeometry> {
+    Some(CacheGeometry::new(2, 1))
+}
+
+/// `cache`: `None` keeps the paper's geometry, which never evicts here.
+fn fuzz(
+    kind: ProtocolKind,
+    predictor: PredictorChoice,
+    cache: Option<CacheGeometry>,
+    seeds: std::ops::Range<u64>,
+) {
     for seed in seeds {
         for n in [2u16, 3, 4] {
-            let config = ProtocolConfig::new(kind, n).with_predictor(predictor);
-            let mut h = Harness::new(&config, OPS, seed);
-            h.run(BLOCKS);
-            assert_eq!(
-                h.completed,
-                (n as u64) * OPS as u64,
-                "{kind}/{} n={n} seed={seed}",
+            let mut config = ProtocolConfig::new(kind, n).with_predictor(predictor);
+            if let Some(geometry) = cache {
+                config = config.with_cache_geometry(geometry);
+            }
+            // Captured unless the cell fails: the last line names it.
+            eprintln!(
+                "cell: {kind}/{} {cache:?} n={n} seed={seed}",
                 predictor.label()
             );
-            h.assert_final_invariants(BLOCKS);
+            let mut h = Scheduler {
+                cluster: Cluster::new(&config),
+                clock: Cycle::ZERO,
+                rng: SimRng::from_seed(seed),
+                ops_left: vec![OPS; n as usize],
+            };
+            h.run();
+            assert_eq!(h.cluster.completions.len(), n as usize * OPS as usize);
+            h.cluster.assert_quiescent();
         }
     }
 }
 
 #[test]
 fn adversarial_patch_none() {
-    fuzz(ProtocolKind::Patch, PredictorChoice::None, 0..25);
+    fuzz(ProtocolKind::Patch, PredictorChoice::None, None, 0..25);
 }
 
 #[test]
 fn adversarial_patch_all() {
-    fuzz(ProtocolKind::Patch, PredictorChoice::All, 0..25);
+    fuzz(ProtocolKind::Patch, PredictorChoice::All, None, 0..25);
 }
 
 #[test]
 fn adversarial_patch_owner() {
-    fuzz(ProtocolKind::Patch, PredictorChoice::Owner, 0..8);
+    fuzz(ProtocolKind::Patch, PredictorChoice::Owner, None, 0..8);
 }
 
 #[test]
 fn adversarial_tokenb() {
-    fuzz(ProtocolKind::TokenB, PredictorChoice::None, 0..25);
+    fuzz(ProtocolKind::TokenB, PredictorChoice::None, None, 0..25);
 }
 
 #[test]
 fn adversarial_directory() {
-    fuzz(ProtocolKind::Directory, PredictorChoice::None, 0..25);
+    fuzz(ProtocolKind::Directory, PredictorChoice::None, None, 0..25);
+}
+
+#[test]
+fn adversarial_patch_bcast_if_shared() {
+    fuzz(
+        ProtocolKind::Patch,
+        PredictorChoice::BroadcastIfShared,
+        None,
+        0..25,
+    );
+}
+
+#[test]
+fn adversarial_evictions_patch() {
+    fuzz(ProtocolKind::Patch, PredictorChoice::None, tiny(), 0..25);
+    fuzz(ProtocolKind::Patch, PredictorChoice::All, tiny(), 0..25);
+    fuzz(ProtocolKind::Patch, PredictorChoice::Owner, tiny(), 0..8);
+    fuzz(
+        ProtocolKind::Patch,
+        PredictorChoice::BroadcastIfShared,
+        tiny(),
+        0..25,
+    );
+}
+
+#[test]
+#[ignore = "finding: DIRECTORY deadlocks in 16 of these 75 cells, first n=4 seed=2 \
+            (\"stuck: nothing to deliver but ops outstanding\"); ROADMAP item 3 triages it"]
+fn adversarial_evictions_directory() {
+    fuzz(
+        ProtocolKind::Directory,
+        PredictorChoice::None,
+        tiny(),
+        0..25,
+    );
+}
+
+#[test]
+#[ignore = "finding: TokenB loses data in 4 of these 75 cells (n=4, seeds 4, 5, 9, 10), first \
+            n=4 seed=4 (\"coherence violation at 0x5: write produced v1 but the last committed \
+            write was v1 — lost update\"); ROADMAP item 3 triages it"]
+fn adversarial_evictions_tokenb() {
+    fuzz(ProtocolKind::TokenB, PredictorChoice::None, tiny(), 0..25);
 }

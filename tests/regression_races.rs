@@ -1,7 +1,8 @@
 //! Regression tests for races found by the adversarial-delivery fuzzer
 //! during development. Each test pins one concrete interleaving that
-//! previously deadlocked or corrupted protocol state; see DESIGN.md §3.7
-//! for the analysis.
+//! previously deadlocked or corrupted protocol state; the comment on each
+//! test carries the analysis, and `docs/faults.md` ("Worked example")
+//! re-creates bugs 3a/3b through the fault layer.
 
 use patchsim::{AccessKind, BlockAddr, Cycle, NodeId, PredictorChoice, ProtocolKind};
 use patchsim_mem::{OwnerStatus, TokenSet};

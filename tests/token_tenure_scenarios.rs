@@ -2,159 +2,79 @@
 //! surrounding forward-progress machinery, driven at controller level
 //! with adversarial message ordering.
 
-use patchsim::{AccessKind, BlockAddr, Cycle, NodeId, PredictorChoice, ProtocolKind};
-use patchsim_protocol::{
-    Controller, MemOp, Msg, MsgBody, OutMsg, Outbox, PatchController, ProtocolConfig, RequestStyle,
-    TimerKey, TimerKind,
-};
+use patchsim::{AccessKind, BlockAddr, Cluster, Cycle, NodeId, PredictorChoice, ProtocolKind};
+use patchsim_protocol::{MemOp, MsgBody, ProtocolConfig, RequestStyle, TimerKind};
 
-/// A controllable network for adversarial delivery schedules.
-struct Net {
-    in_flight: Vec<(NodeId, Msg)>,
-    timers: Vec<(NodeId, Cycle, TimerKey)>,
-    completions: Vec<NodeId>,
+/// Four PATCH-All nodes; block 0 is homed at node 0.
+fn cluster() -> Cluster {
+    Cluster::new(&ProtocolConfig::new(ProtocolKind::Patch, 4).with_predictor(PredictorChoice::All))
 }
 
-impl Net {
-    fn new() -> Self {
-        Net {
-            in_flight: Vec::new(),
-            timers: Vec::new(),
-            completions: Vec::new(),
-        }
-    }
-
-    fn collect(&mut self, from: NodeId, out: Outbox) {
-        for OutMsg { dests, msg, .. } in out.sends {
-            for dest in dests.iter() {
-                self.in_flight.push((dest, msg.clone()));
-            }
-        }
-        for (at, key) in out.timers {
-            self.timers.push((from, at, key));
-        }
-        for _ in out.completions {
-            self.completions.push(from);
-        }
-    }
-
-    fn deliver_first(
-        &mut self,
-        nodes: &mut [PatchController],
-        now: Cycle,
-        pred: impl Fn(&NodeId, &Msg) -> bool,
-    ) -> bool {
-        let Some(idx) = self.in_flight.iter().position(|(d, m)| pred(d, m)) else {
-            return false;
-        };
-        let (dest, msg) = self.in_flight.remove(idx);
-        let mut out = Outbox::new();
-        nodes[dest.index()].handle_message(msg, now, &mut out);
-        self.collect(dest, out);
-        true
-    }
-
-    fn drain(&mut self, nodes: &mut [PatchController], now: Cycle) {
-        while self.deliver_first(nodes, now, |_, _| true) {}
-    }
-
-    fn fire_timer(&mut self, nodes: &mut [PatchController], node: NodeId, kind: TimerKind) -> bool {
-        let Some(idx) = self
-            .timers
-            .iter()
-            .position(|(n, _, k)| *n == node && k.kind == kind)
-        else {
-            return false;
-        };
-        let (n, at, key) = self.timers.remove(idx);
-        let mut out = Outbox::new();
-        nodes[n.index()].timer_fired(key, at, &mut out);
-        self.collect(n, out);
-        true
-    }
+fn request(c: &mut Cluster, node: u16, kind: AccessKind, at: u64) {
+    let addr = BlockAddr::new(0);
+    c.issue(NodeId::new(node), MemOp { addr, kind }, Cycle::new(at));
 }
 
-fn make_nodes(n: u16) -> Vec<PatchController> {
-    let config = ProtocolConfig::new(ProtocolKind::Patch, n).with_predictor(PredictorChoice::All);
-    (0..n)
-        .map(|i| PatchController::new(config.clone(), NodeId::new(i)))
-        .collect()
-}
-
-fn request(nodes: &mut [PatchController], net: &mut Net, node: u16, kind: AccessKind, at: u64) {
-    let mut out = Outbox::new();
-    let resp = nodes[node as usize].core_request(
-        MemOp {
-            addr: BlockAddr::new(0),
-            kind,
-        },
-        Cycle::new(at),
-        &mut out,
-    );
-    // A racing writer that still holds all tokens hits silently; count it
-    // as completed just like a miss completion.
-    if matches!(resp, patchsim_protocol::CoreResponse::Hit { .. }) {
-        net.completions.push(NodeId::new(node));
-    }
-    net.collect(NodeId::new(node), out);
+/// Fires `node`'s oldest tenure timer at its deadline.
+fn fire_tenure(c: &mut Cluster, node: NodeId) -> bool {
+    let armed = c
+        .timers
+        .iter()
+        .position(|(n, _, k)| *n == node && k.kind == TimerKind::Tenure);
+    armed.map(|idx| c.fire(idx, c.timers[idx].1)).is_some()
 }
 
 /// The full Figure 1 -> Figure 2 scenario (see also the
 /// `token_tenure_race` example, which narrates the same schedule).
 #[test]
 fn figure2_race_resolves_via_tenure() {
-    let mut nodes = make_nodes(4);
-    let mut net = Net::new();
+    let mut c = cluster();
     let block = BlockAddr::new(0);
     let p = NodeId::new;
 
     // Setup: P1 writes, P2 reads (owner migrates to P2).
-    request(&mut nodes, &mut net, 1, AccessKind::Write, 0);
-    net.drain(&mut nodes, Cycle::new(10));
-    request(&mut nodes, &mut net, 2, AccessKind::Read, 20);
-    net.drain(&mut nodes, Cycle::new(30));
-    net.completions.clear();
+    request(&mut c, 1, AccessKind::Write, 0);
+    c.drain(Cycle::new(10));
+    request(&mut c, 2, AccessKind::Read, 20);
+    c.drain(Cycle::new(30));
+    c.completions.clear();
 
     // P3's write: direct requests delivered, indirect delayed.
-    request(&mut nodes, &mut net, 3, AccessKind::Write, 2000);
+    request(&mut c, 3, AccessKind::Write, 2000);
     for target in [1u16, 2] {
-        assert!(net.deliver_first(&mut nodes, Cycle::new(2005), |d, m| {
-            *d == p(target) && matches!(m.body, MsgBody::Request { .. })
+        assert!(c.deliver_first(Cycle::new(2005), |d, m| {
+            d == p(target) && matches!(m.body, MsgBody::Request { .. })
         }));
     }
     // Token responses reach P3: it performs untenured.
     for _ in 0..2 {
-        assert!(net.deliver_first(&mut nodes, Cycle::new(2010), |d, m| {
-            *d == p(3) && matches!(m.body, MsgBody::Data { .. } | MsgBody::Ack { .. })
+        assert!(c.deliver_first(Cycle::new(2010), |d, m| {
+            d == p(3) && matches!(m.body, MsgBody::Data { .. } | MsgBody::Ack { .. })
         }));
     }
-    assert_eq!(
-        net.completions,
-        vec![p(3)],
-        "P3 performed before activation"
-    );
-    assert_eq!(nodes[3].counters().satisfied_before_activation, 1);
-    net.completions.clear();
+    assert_eq!(c.completions, vec![p(3)], "P3 performed before activation");
+    assert_eq!(c.node(p(3)).counters().satisfied_before_activation, 1);
+    c.completions.clear();
 
     // P1's racing write wins at the home.
-    request(&mut nodes, &mut net, 1, AccessKind::Write, 2020);
-    assert!(net.deliver_first(&mut nodes, Cycle::new(2030), |d, m| {
-        *d == p(0)
+    request(&mut c, 1, AccessKind::Write, 2020);
+    assert!(c.deliver_first(Cycle::new(2030), |d, m| {
+        d == p(0)
             && matches!(m.body, MsgBody::Request { requester, style: RequestStyle::Indirect, .. }
                 if requester == p(1))
     }));
-    net.drain(&mut nodes, Cycle::new(2040));
-    assert!(net.completions.is_empty(), "P1 cannot complete yet");
+    c.drain(Cycle::new(2040));
+    assert!(c.completions.is_empty(), "P1 cannot complete yet");
 
     // Tenure: P3 discards; home redirects to P1; P1 completes.
-    assert!(net.fire_timer(&mut nodes, p(3), TimerKind::Tenure));
-    assert_eq!(nodes[3].counters().tenure_timeouts, 1);
-    net.drain(&mut nodes, Cycle::new(3000));
-    assert!(net.completions.contains(&p(1)), "P1's write completed");
+    assert!(fire_tenure(&mut c, p(3)));
+    assert_eq!(c.node(p(3)).counters().tenure_timeouts, 1);
+    c.drain(Cycle::new(3000));
+    assert!(c.completions.contains(&p(1)), "P1's write completed");
 
     // Everything quiesces; P3 ends with all tokens (it was activated last).
-    assert!(nodes.iter().all(|n| n.is_quiescent()));
-    let p3 = nodes[3].held_tokens(block).unwrap();
+    c.assert_quiescent();
+    let p3 = c.node(p(3)).held_tokens(block).unwrap();
     assert_eq!(p3.count(), 4);
     assert!(p3.requires_data(), "P3 holds a dirty-owner M copy");
 }
@@ -163,18 +83,17 @@ fn figure2_race_resolves_via_tenure() {
 /// activation is off the critical path.
 #[test]
 fn direct_request_fast_path_without_race() {
-    let mut nodes = make_nodes(4);
-    let mut net = Net::new();
+    let mut c = cluster();
     let p = NodeId::new;
 
-    request(&mut nodes, &mut net, 1, AccessKind::Write, 0);
-    net.drain(&mut nodes, Cycle::new(10));
-    net.completions.clear();
+    request(&mut c, 1, AccessKind::Write, 0);
+    c.drain(Cycle::new(10));
+    c.completions.clear();
 
     // P2 reads; deliver ONLY the direct request and its response.
-    request(&mut nodes, &mut net, 2, AccessKind::Read, 2000);
-    assert!(net.deliver_first(&mut nodes, Cycle::new(2005), |d, m| {
-        *d == p(1)
+    request(&mut c, 2, AccessKind::Read, 2000);
+    assert!(c.deliver_first(Cycle::new(2005), |d, m| {
+        d == p(1)
             && matches!(
                 m.body,
                 MsgBody::Request {
@@ -183,70 +102,68 @@ fn direct_request_fast_path_without_race() {
                 }
             )
     }));
-    assert!(net.deliver_first(&mut nodes, Cycle::new(2010), |d, m| {
-        *d == p(2) && matches!(m.body, MsgBody::Data { .. })
+    assert!(c.deliver_first(Cycle::new(2010), |d, m| {
+        d == p(2) && matches!(m.body, MsgBody::Data { .. })
     }));
-    assert_eq!(net.completions, vec![p(2)], "read done in 2 hops");
+    assert_eq!(c.completions, vec![p(2)], "read done in 2 hops");
     // The indirect path then merely tidies up.
-    net.drain(&mut nodes, Cycle::new(2100));
-    assert!(nodes.iter().all(|n| n.is_quiescent()));
+    c.drain(Cycle::new(2100));
+    c.assert_quiescent();
 }
 
 /// Untenured tokens may satisfy misses (the tenure process is off the
 /// critical path), but the transaction stays open until activation.
 #[test]
 fn untenured_tokens_satisfy_but_do_not_deactivate() {
-    let mut nodes = make_nodes(4);
-    let mut net = Net::new();
+    let mut c = cluster();
     let p = NodeId::new;
 
-    request(&mut nodes, &mut net, 1, AccessKind::Write, 0);
-    net.drain(&mut nodes, Cycle::new(10));
-    net.completions.clear();
+    request(&mut c, 1, AccessKind::Write, 0);
+    c.drain(Cycle::new(10));
+    c.completions.clear();
 
-    request(&mut nodes, &mut net, 2, AccessKind::Write, 2000);
+    request(&mut c, 2, AccessKind::Write, 2000);
     // Deliver only the direct request; P1 hands over all four tokens.
-    assert!(net.deliver_first(&mut nodes, Cycle::new(2005), |d, _| *d == p(1)));
-    assert!(net.deliver_first(&mut nodes, Cycle::new(2010), |d, m| {
-        *d == p(2) && matches!(m.body, MsgBody::Data { .. })
+    assert!(c.deliver_first(Cycle::new(2005), |d, _| d == p(1)));
+    assert!(c.deliver_first(Cycle::new(2010), |d, m| {
+        d == p(2) && matches!(m.body, MsgBody::Data { .. })
     }));
-    assert_eq!(net.completions, vec![p(2)]);
-    assert!(!nodes[2].is_quiescent(), "TBE open until activation");
-    net.drain(&mut nodes, Cycle::new(2100));
-    assert!(nodes[2].is_quiescent(), "activation closed the transaction");
+    assert_eq!(c.completions, vec![p(2)]);
+    assert!(!c.node(p(2)).is_quiescent(), "TBE open until activation");
+    c.drain(Cycle::new(2100));
+    c.assert_quiescent(); // the activation closed the transaction
 }
 
 /// A tenure timeout before activation does not lose written data: the
 /// dirty owner token carries it home and back.
 #[test]
 fn tenure_timeout_preserves_dirty_data() {
-    let mut nodes = make_nodes(4);
-    let mut net = Net::new();
+    let mut c = cluster();
     let p = NodeId::new;
 
-    request(&mut nodes, &mut net, 1, AccessKind::Write, 0);
-    net.drain(&mut nodes, Cycle::new(10));
-    net.completions.clear();
+    request(&mut c, 1, AccessKind::Write, 0);
+    c.drain(Cycle::new(10));
+    c.completions.clear();
 
     // P2 writes via direct requests only (indirect delayed), performs,
     // then times out before its activation arrives.
-    request(&mut nodes, &mut net, 2, AccessKind::Write, 2000);
-    assert!(net.deliver_first(&mut nodes, Cycle::new(2005), |d, _| *d == p(1)));
-    assert!(net.deliver_first(&mut nodes, Cycle::new(2010), |d, m| {
-        *d == p(2) && matches!(m.body, MsgBody::Data { .. })
+    request(&mut c, 2, AccessKind::Write, 2000);
+    assert!(c.deliver_first(Cycle::new(2005), |d, _| d == p(1)));
+    assert!(c.deliver_first(Cycle::new(2010), |d, m| {
+        d == p(2) && matches!(m.body, MsgBody::Data { .. })
     }));
-    assert_eq!(net.completions, vec![p(2)], "write performed (version 2)");
-    assert!(net.fire_timer(&mut nodes, p(2), TimerKind::Tenure));
-    assert_eq!(nodes[2].counters().tenure_timeouts, 1);
+    assert_eq!(c.completions, vec![p(2)], "write performed (version 2)");
+    assert!(fire_tenure(&mut c, p(2)));
+    assert_eq!(c.node(p(2)).counters().tenure_timeouts, 1);
     // The discarded tokens carry the dirty data home; when P2's indirect
     // request finally activates, everything flows back and quiesces.
-    net.drain(&mut nodes, Cycle::new(3000));
-    assert!(nodes.iter().all(|n| n.is_quiescent()));
+    c.drain(Cycle::new(3000));
+    c.assert_quiescent();
 
     // P3 now reads and must observe version 2 (P1's write was 1, P2's 2).
-    request(&mut nodes, &mut net, 3, AccessKind::Read, 4000);
-    net.drain(&mut nodes, Cycle::new(4100));
-    assert_eq!(net.completions.last(), Some(&p(3)));
+    request(&mut c, 3, AccessKind::Read, 4000);
+    c.drain(Cycle::new(4100));
+    assert_eq!(c.completions.last(), Some(&p(3)));
 }
 
 /// Multiple racing writers with fully adversarial direct-request
@@ -254,34 +171,33 @@ fn tenure_timeout_preserves_dirty_data() {
 /// activations).
 #[test]
 fn three_way_write_race_completes() {
-    let mut nodes = make_nodes(4);
-    let mut net = Net::new();
+    let mut c = cluster();
 
-    request(&mut nodes, &mut net, 1, AccessKind::Write, 0);
-    net.drain(&mut nodes, Cycle::new(10));
-    net.completions.clear();
+    request(&mut c, 1, AccessKind::Write, 0);
+    c.drain(Cycle::new(10));
+    c.completions.clear();
 
     // All three race.
-    request(&mut nodes, &mut net, 1, AccessKind::Write, 2000);
-    request(&mut nodes, &mut net, 2, AccessKind::Write, 2000);
-    request(&mut nodes, &mut net, 3, AccessKind::Write, 2000);
+    request(&mut c, 1, AccessKind::Write, 2000);
+    request(&mut c, 2, AccessKind::Write, 2000);
+    request(&mut c, 3, AccessKind::Write, 2000);
     // Deliver everything in whatever order the queue happens to hold,
     // repeatedly firing every pending tenure timer, until the whole
     // system quiesces.
     for round in 0..50 {
         let now = Cycle::new(2100 + round * 1000);
-        net.drain(&mut nodes, now);
+        c.drain(now);
         let mut fired = false;
         for n in [1u16, 2, 3] {
-            while net.fire_timer(&mut nodes, NodeId::new(n), TimerKind::Tenure) {
+            while fire_tenure(&mut c, NodeId::new(n)) {
                 fired = true;
             }
         }
-        net.drain(&mut nodes, now + 500);
-        if !fired && net.in_flight.is_empty() && nodes.iter().all(|n| n.is_quiescent()) {
+        c.drain(now + 500);
+        if !fired && (0..4).all(|n| c.node(NodeId::new(n)).is_quiescent()) {
             break;
         }
     }
-    assert_eq!(net.completions.len(), 3, "all three writes completed");
-    assert!(nodes.iter().all(|n| n.is_quiescent()));
+    assert_eq!(c.completions.len(), 3, "all three writes completed");
+    c.assert_quiescent();
 }

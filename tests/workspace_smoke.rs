@@ -42,3 +42,25 @@ fn quickstart_config_is_deterministic() {
     assert_eq!(a.runtime_cycles, b.runtime_cycles);
     assert_eq!(a.traffic.total_bytes(), b.traffic.total_bytes());
 }
+
+/// Root `tests/*.rs` and `examples/*.rs` are explicit `[[test]]` /
+/// `[[example]]` targets of some crate; a file no manifest names compiles
+/// nowhere and silently never runs.
+#[test]
+fn every_root_test_and_example_is_a_registered_target() {
+    use std::fs;
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let manifests: String = fs::read_dir(root.join("crates"))
+        .unwrap()
+        .map(|krate| fs::read_to_string(krate.unwrap().path().join("Cargo.toml")).unwrap())
+        .collect();
+    for dir in ["tests", "examples"] {
+        for file in fs::read_dir(root.join(dir)).unwrap() {
+            let name = file.unwrap().file_name().into_string().unwrap();
+            assert!(
+                !name.ends_with(".rs") || manifests.contains(&format!("\"../../{dir}/{name}\"")),
+                "{dir}/{name} is not a [[test]]/[[example]] of any crates/*/Cargo.toml"
+            );
+        }
+    }
+}
