@@ -22,8 +22,7 @@
 //! (wall time and event count per class, summed over all replications)
 //! and writes the breakdown into the output JSON as a `"profile"`
 //! array. Profiling never touches simulation state, so the result hash
-//! is identical with or without it — which CI's perf-smoke job checks,
-//! alongside recording the telemetry-on overhead.
+//! is identical with or without it — which CI's perf-smoke job checks.
 //!
 //! `--fabric` swaps the interconnect topology (default `torus`); CI's
 //! perf-smoke job runs a crossbar row alongside the torus row and checks
@@ -42,15 +41,11 @@
 use std::hash::Hasher;
 use std::io::Write;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
-use patchsim::{
-    FabricKind, PredictorChoice, ProtocolKind, RunResult, SimConfig, TraceReader, WorkloadSpec,
-};
+use patchsim::exp::{AxisValue, Runner, Sweep};
+use patchsim::{FabricKind, PredictorChoice, ProtocolKind, SimConfig, TraceReader, WorkloadSpec};
 use patchsim_kernel::collections::FxHasher;
-use patchsim_kernel::replicate_seed;
 
 /// The pinned base seed; replications derive from it with `replicate_seed`.
 const BASE_SEED: u64 = 0xB_0A7;
@@ -85,39 +80,6 @@ fn pinned_config(quick: bool, fabric: FabricKind) -> SimConfig {
         .with_ops_per_core(ops)
         .with_warmup(ops / 4)
         .with_seed(BASE_SEED)
-}
-
-/// Runs `configs` on `threads` workers, returning results in input order.
-///
-/// Deliberately not `exp::Runner`: the runner consumes an
-/// `ExperimentPlan` and returns a summarized `Table`, but this benchmark
-/// needs the raw per-run `RunResult`s to fold into the determinism hash.
-/// The worker-pool shape and `replicate_seed` derivation match the
-/// runner's exactly, so `--threads N` is bit-identical to serial here for
-/// the same reason it is there.
-fn execute(configs: &[SimConfig], threads: usize) -> Vec<RunResult> {
-    let threads = threads.min(configs.len()).max(1);
-    if threads == 1 {
-        return configs.iter().map(patchsim::run).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<RunResult>>> = configs.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= configs.len() {
-                    break;
-                }
-                let result = patchsim::run(&configs[i]);
-                *slots[i].lock().expect("result slot poisoned") = Some(result);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("slot lock").expect("worker ran"))
-        .collect()
 }
 
 /// Parsed flags. Not `BenchArgs`: this binary's contract differs from
@@ -256,34 +218,38 @@ fn main() {
         }
         None => "generate",
     };
-    let mut configs: Vec<SimConfig> = (0..args.seeds)
-        .map(|i| base.clone().with_seed(replicate_seed(base.seed, i)))
-        .collect();
-    if let Some(path) = &args.record {
-        configs[0].record_trace = Some(path.clone());
-    }
-    if args.profile {
-        for config in &mut configs {
-            config.telemetry.profile = true;
-        }
-    }
-
     // One untimed warmup run so first-touch page faults and lazy
-    // allocations don't pollute the measurement. Recording stays off
-    // here so the warmup doesn't clobber the measured run's trace, and
-    // profiling stays off so the warmup doesn't pollute the breakdown.
-    let mut warm = configs[0].clone();
-    warm.record_trace = None;
-    warm.telemetry.profile = false;
-    let _ = patchsim::run(&warm);
+    // allocations don't pollute the measurement — before recording and
+    // profiling are armed, so it neither clobbers the measured run's
+    // trace nor pollutes the breakdown.
+    let _ = patchsim::run(&base);
 
+    // The pinned cell as a one-cell plan: the runner derives replication
+    // `i`'s seed with `replicate_seed`, records only replication 0's
+    // trace, and hands the raw runs back in replication order, identical
+    // at any thread count.
+    let mut cell = base.clone();
+    cell.record_trace = args.record.clone();
+    cell.telemetry.profile = args.profile;
+    let plan = Sweep::new("perf_baseline", cell)
+        .axis("config", vec![AxisValue::new("pinned", |c| c)])
+        .seeds(args.seeds)
+        .build();
     let wall = Instant::now();
-    let results = execute(&configs, args.threads);
+    let table = Runner::new()
+        .with_threads(args.threads)
+        .with_retries(0)
+        .run(&plan);
     let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
+    if let Some(failure) = table.failures().first() {
+        eprintln!("error: the pinned cell failed: {}", failure.error);
+        std::process::exit(1);
+    }
+    let results = &table.cells()[0].summary.runs;
 
     let total_events: u64 = results.iter().map(|r| r.events_processed).sum();
     let mut hasher = FxHasher::default();
-    for r in &results {
+    for r in results {
         r.fold_into(&mut hasher);
     }
     let result_hash = hasher.finish();
@@ -300,7 +266,7 @@ fn main() {
     // presence never changes result_hash.
     let profile_fields = if args.profile {
         let mut total = patchsim::ProfileStats::default();
-        for r in &results {
+        for r in results {
             if let Some(p) = &r.profile {
                 total.merge(p);
             }

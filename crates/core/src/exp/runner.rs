@@ -13,7 +13,8 @@ use crate::exp::plan::ExperimentPlan;
 use crate::exp::store::{LoadOutcome, ResultStore};
 use crate::exp::table::{CellFailure, CellResult, FailureKind, Table};
 use crate::report::summarize;
-use crate::system::{try_run, RunError, RunResult};
+use crate::result::{RunError, RunResult};
+use crate::system::try_run;
 use crate::SimConfig;
 
 /// Executes every cell of an [`ExperimentPlan`] and aggregates the

@@ -68,7 +68,7 @@ use patchsim_kernel::stats::Histogram;
 use patchsim_protocol::ProtocolCounters;
 
 use crate::config::SimConfig;
-use crate::system::{OpenLoopStats, RunResult};
+use crate::result::{OpenLoopStats, RunResult};
 use crate::telemetry::SpanStats;
 use crate::{TrafficClass, TrafficStats};
 
@@ -219,10 +219,7 @@ impl ResultStore {
     /// Opens (creating if necessary) a store rooted at `dir`.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, StoreError> {
         let dir = dir.into();
-        fs::create_dir_all(&dir).map_err(|source| StoreError::Io {
-            path: dir.clone(),
-            source,
-        })?;
+        fs::create_dir_all(&dir).map_err(io_at(&dir))?;
         Ok(ResultStore { dir })
     }
 
@@ -265,10 +262,7 @@ impl ResultStore {
         let tmp = self
             .dir
             .join(format!(".{key:016x}.{}.{nonce}.tmp", std::process::id()));
-        fs::write(&tmp, &bytes).map_err(|source| StoreError::Io {
-            path: tmp.clone(),
-            source,
-        })?;
+        fs::write(&tmp, &bytes).map_err(io_at(&tmp))?;
         let path = self.entry_path(key);
         fs::rename(&tmp, &path).map_err(|source| {
             let _ = fs::remove_file(&tmp);
@@ -280,19 +274,13 @@ impl ResultStore {
     /// returns its new path.
     fn quarantine(&self, path: &Path) -> Result<PathBuf, StoreError> {
         let corrupt = self.dir.join("corrupt");
-        fs::create_dir_all(&corrupt).map_err(|source| StoreError::Io {
-            path: corrupt.clone(),
-            source,
-        })?;
+        fs::create_dir_all(&corrupt).map_err(io_at(&corrupt))?;
         let name = path
             .file_name()
             .map(|n| n.to_os_string())
             .unwrap_or_else(|| "entry".into());
         let dest = corrupt.join(name);
-        fs::rename(path, &dest).map_err(|source| StoreError::Io {
-            path: path.to_path_buf(),
-            source,
-        })?;
+        fs::rename(path, &dest).map_err(io_at(path))?;
         Ok(dest)
     }
 
@@ -300,16 +288,10 @@ impl ResultStore {
     /// Files whose names do not parse as `{16-hex}.pse` are ignored
     /// (temp files, the `corrupt/` directory, stray files).
     pub fn entries(&self) -> Result<Vec<(u64, PathBuf)>, StoreError> {
-        let iter = fs::read_dir(&self.dir).map_err(|source| StoreError::Io {
-            path: self.dir.clone(),
-            source,
-        })?;
+        let iter = fs::read_dir(&self.dir).map_err(io_at(&self.dir))?;
         let mut out = Vec::new();
         for item in iter {
-            let item = item.map_err(|source| StoreError::Io {
-                path: self.dir.clone(),
-                source,
-            })?;
+            let item = item.map_err(io_at(&self.dir))?;
             let path = item.path();
             if path.extension().and_then(|e| e.to_str()) != Some(ENTRY_EXT) {
                 continue;
@@ -339,10 +321,7 @@ impl ResultStore {
         let mut by_version: std::collections::BTreeMap<u32, u64> =
             std::collections::BTreeMap::new();
         for (_, path) in self.entries()? {
-            let bytes = fs::read(&path).map_err(|source| StoreError::Io {
-                path: path.clone(),
-                source,
-            })?;
+            let bytes = fs::read(&path).map_err(io_at(&path))?;
             report.total_bytes += bytes.len() as u64;
             match entry_versions(&bytes) {
                 Some((format, code)) => {
@@ -359,10 +338,7 @@ impl ResultStore {
         match fs::read_dir(&corrupt) {
             Ok(iter) => {
                 for item in iter {
-                    let item = item.map_err(|source| StoreError::Io {
-                        path: corrupt.clone(),
-                        source,
-                    })?;
+                    let item = item.map_err(io_at(&corrupt))?;
                     if item.path().is_file() {
                         report.quarantined += 1;
                     }
@@ -387,18 +363,12 @@ impl ResultStore {
     pub fn prune_stale(&self) -> Result<u64, StoreError> {
         let mut removed = 0;
         for (_, path) in self.entries()? {
-            let bytes = fs::read(&path).map_err(|source| StoreError::Io {
-                path: path.clone(),
-                source,
-            })?;
+            let bytes = fs::read(&path).map_err(io_at(&path))?;
             let Some((format, code)) = entry_versions(&bytes) else {
                 continue;
             };
             if code < CODE_VERSION || format < FORMAT_VERSION {
-                fs::remove_file(&path).map_err(|source| StoreError::Io {
-                    path: path.clone(),
-                    source,
-                })?;
+                fs::remove_file(&path).map_err(io_at(&path))?;
                 removed += 1;
             }
         }
@@ -615,28 +585,57 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Structural validation shared by [`ResultStore::stats`] and
-/// [`ResultStore::prune_stale`]: magic, length frame, and checksum —
-/// but deliberately *not* the format/code version gates `decode_entry`
-/// applies, so stale-but-intact entries can be inventoried. Returns
-/// `(format_version, code_version)` or `None` if the bytes cannot be
-/// trusted at all.
-fn entry_versions(bytes: &[u8]) -> Option<(u32, u32)> {
-    if bytes.len() < HEADER_LEN + CHECKSUM_LEN || bytes[..4] != MAGIC {
-        return None;
+/// Validates an entry's frame — header present, magic, length frame,
+/// checksum, in that order — and returns the `(format_version,
+/// code_version)` its header stamps, or a human-readable rejection
+/// reason. `only_format` is the format gate, which sits between magic
+/// and length: [`decode_entry`] passes the one version it can read;
+/// [`entry_versions`] passes `None` so that stale-but-intact entries can
+/// still be inventoried.
+fn check_frame(bytes: &[u8], only_format: Option<u32>) -> Result<(u32, u32), String> {
+    if bytes.len() < HEADER_LEN + CHECKSUM_LEN {
+        return Err(format!("entry truncated ({} bytes)", bytes.len()));
     }
-    let payload_len = usize::try_from(read_u64(bytes, 24)).ok()?;
-    let expected = HEADER_LEN
-        .checked_add(payload_len)?
-        .checked_add(CHECKSUM_LEN)?;
-    if expected != bytes.len() {
-        return None;
+    if bytes[..4] != MAGIC {
+        return Err("bad magic (not a patchsim store entry)".into());
+    }
+    let format = read_u32(bytes, 4);
+    if let Some(only) = only_format.filter(|&v| v != format) {
+        return Err(format!(
+            "unsupported entry format v{format} (this binary reads v{only})"
+        ));
+    }
+    let payload_len =
+        usize::try_from(read_u64(bytes, 24)).map_err(|_| "payload length overflows")?;
+    let expected_len = HEADER_LEN
+        .checked_add(payload_len)
+        .and_then(|n| n.checked_add(CHECKSUM_LEN));
+    if expected_len != Some(bytes.len()) {
+        return Err(format!(
+            "length mismatch: header claims {payload_len}-byte payload but entry is {} bytes",
+            bytes.len()
+        ));
     }
     let body = &bytes[..bytes.len() - CHECKSUM_LEN];
     if checksum(body) != read_u64(bytes, bytes.len() - CHECKSUM_LEN) {
-        return None;
+        return Err("checksum mismatch (bit rot or partial write)".into());
     }
-    Some((read_u32(bytes, 4), read_u32(bytes, 8)))
+    Ok((format, read_u32(bytes, 8)))
+}
+
+/// The versions of a structurally valid entry, for
+/// [`ResultStore::stats`] and [`ResultStore::prune_stale`]; `None` if the
+/// bytes cannot be trusted at all.
+fn entry_versions(bytes: &[u8]) -> Option<(u32, u32)> {
+    check_frame(bytes, None).ok()
+}
+
+/// Wraps an I/O failure on `path` as a [`StoreError::Io`].
+fn io_at(path: &Path) -> impl FnOnce(io::Error) -> StoreError + '_ {
+    move |source| StoreError::Io {
+        path: path.to_path_buf(),
+        source,
+    }
 }
 
 fn read_u32(bytes: &[u8], at: usize) -> u32 {
@@ -656,36 +655,8 @@ fn read_u64(bytes: &[u8], at: usize) -> u64 {
 /// well-formed key is accepted). Returns the stored key and result, or
 /// a human-readable rejection reason.
 fn decode_entry(bytes: &[u8], expect_key: Option<u64>) -> Result<(u64, RunResult), String> {
-    if bytes.len() < HEADER_LEN + CHECKSUM_LEN {
-        return Err(format!("entry truncated ({} bytes)", bytes.len()));
-    }
-    if bytes[..4] != MAGIC {
-        return Err("bad magic (not a patchsim store entry)".into());
-    }
-    let format = read_u32(bytes, 4);
-    if format != FORMAT_VERSION {
-        return Err(format!(
-            "unsupported entry format v{format} (this binary reads v{FORMAT_VERSION})"
-        ));
-    }
-    let code = read_u32(bytes, 8);
+    let (_, code) = check_frame(bytes, Some(FORMAT_VERSION))?;
     let key = read_u64(bytes, 16);
-    let payload_len =
-        usize::try_from(read_u64(bytes, 24)).map_err(|_| "payload length overflows")?;
-    let expected_len = HEADER_LEN
-        .checked_add(payload_len)
-        .and_then(|n| n.checked_add(CHECKSUM_LEN));
-    if expected_len != Some(bytes.len()) {
-        return Err(format!(
-            "length mismatch: header claims {payload_len}-byte payload but entry is {} bytes",
-            bytes.len()
-        ));
-    }
-    let body = &bytes[..bytes.len() - CHECKSUM_LEN];
-    let stored_sum = read_u64(bytes, bytes.len() - CHECKSUM_LEN);
-    if checksum(body) != stored_sum {
-        return Err("checksum mismatch (bit rot or partial write)".into());
-    }
     if code != CODE_VERSION {
         return Err(format!(
             "stale code version v{code} (this binary is v{CODE_VERSION})"

@@ -106,7 +106,9 @@ mod checker;
 mod cluster;
 mod config;
 pub mod exp;
+mod open_loop;
 mod report;
+mod result;
 mod system;
 pub mod telemetry;
 
@@ -116,7 +118,8 @@ pub use config::{CheckLevel, SimConfig, TelemetryConfig};
 pub use report::{
     summarize, ClassBytes, LatencyPercentiles, OpenLoopSummary, RunSummary, SpanSummary,
 };
-pub use system::{run, run_many, try_run, OpenLoopStats, RunError, RunResult, System};
+pub use result::{OpenLoopStats, RunError, RunResult};
+pub use system::{run, run_many, try_run, System};
 pub use telemetry::{EventClass, FlightRecorder, ProfileStats, SpanStats};
 
 // Re-export the vocabulary types users need to configure and interpret

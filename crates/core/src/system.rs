@@ -1,29 +1,28 @@
 //! System assembly and the simulation event loop.
+//!
+//! This file is the loop and nothing else: the open-loop arrival process
+//! is [`OpenLoop`]'s, telemetry sits behind one [`Observer`], and what a
+//! run returns lives in `result.rs`. The closed-loop statements here are
+//! mirrored one for one by `benchmark/src/shadow.rs`.
 
-use std::collections::VecDeque;
-use std::fmt;
-use std::hash::Hasher;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use patchsim_kernel::collections::FxHasher;
 use patchsim_kernel::stats::Histogram;
 use patchsim_kernel::{streams, Cycle, EventQueue, SimRng};
 use patchsim_noc::{Fabric, NocEvent, NodeId};
 use patchsim_protocol::{
     build_controller, Completion, Controller, CoreResponse, MemOp, Msg, Outbox, ProtocolCounters,
-    ProtocolGauges, TimerKey,
+    TimerKey,
 };
-use patchsim_trace::{TraceError, TraceWriter};
-use patchsim_workload::{Generator, OverloadPolicy, WorkloadSpec};
+use patchsim_trace::TraceWriter;
+use patchsim_workload::{Generator, WorkItem, WorkloadSpec};
 
 use crate::checker::{CoherenceChecker, TokenAuditor};
 use crate::config::{CheckLevel, SimConfig};
-use crate::telemetry::{
-    run_header_fields, EventClass, FdrGuard, FlightRecorder, MetricsBuf, MetricsSample,
-    ProfileStats, SpanStats,
-};
-use crate::{TrafficClass, TrafficStats};
+use crate::open_loop::{OpenLoop, Step};
+use crate::result::{RunError, RunResult};
+use crate::telemetry::{EventClass, MetricsSample, Observer};
 
 #[derive(Debug)]
 enum Event {
@@ -57,280 +56,6 @@ struct CoreState {
     outstanding_since: Cycle,
     ops_done: u64,
     finished: bool,
-    /// Open-loop only: queued arrivals awaiting service, each with its
-    /// arrival cycle (the sojourn clock's start).
-    backlog: VecDeque<(MemOp, Cycle)>,
-    /// Open-loop only: the op drawn for the next scheduled
-    /// [`Event::Arrival`].
-    next_arrival: Option<MemOp>,
-    /// Open-loop only: an arrival stalled by a full backlog under
-    /// [`OverloadPolicy::Block`], with its original arrival cycle.
-    blocked: Option<(MemOp, Cycle)>,
-    /// Open-loop only: arrivals drawn from the generator so far (the
-    /// per-core arrival budget is the warmup + measured quota).
-    arrivals_drawn: u64,
-    /// Open-loop only: arrival cycle of the op currently in service
-    /// (`pending` or `outstanding`).
-    in_service_since: Cycle,
-}
-
-/// An infrastructure failure from [`System::try_run`]: the simulation
-/// could not produce (or finish publishing) a result for a reason that is
-/// *not* a protocol bug. Protocol bugs — invariant violations, deadlock,
-/// livelock — still panic, because they invalidate the simulation itself;
-/// the experiment runner isolates those panics per cell instead.
-#[derive(Debug)]
-pub enum RunError {
-    /// The run completed but its recorded trace (`record_trace`) could
-    /// not be written.
-    TraceWrite {
-        /// The trace output path.
-        path: PathBuf,
-        /// The underlying encoder or filesystem error.
-        source: TraceError,
-    },
-    /// The run exceeded its wall-clock budget before finishing.
-    Timeout {
-        /// The configured per-run wall-clock limit.
-        limit: Duration,
-    },
-    /// The run completed but its epoch-metrics JSONL (`telemetry.metrics`)
-    /// could not be written.
-    MetricsWrite {
-        /// The metrics output path.
-        path: PathBuf,
-        /// The underlying filesystem error.
-        source: std::io::Error,
-    },
-}
-
-impl fmt::Display for RunError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RunError::TraceWrite { path, source } => {
-                write!(f, "failed to write trace {}: {source}", path.display())
-            }
-            RunError::Timeout { limit } => {
-                write!(f, "simulation exceeded its {limit:?} wall-clock budget")
-            }
-            RunError::MetricsWrite { path, source } => {
-                write!(f, "failed to write metrics {}: {source}", path.display())
-            }
-        }
-    }
-}
-
-impl std::error::Error for RunError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            RunError::TraceWrite { source, .. } => Some(source),
-            RunError::Timeout { .. } => None,
-            RunError::MetricsWrite { source, .. } => Some(source),
-        }
-    }
-}
-
-/// Saturation accounting of an open-loop run ([`WorkloadSpec::OpenLoop`]):
-/// what happened between arrival and completion, summed over cores.
-///
-/// `measured_*` counters follow the same convention as
-/// [`RunResult::measured_misses`]: counted once the core is past its own
-/// warmup quota and reset when the *last* core crosses (so early
-/// finishers' samples are discarded with the rest of the warmup state).
-/// The remaining counters cover the whole run including warmup.
-#[derive(Debug, Clone)]
-pub struct OpenLoopStats {
-    /// Operations that arrived (entered a backlog, went straight into
-    /// service, were dropped, or stalled the arrival process).
-    pub arrivals: u64,
-    /// Arrivals discarded by a full backlog under
-    /// [`OverloadPolicy::Drop`].
-    pub drops: u64,
-    /// Arrivals after this core's warmup (reset at the global warmup
-    /// boundary).
-    pub measured_arrivals: u64,
-    /// Drops after this core's warmup (reset at the global warmup
-    /// boundary).
-    pub measured_drops: u64,
-    /// Total cycles arrival processes spent stalled by a full backlog
-    /// under [`OverloadPolicy::Block`].
-    pub blocked_cycles: u64,
-    /// Highest queued (not yet in service) backlog depth any core
-    /// reached.
-    pub backlog_hwm: u64,
-    /// Operations still queued or in service when the event loop
-    /// drained. The arrival budget is bounded (quota per core) and every
-    /// drawn arrival resolves, so this is 0 for a completed run; it
-    /// exists to make the conservation identity `arrivals == completions
-    /// + drops + in_flight_at_horizon` checkable rather than assumed.
-    pub in_flight_at_horizon: u64,
-    /// Measured arrival→completion sojourn times — the open-loop latency
-    /// that keeps growing past the knee while the issue→completion
-    /// [`RunResult::miss_latency`] flattens.
-    pub sojourn: Histogram,
-}
-
-impl OpenLoopStats {
-    fn new() -> Self {
-        OpenLoopStats {
-            arrivals: 0,
-            drops: 0,
-            measured_arrivals: 0,
-            measured_drops: 0,
-            blocked_cycles: 0,
-            backlog_hwm: 0,
-            in_flight_at_horizon: 0,
-            sojourn: Histogram::new(),
-        }
-    }
-
-    /// Merges another run's stats into this one (histograms pooled) —
-    /// the open-loop analogue of summing counters across replications.
-    pub fn merge(&mut self, other: &OpenLoopStats) {
-        self.arrivals += other.arrivals;
-        self.drops += other.drops;
-        self.measured_arrivals += other.measured_arrivals;
-        self.measured_drops += other.measured_drops;
-        self.blocked_cycles += other.blocked_cycles;
-        self.backlog_hwm = self.backlog_hwm.max(other.backlog_hwm);
-        self.in_flight_at_horizon += other.in_flight_at_horizon;
-        self.sojourn.merge(&other.sojourn);
-    }
-}
-
-/// The per-run open-loop state: the profile's backlog policy plus the
-/// accumulating [`OpenLoopStats`].
-struct OpenLoop {
-    cap: usize,
-    block: bool,
-    stats: OpenLoopStats,
-}
-
-/// The measured outcome of one simulation run.
-#[derive(Debug, Clone)]
-pub struct RunResult {
-    /// Protocol display name.
-    pub protocol: &'static str,
-    /// Cycles from the end of warmup until the last measured operation
-    /// completed.
-    pub runtime_cycles: u64,
-    /// Measured operations completed (should equal `cores × ops_per_core`).
-    pub ops_completed: u64,
-    /// Interconnect traffic during the measured phase.
-    pub traffic: TrafficStats,
-    /// Aggregated controller counters (all nodes, whole run including
-    /// warmup).
-    pub counters: ProtocolCounters,
-    /// Measured demand misses (from completions, excluding warmup).
-    pub measured_misses: u64,
-    /// Mean measured miss latency in cycles.
-    pub miss_latency_mean: f64,
-    /// Full measured miss-latency distribution.
-    pub miss_latency: Histogram,
-    /// Coherence checks performed (0 when checking is off).
-    pub coherence_checks: u64,
-    /// Token audits performed (0 when checking is off).
-    pub token_audits: u64,
-    /// Total kernel events processed over the whole run (including
-    /// warmup) — the denominator of simulator-throughput benchmarks.
-    pub events_processed: u64,
-    /// Open-loop saturation accounting; `None` for every closed-loop
-    /// workload (so closed-loop digests and stored results are
-    /// untouched by the subsystem's existence).
-    pub open_loop: Option<OpenLoopStats>,
-    /// Per-miss phase-span histograms; `Some` only when
-    /// `telemetry.spans` was enabled. Deliberately **never** folded into
-    /// [`RunResult::digest`], so a spans-on run digests identically to
-    /// the same run with telemetry off.
-    pub spans: Option<SpanStats>,
-    /// Host-side per-event-class profile; `Some` only when
-    /// `telemetry.profile` was enabled. Wall-clock observations — never
-    /// folded into the digest, never persisted to the result store.
-    pub profile: Option<ProfileStats>,
-}
-
-impl RunResult {
-    /// Interconnect bytes per measured demand miss — the unit of the
-    /// paper's traffic figures.
-    pub fn bytes_per_miss(&self) -> f64 {
-        if self.measured_misses == 0 {
-            0.0
-        } else {
-            self.traffic.total_bytes() as f64 / self.measured_misses as f64
-        }
-    }
-
-    /// Bytes per miss for a single traffic class.
-    pub fn class_bytes_per_miss(&self, class: crate::TrafficClass) -> f64 {
-        if self.measured_misses == 0 {
-            0.0
-        } else {
-            self.traffic.bytes(class) as f64 / self.measured_misses as f64
-        }
-    }
-
-    /// Folds the deterministic fields of this result into `h`. Floats
-    /// are excluded: everything folded is an exact integer product of
-    /// the simulation, so the digest is bit-stable across platforms.
-    ///
-    /// The field order is pinned — `perf_baseline`'s recorded result
-    /// hash (and CI's thread-determinism diff) depend on it, so only
-    /// ever append.
-    pub fn fold_into(&self, h: &mut FxHasher) {
-        h.write_u64(self.runtime_cycles);
-        h.write_u64(self.ops_completed);
-        h.write_u64(self.measured_misses);
-        h.write_u64(self.events_processed);
-        for class in TrafficClass::ALL {
-            h.write_u64(self.traffic.bytes(class));
-            h.write_u64(self.traffic.traversals(class));
-        }
-        h.write_u64(self.traffic.dropped_packets());
-        h.write_u64(self.traffic.dropped_bytes());
-        let c = &self.counters;
-        for v in [
-            c.hits,
-            c.misses,
-            c.satisfied_before_activation,
-            c.tenure_timeouts,
-            c.direct_responses,
-            c.direct_ignored,
-            c.reissues,
-            c.persistent_requests,
-            c.writebacks,
-        ] {
-            h.write_u64(v);
-        }
-        for (lower, count) in self.miss_latency.buckets() {
-            h.write_u64(lower);
-            h.write_u64(count);
-        }
-        // Open-loop fields fold only when present, so every pre-existing
-        // (closed-loop) digest — including the perf-smoke golden — is
-        // unchanged by the subsystem's existence.
-        if let Some(open) = &self.open_loop {
-            h.write_u64(open.arrivals);
-            h.write_u64(open.drops);
-            h.write_u64(open.measured_arrivals);
-            h.write_u64(open.measured_drops);
-            h.write_u64(open.blocked_cycles);
-            h.write_u64(open.backlog_hwm);
-            h.write_u64(open.in_flight_at_horizon);
-            for (lower, count) in open.sojourn.buckets() {
-                h.write_u64(lower);
-                h.write_u64(count);
-            }
-        }
-    }
-
-    /// The deterministic digest of this result (a fresh
-    /// [`fold_into`](RunResult::fold_into)) — the unit of record→replay
-    /// bit-identity checks.
-    pub fn digest(&self) -> u64 {
-        let mut h = FxHasher::default();
-        self.fold_into(&mut h);
-        h.finish()
-    }
 }
 
 /// A fully assembled simulated multicore: cores, workload generators,
@@ -355,8 +80,8 @@ pub struct System {
     miss_latency: Histogram,
     measured_misses: u64,
     ops_completed_measured: u64,
-    /// `Some` iff the workload is [`WorkloadSpec::OpenLoop`]; closed-loop
-    /// runs carry no open-loop state and schedule no arrival events.
+    /// `Some` iff the workload is [`WorkloadSpec::OpenLoop`]: the arrival
+    /// processes and backlogs a closed-loop run does not have.
     open: Option<OpenLoop>,
     last_completion: Cycle,
     cores_past_warmup: usize,
@@ -365,32 +90,9 @@ pub struct System {
     /// `SimConfig::record_trace` is set; written out at the end of
     /// [`System::run`].
     recorder: Option<TraceWriter>,
-    /// Epoch-metrics sampler state; `Some` iff `telemetry.metrics` is
-    /// set. Sampling happens inline when a popped event crosses an epoch
-    /// boundary — it never pushes events, so `events_processed` (and the
-    /// result digest) is unchanged by its existence.
-    metrics: Option<MetricsState>,
-    /// Span histograms under construction; `Some` iff `telemetry.spans`.
-    spans: Option<SpanStats>,
-    /// Flight recorder; `Some` iff `telemetry.flight_recorder`. Wrapped
-    /// in a guard whose `Drop` dumps the ring when a panic unwinds
-    /// through the event loop.
-    fdr: Option<FdrGuard>,
-    /// Per-event-class self-profile; `Some` iff `telemetry.profile`.
-    profile: Option<ProfileStats>,
-}
-
-/// The sampler's delta baseline: cumulative gauge values at the previous
-/// epoch boundary, so each row reports per-epoch deltas.
-struct MetricsState {
-    buf: MetricsBuf,
-    prev_cycle: u64,
-    prev_events: u64,
-    prev_busy: u64,
-    prev_misses: u64,
-    prev_persistent: u64,
-    prev_reissues: u64,
-    prev_tenure: u64,
+    /// `Some` iff `telemetry.any()`: sampler, spans, flight recorder and
+    /// profiler, all strictly observational.
+    telemetry: Option<Box<Observer>>,
 }
 
 impl System {
@@ -421,7 +123,7 @@ impl System {
             )
         });
         let root_rng = SimRng::from_seed(config.seed).fork(streams::WORKLOAD);
-        let nodes = (0..n)
+        let nodes: Vec<_> = (0..n)
             .map(|i| build_controller(&config.protocol, NodeId::new(i)))
             .collect();
         let cores = (0..n)
@@ -434,21 +136,18 @@ impl System {
                 outstanding_since: Cycle::ZERO,
                 ops_done: 0,
                 finished: false,
-                backlog: VecDeque::new(),
-                next_arrival: None,
-                blocked: None,
-                arrivals_drawn: 0,
-                in_service_since: Cycle::ZERO,
             })
             .collect();
+        // Closed or open is decided here, once, from the workload.
         let open = match &config.workload {
-            WorkloadSpec::OpenLoop(p) => Some(OpenLoop {
-                cap: p.backlog_cap as usize,
-                block: p.policy == OverloadPolicy::Block,
-                stats: OpenLoopStats::new(),
-            }),
+            WorkloadSpec::OpenLoop(p) => Some(OpenLoop::new(
+                p,
+                n,
+                config.warmup_ops_per_core + config.ops_per_core,
+            )),
             _ => None,
         };
+        let telemetry = Observer::new(&config, protocol_name(&nodes));
         // With per-event checking off, the auditor only needs the global
         // in-flight count (end-of-run drain check), not per-block state.
         let auditor = if config.check == CheckLevel::Assert {
@@ -456,6 +155,7 @@ impl System {
         } else {
             TokenAuditor::coarse(config.protocol.total_tokens)
         };
+        let no_warmup = config.warmup_ops_per_core == 0;
         let mut system = System {
             // Pending events scale with cores (one issue or miss chain
             // each) plus in-flight link events.
@@ -472,63 +172,17 @@ impl System {
             ops_completed_measured: 0,
             open,
             last_completion: Cycle::ZERO,
-            cores_past_warmup: if config.warmup_ops_per_core == 0 {
-                n as usize
-            } else {
-                0
-            },
-            warmup_end: if config.warmup_ops_per_core == 0 {
-                Some(Cycle::ZERO)
-            } else {
-                None
-            },
+            cores_past_warmup: if no_warmup { n as usize } else { 0 },
+            warmup_end: no_warmup.then_some(Cycle::ZERO),
             recorder,
-            metrics: None,
-            spans: None,
-            fdr: None,
-            profile: None,
+            telemetry,
             config,
         };
-        if system.config.telemetry.any() {
-            let header = run_header_fields(
-                system.nodes.first().map_or("?", |c| c.protocol_name()),
-                n,
-                &system.config.protocol.fabric.label(),
-                system.config.workload.name(),
-                system.config.seed,
-            );
-            if let Some(path) = system.config.telemetry.metrics.clone() {
-                system.metrics = Some(MetricsState {
-                    buf: MetricsBuf::new(path, system.config.telemetry.epoch(), &header),
-                    prev_cycle: 0,
-                    prev_events: 0,
-                    prev_busy: 0,
-                    prev_misses: 0,
-                    prev_persistent: 0,
-                    prev_reissues: 0,
-                    prev_tenure: 0,
-                });
-            }
-            if system.config.telemetry.spans {
-                system.spans = Some(SpanStats::default());
-            }
-            if let Some(dir) = system.config.telemetry.flight_recorder.clone() {
-                let tag = system.config.stable_digest();
-                system.fdr = Some(FdrGuard(FlightRecorder::new(dir, tag, header)));
-            }
-            if system.config.telemetry.profile {
-                system.profile = Some(ProfileStats::default());
-            }
-        }
-        if system.open.is_some() {
-            // Open loop: no op is pending at time zero; each core's first
-            // arrival lands after its first interarrival gap.
-            for i in 0..n {
-                system.schedule_arrival(NodeId::new(i), Cycle::ZERO);
-            }
-        } else {
-            for i in 0..n {
-                system.schedule_next(NodeId::new(i), Cycle::ZERO);
+        for i in 0..n {
+            let node = NodeId::new(i);
+            match system.open.as_mut().map(|open| open.start(node)) {
+                Some(step) => system.open_step(node, Cycle::ZERO, step),
+                None => system.schedule_next(node, Cycle::ZERO),
             }
         }
         // The starvation watchdog only exists when a horizon is armed, so
@@ -544,6 +198,20 @@ impl System {
         self.config.warmup_ops_per_core + self.config.ops_per_core
     }
 
+    /// Draws `node`'s next operation and the think time (open loop: the
+    /// interarrival gap) ahead of it. Every workload driver pulls from
+    /// this one seam — closed loop, open loop, and replay, which is a
+    /// [`Generator`] variant — and trace recording taps it: the trace
+    /// captures the items the cores are handed.
+    fn draw(&mut self, node: NodeId) -> (MemOp, u64) {
+        let item = self.cores[node.index()].generator.next_item();
+        if let Some(recorder) = &mut self.recorder {
+            recorder.record(node, item);
+        }
+        let WorkItem { addr, kind, .. } = item;
+        (MemOp { addr, kind }, item.think_cycles)
+    }
+
     /// Picks the core's next operation and schedules its issue after the
     /// think time.
     fn schedule_next(&mut self, node: NodeId, now: Cycle) {
@@ -553,157 +221,44 @@ impl System {
             core.finished = true;
             return;
         }
-        let item = core.generator.next_item();
-        if let Some(recorder) = &mut self.recorder {
-            recorder.record(node, item);
-        }
-        let core = &mut self.cores[node.index()];
-        core.pending = Some(MemOp {
-            addr: item.addr,
-            kind: item.kind,
-        });
-        self.queue
-            .push(now + item.think_cycles, Event::CoreIssue { node });
+        let (op, think) = self.draw(node);
+        self.cores[node.index()].pending = Some(op);
+        self.queue.push(now + think, Event::CoreIssue { node });
     }
 
-    /// Open loop: draws the core's next arrival and schedules it after
-    /// its interarrival gap (the generator's `think_cycles`). The arrival
-    /// budget is the same warmup + measured quota as the closed loop's —
-    /// once `quota` arrivals are drawn the process stops and the core
-    /// finishes when the last one resolves.
-    fn schedule_arrival(&mut self, node: NodeId, now: Cycle) {
-        let quota = self.quota();
-        let core = &mut self.cores[node.index()];
-        if core.arrivals_drawn >= quota {
-            if quota == 0 {
-                core.finished = true;
-            }
-            return;
-        }
-        core.arrivals_drawn += 1;
-        let item = core.generator.next_item();
-        if let Some(recorder) = &mut self.recorder {
-            recorder.record(node, item);
-        }
-        let core = &mut self.cores[node.index()];
-        core.next_arrival = Some(MemOp {
-            addr: item.addr,
-            kind: item.kind,
-        });
-        self.queue
-            .push(now + item.think_cycles, Event::Arrival { node });
-    }
-
-    /// Open loop: one operation arrives at `node` — into service if the
-    /// core is idle, into the backlog if there is room, otherwise
-    /// dropped or (block policy) stalling the arrival process.
-    fn handle_arrival(&mut self, node: NodeId, now: Cycle) {
-        let op = self.cores[node.index()]
-            .next_arrival
-            .take()
-            .expect("arrival without a drawn op");
-        let measured = self.in_measurement(node);
-        let open = self.open.as_mut().expect("arrival in a closed-loop run");
-        open.stats.arrivals += 1;
-        if measured {
-            open.stats.measured_arrivals += 1;
-        }
-        let (cap, block) = (open.cap, open.block);
-        let core = &mut self.cores[node.index()];
-        if core.pending.is_none() && core.outstanding.is_none() && core.backlog.is_empty() {
-            // Idle server: straight into service.
-            core.pending = Some(op);
-            core.in_service_since = now;
-            self.queue.push(now, Event::CoreIssue { node });
-        } else if core.backlog.len() < cap {
-            core.backlog.push_back((op, now));
-            let depth = core.backlog.len() as u64;
-            let open = self.open.as_mut().expect("open-loop state");
-            open.stats.backlog_hwm = open.stats.backlog_hwm.max(depth);
-        } else if block {
-            // Full backlog, block policy: the arrival process stalls —
-            // no further arrival is scheduled until a slot frees.
-            core.blocked = Some((op, now));
-            return;
-        } else {
-            // Full backlog, drop policy: the op leaves the system now.
-            let open = self.open.as_mut().expect("open-loop state");
-            open.stats.drops += 1;
-            if measured {
-                open.stats.measured_drops += 1;
-            }
+    /// Open loop: carries out, in order, what the arrival process decided
+    /// for `node` — resolve a shed arrival, start service (or finish the
+    /// core once its whole arrival budget has resolved), and schedule the
+    /// next arrival after its interarrival gap.
+    fn open_step(&mut self, node: NodeId, now: Cycle, step: Step) {
+        if step.dropped {
             self.note_op_resolved(node, now);
-            self.open_maybe_finish(node);
         }
-        self.schedule_arrival(node, now);
-    }
-
-    /// Open loop: after a completion, pull the next queued op into
-    /// service (unstalling a blocked arrival into the freed slot), or
-    /// finish the core once its whole arrival budget has resolved.
-    fn open_continue(&mut self, node: NodeId, now: Cycle) {
-        let core = &mut self.cores[node.index()];
-        if let Some((op, arrived)) = core.backlog.pop_front() {
-            core.pending = Some(op);
-            core.in_service_since = arrived;
-            self.queue.push(now, Event::CoreIssue { node });
-            let core = &mut self.cores[node.index()];
-            if let Some((op, arrived)) = core.blocked.take() {
-                // The stalled arrival enters the freed backlog slot with
-                // its *original* arrival time (its sojourn includes the
-                // stall), and the arrival process resumes.
-                core.backlog.push_back((op, arrived));
-                let open = self.open.as_mut().expect("open-loop state");
-                open.stats.blocked_cycles += now.saturating_since(arrived);
-                self.schedule_arrival(node, now);
-            }
-        } else {
-            debug_assert!(
-                self.cores[node.index()].blocked.is_none(),
-                "blocked arrival behind an empty backlog"
-            );
-            self.open_maybe_finish(node);
-        }
-    }
-
-    /// Open loop: marks the core finished once every drawn arrival has
-    /// resolved (completed or dropped) and nothing is left in flight.
-    fn open_maybe_finish(&mut self, node: NodeId) {
         let quota = self.quota();
         let core = &mut self.cores[node.index()];
-        if core.ops_done >= quota {
-            debug_assert!(
-                core.backlog.is_empty()
-                    && core.pending.is_none()
-                    && core.outstanding.is_none()
-                    && core.blocked.is_none(),
-                "core finished its quota with work still in flight"
-            );
-            core.finished = true;
+        match step.serve {
+            Some(op) => {
+                core.pending = Some(op);
+                self.queue.push(now, Event::CoreIssue { node });
+            }
+            None => core.finished = core.ops_done >= quota,
+        }
+        if step.rearm {
+            let (op, gap) = self.draw(node);
+            if let Some(open) = &mut self.open {
+                open.arm(node, op);
+            }
+            self.queue.push(now + gap, Event::Arrival { node });
         }
     }
 
     /// Completes `op` at `at`, then advances the core: the closed loop
     /// thinks and issues its next op, the open loop drains its backlog.
-    /// Sojourn (arrival→completion) is recorded here, on the same
-    /// in-measurement gate as miss latency.
     fn complete_and_advance(&mut self, node: NodeId, op: MemOp, version: u64, at: Cycle) {
-        if self.open.is_some() {
-            if self.in_measurement(node) {
-                let arrived = self.cores[node.index()].in_service_since;
-                let sojourn = at.saturating_since(arrived);
-                self.open
-                    .as_mut()
-                    .expect("open-loop state")
-                    .stats
-                    .sojourn
-                    .record(sojourn);
-            }
-            self.complete_op(node, op, version, at);
-            self.open_continue(node, at);
-        } else {
-            self.complete_op(node, op, version, at);
-            self.schedule_next(node, at);
+        let measured = self.complete_op(node, op, version, at);
+        match self.open.as_mut().map(|o| o.complete(node, at, measured)) {
+            Some(step) => self.open_step(node, at, step),
+            None => self.schedule_next(node, at),
         }
     }
 
@@ -724,16 +279,11 @@ impl System {
                 self.noc.reset_stats();
                 self.miss_latency = Histogram::new();
                 self.measured_misses = 0;
-                // Spans follow the latency histogram: drop the samples
-                // from cores that outran the global warmup boundary so
-                // the phase sums still partition `miss_latency` exactly.
-                if let Some(spans) = &mut self.spans {
-                    *spans = Default::default();
+                if let Some(telemetry) = &mut self.telemetry {
+                    telemetry.start_measurement();
                 }
                 if let Some(open) = &mut self.open {
-                    open.stats.sojourn = Histogram::new();
-                    open.stats.measured_arrivals = 0;
-                    open.stats.measured_drops = 0;
+                    open.start_measurement();
                 }
                 self.warmup_end = Some(at);
             }
@@ -741,15 +291,18 @@ impl System {
         measured
     }
 
-    /// Records one completed operation (hit or miss) for `node`.
-    fn complete_op(&mut self, node: NodeId, op: MemOp, version: u64, at: Cycle) {
+    /// Records one completed operation (hit or miss) for `node`; returns
+    /// whether it landed in the measurement phase.
+    fn complete_op(&mut self, node: NodeId, op: MemOp, version: u64, at: Cycle) -> bool {
         if self.config.check == CheckLevel::Assert {
             self.checker.check(op.addr, op.kind, version, at);
         }
-        if self.note_op_resolved(node, at) {
+        let measured = self.note_op_resolved(node, at);
+        if measured {
             self.ops_completed_measured += 1;
             self.last_completion = self.last_completion.max(at);
         }
+        measured
     }
 
     fn in_measurement(&self, node: NodeId) -> bool {
@@ -806,29 +359,10 @@ impl System {
         if self.in_measurement(node) {
             self.miss_latency.record(now - completion.issued_at);
             self.measured_misses += 1;
-            let queue_wait = self.open.is_some().then(|| {
-                completion
-                    .issued_at
-                    .saturating_since(self.cores[node.index()].in_service_since)
-            });
-            if let Some(spans) = self.spans.as_mut() {
-                // Phase boundaries, clamped into [issued_at, now] so the
-                // three phases always partition the miss exactly: a miss
-                // with no explicit ordering message collapses its home
-                // phase to zero rather than going negative.
-                let issued = completion.issued_at;
-                let t1 = completion
-                    .marks
-                    .first_progress
-                    .unwrap_or(now)
-                    .clamp(issued, now);
-                let t2 = completion.marks.ordered.unwrap_or(t1).clamp(t1, now);
-                spans.network.record(t1.saturating_since(issued));
-                spans.home.record(t2.saturating_since(t1));
-                spans.token_wait.record(now.saturating_since(t2));
-                if let Some(q) = queue_wait {
-                    spans.queue_wait.record(q);
-                }
+            if let Some(telemetry) = &mut self.telemetry {
+                let open = self.open.as_ref();
+                let queue_wait = open.map(|o| o.queue_wait(node, completion.issued_at));
+                telemetry.miss(&completion, now, queue_wait);
             }
         }
         self.complete_and_advance(node, op, completion.version, now);
@@ -862,8 +396,8 @@ impl System {
 
     /// Dumps the flight recorder (if armed and not yet dumped),
     /// returning the dump path.
-    fn dump_fdr(&mut self, reason: &str) -> Option<std::path::PathBuf> {
-        self.fdr.as_mut().and_then(|g| g.0.dump(reason))
+    fn dump_fdr(&mut self, reason: &str) -> Option<PathBuf> {
+        self.telemetry.as_mut().and_then(|t| t.dump(reason))
     }
 
     /// Run context appended to oracle-failure messages: protocol,
@@ -872,76 +406,16 @@ impl System {
     fn context_suffix(&self) -> String {
         format!(
             " [protocol={}, fabric={}, workload={}, seed={}]",
-            self.nodes.first().map_or("?", |c| c.protocol_name()),
+            protocol_name(&self.nodes),
             self.config.protocol.fabric.label(),
             self.config.workload.name(),
             self.config.seed,
         )
     }
 
-    /// Emits an epoch-metrics row when `now` has crossed the next epoch
-    /// boundary. Pure observation: reads gauges, pushes no events.
-    fn metrics_tick(&mut self, now: Cycle) {
-        let due = self
-            .metrics
-            .as_ref()
-            .is_some_and(|m| now.as_u64() >= m.buf.next_sample);
-        if !due {
-            return;
-        }
-        let events = self.queue.total_pushed();
-        let queue_len = self.queue.len() as u64;
-        let busy = self.noc.total_busy_cycles();
-        let queued_packets = self.noc.queued_packets() as u64;
-        let num_links = self.noc.spec().num_links() as u64;
-        let mut gauges = ProtocolGauges::default();
-        let mut counters = ProtocolCounters::default();
-        for node in &self.nodes {
-            gauges.add(node.gauges());
-            counters.add(node.counters());
-        }
-        let backlog = if self.open.is_some() {
-            self.cores.iter().map(|c| c.backlog.len() as u64).collect()
-        } else {
-            Vec::new()
-        };
-        let m = self.metrics.as_mut().expect("checked above");
-        let epoch = m.buf.epoch();
-        let boundary = (now.as_u64() / epoch) * epoch;
-        m.buf.record(&MetricsSample {
-            cycle: boundary,
-            window: boundary - m.prev_cycle,
-            events_delta: events.saturating_sub(m.prev_events),
-            queue_len,
-            // The warmup boundary resets interconnect stats, so deltas
-            // saturate instead of underflowing across that reset.
-            link_busy_delta: busy.saturating_sub(m.prev_busy),
-            num_links,
-            queued_packets,
-            tbes: gauges.tbes,
-            home_entries: gauges.home_entries,
-            persistent_entries: gauges.persistent_entries,
-            misses_delta: counters.misses.saturating_sub(m.prev_misses),
-            persistent_delta: counters
-                .persistent_requests
-                .saturating_sub(m.prev_persistent),
-            reissues_delta: counters.reissues.saturating_sub(m.prev_reissues),
-            tenure_timeouts_delta: counters.tenure_timeouts.saturating_sub(m.prev_tenure),
-            backlog,
-        });
-        m.prev_cycle = boundary;
-        m.prev_events = events;
-        m.prev_busy = busy;
-        m.prev_misses = counters.misses;
-        m.prev_persistent = counters.persistent_requests;
-        m.prev_reissues = counters.reissues;
-        m.prev_tenure = counters.tenure_timeouts;
-    }
-
-    /// Processes one popped event: the livelock bound, then telemetry
-    /// observation (sampler, flight recorder, profiler), then dispatch.
-    /// With telemetry off this is three `Option` checks on top of the
-    /// pre-telemetry loop body.
+    /// Processes one popped event: the livelock bound, then dispatch —
+    /// under observation when telemetry is armed, which with telemetry
+    /// off costs this one check on top of the pre-telemetry loop body.
     #[inline]
     fn step(&mut self, now: Cycle, event: Event) {
         if now.as_u64() > self.config.max_cycles {
@@ -953,22 +427,49 @@ impl System {
                 dump_suffix(&dump),
             );
         }
-        if self.metrics.is_some() {
-            self.metrics_tick(now);
-        }
-        let class = class_of(&event);
-        if let Some(g) = self.fdr.as_mut() {
-            g.0.record(now.as_u64(), class, node_of(&event));
-        }
-        if self.profile.is_some() {
-            let t0 = Instant::now();
-            self.dispatch(now, event);
-            let elapsed = t0.elapsed();
-            if let Some(p) = self.profile.as_mut() {
-                p.add(class, elapsed);
-            }
+        if self.telemetry.is_some() {
+            self.observed_dispatch(now, event);
         } else {
             self.dispatch(now, event);
+        }
+    }
+
+    /// [`System::dispatch`] with the observer told first: a snapshot of
+    /// cumulative gauges when `now` has crossed an epoch boundary, the
+    /// event itself, and the host time its dispatch took. Pure
+    /// observation: reads gauges, pushes no events. Kept out of line so
+    /// the telemetry-off loop body stays the check and the call.
+    #[inline(never)]
+    fn observed_dispatch(&mut self, now: Cycle, event: Event) {
+        let Some(telemetry) = &mut self.telemetry else {
+            return self.dispatch(now, event);
+        };
+        if telemetry.sample_due(now) {
+            let mut snapshot = MetricsSample {
+                cycle: now.as_u64(),
+                events: self.queue.total_pushed(),
+                queue_len: self.queue.len() as u64,
+                link_busy: self.noc.total_busy_cycles(),
+                num_links: self.noc.spec().num_links() as u64,
+                queued_packets: self.noc.queued_packets() as u64,
+                backlog: self
+                    .open
+                    .as_ref()
+                    .map(OpenLoop::backlog_depths)
+                    .unwrap_or_default(),
+                ..MetricsSample::default()
+            };
+            for node in &self.nodes {
+                snapshot.gauges.add(node.gauges());
+                snapshot.counters.add(node.counters());
+            }
+            telemetry.sample(snapshot);
+        }
+        let (class, target) = class_of(&event);
+        let started = telemetry.event(now, class, target);
+        self.dispatch(now, event);
+        if let Some(telemetry) = &mut self.telemetry {
+            telemetry.dispatched(class, started);
         }
     }
 
@@ -1001,7 +502,15 @@ impl System {
                 self.process_outbox(node, &mut out, now);
                 self.restore_outbox(out);
             }
-            Event::Arrival { node } => self.handle_arrival(node, now),
+            Event::Arrival { node } => {
+                let measured = self.in_measurement(node);
+                let core = &self.cores[node.index()];
+                let idle = core.pending.is_none() && core.outstanding.is_none();
+                if let Some(open) = &mut self.open {
+                    let step = open.arrive(node, now, idle, measured);
+                    self.open_step(node, now, step);
+                }
+            }
             Event::Noc(ev) => {
                 // Follow-up NoC events go straight into the queue;
                 // deliveries buffer in the persistent scratch because
@@ -1064,10 +573,7 @@ impl System {
     /// panics if a recorded trace cannot be written — use
     /// [`System::try_run`] to handle that as a typed error instead.
     pub fn run(self) -> RunResult {
-        match self.try_run(None) {
-            Ok(result) => result,
-            Err(e) => panic!("{e}"),
-        }
+        self.try_run(None).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Runs the simulation to completion, optionally bounded by a
@@ -1148,27 +654,16 @@ impl System {
                 })?;
         }
 
-        if let Some(m) = self.metrics.take() {
-            m.buf
-                .write()
+        if let Some(telemetry) = &mut self.telemetry {
+            telemetry
+                .write_metrics()
                 .map_err(|(path, source)| RunError::MetricsWrite { path, source })?;
         }
 
         let warmup_end = self.warmup_end.expect("all cores passed warmup");
-        let open_loop = self.open.take().map(|o| {
-            let mut stats = o.stats;
-            stats.in_flight_at_horizon = self
-                .cores
-                .iter()
-                .map(|c| {
-                    c.backlog.len() as u64
-                        + c.pending.is_some() as u64
-                        + c.outstanding.is_some() as u64
-                        + c.blocked.is_some() as u64
-                })
-                .sum();
-            stats
-        });
+        let held = |c: &CoreState| c.pending.is_some() as u64 + c.outstanding.is_some() as u64;
+        let in_service = self.cores.iter().map(held).sum();
+        let open_loop = self.open.take().map(|open| open.finish(in_service));
         let mut counters = ProtocolCounters::default();
         for node in &self.nodes {
             counters.add(node.counters());
@@ -1186,36 +681,32 @@ impl System {
             token_audits: self.auditor.audits_performed(),
             events_processed: self.queue.total_pushed(),
             open_loop,
-            spans: self.spans.take(),
-            profile: self.profile.take(),
+            spans: self.telemetry.as_mut().and_then(|t| t.spans.take()),
+            profile: self.telemetry.as_mut().and_then(|t| t.profile.take()),
         })
     }
 }
 
-/// Classifies a kernel event for the flight recorder and profiler.
-fn class_of(event: &Event) -> EventClass {
+/// Classifies a kernel event for the flight recorder and profiler, with
+/// the node it targets (`u32::MAX` when the event is fabric-internal or
+/// global).
+fn class_of(event: &Event) -> (EventClass, u32) {
     match event {
-        Event::Noc(_) => EventClass::Noc,
-        Event::Timer { .. } => EventClass::Timer,
-        Event::CoreIssue { .. } => EventClass::CoreIssue,
-        Event::Arrival { .. } => EventClass::Arrival,
-        Event::Watchdog => EventClass::Watchdog,
+        Event::Noc(_) => (EventClass::Noc, u32::MAX),
+        Event::Timer { node, .. } => (EventClass::Timer, node.index() as u32),
+        Event::CoreIssue { node } => (EventClass::CoreIssue, node.index() as u32),
+        Event::Arrival { node } => (EventClass::Arrival, node.index() as u32),
+        Event::Watchdog => (EventClass::Watchdog, u32::MAX),
     }
 }
 
-/// The node an event targets, for the flight recorder (`u32::MAX` when
-/// the event is fabric-internal or global).
-fn node_of(event: &Event) -> u32 {
-    match event {
-        Event::Timer { node, .. } | Event::CoreIssue { node } | Event::Arrival { node } => {
-            node.index() as u32
-        }
-        Event::Noc(_) | Event::Watchdog => u32::MAX,
-    }
+/// The run's protocol display name, as its controllers report it.
+fn protocol_name(nodes: &[Box<dyn Controller + Send>]) -> &'static str {
+    nodes.first().map_or("?", |c| c.protocol_name())
 }
 
 /// Renders the flight-recorder pointer appended to oracle panics.
-fn dump_suffix(path: &Option<std::path::PathBuf>) -> String {
+fn dump_suffix(path: &Option<PathBuf>) -> String {
     path.as_ref()
         .map(|p| format!("; flight recorder: {}", p.display()))
         .unwrap_or_default()

@@ -28,9 +28,13 @@ use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use patchsim_kernel::stats::Histogram;
+use patchsim_kernel::Cycle;
+use patchsim_protocol::{Completion, ProtocolCounters, ProtocolGauges};
+
+use crate::SimConfig;
 
 /// Format tag on the first line of every metrics JSONL file.
 pub const METRICS_FORMAT: &str = "patchsim-metrics";
@@ -79,13 +83,7 @@ impl EventClass {
     }
 
     fn index(self) -> usize {
-        match self {
-            EventClass::Noc => 0,
-            EventClass::Timer => 1,
-            EventClass::CoreIssue => 2,
-            EventClass::Arrival => 3,
-            EventClass::Watchdog => 4,
-        }
+        self as usize
     }
 }
 
@@ -93,40 +91,29 @@ impl EventClass {
 // Epoch metrics
 // ---------------------------------------------------------------------
 
-/// One epoch-boundary sample of simulation gauges, produced by the core
-/// event loop and serialized by [`MetricsBuf::record`].
+/// One snapshot of the simulation's gauges, taken by the core event loop
+/// when a popped event crosses an epoch boundary. Counts are cumulative
+/// since time zero; [`MetricsBuf::record`] turns consecutive snapshots
+/// into per-epoch deltas.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSample {
-    /// The epoch boundary this row describes (a multiple of the epoch
-    /// length).
+    /// Simulated cycle of the event that crossed the boundary.
     pub cycle: u64,
-    /// Cycles since the previous row (≥ one epoch; larger when the
-    /// simulation crossed several boundaries between events).
-    pub window: u64,
-    /// Kernel events pushed since the previous sample.
-    pub events_delta: u64,
-    /// Event-queue occupancy at the boundary.
+    /// Kernel events pushed so far.
+    pub events: u64,
+    /// Event-queue occupancy.
     pub queue_len: u64,
-    /// Link busy-cycles accumulated since the previous sample.
-    pub link_busy_delta: u64,
+    /// Link busy-cycles accumulated so far.
+    pub link_busy: u64,
     /// Number of interconnect links (the utilization denominator).
     pub num_links: u64,
-    /// Packets sitting in link queues at the boundary.
+    /// Packets sitting in link queues.
     pub queued_packets: u64,
-    /// Outstanding transaction-buffer entries, summed over nodes.
-    pub tbes: u64,
-    /// Home/directory/arbiter table entries, summed over nodes.
-    pub home_entries: u64,
-    /// Persistent-request table entries, summed over nodes.
-    pub persistent_entries: u64,
-    /// Demand misses issued since the previous sample.
-    pub misses_delta: u64,
-    /// Persistent requests invoked since the previous sample.
-    pub persistent_delta: u64,
-    /// Transient-request reissues since the previous sample.
-    pub reissues_delta: u64,
-    /// Token-tenure timeouts since the previous sample.
-    pub tenure_timeouts_delta: u64,
+    /// Controller table occupancy (TBEs, home and persistent-request
+    /// entries), summed over nodes.
+    pub gauges: ProtocolGauges,
+    /// Controller counters so far, summed over nodes.
+    pub counters: ProtocolCounters,
     /// Open-loop backlog depth per core; empty for closed-loop runs.
     pub backlog: Vec<u64>,
 }
@@ -140,6 +127,9 @@ pub struct MetricsBuf {
     epoch: u64,
     /// The next epoch boundary to sample at.
     pub next_sample: u64,
+    /// The previous row's snapshot (its `cycle` rounded down to the
+    /// boundary): the baseline each row's deltas are taken against.
+    prev: MetricsSample,
     rows: String,
 }
 
@@ -159,51 +149,50 @@ impl MetricsBuf {
             path,
             epoch,
             next_sample: epoch,
+            prev: MetricsSample::default(),
             rows,
         }
     }
 
-    /// The configured epoch length in cycles.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Appends one sample row and advances the sampling deadline.
-    pub fn record(&mut self, s: &MetricsSample) {
-        let denom = s.num_links.max(1) * s.window.max(1);
-        let util = s.link_busy_delta as f64 / denom as f64;
+    /// Appends the row for the epoch boundary `s` crossed — cycles,
+    /// events, link busy-cycles and protocol counters as deltas against
+    /// the previous row — and advances the sampling deadline. The window
+    /// is ≥ one epoch, larger when the simulation crossed several
+    /// boundaries between events.
+    pub fn record(&mut self, mut s: MetricsSample) {
+        s.cycle = (s.cycle / self.epoch) * self.epoch;
+        let prev = &self.prev;
+        let (c, pc) = (&s.counters, &prev.counters);
+        let window = s.cycle - prev.cycle;
+        // The warmup boundary resets interconnect stats, so deltas
+        // saturate instead of underflowing across that reset.
+        let link_busy = s.link_busy.saturating_sub(prev.link_busy);
+        let util = link_busy as f64 / (s.num_links.max(1) * window.max(1)) as f64;
         let _ = write!(
             self.rows,
-            "{{\"cycle\":{},\"window\":{},\"events\":{},\"queue_len\":{},\"link_busy\":{},\
-             \"link_util\":{util:.6},\"queued_packets\":{},\"tbes\":{},\
-             \"home_entries\":{},\"persistent_entries\":{},\"misses\":{},\
+            "{{\"cycle\":{},\"window\":{window},\"events\":{},\"queue_len\":{},\
+             \"link_busy\":{link_busy},\"link_util\":{util:.6},\"queued_packets\":{},\
+             \"tbes\":{},\"home_entries\":{},\"persistent_entries\":{},\"misses\":{},\
              \"persistent_requests\":{},\"reissues\":{},\"tenure_timeouts\":{}",
             s.cycle,
-            s.window,
-            s.events_delta,
+            s.events.saturating_sub(prev.events),
             s.queue_len,
-            s.link_busy_delta,
             s.queued_packets,
-            s.tbes,
-            s.home_entries,
-            s.persistent_entries,
-            s.misses_delta,
-            s.persistent_delta,
-            s.reissues_delta,
-            s.tenure_timeouts_delta,
+            s.gauges.tbes,
+            s.gauges.home_entries,
+            s.gauges.persistent_entries,
+            c.misses.saturating_sub(pc.misses),
+            c.persistent_requests.saturating_sub(pc.persistent_requests),
+            c.reissues.saturating_sub(pc.reissues),
+            c.tenure_timeouts.saturating_sub(pc.tenure_timeouts),
         );
         if !s.backlog.is_empty() {
-            let _ = write!(self.rows, ",\"backlog\":[");
-            for (i, b) in s.backlog.iter().enumerate() {
-                if i > 0 {
-                    self.rows.push(',');
-                }
-                let _ = write!(self.rows, "{b}");
-            }
-            self.rows.push(']');
+            let depths: Vec<String> = s.backlog.iter().map(u64::to_string).collect();
+            let _ = write!(self.rows, ",\"backlog\":[{}]", depths.join(","));
         }
         self.rows.push_str("}\n");
         self.next_sample = s.cycle + self.epoch;
+        self.prev = s;
     }
 
     /// Writes the buffered rows to the configured path.
@@ -244,6 +233,25 @@ pub struct SpanStats {
 }
 
 impl SpanStats {
+    /// Records the phases of one measured miss completing at `now`;
+    /// `queue_wait` is the open-loop arrival → issue wait, if any.
+    fn record(&mut self, completion: &Completion, now: Cycle, queue_wait: Option<u64>) {
+        // Phase boundaries, clamped into [issued_at, now] so the three
+        // phases always partition the miss exactly: a miss with no
+        // explicit ordering message collapses its home phase to zero
+        // rather than going negative.
+        let issued = completion.issued_at;
+        let marks = &completion.marks;
+        let t1 = marks.first_progress.unwrap_or(now).clamp(issued, now);
+        let t2 = marks.ordered.unwrap_or(t1).clamp(t1, now);
+        self.network.record(t1.saturating_since(issued));
+        self.home.record(t2.saturating_since(t1));
+        self.token_wait.record(now.saturating_since(t2));
+        if let Some(q) = queue_wait {
+            self.queue_wait.record(q);
+        }
+    }
+
     /// Pools another run's spans into this one (histograms merged).
     pub fn merge(&mut self, other: &SpanStats) {
         self.queue_wait.merge(&other.queue_wait);
@@ -319,8 +327,8 @@ pub const FDR_CAPACITY: usize = 4096;
 /// context needed to make a dump self-describing.
 ///
 /// The recorder dumps itself when the simulation trips a safety or
-/// liveness oracle (the dump site passes the reason), and — via the
-/// guard's `Drop` — when a panic unwinds through the event loop, so a
+/// liveness oracle (the dump site passes the reason), and — via its
+/// owner's `Drop` — when a panic unwinds through the event loop, so a
 /// cell isolated by the experiment runner still leaves a dump behind.
 #[derive(Debug)]
 pub struct FlightRecorder {
@@ -388,22 +396,12 @@ impl FlightRecorder {
         let start = if n < FDR_CAPACITY { 0 } else { self.head };
         for i in 0..n {
             let rec = &self.ring[(start + i) % n.max(1)];
-            if rec.node == u32::MAX {
-                let _ = writeln!(
-                    out,
-                    "{{\"cycle\":{},\"class\":\"{}\"}}",
-                    rec.cycle,
-                    rec.class.label()
-                );
-            } else {
-                let _ = writeln!(
-                    out,
-                    "{{\"cycle\":{},\"class\":\"{}\",\"node\":{}}}",
-                    rec.cycle,
-                    rec.class.label(),
-                    rec.node
-                );
+            let class = rec.class.label();
+            let _ = write!(out, "{{\"cycle\":{},\"class\":\"{class}\"", rec.cycle);
+            if rec.node != u32::MAX {
+                let _ = write!(out, ",\"node\":{}", rec.node);
             }
+            out.push_str("}\n");
         }
         if fs::create_dir_all(&self.dir).is_err() || fs::write(&path, out.as_bytes()).is_err() {
             eprintln!(
@@ -421,34 +419,121 @@ impl FlightRecorder {
     }
 }
 
-/// Owns a [`FlightRecorder`] and dumps it when a panic unwinds past it —
-/// the backstop for protocol-bug panics that do not pass through an
-/// explicit oracle dump site (invariant violations, quiescence failures).
-#[derive(Debug)]
-pub struct FdrGuard(pub FlightRecorder);
+// ---------------------------------------------------------------------
+// The observer
+// ---------------------------------------------------------------------
 
-impl Drop for FdrGuard {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.dump("panic unwind");
+/// Everything a run's telemetry is armed with, behind the event loop's
+/// one telemetry field: the loop tells it what happened, and each hook
+/// forwards to whichever of the four features listens.
+#[derive(Debug)]
+pub(crate) struct Observer {
+    /// Epoch sampler. It runs inline when a popped event crosses an
+    /// epoch boundary and never pushes events, so `events_processed`
+    /// (and the result digest) is unchanged by its existence.
+    metrics: Option<MetricsBuf>,
+    /// Span histograms under construction.
+    pub(crate) spans: Option<SpanStats>,
+    fdr: Option<FlightRecorder>,
+    pub(crate) profile: Option<ProfileStats>,
+}
+
+impl Observer {
+    /// Arms what `config.telemetry` asks for; `None` when that is
+    /// nothing, so a telemetry-off run carries one null pointer.
+    pub(crate) fn new(config: &SimConfig, protocol: &str) -> Option<Box<Observer>> {
+        let t = &config.telemetry;
+        if !t.any() {
+            return None;
         }
+        // The run context both file headers carry, as `,"key":value`
+        // pairs; strings are escaped via `Debug` formatting.
+        let header = format!(
+            ",\"protocol\":{protocol:?},\"nodes\":{},\"fabric\":{:?},\
+             \"workload\":{:?},\"seed\":{}",
+            config.protocol.num_nodes,
+            config.protocol.fabric.label(),
+            config.workload.name(),
+            config.seed,
+        );
+        let metrics = t.metrics.clone();
+        let fdr = t.flight_recorder.clone();
+        Some(Box::new(Observer {
+            metrics: metrics.map(|path| MetricsBuf::new(path, t.epoch(), &header)),
+            spans: t.spans.then(SpanStats::default),
+            profile: t.profile.then(ProfileStats::default),
+            fdr: fdr.map(|dir| FlightRecorder::new(dir, config.stable_digest(), header)),
+        }))
+    }
+
+    /// Whether an event at `now` crosses the sampler's next epoch
+    /// boundary, i.e. the loop owes [`Observer::sample`] a snapshot.
+    pub(crate) fn sample_due(&self, now: Cycle) -> bool {
+        self.metrics
+            .as_ref()
+            .is_some_and(|m| now.as_u64() >= m.next_sample)
+    }
+
+    /// The snapshot [`Observer::sample_due`] asked for.
+    pub(crate) fn sample(&mut self, snapshot: MetricsSample) {
+        if let Some(m) = &mut self.metrics {
+            m.record(snapshot);
+        }
+    }
+
+    /// One event is about to be dispatched: logs it in the flight
+    /// recorder and, when profiling, starts its host-time clock.
+    pub(crate) fn event(&mut self, now: Cycle, class: EventClass, node: u32) -> Option<Instant> {
+        if let Some(fdr) = &mut self.fdr {
+            fdr.record(now.as_u64(), class, node);
+        }
+        self.profile.is_some().then(Instant::now)
+    }
+
+    /// The event [`Observer::event`] announced has been dispatched.
+    pub(crate) fn dispatched(&mut self, class: EventClass, started: Option<Instant>) {
+        if let (Some(p), Some(t0)) = (&mut self.profile, started) {
+            p.add(class, t0.elapsed());
+        }
+    }
+
+    /// One measured miss completed at `now`.
+    pub(crate) fn miss(&mut self, completion: &Completion, now: Cycle, queue_wait: Option<u64>) {
+        if let Some(spans) = &mut self.spans {
+            spans.record(completion, now, queue_wait);
+        }
+    }
+
+    /// The global warm-up boundary. Spans follow the latency histogram:
+    /// the samples from cores that outran the boundary are dropped, so
+    /// the phase sums still partition `miss_latency` exactly.
+    pub(crate) fn start_measurement(&mut self) {
+        if let Some(spans) = &mut self.spans {
+            *spans = SpanStats::default();
+        }
+    }
+
+    /// Dumps the flight recorder (if armed and not yet dumped),
+    /// returning the dump path.
+    pub(crate) fn dump(&mut self, reason: &str) -> Option<PathBuf> {
+        self.fdr.as_mut().and_then(|fdr| fdr.dump(reason))
+    }
+
+    /// Writes the metrics series out at the end of a run.
+    pub(crate) fn write_metrics(&mut self) -> Result<(), (PathBuf, io::Error)> {
+        self.metrics.take().map_or(Ok(()), MetricsBuf::write)
     }
 }
 
-/// Renders the run-context header pairs shared by the metrics header and
-/// the flight-recorder header, as a JSON fragment of `,"key":value`
-/// pairs. String values are escaped via `Debug` formatting.
-pub fn run_header_fields(
-    protocol: &str,
-    num_nodes: u16,
-    fabric: &str,
-    workload: &str,
-    seed: u64,
-) -> String {
-    format!(
-        ",\"protocol\":{protocol:?},\"nodes\":{num_nodes},\"fabric\":{fabric:?},\
-         \"workload\":{workload:?},\"seed\":{seed}"
-    )
+/// The backstop for protocol-bug panics that do not pass through an
+/// explicit oracle dump site (invariant violations, quiescence failures):
+/// the flight recorder is dumped when a panic unwinds past the observer.
+impl Drop for Observer {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.dump("panic unwind");
+        }
+    }
 }
 
 #[cfg(test)]
@@ -458,12 +543,11 @@ mod tests {
     #[test]
     fn metrics_rows_are_deterministic_json() {
         let mut buf = MetricsBuf::new(PathBuf::from("/dev/null"), 100, "");
-        buf.record(&MetricsSample {
+        buf.record(MetricsSample {
             cycle: 100,
-            window: 100,
-            events_delta: 42,
+            events: 42,
             num_links: 4,
-            link_busy_delta: 100,
+            link_busy: 100,
             backlog: vec![1, 2],
             ..MetricsSample::default()
         });

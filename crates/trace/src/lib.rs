@@ -234,8 +234,13 @@ pub fn encode(data: &TraceData) -> Vec<u8> {
     }
     let mut hasher = FxHasher::default();
     hasher.write(&body);
+    // A label too long for its `u8` length is cut — on a `char` boundary,
+    // so what is written still decodes as UTF-8.
+    let mut label_len = data.label.len().min(u8::MAX as usize);
+    while !data.label.is_char_boundary(label_len) {
+        label_len -= 1;
+    }
     let label = data.label.as_bytes();
-    let label_len = label.len().min(u8::MAX as usize);
 
     let mut out = Vec::with_capacity(33 + label_len + body.len());
     out.extend_from_slice(&MAGIC);
@@ -486,6 +491,11 @@ mod tests {
         // label "prop" starts at offset 33; 0xff alone is invalid UTF-8.
         bytes[33] = 0xff;
         assert!(matches!(decode(&bytes).unwrap_err(), TraceError::BadLabel));
+        // The encoder never writes such a file itself: a label cut at the
+        // 255-byte limit is cut between characters, not inside one.
+        let long = TraceData::empty(&"é".repeat(128), 1, 1, 0);
+        let decoded = decode(&encode(&long)).expect("own output decodes");
+        assert_eq!(decoded.label, "é".repeat(127));
     }
 
     #[test]

@@ -29,16 +29,25 @@ pub struct WorkItem {
 #[derive(Debug)]
 pub struct Generator {
     spec: WorkloadSpec,
+    /// Replay position for [`WorkloadSpec::Trace`].
+    cursor: usize,
+    draws: Draws,
+}
+
+/// What an item is drawn from besides the spec — a separate struct so
+/// that an item function can mutate it while holding a profile borrowed
+/// from [`Generator::spec`].
+#[derive(Debug)]
+struct Draws {
     node: NodeId,
     num_nodes: u16,
     rng: SimRng,
     /// Second half of a migratory read-modify-write pair, if one is queued.
     pending: Option<WorkItem>,
     ops_generated: u64,
-    /// Precomputed Zipf tables for [`WorkloadSpec::Service`].
+    /// Precomputed Zipf tables for [`WorkloadSpec::Service`] and
+    /// [`WorkloadSpec::OpenLoop`].
     zipf: Option<ZipfSampler>,
-    /// Replay position for [`WorkloadSpec::Trace`].
-    cursor: usize,
 }
 
 /// Address-space layout constants. Regions of different kinds (and of
@@ -85,30 +94,33 @@ impl Generator {
         }
         Generator {
             spec,
-            node,
-            num_nodes,
-            rng,
-            pending: None,
-            ops_generated: 0,
-            zipf,
             cursor: 0,
+            draws: Draws {
+                node,
+                num_nodes,
+                rng,
+                pending: None,
+                ops_generated: 0,
+                zipf,
+            },
         }
     }
 
     /// The node this generator belongs to.
     pub fn node(&self) -> NodeId {
-        self.node
+        self.draws.node
     }
 
     /// Number of operations generated so far.
     pub fn ops_generated(&self) -> u64 {
-        self.ops_generated
+        self.draws.ops_generated
     }
 
     /// Produces the next operation in the stream.
     pub fn next_item(&mut self) -> WorkItem {
-        self.ops_generated += 1;
-        if let Some(item) = self.pending.take() {
+        let draws = &mut self.draws;
+        draws.ops_generated += 1;
+        if let Some(item) = draws.pending.take() {
             return item;
         }
         match &self.spec {
@@ -117,10 +129,8 @@ impl Generator {
                 write_frac,
                 think_mean,
             } => {
-                let (table_blocks, write_frac, think_mean) =
-                    (*table_blocks, *write_frac, *think_mean);
-                let addr = BlockAddr::new(self.rng.below(table_blocks));
-                let kind = if self.rng.chance(write_frac) {
+                let addr = BlockAddr::new(draws.rng.below(*table_blocks));
+                let kind = if draws.rng.chance(*write_frac) {
                     AccessKind::Write
                 } else {
                     AccessKind::Read
@@ -128,25 +138,37 @@ impl Generator {
                 WorkItem {
                     addr,
                     kind,
-                    think_cycles: self.think(think_mean),
+                    think_cycles: draws.think(*think_mean),
                 }
             }
-            WorkloadSpec::Synthetic(profile) => {
-                let profile = profile.clone();
-                self.synthetic_item(&profile)
-            }
-            WorkloadSpec::Service(profile) => {
-                let profile = profile.clone();
-                self.service_item(&profile)
-            }
-            WorkloadSpec::OpenLoop(profile) => {
-                let profile = profile.clone();
-                self.open_item(&profile)
-            }
+            WorkloadSpec::Synthetic(profile) => draws.synthetic_item(profile),
+            WorkloadSpec::Service(profile) => draws.service_item(profile),
+            WorkloadSpec::OpenLoop(profile) => draws.open_item(profile),
             WorkloadSpec::Trace(_) => self.trace_item(),
         }
     }
 
+    /// Replays the next recorded item for this core. Wraps around if
+    /// asked for more items than were recorded (replaying a trace under
+    /// its recording config never wraps).
+    fn trace_item(&mut self) -> WorkItem {
+        let WorkloadSpec::Trace(t) = &self.spec else {
+            unreachable!("trace_item called on a non-trace spec")
+        };
+        let node = self.draws.node;
+        let stream = &t.streams[node.raw() as usize];
+        assert!(
+            !stream.is_empty(),
+            "trace '{}' has no items for {node}",
+            t.label,
+        );
+        let item = stream[self.cursor % stream.len()];
+        self.cursor += 1;
+        item
+    }
+}
+
+impl Draws {
     /// Produces the next service-traffic access. All time variation is
     /// keyed to this generator's own operation count, and every path
     /// consumes the same RNG draws in the same order (think, tenant
@@ -213,25 +235,6 @@ impl Generator {
             kind,
             think_cycles: gap,
         }
-    }
-
-    /// Replays the next recorded item for this core. Wraps around if
-    /// asked for more items than were recorded (replaying a trace under
-    /// its recording config never wraps).
-    fn trace_item(&mut self) -> WorkItem {
-        let WorkloadSpec::Trace(t) = &self.spec else {
-            unreachable!("trace_item called on a non-trace spec")
-        };
-        let stream = &t.streams[self.node.raw() as usize];
-        assert!(
-            !stream.is_empty(),
-            "trace '{}' has no items for {}",
-            t.label,
-            self.node
-        );
-        let item = stream[self.cursor % stream.len()];
-        self.cursor += 1;
-        item
     }
 
     fn synthetic_item(&mut self, p: &SharingProfile) -> WorkItem {

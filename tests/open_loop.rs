@@ -6,11 +6,13 @@
 //! the `block` overload policy, and the `--shard` / `store-stats`
 //! command-line surface.
 
+use std::hash::Hasher;
 use std::process::Command;
 
 use patchsim::exp::{Format, Runner};
 use patchsim::{run, ArrivalProfile, FaultSpec, ProtocolKind, SimConfig, WorkloadSpec};
 use patchsim_bench::{saturation_plan, with_saturation_columns, Scale};
+use patchsim_kernel::collections::FxHasher;
 
 /// A debug-build-friendly scale for plan-level tests.
 fn tiny() -> Scale {
@@ -158,6 +160,54 @@ fn block_policy_stalls_instead_of_dropping() {
     assert_eq!(ol.arrivals, result.ops_completed, "everything completes");
     // The backlog never exceeds its cap.
     assert!(ol.backlog_hwm <= 2, "hwm {} breaks cap=2", ol.backlog_hwm);
+}
+
+/// Pins one overloaded run per overload policy — warm-up on, a backlog
+/// that fills — by result digest, with the epoch sampler and spans armed
+/// so the per-core `backlog` column and the arrival→issue `queue_wait`
+/// phase are pinned too. No golden CSV reaches these paths with warm-up;
+/// a refactor of the arrival process must leave every value unedited.
+#[test]
+fn overload_policies_pin_their_digests() {
+    let dir = std::env::temp_dir();
+    for (spec, digest, metrics_hash, queue_wait) in [
+        (
+            "poisson:4,cap=8",
+            0x95a3_a5e9_189d_8b64_u64,
+            0x5e1f_c1da_4e28_0fc0_u64,
+            55_471_u64,
+        ),
+        (
+            "poisson:4,cap=8,policy=block",
+            0x8715_970e_15c5_3f11,
+            0x49c2_37e3_deb0_b2b2,
+            534_682,
+        ),
+    ] {
+        let metrics = dir.join(format!("patchsim_open_pin_{}.jsonl", std::process::id()));
+        let config = open_config(spec).with_warmup(20);
+        let plain = run(&config);
+        let observed = run(&config.clone().with_metrics(&metrics, 100).with_spans());
+        let bytes = std::fs::read(&metrics).expect("metrics written");
+        std::fs::remove_file(&metrics).ok();
+        let ol = plain.open_loop.as_ref().expect("open-loop stats");
+        assert_eq!(ol.backlog_hwm, 8, "'{spec}' must fill its backlog");
+        assert!(
+            ol.drops + ol.blocked_cycles > 0,
+            "'{spec}' must shed or stall"
+        );
+        let mut h = FxHasher::default();
+        h.write(&bytes);
+        let spans = observed.spans.as_ref().expect("spans recorded");
+        assert_eq!(
+            observed.digest(),
+            plain.digest(),
+            "telemetry moved '{spec}'"
+        );
+        assert_eq!(plain.digest(), digest, "digest moved for '{spec}'");
+        assert_eq!(h.finish(), metrics_hash, "metrics bytes moved for '{spec}'");
+        assert_eq!(spans.queue_wait.sum(), queue_wait, "queue_wait moved");
+    }
 }
 
 /// `--shard K/N` with a malformed spec is a usage error: exit status 2

@@ -144,6 +144,60 @@ fn truncated_entries_are_rejected_and_recomputed() {
     ));
 }
 
+/// Every rejection reason, one forged entry each, listed in the order
+/// the decoder checks them — so an entry wrong in two ways reports the
+/// earlier one (a foreign format version is named before the checksum it
+/// would also fail). `stats` reads the same frame validator without the
+/// version gates: only the five entries with a broken frame are
+/// unreadable to it.
+#[test]
+fn every_rejection_reason_is_reported() {
+    let tmp = TempDir::new("reasons");
+    let store = ResultStore::open(tmp.join("store")).unwrap();
+    let config = small_config(11);
+    let key = cell_key(&config);
+    store.save(key, &run(&config)).unwrap();
+    let entry = store.dir().join(format!("{key:016x}.pse"));
+    let pristine = fs::read(&entry).unwrap();
+    let reseal = |bytes: &mut Vec<u8>| {
+        let body_len = bytes.len() - 8;
+        let mut h = FxHasher::default();
+        h.write(&bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&h.finish().to_le_bytes());
+    };
+    type Forge = fn(&mut Vec<u8>);
+    let cases: [(&str, Forge, bool); 7] = [
+        ("entry truncated (39 bytes)", |b| b.truncate(39), false),
+        ("bad magic", |b| b[0] ^= 0xff, false),
+        ("unsupported entry format v77", |b| b[4] = 77, false),
+        ("length mismatch", |b| b.extend_from_slice(b"junk"), false),
+        ("checksum mismatch", |b| b[40] ^= 1, false),
+        (
+            "stale code version v9999",
+            |b| b[8..12].copy_from_slice(&9999u32.to_le_bytes()),
+            true,
+        ),
+        ("key mismatch", |b| b[16] ^= 1, true),
+    ];
+    let mut unreadable = 0;
+    for (i, (reason, forge, resealed)) in cases.into_iter().enumerate() {
+        let mut bytes = pristine.clone();
+        forge(&mut bytes);
+        if resealed {
+            reseal(&mut bytes);
+        }
+        fs::write(&entry, &bytes).unwrap();
+        unreadable += store.stats().unwrap().unreadable;
+        match store.load(key).unwrap() {
+            LoadOutcome::Quarantined { reason: got, .. } => {
+                assert!(got.contains(reason), "case {i}: {got:?} lacks {reason:?}");
+            }
+            other => panic!("case {i}: expected quarantine, got {other:?}"),
+        }
+    }
+    assert_eq!(unreadable, 5, "the resealed entries have an intact frame");
+}
+
 /// An entry written by a (simulated) older code version is quarantined
 /// even when its checksum is intact: the test patches the code-version
 /// field and re-seals the checksum the way an old binary would have.

@@ -4,11 +4,13 @@
 //! flight recorder actually produces a parseable dump when a liveness
 //! oracle trips.
 
+use std::hash::Hasher;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 use patchsim::exp::{AxisValue, Runner, Sweep};
 use patchsim::{ProtocolKind, SimConfig, WorkloadSpec};
+use patchsim_kernel::collections::FxHasher;
 
 /// Self-cleaning scratch directory (no tempfile dependency).
 struct TempDir(PathBuf);
@@ -31,6 +33,13 @@ impl Drop for TempDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
     }
+}
+
+/// Fx hash of an artefact's bytes, for pinning output no golden covers.
+fn fx(bytes: &[u8]) -> u64 {
+    let mut h = FxHasher::default();
+    h.write(bytes);
+    h.finish()
 }
 
 fn base_config(kind: ProtocolKind) -> SimConfig {
@@ -125,6 +134,9 @@ fn metrics_series_is_byte_identical_across_thread_counts() {
     let pooled = std::fs::read(&pooled_path).expect("pooled metrics");
     assert!(!serial.is_empty());
     assert_eq!(serial, pooled, "metrics series depends on thread count");
+    // Pinned by value: every row is deltas of cumulative gauges across
+    // the warm-up reset, so a sampler refactor must reproduce these bytes.
+    assert_eq!(fx(&serial), 0xeafe_2f18_9cc3_7034, "metrics bytes moved");
 }
 
 /// Tripping the starvation watchdog must (a) enrich the panic with run
@@ -165,6 +177,12 @@ fn watchdog_trip_dumps_a_parseable_flight_recording() {
     let records: Vec<&str> = lines.collect();
     assert!(!records.is_empty(), "dump has no event records");
     assert!(records.iter().all(|r| r.contains("\"cycle\":")), "{dump}");
+    // Pinned by value: header, ring order and per-class node field.
+    assert_eq!(
+        fx(dump.as_bytes()),
+        0x3795_3974_4c70_3d2a,
+        "flight-recorder bytes moved"
+    );
 }
 
 /// The span phases are a partition of the measured miss latency: for

@@ -4,12 +4,14 @@
 //! histogram — including when the interconnect injects faults, and the
 //! trace must survive a disk round-trip unchanged.
 
+use std::hash::Hasher;
 use std::path::PathBuf;
 
 use patchsim::{
     presets, run, service_presets, FabricKind, FaultSpec, PredictorChoice, ProtocolKind, SimConfig,
     TraceReader, WorkloadSpec,
 };
+use patchsim_kernel::collections::FxHasher;
 
 /// A unique scratch path for one test's trace file.
 fn scratch(name: &str) -> PathBuf {
@@ -20,10 +22,13 @@ fn scratch(name: &str) -> PathBuf {
 
 /// Records `config` to a trace file, replays the trace through a config
 /// that is identical except for the workload, and asserts the full
-/// result digests match.
-fn assert_replay_identity(config: SimConfig, name: &str) {
+/// result digests match. Returns that digest and an Fx hash of the
+/// `.ptrc` bytes, for tests that pin them.
+fn assert_replay_identity(config: SimConfig, name: &str) -> (u64, u64) {
     let path = scratch(name);
     let recorded = run(&config.clone().with_record_trace(&path));
+    let mut trace_hash = FxHasher::default();
+    trace_hash.write(&std::fs::read(&path).expect("trace file written"));
 
     let trace = TraceReader::read_path(&path).expect("recorded trace decodes");
     assert_eq!(trace.seed, config.seed, "trace stores the recording seed");
@@ -51,6 +56,7 @@ fn assert_replay_identity(config: SimConfig, name: &str) {
     assert_eq!(recorded.traffic, replayed.traffic);
     assert_eq!(recorded.miss_latency_mean, replayed.miss_latency_mean);
     std::fs::remove_file(&path).ok();
+    (recorded.digest(), trace_hash.finish())
 }
 
 /// The headline acceptance gate: OLTP on the paper's torus records and
@@ -85,7 +91,10 @@ fn chaos_faulted_patch_on_hier_replays_bit_identically() {
 }
 
 /// Service-shaped traffic records and replays like any other workload:
-/// the Zipfian generator's draws are captured as concrete accesses.
+/// the Zipfian generator's draws are captured as concrete accesses. The
+/// pair is pinned by value (no golden covers record→replay): the draw
+/// order at the generator seam, and so the trace bytes and the digest,
+/// must survive any refactor of the event loop or the generator unedited.
 #[test]
 fn zipfian_service_workload_replays_bit_identically() {
     let config = SimConfig::new(ProtocolKind::TokenB, 8)
@@ -94,7 +103,15 @@ fn zipfian_service_workload_replays_bit_identically() {
         .with_warmup(25)
         .with_seed(7)
         .with_checks();
-    assert_replay_identity(config, "svc_hot");
+    let (digest, trace_hash) = assert_replay_identity(config, "svc_hot");
+    assert_eq!(
+        digest, 0xfff4_8705_dc17_4d43,
+        "svc-zipf record/replay digest moved"
+    );
+    assert_eq!(
+        trace_hash, 0xb336_cdb7_8186_8053,
+        "svc-zipf recorded trace bytes moved"
+    );
 }
 
 /// Replaying on the wrong system size is a configuration error, caught
