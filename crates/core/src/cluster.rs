@@ -17,8 +17,10 @@ use crate::checker::{CoherenceChecker, TokenAuditor};
 /// the caller's whole job — a seeded draw, a script, an enumeration —
 /// and everything else is here, under the production oracles: every
 /// action checks its completions with [`CoherenceChecker`] against the
-/// node's outstanding op and then audits the block it concerned with
-/// [`TokenAuditor`].
+/// node's outstanding op, and [`TokenAuditor`] checks that the acting
+/// node's holdings of the block it concerned moved by exactly the tokens
+/// it received minus those it sent (fully auditing any other block it
+/// sent tokens for); [`Cluster::assert_quiescent`] audits every block.
 ///
 /// # Examples
 ///
@@ -75,23 +77,23 @@ impl Cluster {
         let slot = &mut self.outstanding[node.index()];
         assert!(slot.is_none(), "{node} issued {op:?} over {slot:?}");
         *slot = Some(op);
+        self.auditor.begin_action(&self.nodes, node, op.addr);
         let mut out = Outbox::new();
         let response = self.nodes[node.index()].core_request(op, now, &mut out);
         if let CoreResponse::Hit { version } = response {
             self.complete(node, op.addr, version, now);
         }
-        self.settle(node, out, op.addr, now);
+        self.settle(node, out, now);
         response
     }
 
     /// Delivers `in_flight[idx]` at `now`; later entries keep their order.
     pub fn deliver(&mut self, idx: usize, now: Cycle) {
         let (dest, msg) = self.in_flight.remove(idx);
-        self.auditor.on_deliver(&msg);
-        let addr = msg.addr;
+        self.auditor.begin_delivery(&self.nodes, dest, &msg);
         let mut out = Outbox::new();
         self.nodes[dest.index()].handle_message(msg, now, &mut out);
-        self.settle(dest, out, addr, now);
+        self.settle(dest, out, now);
     }
 
     /// Fires `timers[idx]` at `now`.
@@ -105,9 +107,10 @@ impl Cluster {
             now >= deadline,
             "{key:?} at {node} fired at {now}, before its deadline {deadline}"
         );
+        self.auditor.begin_action(&self.nodes, node, key.addr);
         let mut out = Outbox::new();
         self.nodes[node.index()].timer_fired(key, now, &mut out);
-        self.settle(node, out, key.addr, now);
+        self.settle(node, out, now);
     }
 
     /// Delivers the oldest in-flight message `pred(dest, msg)` accepts;
@@ -128,8 +131,9 @@ impl Cluster {
         &*self.nodes[node.index()]
     }
 
-    /// Asserts that no message is in flight, no token is unaccounted for,
-    /// and every controller is quiescent.
+    /// Asserts that no message is in flight, no token is unaccounted for
+    /// (a full audit of every block that was ever in flight), and every
+    /// controller is quiescent.
     pub fn assert_quiescent(&self) {
         assert!(
             self.in_flight.is_empty(),
@@ -141,14 +145,15 @@ impl Cluster {
             0,
             "token conservation violated: tokens were sent that no in-flight message carries"
         );
+        self.auditor.sweep(&self.nodes);
         for (i, node) in self.nodes.iter().enumerate() {
             assert!(node.is_quiescent(), "controller {i} is not quiescent");
         }
     }
 
     /// Fans one controller call's outputs out, checks its completions,
-    /// then audits the block the call concerned.
-    fn settle(&mut self, from: NodeId, out: Outbox, addr: BlockAddr, now: Cycle) {
+    /// then closes the call's audit scope.
+    fn settle(&mut self, from: NodeId, out: Outbox, now: Cycle) {
         for send in out.sends {
             for dest in send.dests.iter() {
                 self.auditor.on_send(&send.msg);
@@ -161,7 +166,7 @@ impl Cluster {
         for c in out.completions {
             self.complete(from, c.addr, c.version, now);
         }
-        self.auditor.audit(addr, &self.nodes);
+        self.auditor.end_action(&self.nodes);
     }
 
     fn complete(&mut self, node: NodeId, addr: BlockAddr, version: u64, now: Cycle) {
@@ -177,23 +182,121 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use patchsim_mem::AccessKind;
+    use patchsim_mem::{AccessKind, CacheGeometry, TokenSet};
     use patchsim_predictor::PredictorChoice;
-    use patchsim_protocol::{MsgBody, ProtocolKind};
+    use patchsim_protocol::{MsgBody, ProtocolCounters, ProtocolKind};
 
+    const N: u16 = 4;
     const P1: NodeId = NodeId::new(1);
     const WRITE: MemOp = MemOp {
         addr: BlockAddr::new(0),
         kind: AccessKind::Write,
     };
 
+    /// One deliberate conservation bug in an otherwise real controller:
+    /// the negative controls that show the auditor notices.
+    #[derive(Clone, Copy)]
+    enum Bug {
+        /// Every token-carrying delivery arrives with one plain token more
+        /// than was sent.
+        ForgesOnDelivery,
+        /// Every owner-carrying delivery is also sent back to its block's
+        /// home, owner token and all.
+        DuplicatesOwner,
+        /// Every timer also returns a plain token of its block to the
+        /// home, without giving one up.
+        TimerForgesPut,
+        /// Evictions discard the victim's tokens instead of `Put`ting them
+        /// home.
+        DropsVictims,
+    }
+
+    struct Mutant {
+        inner: Box<dyn Controller + Send>,
+        at: NodeId,
+        bug: Bug,
+    }
+
+    impl Controller for Mutant {
+        fn core_request(&mut self, op: MemOp, now: Cycle, out: &mut Outbox) -> CoreResponse {
+            self.inner.core_request(op, now, out)
+        }
+
+        fn handle_message(&mut self, mut msg: Msg, now: Cycle, out: &mut Outbox) {
+            let addr = msg.addr;
+            match self.bug {
+                Bug::ForgesOnDelivery => {
+                    if let MsgBody::Data { tokens, .. } | MsgBody::Ack { tokens, .. } =
+                        &mut msg.body
+                    {
+                        tokens.merge(TokenSet::plain(1));
+                    }
+                }
+                Bug::DuplicatesOwner if msg.tokens().has_owner() => {
+                    out.send_one(N, addr.home(N), msg.clone());
+                }
+                _ => {}
+            }
+            self.inner.handle_message(msg, now, out);
+            if let Bug::DropsVictims = self.bug {
+                out.sends
+                    .retain(|s| s.msg.addr == addr || !matches!(s.msg.body, MsgBody::Put { .. }));
+            }
+        }
+
+        fn timer_fired(&mut self, key: TimerKey, now: Cycle, out: &mut Outbox) {
+            self.inner.timer_fired(key, now, out);
+            if let Bug::TimerForgesPut = self.bug {
+                let body = MsgBody::Put {
+                    node: self.at,
+                    tokens: TokenSet::plain(1),
+                    version: None,
+                    dirty: false,
+                };
+                out.send_one(N, key.addr.home(N), Msg::new(key.addr, body));
+            }
+        }
+
+        fn is_quiescent(&self) -> bool {
+            self.inner.is_quiescent()
+        }
+
+        fn held_tokens(&self, addr: BlockAddr) -> Option<TokenSet> {
+            self.inner.held_tokens(addr)
+        }
+
+        fn counters(&self) -> ProtocolCounters {
+            self.inner.counters()
+        }
+
+        fn protocol_name(&self) -> &'static str {
+            self.inner.protocol_name()
+        }
+    }
+
+    impl Cluster {
+        /// [`Cluster::new`] with node `at`'s controller carrying `bug`.
+        fn with_mutant(config: &ProtocolConfig, at: NodeId, bug: Bug) -> Self {
+            let mut c = Cluster::new(config);
+            let inner = build_controller(config, at);
+            c.nodes[at.index()] = Box::new(Mutant { inner, at, bug });
+            c
+        }
+    }
+
+    fn patch_all() -> ProtocolConfig {
+        ProtocolConfig::new(ProtocolKind::Patch, N).with_predictor(PredictorChoice::All)
+    }
+
     /// PATCH-All on four nodes with P1's write issued and every request
     /// delivered, so the home's token-carrying `Data` is the one message
     /// in flight.
     fn data_in_flight() -> Cluster {
-        let config =
-            ProtocolConfig::new(ProtocolKind::Patch, 4).with_predictor(PredictorChoice::All);
-        let mut c = Cluster::new(&config);
+        requests_delivered(Cluster::new(&patch_all()))
+    }
+
+    /// `data_in_flight` on a given cluster.
+    fn requests_delivered(mut c: Cluster) -> Cluster {
         c.issue(P1, WRITE, Cycle::new(0));
         while c.deliver_first(Cycle::new(5), |_, m| {
             matches!(m.body, MsgBody::Request { .. })
@@ -249,5 +352,69 @@ mod tests {
         let mut c = data_in_flight();
         c.outstanding[P1.index()] = None;
         c.drain(Cycle::new(10));
+    }
+
+    #[test]
+    #[should_panic(expected = "token conservation violated for 0x0 at P1: held 0, received 4")]
+    fn forged_tokens_trip_at_the_delivery() {
+        let mut c = requests_delivered(Cluster::with_mutant(
+            &patch_all(),
+            P1,
+            Bug::ForgesOnDelivery,
+        ));
+        c.deliver(0, Cycle::new(10));
+    }
+
+    #[test]
+    #[should_panic(expected = "owner token for 0x0 at P1 duplicated or lost")]
+    fn a_duplicated_owner_trips_at_the_delivery() {
+        let mut c =
+            requests_delivered(Cluster::with_mutant(&patch_all(), P1, Bug::DuplicatesOwner));
+        c.deliver(0, Cycle::new(10));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "token conservation violated for 0x0 at P1: held 4, received 0, sent 1"
+    )]
+    fn a_timer_sending_unheld_tokens_trips_at_the_timer() {
+        let mut c = requests_delivered(Cluster::with_mutant(&patch_all(), P1, Bug::TimerForgesPut));
+        c.drain(Cycle::new(10));
+        let (node, deadline, _) = c.timers[0];
+        assert_eq!(node, P1);
+        c.fire(0, deadline);
+    }
+
+    /// P1 writes block 0, then block 2, in a one-line cache: block 2's
+    /// fill evicts block 0, whose tokens should go home in a `Put`.
+    fn write_two_blocks(mut c: Cluster) -> Cluster {
+        for addr in [0, 2] {
+            let op = MemOp {
+                addr: BlockAddr::new(addr),
+                kind: AccessKind::Write,
+            };
+            c.issue(P1, op, Cycle::new(20 * addr));
+            c.drain(Cycle::new(20 * addr + 10));
+        }
+        assert_eq!(c.completions, [P1, P1]);
+        c
+    }
+
+    fn one_line_patch() -> ProtocolConfig {
+        ProtocolConfig::new(ProtocolKind::Patch, N).with_cache_geometry(CacheGeometry::new(1, 1))
+    }
+
+    #[test]
+    fn an_eviction_puts_its_victim_home() {
+        write_two_blocks(Cluster::new(&one_line_patch())).assert_quiescent();
+    }
+
+    /// No action looks at block 0 after the eviction, so the loss is
+    /// found by the final sweep, not where it happened.
+    #[test]
+    #[should_panic(expected = "token conservation violated for 0x0: 0 held + 0 in flight != 4")]
+    fn a_silently_dropped_victim_trips_at_the_sweep() {
+        let c = Cluster::with_mutant(&one_line_patch(), P1, Bug::DropsVictims);
+        write_two_blocks(c).assert_quiescent();
     }
 }

@@ -60,7 +60,8 @@ pub enum CheckLevel {
     /// No per-event invariant checking (benchmarks at scale). The
     /// end-of-run drain and completion assertions still apply.
     Off,
-    /// Audit token conservation on every message delivery and check
+    /// Audit token conservation at every delivery, core request and
+    /// timer (see [`TokenAuditor`](crate::TokenAuditor)) and check
     /// single-writer/read-latest on every completed access. The right
     /// setting for tests and protocol fuzzing.
     Assert,

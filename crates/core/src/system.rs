@@ -383,15 +383,12 @@ impl System {
     }
 
     fn deliver(&mut self, node: NodeId, msg: Msg, now: Cycle) {
-        self.auditor.on_deliver(&msg);
-        let addr = msg.addr;
+        self.auditor.begin_delivery(&self.nodes, node, &msg);
         let mut out = self.take_outbox();
         self.nodes[node.index()].handle_message(msg, now, &mut out);
         self.process_outbox(node, &mut out, now);
         self.restore_outbox(out);
-        if self.config.check == CheckLevel::Assert {
-            self.auditor.audit(addr, &self.nodes);
-        }
+        self.auditor.end_action(&self.nodes);
     }
 
     /// Dumps the flight recorder (if armed and not yet dumped),
@@ -480,10 +477,12 @@ impl System {
                     .pending
                     .take()
                     .expect("issue without a pending op");
+                self.auditor.begin_action(&self.nodes, node, op.addr);
                 let mut out = self.take_outbox();
                 let resp = self.nodes[node.index()].core_request(op, now, &mut out);
                 self.process_outbox(node, &mut out, now);
                 self.restore_outbox(out);
+                self.auditor.end_action(&self.nodes);
                 match resp {
                     CoreResponse::Hit { version } => {
                         let done_at = now + self.config.protocol.cache_hit_latency;
@@ -497,10 +496,12 @@ impl System {
                 }
             }
             Event::Timer { node, key } => {
+                self.auditor.begin_action(&self.nodes, node, key.addr);
                 let mut out = self.take_outbox();
                 self.nodes[node.index()].timer_fired(key, now, &mut out);
                 self.process_outbox(node, &mut out, now);
                 self.restore_outbox(out);
+                self.auditor.end_action(&self.nodes);
             }
             Event::Arrival { node } => {
                 let measured = self.in_measurement(node);
@@ -639,6 +640,7 @@ impl System {
             0,
             "tokens still in flight after drain"
         );
+        self.auditor.sweep(&self.nodes);
 
         if let Some(recorder) = self.recorder.take() {
             let path = self
