@@ -107,35 +107,47 @@ fn bench_torus(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
+}
 
-    c.bench_function("noc/broadcast_64node_torus", |b| {
-        b.iter_batched(
-            || Fabric::<Payload>::new(FabricConfig::new(FabricKind::Torus, 64)),
-            |mut net| {
-                let mut q: EventQueue<NocEvent<Payload>> = EventQueue::new();
-                net.send(
-                    Cycle::ZERO,
-                    NodeId::new(0),
-                    DestSet::all_except(64, NodeId::new(0)),
-                    Priority::Normal,
-                    Payload,
-                    &mut |at, ev| q.push(at, ev),
-                );
-                let mut delivered = 0u32;
-                while let Some((now, ev)) = q.pop() {
-                    let mut buf = Vec::new();
-                    net.handle(now, ev, &mut |at, e| buf.push((at, e)), &mut |_, _| {
-                        delivered += 1
-                    });
-                    for (at, e) in buf {
-                        q.push(at, e);
+/// A broadcast direct request's shape, node 0 to every other node, carried
+/// through the fabric to its last delivery: the fan-out at every router of
+/// the tree is what it measures. 64 nodes fit one `DestSet` word, 128 two
+/// (inline), 512 spill to the heap.
+fn bench_broadcast(c: &mut Criterion) {
+    for (name, kind, n) in [
+        ("noc/broadcast_64node_torus", FabricKind::Torus, 64),
+        ("noc/broadcast_128node_mesh", FabricKind::Mesh2D, 128),
+        ("noc/broadcast_512node_torus", FabricKind::Torus, 512),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter_batched(
+                || Fabric::<Payload>::new(FabricConfig::new(kind, n)),
+                |mut net| {
+                    let mut q: EventQueue<NocEvent<Payload>> = EventQueue::new();
+                    net.send(
+                        Cycle::ZERO,
+                        NodeId::new(0),
+                        DestSet::all_except(n, NodeId::new(0)),
+                        Priority::Normal,
+                        Payload,
+                        &mut |at, ev| q.push(at, ev),
+                    );
+                    let mut delivered = 0u32;
+                    while let Some((now, ev)) = q.pop() {
+                        let mut buf = Vec::new();
+                        net.handle(now, ev, &mut |at, e| buf.push((at, e)), &mut |_, _| {
+                            delivered += 1
+                        });
+                        for (at, e) in buf {
+                            q.push(at, e);
+                        }
                     }
-                }
-                delivered
-            },
-            BatchSize::SmallInput,
-        )
-    });
+                    delivered
+                },
+                BatchSize::SmallInput,
+            )
+        });
+    }
 }
 
 fn bench_cache(c: &mut Criterion) {
@@ -305,6 +317,7 @@ criterion_group!(
     bench_event_queue,
     bench_event_queue_sweep,
     bench_torus,
+    bench_broadcast,
     bench_cache,
     bench_cache_cold,
     bench_cache_hit_cold,

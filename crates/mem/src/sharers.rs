@@ -351,7 +351,7 @@ mod tests {
     fn matches_repr_oracle() {
         let mut rng = SimRng::from_seed(0x5E75);
         let (mut overflows, mut exact_removals, mut ragged) = (0, 0, 0);
-        for n in [1u16, 16, 64, 65, 128, 300] {
+        for n in [1u16, 16, 64, 65, 128, 129, 300] {
             for _ in 0..24 {
                 let encoding = match rng.below(3) {
                     0 => SharerEncoding::FullMap,

@@ -12,10 +12,14 @@ use crate::NodeId;
 /// to any size; all sets in one system must be created with the same
 /// `num_nodes`.
 ///
-/// Systems of up to 64 nodes — every configuration in the paper's sweeps —
-/// use a single inline `u64` word, so creating, cloning, and branching a
-/// set in the interconnect hot path allocates nothing. Larger systems
-/// spill to a heap-allocated word vector with identical semantics.
+/// Systems of up to 128 nodes keep their bits in two inline `u64` words,
+/// so creating, cloning, and branching a set in the interconnect hot path
+/// allocates nothing. That covers the paper's 16-core base system and
+/// Fig. 8 up to 128 cores, but not Fig. 8's 256 and 512 or Figs. 9–10's
+/// 256: larger systems spill to a heap-allocated word vector with
+/// identical semantics, and every multicast branch there allocates one.
+/// The set stays 32 bytes either way (`Vec`'s capacity niche holds the
+/// variant tag).
 ///
 /// # Examples
 ///
@@ -36,20 +40,24 @@ pub struct DestSet {
     num_nodes: u16,
 }
 
-/// The bit-vector storage: one inline word for ≤64 nodes, a spill vector
-/// above. The variant is a pure function of `num_nodes`, so derived
-/// equality/hashing never compares across representations.
+/// The bit-vector storage: two inline words for ≤ 128 nodes (the second
+/// stays zero up to 64), a spill vector above. The variant is a pure
+/// function of `num_nodes`, so derived equality/hashing never compares
+/// across representations.
 #[derive(Clone, PartialEq, Eq, Hash)]
 enum Repr {
-    Inline(u64),
+    Inline([u64; 2]),
     Spill(Vec<u64>),
 }
+
+/// The largest system whose sets stay inline.
+const INLINE_NODES: u16 = 128;
 
 impl DestSet {
     /// Creates an empty set for a system of `num_nodes` nodes.
     pub fn empty(num_nodes: u16) -> Self {
-        let repr = if num_nodes <= 64 {
-            Repr::Inline(0)
+        let repr = if num_nodes <= INLINE_NODES {
+            Repr::Inline([0; 2])
         } else {
             Repr::Spill(vec![0; (num_nodes as usize).div_ceil(64)])
         };
@@ -107,7 +115,7 @@ impl DestSet {
     #[inline]
     fn words(&self) -> &[u64] {
         match &self.repr {
-            Repr::Inline(w) => std::slice::from_ref(w),
+            Repr::Inline(w) => w,
             Repr::Spill(v) => v,
         }
     }
@@ -115,7 +123,7 @@ impl DestSet {
     #[inline]
     fn words_mut(&mut self) -> &mut [u64] {
         match &mut self.repr {
-            Repr::Inline(w) => std::slice::from_mut(w),
+            Repr::Inline(w) => w,
             Repr::Spill(v) => v,
         }
     }
@@ -162,17 +170,14 @@ impl DestSet {
 
     /// Number of nodes in the set.
     pub fn len(&self) -> usize {
-        match &self.repr {
-            Repr::Inline(w) => w.count_ones() as usize,
-            Repr::Spill(v) => v.iter().map(|w| w.count_ones() as usize).sum(),
-        }
+        self.words().iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Returns `true` if the set is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
         match &self.repr {
-            Repr::Inline(w) => *w == 0,
+            Repr::Inline([lo, hi]) => lo | hi == 0,
             Repr::Spill(v) => v.iter().all(|&w| w == 0),
         }
     }
@@ -203,6 +208,30 @@ impl DestSet {
             .all(|(a, b)| a & !b == 0)
     }
 
+    /// Whether any member's bit is set in `mask`: bit words over this
+    /// set's node numbering, as many as the system needs.
+    #[inline]
+    pub(crate) fn meets(&self, mask: &[u64]) -> bool {
+        self.words().iter().zip(mask).any(|(w, m)| w & m != 0)
+    }
+
+    /// Moves the members whose bits are set in `mask` (as for
+    /// [`DestSet::meets`]) into a set of their own and returns it — or
+    /// returns `None` and moves nothing when every member is in `mask`,
+    /// so the caller can use `self` as that set.
+    #[inline]
+    pub(crate) fn split_off(&mut self, mask: &[u64]) -> Option<DestSet> {
+        if self.words().iter().zip(mask).all(|(w, m)| w & !m == 0) {
+            return None;
+        }
+        let mut taken = DestSet::empty(self.num_nodes);
+        for ((w, t), m) in self.words_mut().iter_mut().zip(taken.words_mut()).zip(mask) {
+            *t = *w & m;
+            *w &= !m;
+        }
+        Some(taken)
+    }
+
     /// Iterates over members in increasing index order.
     pub fn iter(&self) -> Iter<'_> {
         Iter { set: self, next: 0 }
@@ -211,8 +240,13 @@ impl DestSet {
     /// Returns the sole member if the set has exactly one.
     #[inline]
     pub fn as_single(&self) -> Option<NodeId> {
-        if let Repr::Inline(w) = &self.repr {
-            return (w.count_ones() == 1).then(|| NodeId::new(w.trailing_zeros() as u16));
+        if let Repr::Inline([lo, hi]) = self.repr {
+            let bit = match (lo.count_ones(), hi.count_ones()) {
+                (1, 0) => lo.trailing_zeros(),
+                (0, 1) => 64 + hi.trailing_zeros(),
+                _ => return None,
+            };
+            return Some(NodeId::new(bit as u16));
         }
         let mut it = self.iter();
         let first = it.next()?;
@@ -300,14 +334,21 @@ mod tests {
         assert_eq!(s.len(), 1);
     }
 
+    /// Packets and sharer sets carry a `DestSet`: two inline words fit in
+    /// the bytes the spill `Vec` takes, with the variant tag in its niche.
+    #[test]
+    fn layout_is_pinned() {
+        assert_eq!(std::mem::size_of::<DestSet>(), 32);
+    }
+
     #[test]
     fn inline_and_spill_agree() {
         // The same operations on an inline-sized and a spill-sized set
         // must observe identical membership.
-        for num_nodes in [64u16, 65] {
+        for num_nodes in [64u16, 128, 129] {
             let mut s = DestSet::empty(num_nodes);
             match (&s.repr, num_nodes) {
-                (Repr::Inline(_), 64) | (Repr::Spill(_), 65) => {}
+                (Repr::Inline(_), 64 | 128) | (Repr::Spill(_), 129) => {}
                 _ => panic!("unexpected representation for {num_nodes} nodes"),
             }
             for i in (0..num_nodes).step_by(3) {
@@ -336,6 +377,71 @@ mod tests {
         assert!(!s.contains(NodeId::new(5)));
     }
 
+    /// `all`/`all_except` fill the second inline word exactly up to the
+    /// system size, and the excluded node may sit in either word.
+    #[test]
+    fn all_and_all_except_fill_the_second_inline_word() {
+        for n in [65u16, 100, 128] {
+            let s = DestSet::all(n);
+            assert_eq!(s.len(), n as usize);
+            assert!(s.contains(NodeId::new(n - 1)));
+            assert_eq!(s.iter().last(), Some(NodeId::new(n - 1)));
+            for excluded in [0, 63, 64, n - 1] {
+                let s = DestSet::all_except(n, NodeId::new(excluded));
+                assert_eq!(s.len(), n as usize - 1, "{n} nodes without {excluded}");
+                assert!(!s.contains(NodeId::new(excluded)));
+                assert_eq!(s.iter().count(), n as usize - 1);
+            }
+        }
+    }
+
+    /// Members 64–127 live in the second inline word; every query sees
+    /// them there.
+    #[test]
+    fn second_inline_word_members() {
+        let mut s = DestSet::empty(128);
+        assert!(s.is_empty());
+        assert_eq!(s.as_single(), None);
+        s.insert(NodeId::new(64));
+        assert!(!s.is_empty());
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.as_single(), Some(NodeId::new(64)));
+        s.insert(NodeId::new(127));
+        assert_eq!(s.as_single(), None, "two members in the second word");
+        assert_eq!(s.len(), 2);
+        let members: Vec<u16> = s.iter().map(|n| n.raw()).collect();
+        assert_eq!(members, vec![64, 127]);
+        s.remove(NodeId::new(64));
+        assert_eq!(s.as_single(), Some(NodeId::new(127)));
+        s.insert(NodeId::new(3));
+        assert_eq!(s.as_single(), None, "one member in each word");
+        let members: Vec<u16> = s.iter().map(|n| n.raw()).collect();
+        assert_eq!(members, vec![3, 127]);
+        s.remove(NodeId::new(3));
+        s.remove(NodeId::new(127));
+        assert!(s.is_empty());
+        assert_eq!(s.len(), 0);
+        assert_eq!(s.iter().next(), None);
+    }
+
+    /// `meets` and `split_off` against a two-word mask: a split moves
+    /// exactly the masked members, and a mask that holds every member
+    /// moves nothing.
+    #[test]
+    fn meets_and_split_off() {
+        let members = [1u16, 63, 64, 100, 127];
+        let mask = [1u64 << 63, (1 << 36) | (1 << 63)]; // nodes 63, 100, 127
+        let mut s = DestSet::from_nodes(128, members.map(NodeId::new));
+        assert!(s.meets(&mask));
+        assert!(!s.meets(&[0, 0]));
+        let taken = s.split_off(&mask).expect("a strict subset is split off");
+        let raw = |s: &DestSet| s.iter().map(|n| n.raw()).collect::<Vec<_>>();
+        assert_eq!(raw(&taken), vec![63, 100, 127]);
+        assert_eq!(raw(&s), vec![1, 64]);
+        assert!(s.split_off(&[!0, !0]).is_none(), "nothing moves");
+        assert_eq!(raw(&s), vec![1, 64]);
+    }
+
     #[test]
     fn iter_is_sorted_and_complete() {
         let nodes = [5u16, 0, 63, 64, 65, 127];
@@ -352,6 +458,12 @@ mod tests {
             Some(NodeId::new(3))
         );
         assert_eq!(DestSet::all(8).as_single(), None);
+        // A spilled set answers through the iterator.
+        assert_eq!(
+            DestSet::single(200, NodeId::new(199)).as_single(),
+            Some(NodeId::new(199))
+        );
+        assert_eq!(DestSet::all(200).as_single(), None);
     }
 
     #[test]

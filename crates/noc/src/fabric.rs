@@ -23,7 +23,8 @@
 //! The hot path stays exactly as monomorphic as the old torus-only
 //! engine: one generic [`Fabric`] engine drives every topology through
 //! precomputed tables — a next-hop lookup is a single `u16` load
-//! regardless of topology, so there is no per-event dispatch on the
+//! regardless of topology, and a multicast fans out with one word-AND per
+//! out-link and mask word, so there is no per-event dispatch on the
 //! fabric kind at all.
 //!
 //! # Determinism contract
@@ -543,9 +544,10 @@ impl Adjacency {
 /// Table marker for `from == to` (no hop to take).
 const SELF_SLOT: u16 = u16::MAX;
 
-/// A fully built fabric: BFS shortest-path next-hop tables, hop
-/// distances, and flattened per-link parameter tables, derived from an
-/// [`Adjacency`] by the generic deterministic routing builder.
+/// A fully built fabric: BFS shortest-path next-hop tables, per-link
+/// route masks, hop distances, and flattened per-link parameter tables,
+/// derived from an [`Adjacency`] by the generic deterministic routing
+/// builder.
 ///
 /// # Examples
 ///
@@ -560,10 +562,15 @@ const SELF_SLOT: u16 = u16::MAX;
 #[derive(Clone, Debug)]
 pub struct FabricSpec {
     num_nodes: u16,
-    max_degree: u16,
     /// Entry `from * n + to`: the out-link slot of `from` toward `to`,
     /// or [`SELF_SLOT`] when `from == to`.
     next: Vec<u16>,
+    /// Each link's route mask, `⌈n/64⌉` words from `link * ⌈n/64⌉`: bit
+    /// `to` is set when `next` sends traffic for `to` from the link's
+    /// source over this link. A node's masks are disjoint and cover every
+    /// other node. Links × `⌈n/64⌉` × 8 B: 7 KiB on the 128-node mesh,
+    /// 16 MiB on a 512-node crossbar.
+    route_masks: Vec<u64>,
     /// Entry `dst * n + v`: hop distance from `v` to `dst`.
     dist: Vec<u16>,
     /// `link_base[node] .. link_base[node + 1]` are `node`'s out-links.
@@ -623,7 +630,9 @@ impl FabricSpec {
     /// `to` is then `from`'s first out-link slot whose far end is
     /// strictly closer to `to`. The tie-break is total and deterministic,
     /// and on the torus adjacency it reproduces dimension-order routing
-    /// exactly (X before Y, wrap ties toward the positive direction).
+    /// exactly (X before Y, wrap ties toward the positive direction). The
+    /// same pass sets `to`'s bit in the route mask of the chosen link,
+    /// which is what a multicast fans out by.
     ///
     /// # Panics
     ///
@@ -663,21 +672,6 @@ impl FabricSpec {
             );
         }
 
-        let mut next = vec![SELF_SLOT; n * n];
-        for from in 0..n {
-            for to in 0..n {
-                if from == to {
-                    continue;
-                }
-                let d = dist[to * n + from];
-                let slot = adj.out[from]
-                    .iter()
-                    .position(|&(nbr, _)| dist[to * n + nbr.index()] + 1 == d)
-                    .expect("a shortest path starts with some out-link");
-                next[from * n + to] = slot as u16;
-            }
-        }
-
         let mut link_base = Vec::with_capacity(n + 1);
         let mut link_dest = Vec::with_capacity(adj.num_links());
         let mut link_class = Vec::with_capacity(adj.num_links());
@@ -690,10 +684,29 @@ impl FabricSpec {
         }
         link_base.push(link_dest.len() as u32);
 
+        let words = n.div_ceil(64);
+        let mut next = vec![SELF_SLOT; n * n];
+        let mut route_masks = vec![0u64; link_dest.len() * words];
+        for from in 0..n {
+            for to in 0..n {
+                if from == to {
+                    continue;
+                }
+                let d = dist[to * n + from];
+                let slot = adj.out[from]
+                    .iter()
+                    .position(|&(nbr, _)| dist[to * n + nbr.index()] + 1 == d)
+                    .expect("a shortest path starts with some out-link");
+                next[from * n + to] = slot as u16;
+                let link = link_base[from] as usize + slot;
+                route_masks[link * words + to / 64] |= 1 << (to % 64);
+            }
+        }
+
         let mut spec = FabricSpec {
             num_nodes: adj.num_nodes,
-            max_degree: adj.out.iter().map(Vec::len).max().unwrap_or(0) as u16,
             next,
+            route_masks,
             dist,
             link_base,
             link_dest,
@@ -724,11 +737,6 @@ impl FabricSpec {
     /// Total directed links.
     pub fn num_links(&self) -> usize {
         self.link_dest.len()
-    }
-
-    /// The largest per-node out-degree.
-    pub fn max_degree(&self) -> usize {
-        self.max_degree as usize
     }
 
     /// Out-degree of `node`.
@@ -772,6 +780,43 @@ impl FabricSpec {
     pub fn next_slot(&self, from: NodeId, to: NodeId) -> Option<usize> {
         let s = self.next[from.index() * self.num_nodes as usize + to.index()];
         (s != SELF_SLOT).then_some(s as usize)
+    }
+
+    /// `link`'s route mask (see the `route_masks` field).
+    #[inline]
+    fn route_mask(&self, link: usize) -> &[u64] {
+        let words = (self.num_nodes as usize).div_ceil(64);
+        &self.route_masks[link * words..(link + 1) * words]
+    }
+
+    /// The fan-out rule, shared by the [`Fabric`] engine and
+    /// [`FabricSpec::multicast_tree`]: a multicast at `node` sends the
+    /// destinations in each out-link's route mask over that link, one
+    /// branch per non-empty group, in ascending slot order.
+    ///
+    /// Returns the first slot at or after `first` whose group is not
+    /// empty, and that group split off `dests` — or `None` in its place
+    /// when the slot carries every destination left, so `dests` itself
+    /// leaves over it and the fan-out is done. Otherwise call again from
+    /// the returned slot plus one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dests` is empty or holds `node`.
+    #[inline]
+    fn next_branch(
+        &self,
+        node: NodeId,
+        first: usize,
+        dests: &mut DestSet,
+    ) -> (usize, Option<DestSet>) {
+        let base = self.link_base[node.index()] as usize;
+        (first..self.degree(node))
+            .find_map(|slot| {
+                let mask = self.route_mask(base + slot);
+                dests.meets(mask).then(|| (slot, dests.split_off(mask)))
+            })
+            .expect("fan-out destinations are neither empty nor the current node")
     }
 
     /// The neighbor a packet at `from` is forwarded to toward `to`, or
@@ -832,8 +877,7 @@ impl FabricSpec {
             edges: Vec::new(),
             deliveries: Vec::new(),
         };
-        let mut work: VecDeque<(NodeId, DestSet)> = VecDeque::new();
-        work.push_back((src, dests.clone()));
+        let mut work = VecDeque::from([(src, dests.clone())]);
         while let Some((node, mut set)) = work.pop_front() {
             if set.remove(node) {
                 tree.deliveries.push(node);
@@ -841,20 +885,17 @@ impl FabricSpec {
             if set.is_empty() {
                 continue;
             }
-            let mut groups: Vec<Option<DestSet>> = vec![None; self.degree(node)];
-            for dest in set.iter() {
-                let slot = self
-                    .next_slot(node, dest)
-                    .expect("dest equal to current node was already removed");
-                groups[slot]
-                    .get_or_insert_with(|| DestSet::empty(self.num_nodes))
-                    .insert(dest);
-            }
-            for (slot, group) in groups.into_iter().enumerate() {
-                let Some(group) = group else { continue };
+            let mut first = 0;
+            loop {
+                let (slot, group) = self.next_branch(node, first, &mut set);
                 let nbr = self.link_dest[self.link_id(node, slot)];
                 tree.edges.push((node, nbr));
+                let Some(group) = group else {
+                    work.push_back((nbr, set));
+                    break;
+                };
                 work.push_back((nbr, group));
+                first = slot + 1;
             }
         }
         tree
@@ -970,9 +1011,6 @@ pub struct Fabric<M> {
     ser_memo: [[(u64, u64); 2]; 2],
     config: FabricConfig,
     links: Vec<LinkState<M>>,
-    /// Reusable per-out-slot grouping scratch for multicast fan-out;
-    /// every entry is `None` between calls.
-    groups: Vec<Option<DestSet>>,
     /// Free list of packet boxes: multicast branches and fresh sends
     /// reuse the allocations of delivered packets.
     pool: Vec<Box<Packet<M>>>,
@@ -1015,7 +1053,6 @@ impl<M: Clone + NocPayload> Fabric<M> {
             )
         });
         Fabric {
-            groups: vec![None; spec.max_degree()],
             spec,
             ser_memo: [[(u64::MAX, 0); 2]; 2],
             config,
@@ -1177,10 +1214,11 @@ impl<M: Clone + NocPayload> Fabric<M> {
         }
     }
 
-    /// Groups a packet's remaining destinations by out-link slot and
-    /// enqueues one branch per slot (fan-out multicast). The packet
-    /// itself — message payload included — moves into the last branch, so
-    /// the common unicast case clones nothing.
+    /// Splits a packet's remaining destinations by out-link route mask
+    /// ([`FabricSpec::next_branch`]) and enqueues one branch per
+    /// non-empty group, in ascending slot order (fan-out multicast). The
+    /// packet itself — message payload included — moves into the last
+    /// branch, so the common unicast case clones nothing.
     fn route_onward(
         &mut self,
         now: Cycle,
@@ -1199,29 +1237,17 @@ impl<M: Clone + NocPayload> Fabric<M> {
             self.enqueue(now, node, slot, packet, sched);
             return;
         }
-        let Self { spec, groups, .. } = self;
-        for dest in packet.dests.iter() {
-            let slot = spec
-                .next_slot(node, dest)
-                .expect("dest equal to current node was already removed");
-            groups[slot]
-                .get_or_insert_with(|| DestSet::empty(spec.num_nodes()))
-                .insert(dest);
-        }
-        let last = groups
-            .iter()
-            .rposition(|g| g.is_some())
-            .expect("routed packet has at least one destination");
-        for slot in 0..last {
-            let Some(group) = self.groups[slot].take() else {
-                continue;
+        let mut first = 0;
+        loop {
+            let (slot, group) = self.spec.next_branch(node, first, &mut packet.dests);
+            let Some(group) = group else {
+                self.enqueue(now, node, slot, packet, sched);
+                return;
             };
-            let branch = packet.branch(group);
-            let branch = self.alloc_packet(branch);
+            let branch = self.alloc_packet(packet.branch(group));
             self.enqueue(now, node, slot, branch, sched);
+            first = slot + 1;
         }
-        packet.dests = self.groups[last].take().expect("rposition found a group");
-        self.enqueue(now, node, last, packet, sched);
     }
 
     /// Puts `branch` on `node`'s out-link slot `slot`: transmits at once
@@ -1515,6 +1541,45 @@ mod tests {
                         assert_eq!(cur, to);
                         assert_eq!(steps, spec.hop_distance(from, to), "{kind} {from}->{to}");
                     }
+                }
+            }
+        }
+    }
+
+    /// A node's route masks partition the other nodes: pairwise disjoint,
+    /// together every node but the node itself, and each destination in
+    /// the mask of the slot `next_slot` names — so grouping by mask is
+    /// grouping by next hop.
+    #[test]
+    fn route_masks_partition_the_other_nodes_by_next_slot() {
+        for kind in FabricKind::ALL {
+            for n in [1u16, 16, 80, 144] {
+                let spec = FabricSpec::build(&FabricConfig::new(kind, n));
+                for node in (0..n).map(NodeId::new) {
+                    let masks: Vec<&[u64]> = (0..spec.degree(node))
+                        .map(|slot| spec.route_mask(spec.link_id(node, slot)))
+                        .collect();
+                    let mut union = DestSet::empty(n);
+                    for (slot, mask) in masks.iter().enumerate() {
+                        for other in &masks[slot + 1..] {
+                            assert!(
+                                mask.iter().zip(*other).all(|(a, b)| a & b == 0),
+                                "{kind}/{n}: {node}'s masks overlap"
+                            );
+                        }
+                        for to in (0..n).map(NodeId::new) {
+                            let bit = mask[to.index() / 64] >> (to.index() % 64) & 1 == 1;
+                            assert_eq!(
+                                bit,
+                                spec.next_slot(node, to) == Some(slot),
+                                "{kind}/{n}: {node}->{to} in slot {slot}'s mask"
+                            );
+                            if bit {
+                                union.insert(to);
+                            }
+                        }
+                    }
+                    assert_eq!(union, DestSet::all_except(n, node), "{kind}/{n} at {node}");
                 }
             }
         }

@@ -10,8 +10,12 @@
 //! 2. **Multicast-tree properties**: on every shipped fabric, the fan-out
 //!    expansion of a random `DestSet` delivers to exactly the destination
 //!    set (no duplicates, none missing) over edges that are real fabric
-//!    links — for inline (≤ 64 node) and spill (> 64 node) set
-//!    representations, seeded with `SimRng`.
+//!    links — for one-word and two-word inline (≤ 128 node) and spill
+//!    (> 128 node) set representations, seeded with `SimRng` — and
+//!    expands to exactly the tree an independent per-destination
+//!    reference (below) builds, edge for edge and delivery for delivery.
+
+use std::collections::VecDeque;
 
 use patchsim_kernel::{Cycle, EventQueue, SimRng};
 use patchsim_noc::{
@@ -207,10 +211,10 @@ fn random_dests(rng: &mut SimRng, n: u16) -> DestSet {
     dests
 }
 
-/// System sizes covering both `DestSet` representations: 48 stays on the
-/// inline `u64` word, 80 spills to the word vector. Both factor into
-/// grids and clusters, so every fabric kind builds.
-const PROPERTY_SIZES: [u16; 2] = [48, 80];
+/// System sizes covering every `DestSet` representation: 48 fills one
+/// inline word, 80 two, and 144 spills to the heap word vector. All three
+/// factor into grids and clusters, so every fabric kind builds.
+const PROPERTY_SIZES: [u16; 3] = [48, 80, 144];
 
 #[test]
 fn multicast_tree_properties_hold_on_every_fabric() {
@@ -247,6 +251,65 @@ fn multicast_tree_properties_hold_on_every_fabric() {
                 assert!(
                     tree.edges.len() as u32 <= unicast_cost.max(1),
                     "{kind}/{n}: tree larger than unicast fan-out"
+                );
+            }
+        }
+    }
+}
+
+/// The fan-out expansion built one destination at a time, independently
+/// of the fabric's route masks: at every router each remaining
+/// destination joins the group of the out-link slot `next_slot` names,
+/// and the non-empty groups leave in ascending slot order. Returns the
+/// tree's edges and deliveries, in expansion order.
+fn reference_tree(
+    spec: &FabricSpec,
+    src: NodeId,
+    dests: &DestSet,
+) -> (Vec<(NodeId, NodeId)>, Vec<NodeId>) {
+    let (mut edges, mut deliveries) = (Vec::new(), Vec::new());
+    let mut work = VecDeque::from([(src, dests.clone())]);
+    while let Some((node, mut set)) = work.pop_front() {
+        if set.remove(node) {
+            deliveries.push(node);
+        }
+        let mut groups: Vec<Option<DestSet>> = vec![None; spec.degree(node)];
+        for dest in set.iter() {
+            let slot = spec.next_slot(node, dest).expect("node was removed");
+            groups[slot]
+                .get_or_insert_with(|| DestSet::empty(spec.num_nodes()))
+                .insert(dest);
+        }
+        for (slot, group) in groups.into_iter().enumerate() {
+            let Some(group) = group else { continue };
+            let nbr = spec.link_dest(spec.link_id(node, slot));
+            edges.push((node, nbr));
+            work.push_back((nbr, group));
+        }
+    }
+    (edges, deliveries)
+}
+
+#[test]
+fn multicast_tree_matches_the_per_destination_reference() {
+    let mut rng = SimRng::from_seed(0x7EE);
+    for kind in FabricKind::ALL {
+        for n in PROPERTY_SIZES {
+            let spec = FabricSpec::build(&FabricConfig::new(kind, n));
+            for round in 0..16 {
+                let src = NodeId::new(rng.below(n as u64) as u16);
+                // Every fourth round is a broadcast direct request's shape.
+                let dests = if round % 4 == 0 {
+                    DestSet::all_except(n, src)
+                } else {
+                    random_dests(&mut rng, n)
+                };
+                let tree = spec.multicast_tree(src, &dests);
+                let (edges, deliveries) = reference_tree(&spec, src, &dests);
+                assert_eq!(tree.edges, edges, "{kind}/{n} from {src}: edges diverge");
+                assert_eq!(
+                    tree.deliveries, deliveries,
+                    "{kind}/{n} from {src}: deliveries diverge"
                 );
             }
         }
