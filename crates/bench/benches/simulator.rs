@@ -251,6 +251,44 @@ fn bench_cache_hit_cold(c: &mut Criterion) {
     });
 }
 
+/// The microbenchmark's invalidate/refill churn (§8: a uniform 16k-block
+/// table, 30% writes) on 16 paper-geometry arrays. An access fills its
+/// block at a random node if absent; a write first removes the block from
+/// the other 15 arrays, as collecting all T tokens does, so sets keep
+/// emptying and filling again. After a warm-up to steady state, one
+/// iteration is 256 accesses.
+fn bench_cache_invalidate_refill(c: &mut Criterion) {
+    const BLOCKS: u64 = 16 * 1024;
+    let mut rng = SimRng::from_seed(31);
+    let mut caches: Vec<CacheArray<u64>> =
+        (0..16).map(|_| CacheArray::new(paper_geometry())).collect();
+    let mut access = move |caches: &mut [CacheArray<u64>]| {
+        let node = rng.below(16) as usize;
+        let addr = BlockAddr::new(rng.below(BLOCKS));
+        if rng.chance(0.3) {
+            for (other, cache) in caches.iter_mut().enumerate() {
+                if other != node {
+                    cache.remove(addr);
+                }
+            }
+        }
+        match caches[node].get_mut(addr) {
+            Some(payload) => *payload += 1,
+            None => assert!(caches[node].insert(addr, 0).is_none()),
+        }
+    };
+    for _ in 0..64 * 1024 {
+        access(&mut caches);
+    }
+    c.bench_function("mem/cache_invalidate_refill_16x16k", |b| {
+        b.iter(|| {
+            for _ in 0..256 {
+                access(&mut caches);
+            }
+        })
+    });
+}
+
 /// What constructing a large system costs per node: 128 paper-geometry
 /// arrays, each built and then given the 150 distinct sets a node of
 /// `mesh128_scale` fills in a pass.
@@ -321,6 +359,7 @@ criterion_group!(
     bench_cache,
     bench_cache_cold,
     bench_cache_hit_cold,
+    bench_cache_invalidate_refill,
     bench_cache_new,
     bench_predictor_cold,
     bench_sharers,

@@ -93,18 +93,32 @@ pub struct Evicted<L> {
 ///
 /// # Host layout
 ///
-/// Memory follows first touch, not geometry. Construction allocates two
-/// per-set tables and nothing per way: one occupancy bit per set, and
-/// `slot_of_set`, a `u32` per set that stays 0 until the set first
-/// receives an [`insert`](CacheArray::insert). That insert gives the set
-/// the next free *slot* in two [`Chunked`] arrays — one holds a set's tags
-/// followed by its LRU stamps, the other its payloads — and the set keeps
-/// the slot for the array's lifetime, also while it holds nothing. Storage
-/// comes in chunks of 64 slots, allocated when their first slot is handed
-/// out and never moved, so growth copies no line. A simulated system
-/// keeps one array per node and a run fills a sliver of each (150 of 4096
-/// sets per node on a 128-node mesh), so storage sized by geometry was most
-/// of the simulator's resident set and nearly all of its construction time.
+/// Memory follows residency, not geometry and not history. Construction
+/// allocates two per-set tables and nothing per way: one occupancy bit per
+/// set, and `slot_of_set`, a `u32` per set that is 0 while the set holds
+/// nothing. An [`insert`](CacheArray::insert) into an empty set gives it a
+/// *slot* in two [`Chunked`] arrays — one holds a set's tags followed by
+/// its LRU stamps, the other its payloads. A [`remove`](CacheArray::remove)
+/// that empties a set takes the slot back: the set's entry returns to 0 and
+/// the slot goes onto a free list. An insert into an empty set pops that
+/// list first, last freed first — the slot likeliest to still be in the
+/// host's caches — and only when it is empty hands out a new slot,
+/// `materialised`, the high-water mark. Storage therefore holds as many
+/// slots as sets were ever non-empty *at once*, not every set a run ever
+/// filled. That matters under token coherence: a write collects every
+/// token, which empties the block's set at every other node, so at any
+/// moment most sets a node has filled are empty again. Storage comes in
+/// chunks of 64 slots, allocated when their first slot is handed out and
+/// never moved or freed, so growth copies no line. A simulated system keeps
+/// one array per node and a run fills a sliver of each (150 of 4096 sets
+/// per node on a 128-node mesh), so storage sized by geometry was most of
+/// the simulator's resident set and nearly all of its construction time.
+///
+/// A freed slot keeps the tags `remove` parked in it, and nothing else: its
+/// stamps are 0 and its payloads `None`, as in a slot never handed out, and
+/// an empty way's tag is never trusted. So a recycled slot behaves exactly
+/// like a fresh one — placement, LRU victims, `victim_for`, `iter` and
+/// `len` cannot tell them apart.
 ///
 /// A probe reads the set's occupancy bit and stops there if the set is
 /// empty. Otherwise it reads the set's slot, then its tags — 32 contiguous
@@ -115,10 +129,13 @@ pub struct Evicted<L> {
 /// a miss does not touch is a host cache miss saved. The bits (512 B at the
 /// paper's 4096 sets) stay host-cache resident at any node count.
 ///
-/// Invariants: the non-zero values of `slot_of_set` are distinct and are
-/// exactly `1..=materialised`, and both arrays have storage for slots
-/// `0..materialised`. Way `w` of a slot is resident ⇔ its stamp is non-zero ⇔ its payload is `Some`;
-/// bit `s` of `occupied` is set ⇔ set `s` has a slot with a resident way.
+/// Invariants: the non-zero values of `slot_of_set` are distinct, and
+/// they (less one) and the entries of `free` together are exactly the
+/// slots `0..materialised`, each once; both arrays have storage for those
+/// slots. Way `w` of a slot is resident ⇔ its stamp is non-zero ⇔ its
+/// payload is `Some`. A set has a slot ⇔ it has a resident way ⇔ bit `s`
+/// of `occupied` is set, so the bit equals `slot_of_set[s] != 0`; a slot on
+/// the free list has no resident way.
 /// `lru_clock` is bumped before every stamp, so resident stamps are ≥ 1 and
 /// distinct, and 0 marks an empty way. The tag of an empty way is never
 /// trusted, which leaves every [`BlockAddr`] a legal key; `remove` only
@@ -141,7 +158,10 @@ pub struct CacheArray<L> {
     geometry: CacheGeometry,
     occupied: Vec<u64>,
     slot_of_set: Vec<u32>,
-    /// How many sets have a slot: slots `0..materialised` are in use.
+    /// Slots taken back from emptied sets, the last freed on top.
+    free: Vec<u32>,
+    /// How many slots were ever handed out: the most sets that held
+    /// something at once. Slots `0..materialised` have storage.
     materialised: u32,
     /// Per slot, the set's tags then its stamps.
     meta: Chunked<u64>,
@@ -183,6 +203,7 @@ impl<L> CacheArray<L> {
             geometry,
             occupied: vec![0; sets.div_ceil(64)],
             slot_of_set: vec![0; sets],
+            free: Vec::new(),
             materialised: 0,
             meta: Chunked::new(2 * ways),
             payloads: Chunked::new(ways),
@@ -195,7 +216,7 @@ impl<L> CacheArray<L> {
         self.geometry
     }
 
-    /// `set`'s slot, if the set ever received a line.
+    /// `set`'s slot, if the set holds a line.
     fn slot_of(&self, set: usize) -> Option<usize> {
         Some(self.slot_of_set[set].checked_sub(1)? as usize)
     }
@@ -214,7 +235,9 @@ impl<L> CacheArray<L> {
     /// every probe starts with, and where most of them end.
     fn occupied_set(&self, addr: BlockAddr) -> Option<usize> {
         let set = self.geometry.set_of(addr);
-        (self.occupied[set / 64] >> (set % 64) & 1 != 0).then_some(set)
+        let occupied = self.occupied[set / 64] >> (set % 64) & 1 != 0;
+        debug_assert_eq!(occupied, self.slot_of_set[set] != 0);
+        occupied.then_some(set)
     }
 
     /// Looks up `addr` without updating recency.
@@ -266,15 +289,7 @@ impl<L> CacheArray<L> {
     /// update lines in place, never double-allocate.
     pub fn insert(&mut self, addr: BlockAddr, payload: L) -> Option<Evicted<L>> {
         let set = self.geometry.set_of(addr);
-        let slot = self.slot_of(set).unwrap_or_else(|| {
-            // First touch: the next slot, for good.
-            let slot = self.materialised as usize;
-            self.meta.touch(slot);
-            self.payloads.touch(slot);
-            self.materialised += 1;
-            self.slot_of_set[set] = self.materialised;
-            slot
-        });
+        let slot = self.slot_of(set).unwrap_or_else(|| self.open_slot(set));
         self.lru_clock += 1;
         let now = self.lru_clock;
         let (tags, stamps) = self.tags_and_stamps_mut(slot);
@@ -289,6 +304,22 @@ impl<L> CacheArray<L> {
             addr: old_addr,
             payload,
         })
+    }
+
+    /// Gives the empty `set` a slot: the last one freed, or else a new one.
+    fn open_slot(&mut self, set: usize) -> usize {
+        let slot = match self.free.pop() {
+            Some(slot) => slot as usize,
+            None => {
+                let slot = self.materialised as usize;
+                self.meta.touch(slot);
+                self.payloads.touch(slot);
+                self.materialised += 1;
+                slot
+            }
+        };
+        self.slot_of_set[set] = slot as u32 + 1;
+        slot
     }
 
     /// The address that [`CacheArray::insert`] would evict to make room
@@ -313,6 +344,8 @@ impl<L> CacheArray<L> {
         tags[way] = !addr.raw();
         if stamps.iter().all(|&stamp| stamp == 0) {
             self.occupied[set / 64] &= !(1 << (set % 64));
+            self.slot_of_set[set] = 0;
+            self.free.push(slot as u32);
         }
         self.payloads[slot][way].take()
     }
@@ -614,13 +647,16 @@ mod tests {
     /// collides in a few sets and includes 0, `u64::MAX` and a complement
     /// pair per set. Every case starts by probing sets nothing touched yet;
     /// the larger geometries then fill 140 sets in a scrambled order, so the
-    /// 65th and the 129th set to be touched open a chunk of their own, and
-    /// keep operating on all of them.
+    /// 65th and the 129th set to be touched open a chunk of their own, empty
+    /// all 140 and refill them with other blocks in the same order — each
+    /// set on a slot another set gave back — and keep operating on all of
+    /// them.
     #[test]
     fn matches_line_array_oracle() {
         const GEOMETRIES: [(u32, u32); 6] = [(1, 1), (1, 4), (4, 2), (3, 5), (4096, 4), (200, 3)];
         let mut rng = SimRng::from_seed(0xD1FF);
         let (mut evictions, mut hits, mut extremes, mut refills) = (0, 0, 0, 0);
+        let mut recycled = 0;
         for case in 0..256 {
             let (sets, ways) = GEOMETRIES[case % GEOMETRIES.len()];
             let geometry = CacheGeometry::new(sets, ways);
@@ -649,22 +685,31 @@ mod tests {
                 .iter()
                 .flat_map(|&raw| (1..6).map(move |kind| (raw, kind)));
             let fill = scrambled.iter().map(|&raw| (raw, 0));
+            let empty = scrambled.iter().map(|&raw| (raw, 3));
+            let refill = scrambled.iter().map(|&raw| (raw + u64::from(sets), 0));
+            let churned = 5 * probed.len() + 3 * scrambled.len();
+            // The most sets non-empty at once so far.
+            let mut peak = 0;
             let ops = 1 + rng.below(299);
             let random: Vec<_> = (0..ops)
                 .map(|_| (pool[rng.below(pool.len() as u64) as usize], rng.below(6)))
                 .collect();
-            for (op, (raw, kind)) in never_touched.chain(fill).chain(random).enumerate() {
+            let script = never_touched.chain(fill).chain(empty).chain(refill);
+            for (op, (raw, kind)) in script.chain(random).enumerate() {
                 let addr = a(raw);
                 match kind {
                     0 if !old.contains(addr) => {
                         let payload = ((case as u64) << 32) | op as u64;
+                        let free = new.free.len();
                         let victim = new.insert(addr, payload);
                         assert_eq!(victim, old.insert(addr, payload));
+                        recycled += (new.free.len() < free) as u32;
                         evictions += victim.is_some() as u32;
                         extremes += (raw == 0 || raw == u64::MAX) as u32;
                         let set = geometry.set_of(addr);
                         refills += (filled.get(&set) == Some(&0)) as u32;
                         *filled.entry(set).or_insert(0) += victim.is_none() as usize;
+                        peak = peak.max(filled.values().filter(|&&n| n > 0).count());
                     }
                     1 => {
                         let (n, o) = (new.get_mut(addr), old.get_mut(addr));
@@ -695,23 +740,25 @@ mod tests {
                 if op + 1 == 5 * probed.len() + scrambled.len() && !scrambled.is_empty() {
                     assert_eq!(new.allocated_ways(), 3 * 64 * ways as usize);
                 }
+                if op + 1 == churned && !scrambled.is_empty() {
+                    assert_eq!(new.allocated_ways(), 3 * 64 * ways as usize);
+                    assert_eq!((new.len(), new.free.len()), (140, 0));
+                }
             }
             assert_eq!(new.len(), old.len());
             assert!(new.iter().eq(old.iter()));
-            assert_eq!(
-                new.allocated_ways(),
-                filled.len().div_ceil(64) * 64 * ways as usize
-            );
+            assert_eq!(new.allocated_ways(), peak.div_ceil(64) * 64 * ways as usize);
         }
         // Vacuity guards: the sequences did reach the interesting paths.
         assert!(evictions > 500 && hits > 500 && extremes > 50 && refills > 50);
+        assert!(recycled > 10_000, "{recycled} slots recycled");
     }
 
-    /// Memory follows first touch: construction allocates no per-way
-    /// storage whatever the geometry, lookups never allocate, and after
-    /// inserts into `k` distinct sets — in any order, with removals,
-    /// re-inserts and evictions in between — exactly `ceil(k / 64)` chunks of
-    /// 64 sets' ways exist.
+    /// Memory follows residency: construction allocates no per-way storage
+    /// whatever the geometry, lookups never allocate, and under inserts,
+    /// removals, re-inserts and evictions in any order exactly
+    /// `ceil(peak / 64)` chunks of 64 sets' ways exist, where `peak` is the
+    /// most sets that held a block at once so far.
     #[test]
     fn storage_follows_first_touch() {
         let paper = CacheGeometry::from_capacity(1 << 20, 64, 4);
@@ -719,27 +766,94 @@ mod tests {
         let mut rng = SimRng::from_seed(0xF1257);
         for (sets, ways) in [(4096, 4), (200, 3), (64, 1), (1, 2)] {
             let mut c = CacheArray::new(CacheGeometry::new(sets, ways));
-            let mut touched = std::collections::BTreeSet::new();
+            let set_of = |addr: BlockAddr| addr.raw() % u64::from(sets);
+            // Resident blocks per non-empty set.
+            let mut resident = std::collections::BTreeMap::new();
+            let leave = |resident: &mut std::collections::BTreeMap<u64, u32>, set| {
+                let left = resident.get_mut(&set).expect("a resident block's set");
+                *left -= 1;
+                if *left == 0 {
+                    resident.remove(&set);
+                }
+            };
+            let (mut peak, mut emptied) = (0, 0);
             for op in 0..2000 {
                 let addr = a(rng.below(8 * u64::from(sets)));
                 match rng.below(4) {
                     0 if !c.contains(addr) => {
-                        c.insert(addr, op);
-                        touched.insert(addr.raw() % u64::from(sets));
+                        if let Some(victim) = c.insert(addr, op) {
+                            leave(&mut resident, set_of(victim.addr));
+                        }
+                        *resident.entry(set_of(addr)).or_insert(0) += 1;
                     }
-                    1 => drop(c.remove(addr)),
+                    1 => {
+                        if c.remove(addr).is_some() {
+                            leave(&mut resident, set_of(addr));
+                            emptied += !resident.contains_key(&set_of(addr)) as u32;
+                        }
+                    }
                     2 => drop(c.get_mut(addr)),
                     _ => drop((c.peek(addr), c.victim_for(addr))),
                 }
-                let chunks = touched.len().div_ceil(64);
-                assert_eq!(c.allocated_ways(), chunks * 64 * ways as usize);
+                peak = peak.max(resident.len());
+                assert_eq!(c.allocated_ways(), peak.div_ceil(64) * 64 * ways as usize);
             }
-            assert!(touched.len() >= 129.min(sets as usize), "vacuous: {sets}");
+            let vacuous = peak <= 128 && peak * 2 <= sets as usize;
+            assert!(!vacuous, "too few sets at once: {sets}");
+            assert!(emptied > 0, "no set emptied: {sets}");
         }
     }
 
-    /// A set emptied by `remove` keeps its slot: refilling it allocates
-    /// nothing, and what `remove` parked in its tags is never trusted.
+    /// Sets that empty hand their slots to sets that fill later, and the
+    /// new owner sees nothing of the old: after sets A are filled and
+    /// emptied, filling as many other sets B opens no chunk, and no probe
+    /// of B finds A's blocks or the complements `remove` parked in the
+    /// recycled tags. With 128 sets the complement of a block in set `s`
+    /// maps to set `127 - s`, and the free list is LIFO, so each B set
+    /// receives exactly the slot whose parked tags name its own blocks.
+    #[test]
+    fn emptied_slot_is_recycled_without_leaking() {
+        let mut c = CacheArray::new(CacheGeometry::new(128, 2));
+        let old: Vec<u64> = (0..64).flat_map(|set| [set, set + 128]).collect();
+        for &raw in &old {
+            assert!(c.insert(a(raw), raw).is_none());
+        }
+        let slots: Vec<_> = (0..64).map(|set| c.slot_of(set)).collect();
+        for &raw in &old {
+            assert_eq!(c.remove(a(raw)), Some(raw));
+        }
+        assert!(c.is_empty() && c.iter().next().is_none());
+        assert_eq!(c.len(), 0);
+        for set in 64..128 {
+            assert!(c.insert(a(set), 1000 + set).is_none());
+        }
+        assert_eq!(c.allocated_ways(), 64 * 2, "B reused A's slots");
+        for (set, &slot) in slots.iter().enumerate() {
+            assert_eq!(c.slot_of(127 - set), slot, "last freed, first reused");
+        }
+        for raw in old.iter().flat_map(|&raw| [raw, !raw]) {
+            assert!(!c.contains(a(raw)) && c.peek(a(raw)).is_none());
+            assert!(c.get_mut(a(raw)).is_none());
+            assert_eq!(c.victim_for(a(raw)), None, "B's sets have a free way");
+        }
+        assert_eq!(c.len(), 64);
+        let b = (64..128).map(|set| (a(set), 1000 + set));
+        assert!(c.iter().map(|(addr, &payload)| (addr, payload)).eq(b));
+        for set in 0..64 {
+            // Set `127 - set` still has the complement of block `set + 128`
+            // parked in its free way; it goes in as an ordinary block.
+            let parked = !(set + 128);
+            assert!(c.insert(a(parked), parked).is_none());
+        }
+        assert_eq!(c.len(), 128);
+        assert_eq!(c.allocated_ways(), 64 * 2);
+        let victim = c.insert(a(127 + 128 * 2), 0).map(|v| (v.addr, v.payload));
+        assert_eq!(victim, Some((a(127), 1127)), "LRU is B's own block");
+    }
+
+    /// A set emptied by `remove` gets its slot back from the free list,
+    /// last freed first: refilling it allocates nothing, and what `remove`
+    /// parked in its tags is never trusted.
     #[test]
     fn emptied_set_is_refilled_in_place() {
         let mut c = CacheArray::new(CacheGeometry::new(128, 2));
@@ -747,7 +861,9 @@ mod tests {
             c.insert(a(set), set);
         }
         assert_eq!(c.allocated_ways(), 64 * 2);
+        let slot = c.slot_of(5);
         assert_eq!(c.remove(a(5)), Some(5));
+        assert_eq!((c.slot_of(5), c.free.as_slice()), (None, &[5][..]));
         assert_eq!(c.victim_for(a(5)), None);
         assert!(!c.contains(a(5)) && !c.contains(a(!5)) && c.peek(a(133)).is_none());
         assert!(
@@ -755,7 +871,8 @@ mod tests {
             "set 5 again, another block"
         );
         assert!(c.insert(a(5), 5).is_none());
-        assert_eq!(c.allocated_ways(), 64 * 2, "set 5 kept its slot");
+        assert_eq!(c.slot_of(5), slot, "set 5 got its slot back");
+        assert_eq!(c.allocated_ways(), 64 * 2);
         assert_eq!(c.insert(a(261), 261).map(|v| v.addr), Some(a(133)));
         c.insert(a(64), 64);
         assert_eq!(c.allocated_ways(), 2 * 64 * 2, "the 65th set opens a chunk");

@@ -18,8 +18,9 @@ const CHUNK_RECORDS: usize = 64;
 /// before the whole array is dropped, so growth copies no record and
 /// leaves no abandoned buffer behind. A table whose touched records
 /// cluster (the predictors', indexed by macroblock) indexes it directly; one
-/// whose touched records scatter (the cache's sets) hands out indices in
-/// first-touch order and keeps its own map to them.
+/// whose touched records scatter (the cache's sets) hands out indices as
+/// sets fill, takes back those of sets that empty, and keeps its own map to
+/// them.
 ///
 /// # Examples
 ///

@@ -188,15 +188,17 @@ impl ProtocolConfig {
     /// Pre-size for a home-side table: each node homes an interleaved
     /// `1/num_nodes` slice of the working set. Clamped so degenerate
     /// hints can neither underprovision nor balloon memory.
+    ///
+    /// Homes pre-size because they fill: a home entry, once created, stays
+    /// for the run, so a node's home table grows to its whole slice and
+    /// pre-sizing only spares the rehashes on the way. The transaction
+    /// tables start empty instead — PATCH's open misses and ignore windows,
+    /// DIRECTORY's writebacks, TokenB's persistent-request table and
+    /// arbiter. Their entries live while a transaction is open (the
+    /// arbiter's, for blocks that ever starved), a node holds a handful at
+    /// once, and capacity reserved for more is resident memory no run uses.
     pub fn home_table_capacity(&self) -> usize {
         (self.working_set() / self.num_nodes as u64).clamp(64, 1 << 16) as usize
-    }
-
-    /// Pre-size for a cache-side transaction table: bounded by the blocks
-    /// a node can have in flight or recently tracked, far below the full
-    /// working set.
-    pub fn cache_table_capacity(&self) -> usize {
-        64
     }
 
     /// Sets the destination-set predictor (PATCH).

@@ -167,13 +167,13 @@ impl DirectoryController {
     /// Creates the controller for `node`.
     pub fn new(config: ProtocolConfig, node: NodeId) -> Self {
         let cache = CacheArray::new(config.cache_geometry);
-        let (home_cap, cache_cap) = (config.home_table_capacity(), config.cache_table_capacity());
+        let home_cap = config.home_table_capacity();
         DirectoryController {
             config,
             id: node,
             cache,
             demand: None,
-            wb: fx_map_with_capacity(cache_cap),
+            wb: FxHashMap::default(),
             deferred: None,
             home: fx_map_with_capacity(home_cap),
             migratory: MigratoryDetector::with_capacity(home_cap),

@@ -119,16 +119,16 @@ impl PatchController {
     /// destination-set predictor.
     pub fn new(config: ProtocolConfig, node: NodeId) -> Self {
         let cache = TokenCache::new(config.cache_geometry, config.total_tokens);
-        let (home_cap, cache_cap) = (config.home_table_capacity(), config.cache_table_capacity());
+        let home_cap = config.home_table_capacity();
         let predictor = config.predictor.build(config.num_nodes);
         PatchController {
             config,
             id: node,
             cache,
-            tbes: fx_map_with_capacity(cache_cap),
+            tbes: FxHashMap::default(),
             deferred: None,
             home: fx_map_with_capacity(home_cap),
-            deact_windows: fx_map_with_capacity(cache_cap),
+            deact_windows: FxHashMap::default(),
             predictor,
             migratory: MigratoryDetector::with_capacity(home_cap),
             latency: LatencyEstimator::default(),

@@ -103,15 +103,15 @@ impl TokenBController {
     /// Creates the controller for `node`.
     pub fn new(config: ProtocolConfig, node: NodeId) -> Self {
         let cache = TokenCache::new(config.cache_geometry, config.total_tokens);
-        let (home_cap, cache_cap) = (config.home_table_capacity(), config.cache_table_capacity());
+        let home_cap = config.home_table_capacity();
         TokenBController {
             config,
             id: node,
             cache,
             demand: None,
             home: fx_map_with_capacity(home_cap),
-            arb: fx_map_with_capacity(cache_cap),
-            table: fx_map_with_capacity(cache_cap),
+            arb: FxHashMap::default(),
+            table: FxHashMap::default(),
             latency: LatencyEstimator::default(),
             counters: ProtocolCounters::default(),
             next_serial: 0,
