@@ -10,7 +10,7 @@ use patchsim_mem::{BlockAddr, CacheArray, CacheGeometry, SharerEncoding, SharerS
 use patchsim_noc::{
     DestSet, Fabric, FabricConfig, FabricKind, NocEvent, NocPayload, Priority, TrafficClass,
 };
-use patchsim_predictor::{BroadcastIfSharedPredictor, Predictor};
+use patchsim_predictor::PredictorChoice;
 
 #[derive(Clone)]
 struct Payload;
@@ -314,13 +314,12 @@ fn bench_cache_new(c: &mut Criterion) {
 
 /// The predictor's share of the same pattern at 128 nodes: every delivered
 /// request trains the receiving node's table. 128 paper-geometry tables
-/// (8k entries); one iteration trains each table on 32 requests,
-/// round-robin, over a block range four times a table's reach.
+/// (8k entries), the columns of one store as in a system; one iteration
+/// trains each table on 32 requests, round-robin, each for a macroblock of
+/// its own drawn over four times a table's reach.
 fn bench_predictor_cold(c: &mut Criterion) {
     let mut rng = SimRng::from_seed(14);
-    let mut predictors: Vec<_> = (0..128)
-        .map(|_| BroadcastIfSharedPredictor::new(128))
-        .collect();
+    let mut predictors = PredictorChoice::BroadcastIfShared.build_nodes(128);
     c.bench_function("predictor/observe_cold_128x8k", |b| {
         b.iter(|| {
             for _ in 0..32 {
@@ -330,6 +329,31 @@ fn bench_predictor_cold(c: &mut Criterion) {
                 }
             }
         })
+    });
+}
+
+/// `mesh128_scale`'s receiver pattern: a request broadcast to the other 127
+/// nodes of a 128-node system, each of which trains its predictor on it.
+/// One iteration draws a macroblock, over four times a table's reach, and
+/// a requester; every other node observes the request. Every slot has
+/// storage before the timing starts.
+fn bench_predictor_broadcast(c: &mut Criterion) {
+    let mut rng = SimRng::from_seed(32);
+    let mut predictors = PredictorChoice::BroadcastIfShared.build_nodes(128);
+    let mut broadcast = move || {
+        let addr = BlockAddr::new(rng.below(4 * 8192 * 16));
+        let from = rng.below(128) as usize;
+        for (node, predictor) in predictors.iter_mut().enumerate() {
+            if node != from {
+                predictor.observe_request(addr, NodeId::new(from as u16));
+            }
+        }
+    };
+    for _ in 0..64 * 1024 {
+        broadcast();
+    }
+    c.bench_function("predictor/broadcast_train_128x8k", |b| {
+        b.iter(&mut broadcast)
     });
 }
 
@@ -362,6 +386,7 @@ criterion_group!(
     bench_cache_invalidate_refill,
     bench_cache_new,
     bench_predictor_cold,
+    bench_predictor_broadcast,
     bench_sharers,
     bench_dest_set
 );

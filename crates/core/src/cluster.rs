@@ -4,7 +4,7 @@ use patchsim_kernel::Cycle;
 use patchsim_mem::BlockAddr;
 use patchsim_noc::NodeId;
 use patchsim_protocol::{
-    build_controller, Controller, CoreResponse, MemOp, Msg, Outbox, ProtocolConfig, TimerKey,
+    build_controllers, Controller, CoreResponse, MemOp, Msg, Outbox, ProtocolConfig, TimerKey,
 };
 
 use crate::checker::{CoherenceChecker, TokenAuditor};
@@ -56,9 +56,7 @@ impl Cluster {
     pub fn new(config: &ProtocolConfig) -> Self {
         let n = config.num_nodes;
         Cluster {
-            nodes: (0..n)
-                .map(|i| build_controller(config, NodeId::new(i)))
-                .collect(),
+            nodes: build_controllers(config),
             in_flight: Vec::new(),
             timers: Vec::new(),
             outstanding: vec![None; n as usize],
@@ -278,8 +276,9 @@ mod tests {
         /// [`Cluster::new`] with node `at`'s controller carrying `bug`.
         fn with_mutant(config: &ProtocolConfig, at: NodeId, bug: Bug) -> Self {
             let mut c = Cluster::new(config);
-            let inner = build_controller(config, at);
-            c.nodes[at.index()] = Box::new(Mutant { inner, at, bug });
+            let inner = c.nodes.remove(at.index());
+            c.nodes
+                .insert(at.index(), Box::new(Mutant { inner, at, bug }));
             c
         }
     }

@@ -12,7 +12,7 @@ use patchsim_kernel::stats::Histogram;
 use patchsim_kernel::{streams, Cycle, EventQueue, SimRng};
 use patchsim_noc::{Fabric, NocEvent, NodeId};
 use patchsim_protocol::{
-    build_controller, Completion, Controller, CoreResponse, MemOp, Msg, Outbox, ProtocolCounters,
+    build_controllers, Completion, Controller, CoreResponse, MemOp, Msg, Outbox, ProtocolCounters,
     TimerKey,
 };
 use patchsim_trace::TraceWriter;
@@ -123,9 +123,7 @@ impl System {
             )
         });
         let root_rng = SimRng::from_seed(config.seed).fork(streams::WORKLOAD);
-        let nodes: Vec<_> = (0..n)
-            .map(|i| build_controller(&config.protocol, NodeId::new(i)))
-            .collect();
+        let nodes = build_controllers(&config.protocol);
         let cores = (0..n)
             .map(|i| CoreState {
                 generator: config

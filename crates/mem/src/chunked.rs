@@ -11,16 +11,15 @@ const CHUNK_RECORDS: usize = 64;
 /// records is [touched](Chunked::touch).
 ///
 /// This is the storage behind the per-node tables whose size the paper
-/// fixes but of which a run uses a sliver — [`CacheArray`](crate::CacheArray)
-/// and the predictors' table — so that a table costs what a run touches of
-/// it, not what its geometry could hold. A new `Chunked` owns no
-/// allocation. A chunk, once allocated, is never moved, resized or freed
-/// before the whole array is dropped, so growth copies no record and
-/// leaves no abandoned buffer behind. A table whose touched records
-/// cluster (the predictors', indexed by macroblock) indexes it directly; one
-/// whose touched records scatter (the cache's sets) hands out indices as
-/// sets fill, takes back those of sets that empty, and keeps its own map to
-/// them.
+/// fixes but of which a run uses a sliver — [`CacheArray`](crate::CacheArray)'s
+/// — so that a table costs what a run touches of it, not what its geometry
+/// could hold. A new `Chunked` owns no allocation. A chunk, once
+/// allocated, is never moved, resized or freed before the whole array is
+/// dropped, so growth copies no record and leaves no abandoned buffer
+/// behind. A table whose touched records cluster can index it directly;
+/// one whose touched records scatter (the cache's sets) hands out indices
+/// as sets fill, takes back those of sets that empty, and keeps its own map
+/// to them.
 ///
 /// # Examples
 ///

@@ -17,7 +17,10 @@
 //!   the full latency benefit of snooping, the full traffic cost.
 //!
 //! Table-based predictors use 8192-entry tables indexed by 1024-byte
-//! macroblock (16 64-byte blocks), as in the paper.
+//! macroblock (16 64-byte blocks), as in the paper. The tables of all the
+//! nodes of one system are the columns of one store
+//! ([`PredictorChoice::build_nodes`], [`PredictorTable::columns`]), laid
+//! out so that the receivers of one broadcast train adjacent entries.
 //!
 //! # Examples
 //!

@@ -20,7 +20,8 @@ pub enum PredictorChoice {
 }
 
 impl PredictorChoice {
-    /// Instantiates the chosen policy for an `num_nodes`-node system.
+    /// Instantiates the chosen policy for one node of an `num_nodes`-node
+    /// system, over a table of its own if the policy trains one.
     pub fn build(self, num_nodes: u16) -> Box<dyn Predictor + Send> {
         match self {
             PredictorChoice::None => Box::new(NonePredictor::new(num_nodes)),
@@ -29,6 +30,40 @@ impl PredictorChoice {
                 Box::new(BroadcastIfSharedPredictor::new(num_nodes))
             }
             PredictorChoice::All => Box::new(AllPredictor::new(num_nodes)),
+        }
+    }
+
+    /// Instantiates the chosen policy for every node of an `num_nodes`-node
+    /// system, node `v`'s at index `v`. The trained policies' tables are the
+    /// columns of one store (see [`PredictorTable::columns`]); the others
+    /// build no table.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use patchsim_mem::{AccessKind, BlockAddr};
+    /// use patchsim_noc::NodeId;
+    /// use patchsim_predictor::PredictorChoice;
+    ///
+    /// let mut nodes = PredictorChoice::Owner.build_nodes(4);
+    /// nodes[2].observe_response(BlockAddr::new(0), NodeId::new(3));
+    /// let at_2 = nodes[2].predict(BlockAddr::new(0), AccessKind::Read, NodeId::new(2));
+    /// assert_eq!(at_2.as_single(), Some(NodeId::new(3)));
+    /// let at_1 = nodes[1].predict(BlockAddr::new(0), AccessKind::Read, NodeId::new(1));
+    /// assert!(at_1.is_empty(), "node 1 saw nothing");
+    /// ```
+    pub fn build_nodes(self, num_nodes: u16) -> Vec<Box<dyn Predictor + Send>> {
+        let columns = || PredictorTable::columns(num_nodes).into_iter();
+        match self {
+            PredictorChoice::Owner => columns()
+                .map(|table| Box::new(OwnerPredictor { table }) as Box<dyn Predictor + Send>)
+                .collect(),
+            PredictorChoice::BroadcastIfShared => columns()
+                .map(|table| Box::new(BroadcastIfSharedPredictor { table }) as _)
+                .collect(),
+            PredictorChoice::None | PredictorChoice::All => {
+                (0..num_nodes).map(|_| self.build(num_nodes)).collect()
+            }
         }
     }
 
@@ -218,6 +253,27 @@ mod tests {
         // A macroblock only this node has touched stays quiet.
         p.observe_request(a(1000), me);
         assert!(p.predict(a(1000), AccessKind::Read, me).is_empty());
+    }
+
+    /// Each node's predictor trains on what that node observes only, and
+    /// predicts as a predictor built on its own would.
+    #[test]
+    fn nodes_of_one_system_train_apart() {
+        for choice in [PredictorChoice::Owner, PredictorChoice::BroadcastIfShared] {
+            let mut nodes = choice.build_nodes(4);
+            let mut alone = choice.build(4);
+            nodes[2].observe_response(a(0), NodeId::new(3));
+            alone.observe_response(a(0), NodeId::new(3));
+            for me in (0..4).map(NodeId::new) {
+                let want = alone.predict(a(0), AccessKind::Read, me);
+                assert!(!want.is_empty() || me == NodeId::new(3));
+                assert_eq!(nodes[2].predict(a(0), AccessKind::Read, me), want);
+                assert!(nodes[1].predict(a(0), AccessKind::Read, me).is_empty());
+            }
+        }
+        for choice in [PredictorChoice::None, PredictorChoice::All] {
+            assert_eq!(choice.build_nodes(4).len(), 4);
+        }
     }
 
     #[test]

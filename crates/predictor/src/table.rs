@@ -1,14 +1,19 @@
 //! The macroblock-indexed prediction table shared by the trained policies.
 
-use patchsim_mem::{BlockAddr, Chunked};
-use patchsim_noc::{DestSet, NodeId};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, OnceLock};
 
-/// A direct-mapped prediction table indexed by macroblock.
+use patchsim_mem::BlockAddr;
+use patchsim_noc::NodeId;
+
+/// One node's direct-mapped prediction table, indexed by macroblock: that
+/// node's column of a store that may hold the tables of every node of a
+/// system.
 ///
-/// Each entry remembers the set of processors recently involved with a
-/// macroblock (requesters and responders) and the last seen "owner"
-/// candidate. The paper's predictors use 8192 entries with 1024-byte
-/// macroblock indexing; with 64-byte blocks that is 16 blocks per
+/// Each entry summarises the set of processors recently involved with a
+/// macroblock (requesters and responders) and remembers the last seen
+/// "owner" candidate. The paper's predictors use 8192 entries with
+/// 1024-byte macroblock indexing; with 64-byte blocks that is 16 blocks per
 /// macroblock.
 ///
 /// # Examples
@@ -22,39 +27,50 @@ use patchsim_noc::{DestSet, NodeId};
 /// t.record_responder(BlockAddr::new(0), NodeId::new(3));
 /// assert_eq!(t.last_owner(BlockAddr::new(5)), Some(NodeId::new(3))); // same macroblock
 /// assert_eq!(t.last_owner(BlockAddr::new(16)), None);                // different macroblock
+///
+/// // One table per node of a 4-node system, over one store.
+/// let mut tables = PredictorTable::columns(4);
+/// tables[1].record_requester(BlockAddr::new(0), NodeId::new(2));
+/// assert!(tables[1].recently_shared(BlockAddr::new(0), NodeId::new(1)));
+/// assert!(!tables[0].recently_shared(BlockAddr::new(0), NodeId::new(1)));
 /// ```
 ///
 /// # Host layout
 ///
-/// One [`Chunked`] array of entries indexed by table slot — macroblock tag,
-/// owner candidate, then the sharing group's bit words (`ceil(num_nodes /
-/// 64)` of them, bit `n % 64` of word `n / 64` for node `n`) — whose storage
-/// is allocated 64 slots at a time, the first time a macroblock is recorded
-/// in one of them. Consecutive macroblocks map to consecutive slots, so the
-/// few hundred macroblocks a node of a large system sees in a run land in a
-/// handful of chunks out of 128, and construction allocates nothing. A
-/// lookup or an update reads one entry, its words adjacent in memory; no
-/// slot owns a heap allocation at any node count.
+/// A table is an index into its store: a store is `width` tables laid out
+/// slot-major, entry (slot, column) at position `slot * width +
+/// column`, so the tables of all the nodes that receive one broadcast
+/// request train one contiguous row. [`PredictorTable::new`] builds a
+/// store one column wide; [`PredictorTable::columns`] hands out the `n`
+/// columns of one store `n` wide.
 ///
-/// Invariant: an entry never written holds tag 0, no owner and an empty
-/// group — exactly the state of an entry just recycled — so occupancy needs
-/// no flag and every macroblock number is a legal tag: an untouched entry
-/// that happens to match answers like a miss, as a slot without storage
-/// does.
-#[derive(Debug)]
+/// An entry is 16 bytes at any node count: the macroblock tag, and one
+/// meta word packing 1 + the owner candidate's id (0 for none), 1 + the
+/// first member of the sharing group since the entry was last reset (0
+/// for none), and a "two or more members" bit. That is everything
+/// [`recently_shared`](PredictorTable::recently_shared) needs, and for any
+/// `me`, not only the table's own node: the group holds a node other than
+/// `me` exactly when it has two or more members, or its first member is
+/// not `me`.
+///
+/// Invariant: an entry never written holds tag 0 and meta 0 — no owner, an
+/// empty group — exactly the state of an entry just recycled, so occupancy
+/// needs no flag and every macroblock number is a legal tag: an untouched
+/// entry that happens to match answers like a miss, as a slot without
+/// storage does.
 pub struct PredictorTable {
-    num_nodes: u16,
-    blocks_per_macroblock: u64,
-    slots: usize,
-    entries: Chunked<u64>,
+    store: Arc<Store>,
+    column: usize,
 }
 
-/// Where an entry keeps its macroblock number.
-const TAG: usize = 0;
-/// Where an entry keeps its owner candidate: 1 + the node id, 0 for none.
-const OWNER: usize = 1;
-/// Where an entry's sharing-group words start.
-const GROUP: usize = 2;
+/// Where the meta word keeps 1 + the owner candidate's id.
+const OWNER: u32 = 0;
+/// Where the meta word keeps 1 + the group's first member's id.
+const FIRST: u32 = 32;
+/// The width of an id field: any `u16` id plus one fits.
+const FIELD: u64 = (1 << 31) - 1;
+/// Set once the group holds a member other than its first.
+const MULTI: u64 = 1 << 63;
 
 impl PredictorTable {
     /// The paper's table size.
@@ -63,7 +79,7 @@ impl PredictorTable {
     pub const DEFAULT_BLOCKS_PER_MACROBLOCK: u64 = 16;
 
     /// Creates a table with the paper's default geometry for an
-    /// `num_nodes`-node system.
+    /// `num_nodes`-node system, over a store of its own.
     pub fn new(num_nodes: u16) -> Self {
         Self::with_geometry(
             num_nodes,
@@ -73,20 +89,187 @@ impl PredictorTable {
     }
 
     /// Creates a table with `entries` direct-mapped entries and
-    /// `blocks_per_macroblock` blocks per macroblock.
+    /// `blocks_per_macroblock` blocks per macroblock, over a store of its
+    /// own.
     ///
     /// # Panics
     ///
     /// Panics if `entries` or `blocks_per_macroblock` is zero.
     pub fn with_geometry(num_nodes: u16, entries: usize, blocks_per_macroblock: u64) -> Self {
+        let store = Store::new(num_nodes, 1, entries, blocks_per_macroblock);
+        PredictorTable { store, column: 0 }
+    }
+
+    /// One table with the paper's default geometry for each node of an
+    /// `num_nodes`-node system, node `v`'s at index `v`, all over one store.
+    pub fn columns(num_nodes: u16) -> Vec<Self> {
+        Self::columns_with_geometry(
+            num_nodes,
+            Self::DEFAULT_ENTRIES,
+            Self::DEFAULT_BLOCKS_PER_MACROBLOCK,
+        )
+    }
+
+    /// [`PredictorTable::columns`] with the geometry of
+    /// [`PredictorTable::with_geometry`].
+    fn columns_with_geometry(
+        num_nodes: u16,
+        entries: usize,
+        blocks_per_macroblock: u64,
+    ) -> Vec<Self> {
+        let width = usize::from(num_nodes);
+        let store = Store::new(num_nodes, width, entries, blocks_per_macroblock);
+        (0..width)
+            .map(|column| PredictorTable {
+                store: Arc::clone(&store),
+                column,
+            })
+            .collect()
+    }
+
+    /// The meta word of the entry holding `addr`'s macroblock, if the table
+    /// has it.
+    fn peek(&self, addr: BlockAddr) -> Option<u64> {
+        let (mb, slot) = self.store.locate(addr);
+        let entry = self.store.entry(slot, self.column)?;
+        (entry.tag.load(Relaxed) == mb).then(|| entry.meta.load(Relaxed))
+    }
+
+    /// Adds `from` to the sharing group of `addr`'s macroblock, first
+    /// recycling the slot's entry on a conflict (or cold) miss, and makes it
+    /// the owner candidate if `owner`.
+    fn record(&mut self, addr: BlockAddr, from: NodeId, owner: bool) {
+        let store = &*self.store;
+        assert!(
+            from.raw() < store.num_nodes,
+            "{from} out of range for {}-node system",
+            store.num_nodes
+        );
+        let (mb, slot) = store.locate(addr);
+        let entry = store.touch(slot, self.column);
+        let old = if entry.tag.load(Relaxed) == mb {
+            entry.meta.load(Relaxed)
+        } else {
+            entry.tag.store(mb, Relaxed);
+            0
+        };
+        let id = u64::from(from.raw()) + 1;
+        let mut meta = match old >> FIRST & FIELD {
+            0 => old | id << FIRST,
+            first if first == id => old,
+            _ => old | MULTI,
+        };
+        if owner {
+            meta = meta & !(FIELD << OWNER) | id << OWNER;
+        }
+        if meta != old {
+            entry.meta.store(meta, Relaxed);
+        }
+    }
+
+    /// Records an incoming request from `from` for `addr`'s macroblock.
+    pub fn record_requester(&mut self, addr: BlockAddr, from: NodeId) {
+        self.record(addr, from, false);
+    }
+
+    /// Records a data/ack response from `from` for `addr`'s macroblock;
+    /// `from` becomes the owner candidate.
+    pub fn record_responder(&mut self, addr: BlockAddr, from: NodeId) {
+        self.record(addr, from, true);
+    }
+
+    /// The owner candidate for `addr`'s macroblock, if the table has one.
+    pub fn last_owner(&self, addr: BlockAddr) -> Option<NodeId> {
+        let owner = (self.peek(addr)? >> OWNER & FIELD).checked_sub(1)?;
+        Some(NodeId::new(owner as u16))
+    }
+
+    /// Whether `addr`'s macroblock has recently involved any processor
+    /// other than `me` — the "recently shared" test of the
+    /// broadcast-if-shared policy.
+    pub fn recently_shared(&self, addr: BlockAddr, me: NodeId) -> bool {
+        let Some(meta) = self.peek(addr) else {
+            return false;
+        };
+        let first = meta >> FIRST & FIELD;
+        meta & MULTI != 0 || (first != 0 && first != u64::from(me.raw()) + 1)
+    }
+
+    /// System size this table was built for.
+    pub fn num_nodes(&self) -> u16 {
+        self.store.num_nodes
+    }
+}
+
+impl std::fmt::Debug for PredictorTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PredictorTable")
+            .field("column", &self.column)
+            .field("store", &self.store)
+            .finish()
+    }
+}
+
+/// Slots per chunk of a store's storage: 64, as in
+/// [`Chunked`](patchsim_mem::Chunked).
+const CHUNK_SLOTS: usize = 64;
+
+/// One entry of a [`Store`]: the macroblock tag and the meta word.
+#[derive(Default)]
+struct Entry {
+    tag: AtomicU64,
+    meta: AtomicU64,
+}
+
+/// The storage behind `width` [`PredictorTable`]s of one geometry.
+///
+/// # Host layout
+///
+/// Entry (slot, column) sits at `slot * width + column`, and storage is
+/// allocated 64 slots × `width` entries at a time, the first time a
+/// macroblock is recorded in one of those slots by any column. Construction
+/// allocates only the chunk directory, and a lookup never allocates.
+/// Consecutive macroblocks map to consecutive slots, so the few hundred
+/// macroblocks a large system touches in a run land in a handful of chunks.
+/// The cost is (slots touched by any column) × `width` × 16 bytes; a
+/// macroblock that only one node ever touches costs a whole row.
+///
+/// The `n` controllers of a system each own one column, so the store is
+/// shared through an [`Arc`] and written through atomics, which is what
+/// safe Rust requires of shared mutable state. Every entry access is
+/// `Relaxed` — a plain load or store on x86, no lock and no fence — and
+/// that is enough: no entry publishes other data (a chunk is published by
+/// its `OnceLock`), and the controllers of one system are driven by one
+/// thread at a time, from construction to drop, with any hand-over to
+/// another thread synchronising on its own, so no two accesses race. A
+/// column is written only through its table's `&mut self` methods.
+struct Store {
+    num_nodes: u16,
+    width: usize,
+    blocks_per_macroblock: u64,
+    slots: usize,
+    chunks: Box<[OnceLock<Box<[Entry]>>]>,
+}
+
+impl Store {
+    /// A store of `width` columns of `entries` slots each, none of them
+    /// allocated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entries` or `blocks_per_macroblock` is zero.
+    fn new(num_nodes: u16, width: usize, entries: usize, blocks_per_macroblock: u64) -> Arc<Self> {
         assert!(entries > 0, "table needs at least one entry");
         assert!(blocks_per_macroblock > 0);
-        PredictorTable {
+        Arc::new(Store {
             num_nodes,
+            width,
             blocks_per_macroblock,
             slots: entries,
-            entries: Chunked::new(GROUP + (num_nodes as usize).div_ceil(64)),
-        }
+            chunks: (0..entries.div_ceil(CHUNK_SLOTS))
+                .map(|_| OnceLock::new())
+                .collect(),
+        })
     }
 
     /// `addr`'s macroblock and the slot it maps to.
@@ -95,77 +278,48 @@ impl PredictorTable {
         (mb, (mb % self.slots as u64) as usize)
     }
 
-    /// The entry holding `addr`'s macroblock, if the table has it.
-    fn peek(&self, addr: BlockAddr) -> Option<&[u64]> {
-        let (mb, slot) = self.locate(addr);
-        self.entries.get(slot).filter(|entry| entry[TAG] == mb)
+    /// Where entry (`slot`, `column`) sits in its chunk.
+    fn offset(&self, slot: usize, column: usize) -> usize {
+        slot % CHUNK_SLOTS * self.width + column
     }
 
-    /// Adds `from` to the sharing group of `addr`'s macroblock, first
-    /// recycling the slot's entry on a conflict (or cold) miss. Returns the
-    /// entry.
-    fn record(&mut self, addr: BlockAddr, from: NodeId) -> &mut [u64] {
-        assert!(
-            from.raw() < self.num_nodes,
-            "{from} out of range for {}-node system",
-            self.num_nodes
-        );
-        let (mb, slot) = self.locate(addr);
-        let entry = self.entries.touch(slot);
-        if entry[TAG] != mb {
-            entry[TAG] = mb;
-            entry[OWNER] = 0;
-            entry[GROUP..].fill(0);
-        }
-        entry[GROUP + from.index() / 64] |= 1 << (from.index() % 64);
-        entry
+    /// Entry (`slot`, `column`), if its chunk was ever touched.
+    fn entry(&self, slot: usize, column: usize) -> Option<&Entry> {
+        let chunk = self.chunks[slot / CHUNK_SLOTS].get()?;
+        Some(&chunk[self.offset(slot, column)])
     }
 
-    /// Records an incoming request from `from` for `addr`'s macroblock.
-    pub fn record_requester(&mut self, addr: BlockAddr, from: NodeId) {
-        self.record(addr, from);
+    /// Entry (`slot`, `column`), first allocating its chunk if nothing
+    /// touched it before.
+    fn touch(&self, slot: usize, column: usize) -> &Entry {
+        let chunk = self.chunks[slot / CHUNK_SLOTS].get_or_init(|| self.allocate());
+        &chunk[self.offset(slot, column)]
     }
 
-    /// Records a data/ack response from `from` for `addr`'s macroblock;
-    /// `from` becomes the owner candidate.
-    pub fn record_responder(&mut self, addr: BlockAddr, from: NodeId) {
-        self.record(addr, from)[OWNER] = u64::from(from.raw()) + 1;
+    /// Out of line: a store touches a new chunk a few dozen times in a run
+    /// and an old one millions of times.
+    #[cold]
+    fn allocate(&self) -> Box<[Entry]> {
+        (0..CHUNK_SLOTS * self.width)
+            .map(|_| Entry::default())
+            .collect()
     }
 
-    /// The owner candidate for `addr`'s macroblock, if the table has one.
-    pub fn last_owner(&self, addr: BlockAddr) -> Option<NodeId> {
-        let owner = self.peek(addr)?[OWNER].checked_sub(1)?;
-        Some(NodeId::new(owner as u16))
+    /// Number of slots per column the chunks allocated so far hold.
+    fn allocated(&self) -> usize {
+        let chunks = self.chunks.iter().filter(|chunk| chunk.get().is_some());
+        chunks.count() * CHUNK_SLOTS
     }
+}
 
-    /// Whether `addr`'s macroblock has recently involved any processor
-    /// other than `me` — the "recently shared" test of the
-    /// broadcast-if-shared policy.
-    pub fn recently_shared(&self, addr: BlockAddr, me: NodeId) -> bool {
-        let Some(entry) = self.peek(addr) else {
-            return false;
-        };
-        let (my_word, my_bit) = (me.index() / 64, 1u64 << (me.index() % 64));
-        entry[GROUP..]
-            .iter()
-            .enumerate()
-            .any(|(w, &bits)| bits & !(if w == my_word { my_bit } else { 0 }) != 0)
-    }
-
-    /// The recent sharing group for `addr`'s macroblock.
-    pub fn group(&self, addr: BlockAddr) -> DestSet {
-        let words = self.peek(addr).map_or(&[][..], |entry| &entry[GROUP..]);
-        let members = words.iter().enumerate().flat_map(|(w, &word)| {
-            (0..64)
-                .filter(move |bit| word >> bit & 1 != 0)
-                .map(move |bit| NodeId::new((w * 64 + bit) as u16))
-        });
-        DestSet::from_nodes(self.num_nodes, members)
-    }
-
-    /// System size this table was built for.
-    pub fn num_nodes(&self) -> u16 {
-        self.num_nodes
+impl std::fmt::Debug for Store {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Store")
+            .field("num_nodes", &self.num_nodes)
+            .field("width", &self.width)
+            .field("slots", &self.slots)
+            .field("allocated", &self.allocated())
+            .finish()
     }
 }
 
@@ -199,6 +353,7 @@ mod tests {
             "evicted by conflicting macroblock"
         );
         assert!(t.recently_shared(a(32), NodeId::new(0)));
+        assert!(!t.recently_shared(a(32), NodeId::new(2)), "node 1 evicted");
     }
 
     #[test]
@@ -207,22 +362,31 @@ mod tests {
         let me = NodeId::new(4);
         t.record_requester(a(0), me);
         assert!(!t.recently_shared(a(0), me), "only self in group");
+        t.record_requester(a(0), me);
+        assert!(!t.recently_shared(a(0), me), "self twice is still alone");
         t.record_requester(a(0), NodeId::new(5));
         assert!(t.recently_shared(a(0), me));
     }
 
+    /// The sharing group accumulates requesters and responders, as seen
+    /// from every node.
     #[test]
     fn group_accumulates() {
         let mut t = PredictorTable::new(8);
         t.record_requester(a(0), NodeId::new(1));
+        for me in 0..8 {
+            assert_eq!(t.recently_shared(a(0), NodeId::new(me)), me != 1);
+        }
         t.record_responder(a(3), NodeId::new(2));
-        let g = t.group(a(0));
-        assert!(g.contains(NodeId::new(1)) && g.contains(NodeId::new(2)));
-        assert_eq!(t.group(a(100)).len(), 0, "untouched macroblock is empty");
+        for me in 0..8 {
+            assert!(t.recently_shared(a(0), NodeId::new(me)), "two members");
+        }
+        assert!(!t.recently_shared(a(100), NodeId::new(0)), "untouched");
     }
 
     /// The one-`Entry`-per-slot implementation this module had before the
-    /// tag/owner/group-word split, kept as the behavioural reference.
+    /// tables moved into a shared store, kept as the behavioural reference:
+    /// it keeps each macroblock's whole sharing group.
     mod oracle {
         use patchsim_mem::BlockAddr;
         use patchsim_noc::{DestSet, NodeId};
@@ -292,11 +456,6 @@ mod tests {
                 self.peek(addr).and_then(|e| e.last_owner)
             }
 
-            pub fn recently_shared(&self, addr: BlockAddr, me: NodeId) -> bool {
-                self.peek(addr)
-                    .is_some_and(|e| e.group.iter().any(|n| n != me))
-            }
-
             pub fn group(&self, addr: BlockAddr) -> DestSet {
                 self.peek(addr)
                     .map(|e| e.group.clone())
@@ -307,18 +466,54 @@ mod tests {
 
     /// The tag in the slot `addr` maps to, if the slot has storage.
     fn slot_tag(t: &PredictorTable, addr: BlockAddr) -> Option<u64> {
-        Some(t.entries.get(t.locate(addr).1)?[TAG])
+        let entry = t.store.entry(t.store.locate(addr).1, t.column)?;
+        Some(entry.tag.load(Relaxed))
     }
 
-    /// Node counts on both sides of every group-word boundary.
+    /// Node counts on both sides of every 64-node word boundary.
     const SIZES: [u16; 5] = [8, 64, 65, 128, 1024];
 
-    /// Node ids at the edges of the group words that exist for `n` nodes,
+    /// Node ids at the 64-node word edges that exist for `n` nodes,
     /// ascending.
     fn edge_nodes(n: u16) -> Vec<NodeId> {
         let ids = [0, 1, 62, 63, 64, 65, 126, 127, 128, n - 2, n - 1];
         let ids: std::collections::BTreeSet<u16> = ids.into_iter().filter(|&id| id < n).collect();
         ids.into_iter().map(NodeId::new).collect()
+    }
+
+    /// Knuth's MMIX LCG, high bits: the crate has no RNG dependency.
+    fn lcg(seed: u64) -> impl FnMut(usize) -> usize {
+        let mut state = seed;
+        move |bound| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % bound
+        }
+    }
+
+    /// Every query `table` answers at `addr` — the owner candidate, and
+    /// whether the macroblock is shared from the view of each of `mes` —
+    /// matches `oracle`'s.
+    fn assert_matches(
+        table: &PredictorTable,
+        oracle: &oracle::EntryTable,
+        addr: BlockAddr,
+        mes: &[NodeId],
+    ) {
+        let n = table.num_nodes();
+        assert_eq!(table.last_owner(addr), oracle.last_owner(addr));
+        let group = oracle.group(addr);
+        let (multi, first) = (group.len() > 1, group.iter().next());
+        for &me in mes {
+            // Whether the group holds a node other than `me`.
+            let shared = multi || first.is_some_and(|member| member != me);
+            assert_eq!(
+                table.recently_shared(addr, me),
+                shared,
+                "{n} nodes, block {addr}, me {me}, group {group:?}"
+            );
+        }
     }
 
     /// Every query answers as the reference does, after every update, over
@@ -327,15 +522,8 @@ mod tests {
     /// requesters and responders on word boundaries.
     #[test]
     fn matches_entry_table_oracle() {
-        // Knuth's MMIX LCG, high bits: the crate has no RNG dependency.
-        let mut state = 0x7AB1E_u64;
-        let mut below = |bound: usize| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as usize % bound
-        };
-        let (mut conflicts, mut owners) = (0, 0);
+        let mut below = lcg(0x7AB1E);
+        let (mut conflicts, mut owners, mut shared) = (0, 0, 0);
         for (case, &n) in SIZES.iter().cycle().take(60).enumerate() {
             let (entries, bpm) = [(1, 1), (4, 16), (8192, 16), (3, 5)][case % 4];
             let mut new = PredictorTable::with_geometry(n, entries, bpm);
@@ -353,6 +541,7 @@ mod tests {
                 u64::MAX - span,
             ];
             let nodes = edge_nodes(n);
+            let every: Vec<_> = (0..n).map(NodeId::new).collect();
             for _ in 0..400 {
                 let addr = a(pool[below(pool.len())]);
                 let node = nodes[below(nodes.len())];
@@ -368,23 +557,57 @@ mod tests {
                 }
                 for &probe in &pool {
                     let probe = a(probe);
-                    assert_eq!(new.last_owner(probe), old.last_owner(probe));
+                    assert_matches(&new, &old, probe, &every);
                     owners += new.last_owner(probe).is_some() as u32;
-                    assert_eq!(new.group(probe), old.group(probe));
-                    for &me in &nodes {
-                        assert_eq!(
-                            new.recently_shared(probe, me),
-                            old.recently_shared(probe, me),
-                            "{n} nodes, block {probe}, me {me}"
-                        );
-                    }
+                    shared += (old.group(probe).len() == 1) as u32;
                 }
             }
         }
         assert!(
-            conflicts > 1000 && owners > 1000,
-            "vacuous: {conflicts} {owners}"
+            conflicts > 1000 && owners > 1000 && shared > 1000,
+            "vacuous: {conflicts} {owners} {shared}"
         );
+    }
+
+    /// `n` tables over one store, trained with interleaved seeded updates
+    /// — each on its own macroblocks and members, and on macroblocks they
+    /// all train — answer each as its own reference does: no column reads
+    /// or writes another's entry.
+    #[test]
+    fn columns_of_one_store_are_independent() {
+        let mut below = lcg(0xC0_1D);
+        for (n, entries) in [(3, 200), (64, 4), (65, 130), (128, 8192)] {
+            let bpm = 4;
+            let mut tables = PredictorTable::columns_with_geometry(n, entries, bpm);
+            let mut oracles: Vec<_> = (0..n)
+                .map(|_| oracle::EntryTable::with_geometry(n, entries, bpm))
+                .collect();
+            let nodes = edge_nodes(n);
+            // Slots 0, 63, 64 and the last one, plus a conflict with slot 0.
+            let span = entries as u64 * bpm;
+            let pool = [0, 63 * bpm, 64 * bpm + 1, span - 1, span, 5 * bpm];
+            for _ in 0..2000 {
+                let column = below(n as usize);
+                let addr = a(pool[below(pool.len())]);
+                let node = nodes[below(nodes.len())];
+                if below(4) == 0 {
+                    tables[column].record_responder(addr, node);
+                    oracles[column].record_responder(addr, node);
+                } else {
+                    tables[column].record_requester(addr, node);
+                    oracles[column].record_requester(addr, node);
+                }
+                for (table, oracle) in tables.iter().zip(&oracles) {
+                    assert_matches(table, oracle, addr, &nodes);
+                }
+            }
+            let every: Vec<_> = (0..n).map(NodeId::new).collect();
+            for (table, oracle) in tables.iter().zip(&oracles) {
+                for &probe in &pool {
+                    assert_matches(table, oracle, a(probe), &every);
+                }
+            }
+        }
     }
 
     /// A table every slot of which is in use — each with its own macroblock,
@@ -413,44 +636,56 @@ mod tests {
                         old.record_requester(addr, node);
                     }
                 }
-                assert_eq!(new.entries.allocated(), SLOTS as usize);
+                assert_eq!(new.store.allocated(), SLOTS as usize);
                 for mb in 0..2 * SLOTS {
                     let addr = a(mb * BPM);
                     assert_eq!(new.last_owner(addr), old.last_owner(addr));
-                    assert_eq!(new.group(addr), old.group(addr));
-                    let me = NodeId::new((mb * 7 % u64::from(n)) as u16);
-                    assert_eq!(new.recently_shared(addr, me), old.recently_shared(addr, me));
-                    assert_eq!(new.group(addr).len(), (mb / SLOTS == lap) as usize);
+                    let member = NodeId::new((mb * 7 % u64::from(n)) as u16);
+                    let other = NodeId::new((member.raw() + 1) % n);
+                    assert!(!new.recently_shared(addr, member));
+                    assert_eq!(new.recently_shared(addr, other), mb / SLOTS == lap);
+                    assert_eq!(old.group(addr).len(), (mb / SLOTS == lap) as usize);
                 }
             }
         }
     }
 
     /// Memory follows first touch: construction allocates no entry, lookups
-    /// never do, and recording allocates the 64 slots around the macroblock's.
+    /// never do, and the first record in a slot allocates the 64 slots
+    /// around it for every column of the store.
     #[test]
     fn storage_follows_first_touch() {
-        let mut t = PredictorTable::new(128);
-        assert_eq!(t.entries.allocated(), 0);
+        let mut tables = PredictorTable::columns(128);
+        let store = Arc::clone(&tables[0].store);
+        assert_eq!(store.allocated(), 0);
         for mb in [0, 63, 64, 8191, u64::MAX / 16] {
             let addr = a(mb * 16);
-            assert_eq!(t.last_owner(addr), None);
-            assert!(!t.recently_shared(addr, NodeId::new(0)));
-            assert_eq!(t.group(addr), DestSet::empty(128));
+            for t in &tables {
+                assert_eq!(t.last_owner(addr), None);
+                assert!(!t.recently_shared(addr, NodeId::new(0)));
+            }
         }
-        assert_eq!(t.entries.allocated(), 0);
-        // The 256 macroblocks of a 4096-block table: four chunks of 128.
-        for block in (0..4096).rev() {
-            t.record_requester(a(block), NodeId::new((block % 128) as u16));
-        }
-        assert_eq!(t.entries.allocated(), 256);
-        t.record_responder(a(8191 * 16), NodeId::new(0));
-        assert_eq!(t.entries.allocated(), 256 + 64);
+        assert_eq!(store.allocated(), 0);
+        tables[5].record_requester(a(70 * 16), NodeId::new(9));
+        assert_eq!(store.allocated(), 64, "one chunk, every column");
         assert_eq!(
-            t.last_owner(a(8190 * 16)),
+            store.chunks[1].get().map(|chunk| chunk.len()),
+            Some(64 * 128)
+        );
+        // The 256 macroblocks of a 4096-block table: four chunks of 64.
+        for block in (0..4096).rev() {
+            let table = &mut tables[(block * 3 % 128) as usize];
+            table.record_requester(a(block), NodeId::new((block % 128) as u16));
+        }
+        assert_eq!(store.allocated(), 256);
+        tables[127].record_responder(a(8191 * 16), NodeId::new(0));
+        assert_eq!(store.allocated(), 256 + 64);
+        assert_eq!(
+            tables[127].last_owner(a(8190 * 16)),
             None,
             "same chunk, never recorded"
         );
+        assert_eq!(tables[126].last_owner(a(8191 * 16)), None, "other column");
     }
 
     /// An untouched table answers like the reference's vacant entries, for
@@ -462,7 +697,6 @@ mod tests {
             for addr in [a(0), a(4), a(u64::MAX)] {
                 assert_eq!(t.last_owner(addr), None);
                 assert!(!t.recently_shared(addr, NodeId::new(0)));
-                assert_eq!(t.group(addr), DestSet::empty(n));
             }
         }
     }
@@ -488,39 +722,38 @@ mod tests {
         }
     }
 
+    /// A conflict resets the whole entry: owner candidate, first member and
+    /// the "two or more" bit.
     #[test]
-    fn conflict_eviction_clears_every_group_word() {
+    fn conflict_eviction_clears_the_summary() {
         for n in SIZES {
             let mut t = PredictorTable::with_geometry(n, 2, 16);
             for node in edge_nodes(n) {
                 t.record_responder(a(0), node);
             }
-            assert_eq!(t.group(a(0)).len(), edge_nodes(n).len());
             t.record_requester(a(32), NodeId::new(1)); // macroblock 2, same slot
-            assert_eq!(t.group(a(32)), DestSet::single(n, NodeId::new(1)));
             assert_eq!(t.last_owner(a(32)), None, "owner candidate evicted too");
-            assert_eq!(t.group(a(0)), DestSet::empty(n));
-            let entries = (0..2).map(|slot| t.entries.get(slot).unwrap());
-            let members = entries
-                .flat_map(|entry| &entry[GROUP..])
-                .map(|w| w.count_ones());
-            assert_eq!(members.sum::<u32>(), 1);
+            assert!(!t.recently_shared(a(32), NodeId::new(1)), "only node 1");
+            assert!(t.recently_shared(a(32), NodeId::new(0)));
+            assert!(!t.recently_shared(a(0), NodeId::new(1)), "evicted");
+            let meta = t.peek(a(32)).unwrap();
+            assert_eq!(meta, 2 << FIRST, "node 1 first, alone, no owner");
         }
     }
 
+    /// The meta word itself: the first member stays first whoever follows,
+    /// a repeat sets no "two or more" bit, and an owner update keeps both.
     #[test]
-    fn group_round_trips_through_dest_set() {
-        for n in SIZES {
-            let mut t = PredictorTable::new(n);
-            let members = edge_nodes(n);
-            for &node in &members {
-                t.record_requester(a(3), node);
-            }
-            let group = t.group(a(0));
-            assert_eq!(group, DestSet::from_nodes(n, members.iter().copied()));
-            assert_eq!(group.iter().collect::<Vec<_>>(), members);
-            assert_eq!(group.num_nodes(), n);
-        }
+    fn meta_word_keeps_the_first_member() {
+        let mut t = PredictorTable::new(128);
+        t.record_requester(a(0), NodeId::new(100));
+        t.record_requester(a(0), NodeId::new(100));
+        assert_eq!(t.peek(a(0)), Some(101 << FIRST), "alone, no owner");
+        t.record_responder(a(0), NodeId::new(100));
+        assert_eq!(t.peek(a(0)), Some(101 << FIRST | 101 << OWNER));
+        t.record_requester(a(0), NodeId::new(7));
+        t.record_responder(a(0), NodeId::new(127));
+        assert_eq!(t.peek(a(0)), Some(MULTI | 101 << FIRST | 128 << OWNER));
     }
 
     #[test]

@@ -314,6 +314,45 @@ pub fn build_controller(config: &ProtocolConfig, node: NodeId) -> Box<dyn Contro
     }
 }
 
+/// Builds the controllers of every node of a system according to `config`,
+/// node `v`'s at index `v`: [`build_controller`] for each node, except that
+/// the PATCH nodes' trained predictors share one table store, each over its
+/// own column (see
+/// [`PredictorChoice::build_nodes`](patchsim_predictor::PredictorChoice::build_nodes)).
+///
+/// # Examples
+///
+/// ```
+/// use patchsim_predictor::PredictorChoice;
+/// use patchsim_protocol::{build_controllers, ProtocolConfig, ProtocolKind};
+///
+/// let cfg = ProtocolConfig::new(ProtocolKind::Patch, 4)
+///     .with_predictor(PredictorChoice::BroadcastIfShared);
+/// let nodes = build_controllers(&cfg);
+/// assert_eq!(nodes.len(), 4);
+/// assert!(nodes.iter().all(|node| node.is_quiescent()));
+/// ```
+pub fn build_controllers(config: &ProtocolConfig) -> Vec<Box<dyn Controller + Send>> {
+    match config.kind {
+        ProtocolKind::Patch => config
+            .predictor
+            .build_nodes(config.num_nodes)
+            .into_iter()
+            .zip((0..config.num_nodes).map(NodeId::new))
+            .map(|(predictor, node)| {
+                Box::new(crate::PatchController::with_predictor(
+                    config.clone(),
+                    node,
+                    predictor,
+                )) as Box<dyn Controller + Send>
+            })
+            .collect(),
+        ProtocolKind::Directory | ProtocolKind::TokenB => (0..config.num_nodes)
+            .map(|node| build_controller(config, NodeId::new(node)))
+            .collect(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

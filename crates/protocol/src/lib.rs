@@ -39,8 +39,8 @@ mod tokens;
 pub use common::{LatencyEstimator, MigratoryDetector};
 pub use config::{ProtocolConfig, ProtocolKind, TenureConfig};
 pub use controller::{
-    build_controller, Completion, Controller, CoreResponse, MemOp, OutMsg, Outbox,
-    ProtocolCounters, ProtocolGauges, SpanMarks, TimerKey, TimerKind,
+    build_controller, build_controllers, Completion, Controller, CoreResponse, MemOp, OutMsg,
+    Outbox, ProtocolCounters, ProtocolGauges, SpanMarks, TimerKey, TimerKind,
 };
 pub use directory::DirectoryController;
 pub use msg::{Msg, MsgBody, RequestStyle, CONTROL_MSG_BYTES, DATA_MSG_BYTES};

@@ -118,9 +118,19 @@ impl PatchController {
     /// Creates the controller for `node`, instantiating the configured
     /// destination-set predictor.
     pub fn new(config: ProtocolConfig, node: NodeId) -> Self {
+        let predictor = config.predictor.build(config.num_nodes);
+        Self::with_predictor(config, node, predictor)
+    }
+
+    /// Creates the controller for `node` over `predictor`, one of the
+    /// configured policy's [`build_nodes`](patchsim_predictor::PredictorChoice::build_nodes).
+    pub(crate) fn with_predictor(
+        config: ProtocolConfig,
+        node: NodeId,
+        predictor: Box<dyn Predictor + Send>,
+    ) -> Self {
         let cache = TokenCache::new(config.cache_geometry, config.total_tokens);
         let home_cap = config.home_table_capacity();
-        let predictor = config.predictor.build(config.num_nodes);
         PatchController {
             config,
             id: node,

@@ -9,10 +9,12 @@
 //! protocols have: PATCH-All and PATCH-BroadcastIfShared direct requests,
 //! TokenB's broadcasts and DIRECTORY's invalidation forwards (a coarse
 //! sharer vector, so the forwards go to many nodes), on the torus, mesh,
-//! hierarchical and crossbar fabrics. A change in how a fan-out groups
-//! its destinations that delivers to the wrong nodes, in another order or
-//! over other links moves a digest here; `shadow_equivalence` shares the
-//! fabric and cannot see it.
+//! hierarchical and crossbar fabrics. PATCH-Owner's unicast to its trained
+//! owner candidate has a table of its own: it is the one trained-predictor
+//! path that reads the owner field rather than the sharing summary. A
+//! change in how a fan-out groups its destinations that delivers to the
+//! wrong nodes, in another order or over other links moves a digest here;
+//! `shadow_equivalence` shares the fabric and cannot see it.
 //!
 //! The digests are simulation outputs: update them only for an
 //! intentional simulation-semantics change (bump `CODE_VERSION`, as the
@@ -41,6 +43,9 @@ fn config(protocol: &str, fabric: FabricKind, n: u16) -> SimConfig {
         "patch-all" => SimConfig::new(ProtocolKind::Patch, n).with_predictor(PredictorChoice::All),
         "patch-bis" => SimConfig::new(ProtocolKind::Patch, n)
             .with_predictor(PredictorChoice::BroadcastIfShared),
+        "patch-owner" => {
+            SimConfig::new(ProtocolKind::Patch, n).with_predictor(PredictorChoice::Owner)
+        }
         "tokenb" => SimConfig::new(ProtocolKind::TokenB, n),
         "directory-coarse" => {
             let coarse = SharerEncoding::Coarse { cores_per_bit: 8 };
@@ -65,13 +70,19 @@ fn config(protocol: &str, fabric: FabricKind, n: u16) -> SimConfig {
 /// `want` (rows in `FABRICS` order, columns in `PROTOCOLS` order). Every
 /// cell runs before the comparison, so a failure prints the whole table.
 fn check(n: u16, want: [[u64; 4]; 4]) {
-    let got: Vec<[u64; 4]> = FABRICS
+    check_protocols(n, PROTOCOLS, want);
+}
+
+/// [`check`] over any list of protocols: one column per entry of
+/// `protocols`.
+fn check_protocols<const P: usize>(n: u16, protocols: [&str; P], want: [[u64; P]; 4]) {
+    let got: Vec<[u64; P]> = FABRICS
         .iter()
-        .map(|&fabric| PROTOCOLS.map(|protocol| run(&config(protocol, fabric, n)).digest()))
+        .map(|&fabric| protocols.map(|protocol| run(&config(protocol, fabric, n)).digest()))
         .collect();
     let mut mismatches = Vec::new();
     for (row, fabric) in FABRICS.iter().enumerate() {
-        for (col, protocol) in PROTOCOLS.iter().enumerate() {
+        for (col, protocol) in protocols.iter().enumerate() {
             if got[row][col] != want[row][col] {
                 mismatches.push(format!(
                     "{n} nodes, {fabric}, {protocol}: {:#018x}, pinned {:#018x}",
@@ -188,4 +199,45 @@ fn one_hundred_forty_four_nodes() {
             ],
         ],
     );
+}
+
+/// PATCH-Owner at all three sizes, one row per size in `FABRICS` order:
+/// every node trains on the requests and responses it receives, and a miss
+/// sends one direct request to the last responder its table recorded.
+#[test]
+fn patch_owner_above_sixty_four_nodes() {
+    for (n, want) in [
+        (
+            65,
+            [
+                0x30c33dfbb9cbe6fa,
+                0x6f74beb913418e0b,
+                0xa62bed18ee71f06e,
+                0x0940799b0a8eeff1,
+            ],
+        ),
+        (
+            128,
+            [
+                0xf2aa7a51d5e038de,
+                0xc97a90cd6ea00e43,
+                0xf3c4c8598fb7f91c,
+                0xd1661cb56886c578,
+            ],
+        ),
+        (
+            144,
+            [
+                0x1858443f4d4f0724,
+                0x91012d9e13ab5a12,
+                0x32327963b3b61c8c,
+                0x1a8938090359ffd6,
+            ],
+        ),
+    ] {
+        check_protocols(n, ["patch-owner"], want.map(|digest| [digest]));
+        // Not vacuous: the trained owner candidates draw direct requests.
+        let counters = run(&config("patch-owner", FabricKind::Torus, n)).counters;
+        assert!(counters.direct_responses + counters.direct_ignored > 0);
+    }
 }
