@@ -2,8 +2,8 @@
 //!
 //! These measure simulator wall-clock for one representative configuration
 //! per paper figure, built through the same experiment-plan constructors
-//! the `fig*` binaries use (the figure *data* itself comes from those
-//! binaries). Cells are benchmarked individually, so each bench exercises
+//! `runplan <plan>` uses (the figure *data* itself comes from `runplan`
+//! and `fig4_runtime`). Cells are benchmarked individually, so each bench exercises
 //! the plan's full config-assembly machinery plus one simulation.
 
 use patchsim::exp::Sweep;

@@ -45,6 +45,7 @@ use std::time::Instant;
 
 use patchsim::exp::{AxisValue, Runner, Sweep};
 use patchsim::{FabricKind, PredictorChoice, ProtocolKind, SimConfig, TraceReader, WorkloadSpec};
+use patchsim_bench::{parse_fabric, parse_positive};
 use patchsim_kernel::collections::FxHasher;
 
 /// The pinned base seed; replications derive from it with `replicate_seed`.
@@ -143,13 +144,8 @@ fn parse_args() -> Args {
         println!("{}", usage_text());
         std::process::exit(0);
     }
-    let positive = |flag: &str, v: Option<&String>| -> u64 {
-        let v = v.unwrap_or_else(|| usage_error(&format!("{flag} requires a value")));
-        match v.parse() {
-            Ok(n) if n > 0 => n,
-            Ok(_) => usage_error(&format!("{flag} must be at least 1")),
-            Err(_) => usage_error(&format!("invalid {flag} value '{v}'")),
-        }
+    let positive = |flag: &str, v: Option<&String>| {
+        parse_positive(flag, v, "").unwrap_or_else(|e| usage_error(&e))
     };
     let mut it = raw.iter();
     while let Some(arg) = it.next() {
@@ -161,11 +157,7 @@ fn parse_args() -> Args {
                 let v = it
                     .next()
                     .unwrap_or_else(|| usage_error("--fabric requires a value"));
-                args.fabric = FabricKind::parse(v).unwrap_or_else(|| {
-                    usage_error(&format!(
-                        "invalid --fabric '{v}' (expected torus, mesh, ring, xbar, or hier[:C])"
-                    ))
-                });
+                args.fabric = parse_fabric(v).unwrap_or_else(|e| usage_error(&e));
             }
             "--record-trace" => {
                 let v = it

@@ -1,5 +1,6 @@
 //! Generic experiment-plan driver: run any registered figure or ablation
-//! plan by name with the standard measurement columns.
+//! plan by name and print its table with the plan's own title, result
+//! columns, and notes (see `patchsim_bench::PLANS`).
 //!
 //! `cargo run --release -p patchsim-bench --bin runplan -- <plan> [--quick]
 //! [--seeds N] [--threads N] [--fabric F] [--faults SPEC] [--store DIR]
@@ -10,11 +11,11 @@
 //! `runplan --help` lists every registered plan with a one-line
 //! description; `runplan list` prints the bare plan names (one per line,
 //! for scripting). A missing or unknown plan name prints the described
-//! registry and exits with status 2. The `saturation` plan emits its own
-//! open-loop column set (offered/achieved rate, drop %, sojourn
-//! percentiles) instead of the standard closed-loop columns. `fig5` is
-//! `fig4`'s sweep with those same standard columns, byte for byte; only
-//! the `fig5_traffic` binary adds Figure 5's per-class traffic columns.
+//! registry and exits with status 2. `fig4`, `fabric`, `faults`, and
+//! `service` print the standard closed-loop columns and `saturation` its
+//! open-loop set (offered/achieved rate, drop %, sojourn percentiles);
+//! every other plan prints its figure's own columns, e.g. `fig5` the
+//! per-class traffic breakdown on `fig4`'s sweep.
 //!
 //! Two store-maintenance subcommands ride along (see `SUBCOMMANDS` in
 //! `runplan --help`): `merge-store A B -o C` merges two result stores
@@ -25,22 +26,15 @@
 use std::path::PathBuf;
 
 use patchsim::exp::ResultStore;
-use patchsim_bench::{
-    plan_by_name, with_saturation_columns, with_span_columns, with_standard_columns, BenchArgs,
-    PLAN_INFO, PLAN_NAMES,
-};
+use patchsim_bench::{decorate, plan_by_name, BenchArgs, PLANS};
 
 /// The registered plans with their one-line descriptions, one per line,
 /// aligned for terminal display.
 fn plan_listing() -> String {
-    let width = PLAN_INFO
+    let width = PLANS.iter().map(|plan| plan.name.len()).max().unwrap_or(0);
+    PLANS
         .iter()
-        .map(|(name, _)| name.len())
-        .max()
-        .unwrap_or(0);
-    PLAN_INFO
-        .iter()
-        .map(|(name, desc)| format!("  {name:<width$}  {desc}"))
+        .map(|plan| format!("  {:<width$}  {}", plan.name, plan.about))
         .collect::<Vec<_>>()
         .join("\n")
 }
@@ -210,8 +204,8 @@ fn main() {
         std::process::exit(2);
     };
     if name == "list" {
-        for plan in PLAN_NAMES {
-            println!("{plan}");
+        for plan in &PLANS {
+            println!("{}", plan.name);
         }
         return;
     }
@@ -219,14 +213,6 @@ fn main() {
         eprintln!("error: unknown plan '{name}'\n\nPlans:\n{}", plan_listing());
         std::process::exit(2);
     };
-    let table = args.run_plan(plan);
-    let mut table = if name == "saturation" {
-        with_saturation_columns(table)
-    } else {
-        with_standard_columns(table)
-    };
-    if args.spans {
-        table = with_span_columns(table);
-    }
+    let table = args.run_plan(plan, |table| decorate(&name, table));
     args.finish(&table);
 }

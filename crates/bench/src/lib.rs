@@ -2,27 +2,30 @@
 //!
 //! Every table and figure of the paper's evaluation (§8) is a declarative
 //! [`ExperimentPlan`] built by a constructor in this crate and executed by
-//! the parallel deterministic [`Runner`] — the
-//! binaries under `src/bin/` only pick a plan, declare result columns,
-//! and emit:
+//! the parallel deterministic [`Runner`]. Each plan is one row of the
+//! registry [`PLANS`]: its name, its constructor ([`plan_by_name`]), and
+//! the title, result columns, and notes [`decorate`] declares on its
+//! table. `runplan <plan>` runs any of them:
 //!
 //! | Paper result | Target | Plan |
 //! |---|---|---|
 //! | Figure 4 (runtime, 5 workloads × 6 configs) | `fig4_runtime` | [`figure4_plan`] |
-//! | Figure 5 (traffic breakdown) | `fig5_traffic` | [`figure4_plan`] |
-//! | Figure 6 (bandwidth sweep, ocean) | `fig6_bandwidth_ocean` | [`bandwidth_plan`] |
-//! | Figure 7 (bandwidth sweep, jbb) | `fig7_bandwidth_jbb` | [`bandwidth_plan`] |
-//! | Figure 8 (4–512 core scalability) | `fig8_scalability` | [`scalability_plan`] |
-//! | Figure 9 (inexact-encoding runtime) | `fig9_inexact_runtime` | [`inexact_runtime_plan`] |
-//! | Figure 10 (inexact-encoding traffic) | `fig10_inexact_traffic` | [`inexact_traffic_plan`] |
+//! | Figure 5 (traffic breakdown) | `runplan fig5` | [`figure4_plan`] |
+//! | Figure 6 (bandwidth sweep, ocean) | `runplan fig6` | [`bandwidth_plan`] |
+//! | Figure 7 (bandwidth sweep, jbb) | `runplan fig7` | [`bandwidth_plan`] |
+//! | Figure 8 (4–512 core scalability) | `runplan fig8` | [`scalability_plan`] |
+//! | Figure 9 (inexact-encoding runtime) | `runplan fig9` | [`inexact_runtime_plan`] |
+//! | Figure 10 (inexact-encoding traffic) | `runplan fig10` | [`inexact_traffic_plan`] |
 //! | Cross-fabric scalability (extension) | `runplan fabric` | [`cross_fabric_plan`] |
 //! | Fault-injection robustness (extension) | `runplan faults` | [`faults_plan`] |
 //! | Service-shaped traffic (extension) | `runplan service` | [`service_plan`] |
 //! | Open-loop saturation (extension) | `runplan saturation` | [`saturation_plan`] |
-//! | Design-choice ablations | `ablation_*` | [`ablation_tenure_timeout_plan`], ... |
-//! | Any of the above by name | `runplan <plan>` | [`plan_by_name`] |
+//! | Design-choice ablations | `runplan tenure_timeout`, `deact_window`, `stale_drop`, `ack_elision`, `limited_pointer` | [`PLANS`] |
 //!
-//! All binaries share one hardened command line ([`BenchArgs`]):
+//! `runplan fig4` prints Figure 4's grid with [`with_standard_columns`];
+//! the `fig4_runtime` binary prints it with the normalized runtime column.
+//!
+//! Both drivers share one hardened command line ([`BenchArgs`]):
 //! `--quick` (shrink cores/ops for a fast smoke run), `--seeds N`
 //! (perturbed replications for confidence intervals), `--threads N`
 //! (worker pool size; results are bit-identical at any thread count),
@@ -65,14 +68,15 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use patchsim::exp::{
-    cell_key, AxisValue, Cell, ExperimentPlan, FailureKind, Format, ResultStore, Runner, Sweep,
-    Table,
+    cell_key, AxisValue, Cell, CellResult, ExperimentPlan, FailureKind, Format, ResultStore,
+    Runner, Sweep, Table,
 };
 use patchsim::{
     presets, service_presets, ArrivalProfile, FabricKind, FaultSpec, LinkBandwidth,
-    PredictorChoice, ProtocolKind, SharerEncoding, SimConfig, TenureConfig, TraceReader,
-    TrafficClass, WorkloadSpec,
+    PredictorChoice, ProtocolCounters, ProtocolKind, SharerEncoding, SimConfig, TenureConfig,
+    TraceReader, TrafficClass, WorkloadSpec,
 };
+use patchsim_mem::SharerSet;
 
 /// Experiment scale knobs shared by all figure targets.
 #[derive(Clone, Debug)]
@@ -172,8 +176,8 @@ pub struct BenchArgs {
     /// (`--metrics-every CYCLES`); `None` uses the default epoch.
     pub metrics_every: Option<u64>,
     /// Span recording (`--spans`): every run records per-phase
-    /// miss-lifecycle spans and the emitted table gains span columns
-    /// (see [`with_span_columns`]).
+    /// miss-lifecycle spans and [`BenchArgs::run_plan`] appends the span
+    /// columns (`span_queue`, `span_net`, `span_home`, `span_token`).
     pub spans: bool,
     /// Flight-recorder directory (`--flight-recorder DIR`): every run
     /// keeps a bounded ring of recent events and dumps it to a `.fdr`
@@ -321,9 +325,7 @@ impl BenchArgs {
                 "--quick" => quick = true,
                 "--fabric" => {
                     let v = it.next().ok_or("--fabric requires a value")?;
-                    fabric = Some(FabricKind::parse(v).ok_or_else(|| {
-                        format!("invalid --fabric '{v}' (expected torus, mesh, ring, xbar, or hier[:C])")
-                    })?);
+                    fabric = Some(parse_fabric(v)?);
                 }
                 "--faults" => {
                     let v = it.next().ok_or("--faults requires a value")?;
@@ -331,25 +333,9 @@ impl BenchArgs {
                         format!("invalid --faults '{v}' (expected none, a preset like chaos, or '+'-joined clauses like delay:0.02:200+dup:0.01)")
                     })?);
                 }
-                "--seeds" => {
-                    let v = it.next().ok_or("--seeds requires a value")?;
-                    let n: u64 = v
-                        .parse()
-                        .map_err(|_| format!("invalid --seeds value '{v}'"))?;
-                    if n == 0 {
-                        return Err("--seeds must be at least 1".into());
-                    }
-                    seeds = Some(n);
-                }
+                "--seeds" => seeds = Some(parse_positive("--seeds", it.next(), "")?),
                 "--threads" => {
-                    let v = it.next().ok_or("--threads requires a value")?;
-                    let n: usize = v
-                        .parse()
-                        .map_err(|_| format!("invalid --threads value '{v}'"))?;
-                    if n == 0 {
-                        return Err("--threads must be at least 1".into());
-                    }
-                    threads = Some(n);
+                    threads = Some(parse_positive("--threads", it.next(), "")? as usize);
                 }
                 "--format" => {
                     let v = it.next().ok_or("--format requires a value")?;
@@ -370,14 +356,7 @@ impl BenchArgs {
                     metrics = Some(PathBuf::from(v));
                 }
                 "--metrics-every" => {
-                    let v = it.next().ok_or("--metrics-every requires a value")?;
-                    let n: u64 = v
-                        .parse()
-                        .map_err(|_| format!("invalid --metrics-every value '{v}'"))?;
-                    if n == 0 {
-                        return Err("--metrics-every must be at least 1 cycle".into());
-                    }
-                    metrics_every = Some(n);
+                    metrics_every = Some(parse_positive("--metrics-every", it.next(), " cycle")?);
                 }
                 "--spans" => spans = true,
                 "--flight-recorder" => {
@@ -394,13 +373,7 @@ impl BenchArgs {
                     store = Some(PathBuf::from(v));
                 }
                 "--cell-timeout" => {
-                    let v = it.next().ok_or("--cell-timeout requires a value")?;
-                    let secs: u64 = v
-                        .parse()
-                        .map_err(|_| format!("invalid --cell-timeout value '{v}'"))?;
-                    if secs == 0 {
-                        return Err("--cell-timeout must be at least 1 second".into());
-                    }
+                    let secs = parse_positive("--cell-timeout", it.next(), " second")?;
                     cell_timeout = Some(Duration::from_secs(secs));
                 }
                 "--retries" => {
@@ -485,10 +458,18 @@ impl BenchArgs {
     }
 
     /// Runs `plan` on this invocation's runner, first arming trace
-    /// recording and telemetry via [`BenchArgs::run_plan_armed`].
-    pub fn run_plan(&self, plan: ExperimentPlan) -> Table {
+    /// recording and telemetry via [`BenchArgs::run_plan_armed`], then
+    /// declares the finished table's `columns` — followed by the
+    /// miss-lifecycle span columns under `--spans`, so every driver
+    /// honours the flag.
+    pub fn run_plan(&self, plan: ExperimentPlan, columns: impl FnOnce(Table) -> Table) -> Table {
         let plan = self.run_plan_armed(plan);
-        self.runner().run(&plan)
+        let table = columns(self.runner().run(&plan));
+        if self.spans {
+            with_span_columns(table)
+        } else {
+            table
+        }
     }
 
     /// Applies this invocation's sharding, trace recording, and
@@ -561,9 +542,11 @@ impl BenchArgs {
     /// # Errors
     ///
     /// Fails on an empty table (no cells or no columns — nothing a
-    /// downstream consumer could use) and on I/O errors.
+    /// downstream consumer could use) and on I/O errors. Under `--shard`
+    /// a table without cells still emits: a plan with fewer cells than
+    /// shards leaves some shards empty by design.
     pub fn emit(&self, table: &Table) -> io::Result<()> {
-        if table.cells().is_empty() || table.columns().is_empty() {
+        if table.columns().is_empty() || (table.cells().is_empty() && self.shard.is_none()) {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "refusing to emit an empty table",
@@ -645,6 +628,34 @@ fn usage(bin: &str, about: &str, positional: Option<&str>) -> String {
 fn usage_error(bin: &str, about: &str, positional: Option<&str>, msg: &str) -> ! {
     eprintln!("error: {msg}\n\n{}", usage(bin, about, positional));
     std::process::exit(2);
+}
+
+/// Parses the value of `flag` as a count of at least 1 — the check behind
+/// `--seeds`, `--threads`, `--metrics-every`, and `--cell-timeout`, and
+/// behind `perf_baseline`'s counts. `unit` (`" cycle"`, `" second"`, or
+/// empty) finishes the zero-value message.
+///
+/// # Errors
+///
+/// Names the flag when its value is missing, unparseable, or zero.
+pub fn parse_positive(flag: &str, value: Option<&String>, unit: &str) -> Result<u64, String> {
+    let v = value.ok_or_else(|| format!("{flag} requires a value"))?;
+    match v.parse() {
+        Ok(0) => Err(format!("{flag} must be at least 1{unit}")),
+        Ok(n) => Ok(n),
+        Err(_) => Err(format!("invalid {flag} value '{v}'")),
+    }
+}
+
+/// Parses a `--fabric` value.
+///
+/// # Errors
+///
+/// Lists the accepted fabrics when `value` names none of them.
+pub fn parse_fabric(value: &str) -> Result<FabricKind, String> {
+    FabricKind::parse(value).ok_or_else(|| {
+        format!("invalid --fabric '{value}' (expected torus, mesh, ring, xbar, or hier[:C])")
+    })
 }
 
 /// Parses a `--workload` value: a preset name, `trace:PATH`, or an
@@ -1156,7 +1167,7 @@ pub fn microbench_schedule(cores: u16) -> (u64, u64) {
 
 /// Ablation: tenure-timeout policy (fixed sweeps vs the paper's adaptive
 /// 2× round-trip) on a contended microbenchmark.
-pub fn ablation_tenure_timeout_plan(scale: Scale) -> ExperimentPlan {
+fn ablation_tenure_timeout_plan(scale: Scale) -> ExperimentPlan {
     // A contended workload where tenure actually fires: many writers on a
     // small hot table.
     let workload = WorkloadSpec::Microbenchmark {
@@ -1198,7 +1209,7 @@ pub fn ablation_tenure_timeout_plan(scale: Scale) -> ExperimentPlan {
 }
 
 /// Ablation: the post-deactivation direct-request ignore window.
-pub fn ablation_deact_window_plan(scale: Scale) -> ExperimentPlan {
+fn ablation_deact_window_plan(scale: Scale) -> ExperimentPlan {
     let workload = WorkloadSpec::Microbenchmark {
         table_blocks: 128,
         write_frac: 0.5,
@@ -1229,7 +1240,7 @@ pub fn ablation_deact_window_plan(scale: Scale) -> ExperimentPlan {
 }
 
 /// Ablation: the best-effort staleness bound under constrained bandwidth.
-pub fn ablation_stale_drop_plan(scale: Scale) -> ExperimentPlan {
+fn ablation_stale_drop_plan(scale: Scale) -> ExperimentPlan {
     let base = scale
         .base(ProtocolKind::Patch, scale.cores)
         .with_predictor(PredictorChoice::All)
@@ -1258,7 +1269,7 @@ pub fn ablation_stale_drop_plan(scale: Scale) -> ExperimentPlan {
 
 /// Ablation: zero-token acknowledgement elision under a coarse sharer
 /// encoding and 2-byte/cycle links.
-pub fn ablation_ack_elision_plan(scale: Scale) -> ExperimentPlan {
+fn ablation_ack_elision_plan(scale: Scale) -> ExperimentPlan {
     let coarse = SharerEncoding::Coarse {
         cores_per_bit: (scale.cores / 4).max(2),
     };
@@ -1289,7 +1300,7 @@ pub fn ablation_ack_elision_plan(scale: Scale) -> ExperimentPlan {
 
 /// Extension study: limited-pointer directories (Dir-i-B) alongside the
 /// paper's coarse-vector sweep.
-pub fn ablation_limited_pointer_plan(scale: Scale) -> ExperimentPlan {
+fn ablation_limited_pointer_plan(scale: Scale) -> ExperimentPlan {
     let cores = scale.cores;
     let (warmup, ops) = microbench_schedule(cores);
     let base = scale
@@ -1328,91 +1339,290 @@ pub fn ablation_limited_pointer_plan(scale: Scale) -> ExperimentPlan {
 }
 
 // ---------------------------------------------------------------------------
-// Plan registry and shared column sets.
+// Plan registry and column sets.
 // ---------------------------------------------------------------------------
 
-/// Every named plan `runplan` can execute, with a one-line description
-/// (shown by `runplan --help` and the bare `runplan` plan listing).
-pub const PLAN_INFO: [(&str, &str); 16] = [
-    (
-        "fig4",
-        "Figure 4 runtime grid: 5 workloads x 6 protocol configs",
-    ),
-    (
-        "fig5",
-        "Figure 5's grid: same table as fig4 (class columns: fig5_traffic)",
-    ),
-    ("fig6", "Figure 6 bandwidth-adaptivity sweep on ocean"),
-    ("fig7", "Figure 7 bandwidth-adaptivity sweep on jbb"),
-    (
-        "fig8",
-        "Figure 8 scalability: 4-512 cores on 2 B/cycle links",
-    ),
-    ("fig9", "Figure 9 runtime vs sharer-encoding coarseness"),
-    ("fig10", "Figure 10 traffic vs sharer-encoding coarseness"),
-    (
-        "fabric",
-        "Cross-fabric scalability: cores x 5 topologies x 3 configs",
-    ),
-    (
-        "faults",
-        "Fault-injection robustness: fault mix x protocol x fabric, oracles armed",
-    ),
-    (
-        "service",
-        "Service-shaped traffic: key skew x arrival burstiness x protocol",
-    ),
-    (
-        "saturation",
-        "Open-loop saturation: offered load x protocol x fabric, drops + sojourn",
-    ),
-    (
-        "tenure_timeout",
-        "Ablation: fixed vs adaptive tenure timeouts",
-    ),
-    (
-        "deact_window",
-        "Ablation: post-deactivation ignore window on/off",
-    ),
-    ("stale_drop", "Ablation: best-effort staleness bound sweep"),
-    ("ack_elision", "Ablation: zero-token ack elision on/off"),
-    (
-        "limited_pointer",
-        "Extension: limited-pointer directories (Dir-i-B)",
-    ),
+/// One named plan `runplan` can execute: how to build its grid and how to
+/// declare its finished table's title, result columns, and notes.
+pub struct RegisteredPlan {
+    /// The name `runplan` takes.
+    pub name: &'static str,
+    /// One-line description (shown by `runplan --help` and the bare
+    /// `runplan` plan listing).
+    pub about: &'static str,
+    build: fn(Scale) -> ExperimentPlan,
+    columns: fn(Table) -> Table,
+}
+
+/// Every named plan, in listing order (see [`plan_by_name`] and
+/// [`decorate`]).
+pub static PLANS: [RegisteredPlan; 16] = [
+    // `fig4` keeps the standard columns: the repository benchmark pins
+    // `runplan fig4`'s bytes against `with_standard_columns`.
+    RegisteredPlan {
+        name: "fig4",
+        about: "Figure 4 runtime grid: 5 workloads x 6 protocol configs",
+        build: figure4_plan,
+        columns: with_standard_columns,
+    },
+    RegisteredPlan {
+        name: "fig5",
+        about: "Figure 5 traffic per miss by message class, normalized to Directory",
+        build: figure4_plan,
+        columns: figure5_columns,
+    },
+    RegisteredPlan {
+        name: "fig6",
+        about: "Figure 6 bandwidth-adaptivity sweep on ocean",
+        build: |scale| bandwidth_plan(scale, presets::ocean()),
+        columns: figure6_columns,
+    },
+    RegisteredPlan {
+        name: "fig7",
+        about: "Figure 7 bandwidth-adaptivity sweep on jbb",
+        build: |scale| bandwidth_plan(scale, presets::jbb()),
+        columns: figure7_columns,
+    },
+    RegisteredPlan {
+        name: "fig8",
+        about: "Figure 8 scalability: 4-512 cores on 2 B/cycle links",
+        build: scalability_plan,
+        columns: figure8_columns,
+    },
+    RegisteredPlan {
+        name: "fig9",
+        about: "Figure 9 runtime vs sharer-encoding coarseness",
+        build: inexact_runtime_plan,
+        columns: figure9_columns,
+    },
+    RegisteredPlan {
+        name: "fig10",
+        about: "Figure 10 traffic vs sharer-encoding coarseness",
+        build: inexact_traffic_plan,
+        columns: figure10_columns,
+    },
+    RegisteredPlan {
+        name: "fabric",
+        about: "Cross-fabric scalability: cores x 5 topologies x 3 configs",
+        build: cross_fabric_plan,
+        columns: with_standard_columns,
+    },
+    RegisteredPlan {
+        name: "faults",
+        about: "Fault-injection robustness: fault mix x protocol x fabric, oracles armed",
+        build: faults_plan,
+        columns: with_standard_columns,
+    },
+    RegisteredPlan {
+        name: "service",
+        about: "Service-shaped traffic: key skew x arrival burstiness x protocol",
+        build: service_plan,
+        columns: with_standard_columns,
+    },
+    RegisteredPlan {
+        name: "saturation",
+        about: "Open-loop saturation: offered load x protocol x fabric, drops + sojourn",
+        build: saturation_plan,
+        columns: with_saturation_columns,
+    },
+    RegisteredPlan {
+        name: "tenure_timeout",
+        about: "Ablation: fixed vs adaptive tenure timeouts",
+        build: ablation_tenure_timeout_plan,
+        columns: tenure_timeout_columns,
+    },
+    RegisteredPlan {
+        name: "deact_window",
+        about: "Ablation: post-deactivation ignore window on/off",
+        build: ablation_deact_window_plan,
+        columns: deact_window_columns,
+    },
+    RegisteredPlan {
+        name: "stale_drop",
+        about: "Ablation: best-effort staleness bound sweep",
+        build: ablation_stale_drop_plan,
+        columns: stale_drop_columns,
+    },
+    RegisteredPlan {
+        name: "ack_elision",
+        about: "Ablation: zero-token ack elision on/off",
+        build: ablation_ack_elision_plan,
+        columns: ack_elision_columns,
+    },
+    RegisteredPlan {
+        name: "limited_pointer",
+        about: "Extension: limited-pointer directories (Dir-i-B)",
+        build: ablation_limited_pointer_plan,
+        columns: limited_pointer_columns,
+    },
 ];
 
-/// Every named plan `runplan` can execute.
-pub const PLAN_NAMES: [&str; PLAN_INFO.len()] = {
-    let mut names = [""; PLAN_INFO.len()];
-    let mut i = 0;
-    while i < PLAN_INFO.len() {
-        names[i] = PLAN_INFO[i].0;
-        i += 1;
-    }
-    names
-};
+fn registration(name: &str) -> Option<&'static RegisteredPlan> {
+    PLANS.iter().find(|plan| plan.name == name)
+}
 
-/// Builds a registered plan by name (see [`PLAN_NAMES`]).
+/// Builds a registered plan by name (see [`PLANS`]).
 pub fn plan_by_name(name: &str, scale: Scale) -> Option<ExperimentPlan> {
-    match name {
-        "fig4" | "fig5" => Some(figure4_plan(scale)),
-        "fig6" => Some(bandwidth_plan(scale, presets::ocean())),
-        "fig7" => Some(bandwidth_plan(scale, presets::jbb())),
-        "fig8" => Some(scalability_plan(scale)),
-        "fig9" => Some(inexact_runtime_plan(scale)),
-        "fig10" => Some(inexact_traffic_plan(scale)),
-        "fabric" => Some(cross_fabric_plan(scale)),
-        "faults" => Some(faults_plan(scale)),
-        "service" => Some(service_plan(scale)),
-        "saturation" => Some(saturation_plan(scale)),
-        "tenure_timeout" => Some(ablation_tenure_timeout_plan(scale)),
-        "deact_window" => Some(ablation_deact_window_plan(scale)),
-        "stale_drop" => Some(ablation_stale_drop_plan(scale)),
-        "ack_elision" => Some(ablation_ack_elision_plan(scale)),
-        "limited_pointer" => Some(ablation_limited_pointer_plan(scale)),
-        _ => None,
-    }
+    registration(name).map(|plan| (plan.build)(scale))
+}
+
+/// Declares a registered plan's title, result columns, and notes on its
+/// finished table — the table `runplan <name>` prints.
+///
+/// # Panics
+///
+/// Panics if `name` is not registered (see [`PLANS`]).
+pub fn decorate(name: &str, table: Table) -> Table {
+    let plan = registration(name).unwrap_or_else(|| panic!("no registered plan '{name}'"));
+    (plan.columns)(table)
+}
+
+fn figure5_columns(table: Table) -> Table {
+    with_traffic_columns(
+        table,
+        "Figure 5: traffic per miss by class",
+        "config",
+        "Directory",
+    )
+    .with_note("class columns are bytes/miss; norm_traffic is normalized to the Directory row")
+    .with_note(
+        "paper shape: PATCH-None ~ Directory +2%; PATCH-Owner ~ +20%; PATCH-All ~ +145%; \
+         TokenB comparable to PATCH-All",
+    )
+}
+
+fn figure6_columns(table: Table) -> Table {
+    with_bandwidth_columns(table, "Figure 6: bandwidth adaptivity on ocean").with_note(
+        "paper shape: PATCH-All-NA collapses at low bandwidth while adaptive \
+         PATCH-All stays at or below Directory (mid-sweep win up to ~6.3%)",
+    )
+}
+
+fn figure7_columns(table: Table) -> Table {
+    with_bandwidth_columns(table, "Figure 7: bandwidth adaptivity on jbb")
+        .with_note("paper shape: same as Figure 6 with a mid-sweep PATCH-All win of up to ~5.2%")
+}
+
+fn figure8_columns(table: Table) -> Table {
+    with_runtime_columns(
+        table,
+        "Figure 8: microbenchmark scalability (2 B/cycle links)",
+        "config",
+        "Directory",
+    )
+    .with_note("norm_runtime is normalized to Directory at the same core count")
+    .with_note(
+        "paper shape: PATCH-All-NA wins up to 64 cores then collapses; adaptive \
+         PATCH-All stays ahead of Directory up to ~256 cores",
+    )
+}
+
+fn figure9_columns(table: Table) -> Table {
+    with_runtime_columns(
+        table,
+        "Figure 9: runtime vs sharer-encoding coarseness",
+        "K",
+        "1",
+    )
+    .with_note(
+        "norm_runtime is normalized to the K=1 (full-map) row of the same \
+         cores/config/links group",
+    )
+    .with_note(
+        "paper shape: flat with unbounded links; with 2 B/cycle links Directory \
+         degrades up to ~142% at 256 cores single-bit while PATCH grows a few percent",
+    )
+}
+
+fn figure10_columns(table: Table) -> Table {
+    with_traffic_columns(
+        table,
+        "Figure 10: traffic per miss vs sharer-encoding coarseness",
+        "K",
+        "1",
+    )
+    .with_note(
+        "class columns are bytes/miss; norm_traffic is normalized to the K=1 (full-map) \
+         row of the same cores/config group",
+    )
+    .with_note(
+        "paper shape: Directory becomes ack-dominated as the encoding coarsens (up to \
+         +319% at 256 cores single-bit) while PATCH grows at most ~32%",
+    )
+}
+
+fn tenure_timeout_columns(table: Table) -> Table {
+    table
+        .with_ci_column("runtime", 0, |cell| cell.summary.runtime)
+        .with_column("tenure_timeouts", 0, |cell| {
+            counter_total(cell, |c| c.tenure_timeouts)
+        })
+        .with_column("writebacks", 0, |cell| {
+            counter_total(cell, |c| c.writebacks)
+        })
+        .with_note(
+            "too-short fixed timeouts waste writebacks and refetches; too-long timeouts \
+             idle racing tokens — the paper's adaptive 2x round-trip balances both",
+        )
+}
+
+fn deact_window_columns(table: Table) -> Table {
+    table
+        .with_ci_column("runtime", 0, |cell| cell.summary.runtime)
+        .with_column("tenure_timeouts", 0, |cell| {
+            counter_total(cell, |c| c.tenure_timeouts)
+        })
+        .with_column("direct_ignored", 0, |cell| {
+            counter_total(cell, |c| c.direct_ignored)
+        })
+        .with_ci_column("bytes_per_miss", 1, |cell| cell.summary.bytes_per_miss)
+        .with_note(
+            "disabling the window lets racing direct requests scatter tokens the home \
+             is steering, inflating tenure timeouts and traffic",
+        )
+}
+
+fn stale_drop_columns(table: Table) -> Table {
+    table
+        .with_ci_column("runtime", 0, |cell| cell.summary.runtime)
+        .with_column("drops", 0, |cell| cell.summary.dropped_packets)
+        .with_ci_column("bytes_per_miss", 1, |cell| cell.summary.bytes_per_miss)
+        .with_note(
+            "the paper uses a 100-cycle staleness bound: drop too early and useful \
+             predictions are lost; too late and stale requests burn scarce bandwidth",
+        )
+}
+
+fn ack_elision_columns(table: Table) -> Table {
+    table
+        .with_ci_column("runtime", 0, |cell| cell.summary.runtime)
+        .with_column("ack_bytes_per_miss", 1, |cell| {
+            cell.summary.class_mean(TrafficClass::Ack)
+        })
+        .with_ci_column("bytes_per_miss", 1, |cell| cell.summary.bytes_per_miss)
+        .with_note(
+            "forcing Directory-style zero-token acks shows how much of the Figure 9/10 \
+             advantage comes from tokenless nodes staying silent",
+        )
+}
+
+fn limited_pointer_columns(table: Table) -> Table {
+    table
+        .with_normalized_column("norm_runtime", 3, "encoding", "full-map", |cell| {
+            cell.summary.runtime.mean
+        })
+        .with_column("ack_bytes_per_miss", 1, |cell| {
+            cell.summary.class_mean(TrafficClass::Ack)
+        })
+        .with_column("dir_bits_per_entry", 0, |cell| {
+            let protocol = &cell.config.protocol;
+            SharerSet::new(protocol.num_nodes, protocol.sharer_encoding).bits_per_entry() as f64
+        })
+        .with_note(
+            "norm_runtime is normalized to the full-map row of the same protocol; \
+             limited pointers degrade to broadcast on overflow, which Directory pays \
+             for in ack storms while PATCH's tokenless nodes stay silent",
+        )
 }
 
 /// The default measurement columns: runtime and bytes/miss with 95% CIs,
@@ -1431,6 +1641,49 @@ pub fn with_standard_columns(table: Table) -> Table {
             cell.summary.miss_latency_percentiles.p99 as f64
         })
         .with_column("drops", 0, |cell| cell.summary.dropped_packets)
+}
+
+/// A runtime figure's columns: `title`, runtime with a 95% CI, and
+/// runtime normalized to the `baseline` row of `axis`.
+pub fn with_runtime_columns(table: Table, title: &str, axis: &str, baseline: &str) -> Table {
+    table
+        .with_title(title)
+        .with_ci_column("runtime", 0, |cell| cell.summary.runtime)
+        .with_normalized_column("norm_runtime", 3, axis, baseline, |cell| {
+            cell.summary.runtime.mean
+        })
+}
+
+/// Figures 6 and 7: the runtime columns normalized to Directory, plus
+/// best-effort drops.
+fn with_bandwidth_columns(table: Table, title: &str) -> Table {
+    with_runtime_columns(table, title, "config", "Directory")
+        .with_column("drops", 0, |cell| cell.summary.dropped_packets)
+        .with_note("norm_runtime is normalized to Directory at the same bandwidth")
+}
+
+/// Figures 5 and 10: `title`, one bytes-per-miss column per traffic
+/// class in [`TrafficClass::ALL`] order, total bytes/miss with a 95% CI,
+/// and traffic normalized to the `baseline` row of `axis`.
+fn with_traffic_columns(table: Table, title: &str, axis: &str, baseline: &str) -> Table {
+    let mut table = table.with_title(title);
+    for class in TrafficClass::ALL {
+        table = table.with_column(class.label(), 1, move |cell| cell.summary.class_mean(class));
+    }
+    table
+        .with_ci_column("bytes_per_miss", 1, |cell| cell.summary.bytes_per_miss)
+        .with_normalized_column("norm_traffic", 2, axis, baseline, |cell| {
+            cell.summary.bytes_per_miss.mean
+        })
+}
+
+/// One protocol counter summed over a cell's replications.
+fn counter_total(cell: &CellResult, counter: fn(&ProtocolCounters) -> u64) -> f64 {
+    cell.summary
+        .runs
+        .iter()
+        .map(|run| counter(&run.counters))
+        .sum::<u64>() as f64
 }
 
 /// The `saturation` plan's column set: offered vs achieved rate (both
@@ -1477,7 +1730,7 @@ pub fn with_saturation_columns(table: Table) -> Table {
 /// and token wait (ordering to completion). The three on-miss phases
 /// partition the mean miss latency exactly; cells without span data
 /// report zeros.
-pub fn with_span_columns(table: Table) -> Table {
+fn with_span_columns(table: Table) -> Table {
     let spans = |cell: &patchsim::exp::CellResult| cell.summary.spans.unwrap_or_default();
     table
         .with_column("span_queue", 1, move |cell| spans(cell).queue_wait_mean)
@@ -1486,18 +1739,10 @@ pub fn with_span_columns(table: Table) -> Table {
         .with_column("span_token", 1, move |cell| spans(cell).token_wait_mean)
 }
 
-/// One bytes-per-miss column per traffic class, in [`TrafficClass::ALL`]
-/// order (the paper's Figure 5/10 breakdowns).
-pub fn with_traffic_class_columns(mut table: Table) -> Table {
-    for class in TrafficClass::ALL {
-        table = table.with_column(class.label(), 1, move |cell| cell.summary.class_mean(class));
-    }
-    table
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use patchsim::exp::Value;
 
     #[test]
     fn figure4_grid_is_five_by_six() {
@@ -1605,17 +1850,124 @@ mod tests {
         );
     }
 
+    /// Every registered plan's result columns, in registry order.
+    const PINNED_COLUMNS: [(&str, &[&str]); 16] = {
+        const STANDARD: &[&str] = &[
+            "runtime",
+            "bytes_per_miss",
+            "lat_p50",
+            "lat_p95",
+            "lat_p99",
+            "drops",
+        ];
+        const TRAFFIC: &[&str] = &[
+            "Data",
+            "Ack",
+            "Dir.Req",
+            "Ind.Req",
+            "Forward",
+            "Reissue",
+            "Activation",
+            "Writeback",
+            "bytes_per_miss",
+            "norm_traffic",
+        ];
+        [
+            ("fig4", STANDARD),
+            ("fig5", TRAFFIC),
+            ("fig6", &["runtime", "norm_runtime", "drops"]),
+            ("fig7", &["runtime", "norm_runtime", "drops"]),
+            ("fig8", &["runtime", "norm_runtime"]),
+            ("fig9", &["runtime", "norm_runtime"]),
+            ("fig10", TRAFFIC),
+            ("fabric", STANDARD),
+            ("faults", STANDARD),
+            ("service", STANDARD),
+            (
+                "saturation",
+                &[
+                    "offered_per_kc",
+                    "goodput_per_kc",
+                    "drop_pct",
+                    "soj_p50",
+                    "soj_p95",
+                    "soj_p99",
+                    "lat_p95",
+                    "backlog_hwm",
+                ],
+            ),
+            (
+                "tenure_timeout",
+                &["runtime", "tenure_timeouts", "writebacks"],
+            ),
+            (
+                "deact_window",
+                &[
+                    "runtime",
+                    "tenure_timeouts",
+                    "direct_ignored",
+                    "bytes_per_miss",
+                ],
+            ),
+            ("stale_drop", &["runtime", "drops", "bytes_per_miss"]),
+            (
+                "ack_elision",
+                &["runtime", "ack_bytes_per_miss", "bytes_per_miss"],
+            ),
+            (
+                "limited_pointer",
+                &["norm_runtime", "ack_bytes_per_miss", "dir_bits_per_entry"],
+            ),
+        ]
+    };
+
+    /// A tiny real run of `plan`: only its smallest systems, a few
+    /// operations per core, so every baseline row of a kept cell is kept.
+    fn tiny_run(mut plan: ExperimentPlan) -> Table {
+        let smallest = plan
+            .cells()
+            .iter()
+            .map(|c| c.config.protocol.num_nodes)
+            .min()
+            .unwrap();
+        plan.retain(|c| c.config.protocol.num_nodes == smallest);
+        for cell in plan.cells_mut() {
+            cell.config.ops_per_core = 30;
+            cell.config.warmup_ops_per_core = 0;
+        }
+        Runner::serial().run(&plan)
+    }
+
     #[test]
     fn every_registered_plan_builds() {
-        let scale = Scale::quick();
-        for name in PLAN_NAMES {
-            let plan = plan_by_name(name, scale.clone()).expect(name);
-            assert!(!plan.is_empty(), "{name} built an empty plan");
+        let scale = Scale {
+            cores: 4,
+            ..Scale::quick()
+        };
+        assert_eq!(PLANS.len(), PINNED_COLUMNS.len());
+        for (plan, (name, columns)) in PLANS.iter().zip(PINNED_COLUMNS) {
+            assert_eq!(plan.name, name);
+            assert!(!plan.about.is_empty(), "{name} has no description");
+            let built = plan_by_name(name, scale.clone()).expect(name);
+            assert!(!built.is_empty(), "{name} built an empty plan");
+            let table = decorate(name, tiny_run(built));
+            let headers: Vec<&str> = table.columns().iter().map(|c| c.name()).collect();
+            assert_eq!(headers, columns, "{name}'s columns");
+            for row in 0..table.cells().len() {
+                for (col, column) in table.columns().iter().enumerate() {
+                    let value = table.value(row, col);
+                    if column.name().starts_with("norm_") {
+                        assert!(
+                            matches!(value, Value::Num(v) if v.is_finite()),
+                            "{name} row {row} {}: {value:?}",
+                            column.name()
+                        );
+                    }
+                }
+            }
+            assert!(table.value(0, 0).primary() > 0.0, "{name}'s first column");
         }
         assert!(plan_by_name("nope", scale).is_none());
-        // The description table and the name registry stay in sync.
-        assert_eq!(PLAN_INFO.map(|(name, _)| name), PLAN_NAMES);
-        assert!(PLAN_INFO.iter().all(|(_, desc)| !desc.is_empty()));
     }
 
     #[test]
@@ -1834,14 +2186,77 @@ mod tests {
     }
 
     #[test]
-    fn standard_columns_attach_to_a_real_table() {
-        let mut scale = Scale::quick();
-        scale.cores = 4;
-        scale.ops = 40;
-        scale.warmup = 0;
-        let plan = ablation_deact_window_plan(scale);
-        let table = with_standard_columns(Runner::serial().run(&plan));
-        assert_eq!(table.columns().len(), 6);
-        assert!(table.value(0, 0).primary() > 0.0);
+    fn spans_columns_follow_the_plan_columns() {
+        let run = |flags: &[&str]| {
+            let raw: Vec<String> = flags.iter().map(|s| s.to_string()).collect();
+            let (mut args, _) = BenchArgs::try_parse(&raw).unwrap();
+            args.scale.cores = 4;
+            args.scale.ops = 40;
+            args.scale.warmup = 0;
+            let plan = plan_by_name("deact_window", args.scale.clone()).unwrap();
+            args.run_plan(plan, |table| decorate("deact_window", table))
+        };
+        let headers = |table: &Table| -> Vec<String> {
+            table
+                .columns()
+                .iter()
+                .map(|c| c.name().to_string())
+                .collect()
+        };
+        let plain = run(&["--threads", "1"]);
+        let spans = run(&["--threads", "1", "--spans"]);
+        let mut expected = headers(&plain);
+        expected.extend(["span_queue", "span_net", "span_home", "span_token"].map(String::from));
+        assert_eq!(headers(&spans), expected);
+        let net = expected.iter().position(|c| c == "span_net").unwrap();
+        assert!(spans.value(0, net).primary() > 0.0);
+    }
+
+    #[test]
+    fn only_a_sharded_run_emits_a_cell_free_table() {
+        let path = std::env::temp_dir().join(format!("patchsim_empty_{}.csv", std::process::id()));
+        let out = path.to_str().unwrap();
+        let args = |flags: &[&str]| {
+            let raw: Vec<String> = flags.iter().map(|s| s.to_string()).collect();
+            BenchArgs::try_parse(&raw).unwrap().0
+        };
+        let empty = with_standard_columns(Table::new("t", vec!["config".into()], Vec::new()));
+        assert!(args(&["--format", "csv", "--out", out])
+            .emit(&empty)
+            .is_err());
+        args(&["--format", "csv", "--out", out, "--shard", "3/4"])
+            .emit(&empty)
+            .unwrap();
+        let csv = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(
+            csv,
+            "config,runtime,runtime_ci95,bytes_per_miss,bytes_per_miss_ci95,lat_p50,lat_p95,\
+             lat_p99,drops\n"
+        );
+    }
+
+    #[test]
+    fn count_flags_share_one_check_and_its_messages() {
+        let err = |list: &[&str]| {
+            BenchArgs::try_parse(&list.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+                .unwrap_err()
+        };
+        assert_eq!(err(&["--seeds"]), "--seeds requires a value");
+        assert_eq!(err(&["--threads", "-3"]), "invalid --threads value '-3'");
+        assert_eq!(err(&["--seeds", "0"]), "--seeds must be at least 1");
+        assert_eq!(err(&["--threads", "0"]), "--threads must be at least 1");
+        assert_eq!(
+            err(&["--metrics", "m", "--metrics-every", "0"]),
+            "--metrics-every must be at least 1 cycle"
+        );
+        assert_eq!(
+            err(&["--cell-timeout", "0"]),
+            "--cell-timeout must be at least 1 second"
+        );
+        assert_eq!(
+            err(&["--fabric", "warp"]),
+            "invalid --fabric 'warp' (expected torus, mesh, ring, xbar, or hier[:C])"
+        );
     }
 }

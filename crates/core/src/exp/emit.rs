@@ -9,16 +9,6 @@ use std::io::{self, Write};
 
 use crate::exp::table::{CellFailure, Table, Value};
 
-/// Computes one table value, mapping [`TableError`](crate::exp::TableError)
-/// (e.g. a normalized row whose baseline cell failed) to
-/// [`io::ErrorKind::InvalidData`] so emitters report it instead of
-/// panicking.
-fn table_value(table: &Table, row: usize, col: usize) -> io::Result<Value> {
-    table
-        .try_value(row, col)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-}
-
 /// Flattens a failure's error text to one line for text/CSV comments.
 fn one_line(s: &str) -> String {
     s.replace(['\n', '\r'], " ")
@@ -102,6 +92,7 @@ fn format_value(value: Value, precision: usize) -> String {
     match value {
         Value::Num(v) => format!("{v:.precision$}"),
         Value::Ci(ci) => format!("{:.precision$} ±{:.precision$}", ci.mean, ci.half_width),
+        Value::Missing => "-".to_string(),
     }
 }
 
@@ -122,14 +113,11 @@ impl Emitter for TextEmitter {
             .map(|row| {
                 let mut fields: Vec<String> = table.cells()[row].labels.clone();
                 for (col, column) in table.columns().iter().enumerate() {
-                    fields.push(format_value(
-                        table_value(table, row, col)?,
-                        column.precision(),
-                    ));
+                    fields.push(format_value(table.value(row, col), column.precision()));
                 }
-                Ok(fields)
+                fields
             })
-            .collect::<io::Result<_>>()?;
+            .collect();
         let widths: Vec<usize> = headers
             .iter()
             .enumerate()
@@ -215,12 +203,13 @@ impl Emitter for CsvEmitter {
                 .collect();
             for (col, column) in table.columns().iter().enumerate() {
                 let precision = column.precision();
-                match table_value(table, row, col)? {
+                match table.value(row, col) {
                     Value::Num(v) => fields.push(format!("{v:.precision$}")),
                     Value::Ci(ci) => {
                         fields.push(format!("{:.precision$}", ci.mean));
                         fields.push(format!("{:.precision$}", ci.half_width));
                     }
+                    Value::Missing => fields.push(String::new()),
                 }
             }
             writeln!(out, "{}", fields.join(","))?;
@@ -310,10 +299,11 @@ impl Emitter for JsonEmitter {
             for (col, column) in table.columns().iter().enumerate() {
                 let name = json_escape(column.name());
                 let precision = column.precision();
-                match table_value(table, row, col)? {
+                match table.value(row, col) {
                     Value::Num(v) => {
                         fields.push(format!("\"{name}\": {}", json_number(v, precision)));
                     }
+                    Value::Missing => fields.push(format!("\"{name}\": null")),
                     Value::Ci(ci) => fields.push(format!(
                         "\"{name}\": {{\"mean\": {}, \"ci95\": {}, \"n\": {}}}",
                         json_number(ci.mean, precision),

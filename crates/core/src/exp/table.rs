@@ -72,10 +72,10 @@ pub struct CellFailure {
     pub error: String,
 }
 
-/// Typed errors from table construction and value computation —
-/// misdeclared normalization columns and rows whose baseline cell is
-/// absent (e.g. because it failed and was excluded from the grid).
+/// Typed errors from table construction: a normalization column declared
+/// against an axis the table does not have.
 #[derive(Debug, Clone, PartialEq, Eq)]
+#[non_exhaustive]
 pub enum TableError {
     /// The requested normalization axis is not one of the table's axes.
     UnknownAxis {
@@ -83,20 +83,6 @@ pub enum TableError {
         axis: String,
         /// The table's actual axes.
         axes: Vec<String>,
-    },
-    /// The baseline label never occurs on the normalization axis.
-    UnknownBaseline {
-        /// The normalization axis.
-        axis: String,
-        /// The label that never occurs on it.
-        baseline: String,
-    },
-    /// A row has no baseline cell to normalize against.
-    MissingBaseline {
-        /// The baseline label looked for.
-        baseline: String,
-        /// The row's coordinates, joined with `/`.
-        row: String,
     },
 }
 
@@ -108,15 +94,6 @@ impl fmt::Display for TableError {
                 "unknown normalization axis '{axis}' (table axes: {})",
                 axes.join(", ")
             ),
-            TableError::UnknownBaseline { axis, baseline } => {
-                write!(
-                    f,
-                    "baseline label '{baseline}' never occurs on axis '{axis}'"
-                )
-            }
-            TableError::MissingBaseline { baseline, row } => {
-                write!(f, "no baseline cell '{baseline}' for row {row}")
-            }
         }
     }
 }
@@ -186,14 +163,20 @@ pub enum Value {
     Num(f64),
     /// A mean with a 95% confidence half-width.
     Ci(ConfidenceInterval),
+    /// A normalized value whose baseline row is absent from the grid
+    /// (failed, filtered, or in another shard). Emitters render it as an
+    /// empty CSV field, a JSON `null`, and a dash in text.
+    Missing,
 }
 
 impl Value {
-    /// The value's primary scalar (the mean, for CI values).
+    /// The value's primary scalar (the mean, for CI values; NaN when
+    /// missing).
     pub fn primary(&self) -> f64 {
         match self {
             Value::Num(v) => *v,
             Value::Ci(ci) => ci.mean,
+            Value::Missing => f64::NAN,
         }
     }
 }
@@ -350,14 +333,15 @@ impl Table {
     /// Adds a metric column normalized to a baseline: each cell's value is
     /// divided by the metric of the cell at the same coordinates with
     /// `axis` set to `baseline_label` (so the baseline cells themselves
-    /// read 1.0).
+    /// read 1.0). A row whose baseline cell is absent reads
+    /// [`Value::Missing`].
     ///
     /// # Panics
     ///
-    /// Panics if `axis` is not one of the table's axes, if
-    /// `baseline_label` never occurs on that axis, or if `name` repeats an
-    /// existing column or axis name. Callers handling user-supplied axis
-    /// names should use [`try_normalized_column`](Table::try_normalized_column).
+    /// Panics if `axis` is not one of the table's axes or if `name`
+    /// repeats an existing column or axis name. Callers handling
+    /// user-supplied axis names should use
+    /// [`try_normalized_column`](Table::try_normalized_column).
     pub fn with_normalized_column(
         self,
         name: impl Into<String>,
@@ -371,14 +355,12 @@ impl Table {
     }
 
     /// Fallible form of [`with_normalized_column`](Table::with_normalized_column):
-    /// a bad axis or baseline label comes back as a [`TableError`] naming
-    /// the offending axis instead of a panic.
+    /// a bad axis comes back as a [`TableError`] naming it instead of a
+    /// panic.
     ///
     /// # Errors
     ///
-    /// [`TableError::UnknownAxis`] when `axis` is not a table axis;
-    /// [`TableError::UnknownBaseline`] when `baseline_label` never occurs
-    /// on it (in a non-empty table).
+    /// [`TableError::UnknownAxis`] when `axis` is not a table axis.
     ///
     /// # Panics
     ///
@@ -398,17 +380,6 @@ impl Table {
                 axes: self.axes.clone(),
             });
         };
-        if !self.cells.is_empty()
-            && !self
-                .cells
-                .iter()
-                .any(|c| c.labels[axis_idx] == baseline_label)
-        {
-            return Err(TableError::UnknownBaseline {
-                axis: axis.to_string(),
-                baseline: baseline_label.to_string(),
-            });
-        }
         self.push_column(
             name.into(),
             precision,
@@ -423,66 +394,38 @@ impl Table {
 
     /// The row index of the baseline cell for `row` on `axis`: identical
     /// coordinates except `axis` replaced by `baseline`.
-    fn try_baseline_row(
-        &self,
-        row: usize,
-        axis: usize,
-        baseline: &str,
-    ) -> Result<usize, TableError> {
+    fn baseline_row(&self, row: usize, axis: usize, baseline: &str) -> Option<usize> {
         let labels = &self.cells[row].labels;
-        self.cells
-            .iter()
-            .position(|c| {
-                c.labels[axis] == baseline
-                    && c.labels
-                        .iter()
-                        .enumerate()
-                        .all(|(i, l)| i == axis || l == &labels[i])
-            })
-            .ok_or_else(|| TableError::MissingBaseline {
-                baseline: baseline.to_string(),
-                row: labels.join("/"),
-            })
+        self.cells.iter().position(|c| {
+            c.labels[axis] == baseline
+                && c.labels
+                    .iter()
+                    .enumerate()
+                    .all(|(i, l)| i == axis || l == &labels[i])
+        })
     }
 
-    /// Computes the value of column `col` for row `row`.
+    /// Computes the value of column `col` for row `row`:
+    /// [`Value::Missing`] for a normalized column whose baseline cell is
+    /// absent from the grid.
     ///
     /// # Panics
     ///
-    /// Panics if either index is out of range, or if a normalized column
-    /// has no baseline cell for the row. Emitters use
-    /// [`try_value`](Table::try_value) so a sparse grid (e.g. after cell
-    /// failures) surfaces as an error, not a crash.
+    /// Panics if either index is out of range.
     pub fn value(&self, row: usize, col: usize) -> Value {
-        self.try_value(row, col).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`value`](Table::value): a normalized column whose
-    /// baseline cell is absent (failed, filtered, or never planned) comes
-    /// back as [`TableError::MissingBaseline`] naming the row.
-    ///
-    /// # Errors
-    ///
-    /// [`TableError::MissingBaseline`] when a normalized column has no
-    /// baseline cell for the row.
-    ///
-    /// # Panics
-    ///
-    /// Still panics if `row` or `col` is out of range.
-    pub fn try_value(&self, row: usize, col: usize) -> Result<Value, TableError> {
         let cell = &self.cells[row];
-        Ok(match &self.columns[col].kind {
+        match &self.columns[col].kind {
             ColumnKind::Metric(metric) => Value::Num(metric(cell)),
             ColumnKind::Ci(metric) => Value::Ci(metric(cell)),
             ColumnKind::Normalized {
                 axis,
                 baseline,
                 metric,
-            } => {
-                let base = metric(&self.cells[self.try_baseline_row(row, *axis, baseline)?]);
-                Value::Num(metric(cell) / base)
-            }
-        })
+            } => match self.baseline_row(row, *axis, baseline) {
+                Some(base) => Value::Num(metric(cell) / metric(&self.cells[base])),
+                None => Value::Missing,
+            },
+        }
     }
 
     /// Renders the table in `format` to `out`.
@@ -571,12 +514,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "never occurs")]
-    fn unknown_baseline_rejected() {
-        let _ = tiny_table().with_normalized_column("n", 3, "config", "nope", |_| 0.0);
-    }
-
-    #[test]
     fn try_normalized_column_names_the_bad_axis() {
         let err = tiny_table()
             .try_normalized_column("n", 3, "nope", "Directory", |_| 0.0)
@@ -591,47 +528,61 @@ mod tests {
         assert!(err
             .to_string()
             .contains("unknown normalization axis 'nope'"));
-        let err = tiny_table()
-            .try_normalized_column("n", 3, "config", "nope", |_| 0.0)
-            .unwrap_err();
-        assert!(err.to_string().contains("never occurs"));
+    }
+
+    /// `tiny_table` without the cells `drop` selects.
+    fn tiny_table_without(drop: impl Fn(&CellResult) -> bool) -> Table {
+        let full = tiny_table();
+        let cells = full.cells().iter().filter(|c| !drop(c)).cloned().collect();
+        Table::new("t", full.axes().to_vec(), cells)
     }
 
     #[test]
-    fn try_value_reports_missing_baseline_rows() {
+    fn rows_without_a_baseline_read_missing() {
         // Drop the Directory/short baseline so row PATCH/short has no
         // cell to normalize against — the situation a failed cell
         // creates.
-        let full = tiny_table();
-        let cells: Vec<CellResult> = full
-            .cells()
-            .iter()
-            .filter(|c| !(c.labels[0] == "Directory" && c.labels[1] == "short"))
-            .cloned()
-            .collect();
-        let table = Table::new("t", full.axes().to_vec(), cells)
-            .try_normalized_column("norm", 3, "config", "Directory", |c| c.summary.runtime.mean)
-            .unwrap();
-        let bad_row = table
-            .cells()
-            .iter()
-            .position(|c| c.labels == vec!["PATCH".to_string(), "short".to_string()])
-            .unwrap();
-        let err = table.try_value(bad_row, 0).unwrap_err();
-        assert_eq!(
-            err,
-            TableError::MissingBaseline {
-                baseline: "Directory".into(),
-                row: "PATCH/short".into(),
-            }
-        );
+        let table = tiny_table_without(|c| c.labels == ["Directory", "short"])
+            .with_normalized_column("norm", 3, "config", "Directory", |c| c.summary.runtime.mean);
+        let row = |labels: [&str; 2]| {
+            table
+                .cells()
+                .iter()
+                .position(|c| c.labels == labels)
+                .unwrap()
+        };
+        assert_eq!(table.value(row(["PATCH", "short"]), 0), Value::Missing);
+        assert!(table.value(row(["PATCH", "short"]), 0).primary().is_nan());
         // Rows whose baseline survives still compute.
-        let good_row = table
-            .cells()
-            .iter()
-            .position(|c| c.labels == vec!["Directory".to_string(), "long".to_string()])
-            .unwrap();
-        assert!(table.try_value(good_row, 0).is_ok());
+        assert_eq!(table.value(row(["Directory", "long"]), 0), Value::Num(1.0));
+    }
+
+    #[test]
+    fn baseline_free_grid_emits_in_every_format() {
+        // A shard holding no Directory cell at all: the column still
+        // declares, and every format renders the values as absent.
+        let table = tiny_table_without(|c| c.labels[0] == "Directory")
+            .with_column("one", 1, |_| 1.0)
+            .with_normalized_column("norm", 3, "config", "Directory", |c| c.summary.runtime.mean);
+        let emit = |format: Format| {
+            let mut out = Vec::new();
+            table.emit(format, &mut out).unwrap();
+            String::from_utf8(out).unwrap()
+        };
+        assert_eq!(
+            emit(Format::Csv),
+            "config,think,one,norm\nPATCH,short,1.0,\nPATCH,long,1.0,\n"
+        );
+        let json = emit(Format::Json);
+        assert!(
+            json.contains(r#"{"config": "PATCH", "think": "short", "one": 1.0, "norm": null},"#)
+        );
+        let text = emit(Format::Text);
+        let rows: Vec<&str> = text.lines().skip(3).collect();
+        assert_eq!(
+            rows,
+            ["PATCH   short  1.0     -", "PATCH   long   1.0     -"]
+        );
     }
 
     #[test]
