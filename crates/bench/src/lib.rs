@@ -1971,6 +1971,18 @@ mod tests {
     }
 
     #[test]
+    fn standard_columns_attach_to_a_real_table() {
+        let mut scale = Scale::quick();
+        scale.cores = 4;
+        scale.ops = 40;
+        scale.warmup = 0;
+        let plan = ablation_deact_window_plan(scale);
+        let table = with_standard_columns(Runner::serial().run(&plan));
+        assert_eq!(table.columns().len(), 6);
+        assert!(table.value(0, 0).primary() > 0.0);
+    }
+
+    #[test]
     fn faults_plan_arms_oracles_on_every_cell() {
         let plan = faults_plan(Scale::quick());
         assert_eq!(plan.axis_names(), &["config", "faults", "fabric"]);
