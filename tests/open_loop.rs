@@ -4,7 +4,7 @@
 //! identity, the closed-vs-open divergence under overload that
 //! motivates the subsystem, deterministic composition with `--faults`,
 //! the `block` overload policy, and the `--shard` / `store-stats`
-//! command-line surface.
+//! command-line surface with the exits the figure binaries share.
 
 use std::hash::Hasher;
 use std::process::Command;
@@ -225,6 +225,35 @@ fn runplan_rejects_malformed_shards() {
             stderr.contains("--shard"),
             "stderr names the flag: {stderr}"
         );
+    }
+}
+
+/// `fig4_runtime` and `perf_baseline` share `runplan`'s exits: `--help`
+/// prints usage to stdout and exits 0; an unknown flag, or an `--out` in
+/// a directory that does not exist, exits 2 before anything runs.
+#[test]
+fn figure_binaries_exit_on_help_and_bad_flags() {
+    let missing = std::env::temp_dir()
+        .join(format!("patchsim_missing_{}", std::process::id()))
+        .join("out");
+    let missing = missing.to_str().unwrap();
+    for bin in [
+        env!("CARGO_BIN_EXE_fig4_runtime"),
+        env!("CARGO_BIN_EXE_perf_baseline"),
+    ] {
+        let run = |args: &[&str]| Command::new(bin).args(args).output().expect("binary runs");
+        let help = run(&["--help"]);
+        assert_eq!(help.status.code(), Some(0), "{bin} --help");
+        assert!(String::from_utf8_lossy(&help.stdout).contains("Usage: "));
+        for (args, named) in [
+            (&["--frobnicate"][..], "--frobnicate"),
+            (&["--quick", "--out", missing], missing),
+        ] {
+            let output = run(args);
+            assert_eq!(output.status.code(), Some(2), "{bin} {args:?}");
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert!(stderr.contains(named), "{bin} {args:?}: {stderr}");
+        }
     }
 }
 
