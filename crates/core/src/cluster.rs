@@ -249,7 +249,6 @@ mod tests {
                     node: self.at,
                     tokens: TokenSet::plain(1),
                     version: None,
-                    dirty: false,
                 };
                 out.send_one(N, key.addr.home(N), Msg::new(key.addr, body));
             }

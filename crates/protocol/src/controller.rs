@@ -294,6 +294,20 @@ pub trait Controller {
     fn protocol_name(&self) -> &'static str;
 }
 
+/// Re-issues `op`, a core op a controller deferred until an earlier
+/// transaction on its block closed, at `now`; a hit completes at once.
+pub(crate) fn resume(ctrl: &mut impl Controller, op: MemOp, now: Cycle, out: &mut Outbox) {
+    if let CoreResponse::Hit { version } = ctrl.core_request(op, now, out) {
+        out.complete(Completion {
+            addr: op.addr,
+            kind: op.kind,
+            version,
+            issued_at: now,
+            marks: SpanMarks::default(),
+        });
+    }
+}
+
 /// Builds the controller for `node` according to `config`.
 ///
 /// # Examples
@@ -364,7 +378,7 @@ mod tests {
         out.send_one(
             4,
             NodeId::new(1),
-            Msg::new(BlockAddr::new(0), crate::MsgBody::WbAck { stale: false }),
+            Msg::new(BlockAddr::new(0), crate::MsgBody::WbAck),
         );
         out.arm_timer(
             Cycle::new(10),

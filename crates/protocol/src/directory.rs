@@ -23,15 +23,19 @@
 //!
 //! ## Writeback races
 //!
-//! PUTs that arrive while the home is busy are queued like requests. This
-//! is deadlock-free and race-free because of a key property of the
-//! blocking home: every forwarded request generated by a transaction is
-//! *delivered* before that transaction's deactivation reaches the home
-//! (the requester cannot deactivate without the forward's response).
-//! Hence, when a queued PUT is finally processed at an idle home, no
-//! forward can still be in flight toward the evicting cache — the cache
-//! may safely discard its writeback state upon the ack, having answered
-//! any forwards from its ghost state in the meantime.
+//! An evicting cache sends a PUT and keeps the evicted line as a *ghost*
+//! until the home's WbAck; a core op on the block waits for the ack. PUTs
+//! that arrive while the home is busy are queued like requests, so the
+//! home may still forward requests to the evicting cache, and the ghost
+//! answers them. **The ghost is the evicted line**: a forward takes one
+//! transition whether it finds the line or its ghost — an owner answers
+//! with data and becomes a sharer, anyone else acks, and an invalidation
+//! removes the line (a no-op for a ghost, which is never resident). So a
+//! ghost that handed ownership to a forwarded read acks the next
+//! forwarded write like any sharer, and that writer collects every ack it
+//! was promised. A queued PUT is applied against the home's record when
+//! it reaches the head of the queue: an owner's writes memory back,
+//! anyone else's only leaves the sharer set.
 
 use patchsim_kernel::collections::{fx_map_with_capacity, FxHashMap};
 
@@ -41,7 +45,7 @@ use patchsim_noc::NodeId;
 
 use crate::common::{LatencyEstimator, MigratoryDetector};
 use crate::controller::{
-    Completion, Controller, CoreResponse, MemOp, Outbox, ProtocolCounters, ProtocolGauges,
+    resume, Completion, Controller, CoreResponse, MemOp, Outbox, ProtocolCounters, ProtocolGauges,
     SpanMarks, TimerKey,
 };
 use crate::home::HomeEntry;
@@ -108,14 +112,6 @@ struct DemandTbe {
     marks: SpanMarks,
 }
 
-/// Ghost state held between sending a PUT and receiving its ack, so that
-/// forwarded requests arriving in the window can still be answered.
-#[derive(Debug)]
-struct WbTbe {
-    version: u64,
-    state: CacheState,
-}
-
 /// A queued arrival at a busy home: either a request or a writeback.
 #[derive(Debug)]
 enum QueuedArrival {
@@ -127,7 +123,6 @@ enum QueuedArrival {
     Put {
         node: NodeId,
         version: Option<u64>,
-        dirty: bool,
     },
 }
 
@@ -143,7 +138,8 @@ pub struct DirectoryController {
     id: NodeId,
     cache: CacheArray<DirLine>,
     demand: Option<DemandTbe>,
-    wb: FxHashMap<BlockAddr, WbTbe>,
+    /// Writeback ghosts: evicted lines whose PUT awaits its WbAck.
+    wb: FxHashMap<BlockAddr, DirLine>,
     /// A core op waiting for a writeback of the same block to finish.
     deferred: Option<MemOp>,
     home: FxHashMap<BlockAddr, DirHomeEntry>,
@@ -238,28 +234,13 @@ impl DirectoryController {
 
     fn start_writeback(&mut self, addr: BlockAddr, line: DirLine, out: &mut Outbox) {
         self.counters.writebacks += 1;
-        let dirty = line.state.dirty();
-        let home = addr.home(self.n());
-        out.send_one(
-            self.n(),
-            home,
-            Msg::new(
-                addr,
-                MsgBody::Put {
-                    node: self.id,
-                    tokens: TokenSet::empty(),
-                    version: dirty.then_some(line.version),
-                    dirty,
-                },
-            ),
-        );
-        let prev = self.wb.insert(
-            addr,
-            WbTbe {
-                version: line.version,
-                state: line.state,
-            },
-        );
+        let put = MsgBody::Put {
+            node: self.id,
+            tokens: TokenSet::empty(),
+            version: line.state.dirty().then_some(line.version),
+        };
+        out.send_one(self.n(), addr.home(self.n()), Msg::new(addr, put));
+        let prev = self.wb.insert(addr, line);
         debug_assert!(prev.is_none(), "double writeback for {addr}");
     }
 
@@ -317,7 +298,7 @@ impl DirectoryController {
         out.send_one(
             self.n(),
             home,
-            Msg::deactivate(tbe.addr, self.id, tbe.serial, true, true),
+            Msg::deactivate(tbe.addr, self.id, tbe.serial, true),
         );
     }
 
@@ -337,67 +318,45 @@ impl DirectoryController {
         out: &mut Outbox,
     ) {
         let invalidating = kind.is_write() || exclusive;
-        // Resolve the responding state: live line, or writeback ghost.
-        let (state, version, from_ghost) = if let Some(line) = self.cache.peek(addr) {
-            (Some(line.state), line.version, false)
-        } else if let Some(ghost) = self.wb.get(&addr) {
-            (Some(ghost.state), ghost.version, true)
-        } else {
-            (None, 0, false)
+        // The live line, or else its writeback ghost: one transition for
+        // both (see "Writeback races" above).
+        let line = match self.cache.get_mut(addr) {
+            Some(line) => Some(line),
+            None => self.wb.get_mut(&addr),
         };
-        match state {
-            Some(s) if s.owns() => {
-                out.send_one(
-                    self.n(),
-                    requester,
-                    Msg::new(
-                        addr,
-                        MsgBody::Data {
-                            from: self.id,
-                            serial,
-                            tokens: TokenSet::empty(),
-                            version,
-                            acks_expected,
-                            exclusive,
-                            dirty: s.dirty(),
-                            activation: false,
-                        },
-                    ),
-                );
-                if invalidating {
-                    if !from_ghost {
-                        self.cache.remove(addr);
-                    }
-                } else if !from_ghost {
-                    // Read: ownership migrates to the requester; we keep a
-                    // shared copy.
-                    if let Some(line) = self.cache.get_mut(addr) {
-                        line.state = CacheState::S;
-                    }
-                }
+        let body = match line {
+            Some(line) if line.state.owns() => {
+                let data = MsgBody::Data {
+                    from: self.id,
+                    serial,
+                    tokens: TokenSet::empty(),
+                    version: line.version,
+                    acks_expected,
+                    exclusive,
+                    dirty: line.state.dirty(),
+                    activation: false,
+                };
+                // Ownership migrates to the requester; a read leaves us a
+                // shared copy.
+                line.state = CacheState::S;
+                data
             }
-            held => {
+            _ => {
                 // A plain sharer, or a departed one (a stale invalidation,
                 // possible under coarse encodings — the ack still counts):
                 // only invalidations are ever forwarded to non-owners.
                 assert!(invalidating, "{}: read forwarded to a non-owner", self.id);
-                out.send_one(
-                    self.n(),
-                    requester,
-                    Msg::new(
-                        addr,
-                        MsgBody::Ack {
-                            from: self.id,
-                            serial,
-                            tokens: TokenSet::empty(),
-                            activation: false,
-                        },
-                    ),
-                );
-                if held.is_some() && !from_ghost {
-                    self.cache.remove(addr);
+                MsgBody::Ack {
+                    from: self.id,
+                    serial,
+                    tokens: TokenSet::empty(),
+                    activation: false,
                 }
             }
+        };
+        out.send_one(self.n(), requester, Msg::new(addr, body));
+        if invalidating {
+            self.cache.remove(addr);
         }
     }
 
@@ -500,39 +459,28 @@ impl DirectoryController {
         // reaches the requester directly.
     }
 
-    /// Applies a writeback at an idle home.
+    /// Applies a writeback at an idle home. Only the owner's PUT writes
+    /// memory back; an ex-owner's data was superseded when the block
+    /// moved on.
     fn process_put(
         &mut self,
         addr: BlockAddr,
         node: NodeId,
         version: Option<u64>,
-        _dirty: bool,
         out: &mut Outbox,
     ) {
         let n = self.n();
         let dir_latency = self.config.dir_latency;
         let entry = self.home_entry(addr);
         debug_assert!(entry.busy.is_none());
-        let stale = if entry.owner == Some(node) {
-            // Owner writeback: absorb the data.
+        if entry.owner == Some(node) {
             if let Some(v) = version {
                 entry.memory = v;
             }
             entry.owner = None;
-            entry.sharers.remove_if_exact(node);
-            false
-        } else {
-            let removed = entry.sharers.remove_if_exact(node);
-            // A clean sharer PUT is fresh; a PUT from an ex-owner whose
-            // block moved on is stale (its data was superseded).
-            version.is_some() || !removed
-        };
-        out.send_one_after(
-            n,
-            node,
-            dir_latency,
-            Msg::new(addr, MsgBody::WbAck { stale }),
-        );
+        }
+        entry.sharers.remove_if_exact(node);
+        out.send_one_after(n, node, dir_latency, Msg::new(addr, MsgBody::WbAck));
     }
 
     /// Completes the busy transaction and drains the queue until it
@@ -559,11 +507,7 @@ impl DirectoryController {
                 return;
             };
             match next {
-                QueuedArrival::Put {
-                    node,
-                    version,
-                    dirty,
-                } => self.process_put(addr, node, version, dirty, out),
+                QueuedArrival::Put { node, version } => self.process_put(addr, node, version, out),
                 QueuedArrival::Request {
                     kind,
                     requester,
@@ -636,21 +580,12 @@ impl Controller for DirectoryController {
                     self.activate_request(addr, kind, requester, serial, out);
                 }
             }
-            MsgBody::Put {
-                node,
-                version,
-                dirty,
-                ..
-            } => {
+            MsgBody::Put { node, version, .. } => {
                 let entry = self.home_entry(addr);
                 if entry.busy.is_some() {
-                    entry.queue.push_back(QueuedArrival::Put {
-                        node,
-                        version,
-                        dirty,
-                    });
+                    entry.queue.push_back(QueuedArrival::Put { node, version });
                 } else {
-                    self.process_put(addr, node, version, dirty, out);
+                    self.process_put(addr, node, version, out);
                 }
             }
             MsgBody::Deactivate {
@@ -725,29 +660,11 @@ impl Controller for DirectoryController {
                 tbe.exclusive |= exclusive;
                 self.try_complete(now, out);
             }
-            MsgBody::WbAck { .. } => {
+            MsgBody::WbAck => {
                 let removed = self.wb.remove(&addr);
                 debug_assert!(removed.is_some(), "WbAck without a pending writeback");
-                if let Some(op) = self.deferred.take() {
-                    if op.addr == addr {
-                        match self.core_request(op, now, out) {
-                            CoreResponse::Hit { version } => {
-                                // The block came back before the writeback
-                                // ack (impossible in DIRECTORY — the line
-                                // was evicted — but harmless to handle).
-                                out.complete(Completion {
-                                    addr: op.addr,
-                                    kind: op.kind,
-                                    version,
-                                    issued_at: now,
-                                    marks: SpanMarks::default(),
-                                });
-                            }
-                            CoreResponse::MissPending => {}
-                        }
-                    } else {
-                        self.deferred = Some(op);
-                    }
+                if let Some(op) = self.deferred.take_if(|op| op.addr == addr) {
+                    resume(self, op, now, out);
                 }
             }
             MsgBody::PersistentActivate { .. } | MsgBody::PersistentDeactivate { .. } => {
@@ -1051,7 +968,6 @@ mod tests {
             out.sends[0].msg.body,
             MsgBody::Put {
                 version: Some(5),
-                dirty: true,
                 ..
             }
         ));
@@ -1074,13 +990,25 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        // WbAck clears the ghost.
+        // The ghost took the read's transition: no longer the owner, it
+        // acks the next forwarded write like any sharer.
         let mut out = Outbox::new();
-        c.handle_message(
-            Msg::new(a(0), MsgBody::WbAck { stale: true }),
-            Cycle::new(10),
+        c.handle_fwd(
+            a(0),
+            AccessKind::Write,
+            NodeId::new(3),
+            2,
+            1,
+            false,
             &mut out,
         );
+        assert!(matches!(
+            out.sends[0].msg.body,
+            MsgBody::Ack { serial: 2, .. }
+        ));
+        // WbAck clears the ghost.
+        let mut out = Outbox::new();
+        c.handle_message(Msg::new(a(0), MsgBody::WbAck), Cycle::new(10), &mut out);
         assert!(c.is_quiescent());
     }
 
@@ -1114,7 +1042,6 @@ mod tests {
                     requester: NodeId::new(1),
                     serial: 0,
                     new_owner: true,
-                    keeps_copy: true,
                 },
             ),
             Cycle::new(50),
@@ -1156,7 +1083,6 @@ mod tests {
                         requester: NodeId::new(r),
                         serial,
                         new_owner: true,
-                        keeps_copy: true,
                     },
                 ),
                 Cycle::ZERO,
@@ -1213,11 +1139,7 @@ mod tests {
         assert!(out.sends.is_empty(), "no request until WbAck");
         // WbAck releases the deferred miss.
         let mut out = Outbox::new();
-        c.handle_message(
-            Msg::new(a(0), MsgBody::WbAck { stale: false }),
-            Cycle::new(10),
-            &mut out,
-        );
+        c.handle_message(Msg::new(a(0), MsgBody::WbAck), Cycle::new(10), &mut out);
         assert!(out
             .sends
             .iter()

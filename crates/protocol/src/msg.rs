@@ -120,28 +120,22 @@ pub enum MsgBody {
         /// Whether the requester now holds ownership (owner token or
         /// directory ownership).
         new_owner: bool,
-        /// Whether the requester retains a readable copy.
-        keeps_copy: bool,
     },
     /// Cache → home: writeback / token return. Carries all of the
     /// sender's tokens for the block; `version` is `Some` when the
-    /// message carries data.
+    /// message carries data, which is exactly when that data is dirty.
     Put {
         /// The evicting/discarding node.
         node: NodeId,
         /// Tokens returned (empty for DIRECTORY writebacks).
         tokens: TokenSet,
-        /// Block contents if the writeback carries data.
+        /// Block contents if the writeback is dirty; a clean writeback
+        /// leaves memory's copy current.
         version: Option<u64>,
-        /// DIRECTORY: whether the written-back data is dirty.
-        dirty: bool,
     },
-    /// Home → cache: DIRECTORY writeback acknowledgement.
-    WbAck {
-        /// Whether the writeback was stale (the block had already moved
-        /// on; the cache simply drops its writeback state).
-        stale: bool,
-    },
+    /// Home → cache: DIRECTORY writeback acknowledgement. The cache drops
+    /// its writeback ghost, whether or not the block had moved on.
+    WbAck,
     /// TokenB: home arbiter → everyone; activate a persistent request.
     PersistentActivate {
         /// The starving node all tokens must flow to.
@@ -153,6 +147,11 @@ pub enum MsgBody {
         /// (and the arbiter, on deactivation) tell a live activation from
         /// a stale one left over from an earlier miss on the same block.
         serial: u64,
+        /// The arbiter's count of activations for this block, this one
+        /// included: a node drops an activation no newer than the newest
+        /// epoch it has seen, so one overtaken by its own deactivation
+        /// leaves no table entry behind.
+        epoch: u64,
     },
     /// TokenB: home arbiter → everyone; the persistent request completed.
     PersistentDeactivate {
@@ -162,6 +161,8 @@ pub enum MsgBody {
         /// late deactivation for an old serial must not clear a fresh
         /// table entry for the same starver.
         serial: u64,
+        /// The epoch of the activation this ends.
+        epoch: u64,
     },
 }
 
@@ -189,18 +190,11 @@ impl Msg {
     }
 
     /// The requester's transaction-complete notice to the home.
-    pub fn deactivate(
-        addr: BlockAddr,
-        requester: NodeId,
-        serial: u64,
-        new_owner: bool,
-        keeps_copy: bool,
-    ) -> Self {
+    pub fn deactivate(addr: BlockAddr, requester: NodeId, serial: u64, new_owner: bool) -> Self {
         let body = MsgBody::Deactivate {
             requester,
             serial,
             new_owner,
-            keeps_copy,
         };
         Msg { addr, body }
     }
@@ -248,7 +242,7 @@ impl NocPayload for Msg {
             MsgBody::Data { .. } => TrafficClass::Data,
             MsgBody::Ack { .. } => TrafficClass::Ack,
             MsgBody::Activation { .. } | MsgBody::Deactivate { .. } => TrafficClass::Activation,
-            MsgBody::Put { .. } | MsgBody::WbAck { .. } => TrafficClass::Writeback,
+            MsgBody::Put { .. } | MsgBody::WbAck => TrafficClass::Writeback,
             MsgBody::PersistentActivate { .. } | MsgBody::PersistentDeactivate { .. } => {
                 TrafficClass::Reissue
             }
@@ -315,7 +309,6 @@ mod tests {
                 node: NodeId::new(1),
                 tokens: TokenSet::full(4, OwnerStatus::Dirty),
                 version: Some(7),
-                dirty: true,
             },
         );
         assert_eq!(put_data.size_bytes(), DATA_MSG_BYTES);
@@ -325,7 +318,6 @@ mod tests {
                 node: NodeId::new(1),
                 tokens: TokenSet::plain(1),
                 version: None,
-                dirty: false,
             },
         );
         assert_eq!(put_clean.size_bytes(), CONTROL_MSG_BYTES);
@@ -356,7 +348,6 @@ mod tests {
                 requester: NodeId::new(0),
                 serial: 0,
                 new_owner: true,
-                keeps_copy: true,
             },
         );
         assert_eq!(deact.traffic_class(), TrafficClass::Activation);

@@ -51,11 +51,11 @@ use patchsim_predictor::Predictor;
 
 use crate::common::{LatencyEstimator, MigratoryDetector};
 use crate::controller::{
-    Completion, Controller, CoreResponse, MemOp, Outbox, ProtocolCounters, ProtocolGauges,
+    resume, Completion, Controller, CoreResponse, MemOp, Outbox, ProtocolCounters, ProtocolGauges,
     SpanMarks, TimerKey, TimerKind,
 };
 use crate::home::HomeEntry;
-use crate::tokens::{token_put, token_reply, Memory, TokenCache};
+use crate::tokens::{put_home, token_reply, Memory, TokenCache};
 use crate::{Msg, MsgBody, ProtocolConfig, RequestStyle};
 
 #[derive(Debug)]
@@ -228,17 +228,6 @@ impl PatchController {
         true
     }
 
-    /// Returns tokens to the home (tenure timeout, eviction, or bounced
-    /// stray arrivals).
-    fn put_tokens(&mut self, addr: BlockAddr, tokens: TokenSet, version: u64, out: &mut Outbox) {
-        if tokens.is_empty() {
-            return;
-        }
-        self.counters.writebacks += 1;
-        let home = addr.home(self.n());
-        out.send_one(self.n(), home, token_put(addr, self.id, tokens, version));
-    }
-
     /// Advances the outstanding miss: performs the access once tokens
     /// suffice, deactivates once both performed and activated, and until
     /// then keeps the probation clock of untenured tokens running.
@@ -288,7 +277,7 @@ impl PatchController {
         out.send_one(
             self.n(),
             home,
-            Msg::deactivate(addr, self.id, serial, line.has_owner, true),
+            Msg::deactivate(addr, self.id, serial, line.has_owner),
         );
         if self.config.deact_window {
             let until = now + self.tenure_timeout();
@@ -304,17 +293,8 @@ impl PatchController {
         }
         // A deferred core op for this block can now proceed (it may
         // even hit on the tokens the transaction just collected).
-        if self.deferred.is_some_and(|op| op.addr == addr) {
-            let op = self.deferred.take().expect("checked");
-            if let CoreResponse::Hit { version } = self.core_request(op, now, out) {
-                out.complete(Completion {
-                    addr: op.addr,
-                    kind: op.kind,
-                    version,
-                    issued_at: now,
-                    marks: SpanMarks::default(),
-                });
-            }
+        if let Some(op) = self.deferred.take_if(|op| op.addr == addr) {
+            resume(self, op, now, out);
         }
     }
 
@@ -404,7 +384,9 @@ impl PatchController {
             // immediately (an instant probation expiry). This keeps
             // tenured owner tokens only where the directory can find
             // them.
-            self.put_tokens(addr, tokens, data_version.unwrap_or(0), out);
+            let version = data_version.unwrap_or(0);
+            let (id, n) = (self.id, self.n());
+            put_home(addr, id, n, tokens, version, &mut self.counters, out);
             return;
         };
         // Span telemetry: the first response of any kind ends the
@@ -422,7 +404,8 @@ impl PatchController {
             if let Some((victim, tokens, version)) =
                 self.cache.absorb(addr, tokens, data_version, true)
             {
-                self.put_tokens(victim, tokens, version, out);
+                let (id, n) = (self.id, self.n());
+                put_home(victim, id, n, tokens, version, &mut self.counters, out);
             }
         }
         self.try_progress(addr, now, out);
@@ -440,7 +423,7 @@ impl PatchController {
         serial: u64,
         out: &mut Outbox,
     ) {
-        let n = self.n();
+        let (n, id) = (self.n(), self.id);
         let dir_latency = self.config.dir_latency;
         let dram_latency = self.config.dram_latency;
         let exclusive = if self.config.migratory_opt {
@@ -456,50 +439,19 @@ impl PatchController {
         // The home contributes everything it holds, with the activation
         // bit riding along; if it holds nothing, a standalone activation
         // is sent.
-        let home_tokens = entry.memory.tokens.take_all();
-        let version = entry.memory.version;
-
-        if home_tokens.is_empty() {
-            out.send_one_after(
-                n,
-                requester,
-                dir_latency,
-                Msg::new(
-                    addr,
-                    MsgBody::Activation {
-                        serial,
-                        acks_expected: 0,
-                        exclusive,
-                    },
-                ),
-            );
-        } else if home_tokens.has_owner() {
-            out.send_one_after(
-                n,
-                requester,
-                dir_latency + dram_latency,
-                Msg::new(
-                    addr,
-                    MsgBody::Data {
-                        from: self.id,
-                        serial,
-                        tokens: home_tokens,
-                        version,
-                        acks_expected: 0,
-                        exclusive,
-                        dirty: false,
-                        activation: true,
-                    },
-                ),
-            );
-        } else {
-            out.send_one_after(
-                n,
-                requester,
-                dir_latency,
-                token_reply(addr, self.id, serial, home_tokens, version, true),
-            );
-        }
+        let (msg, delay) = match entry.memory.reply(addr, id, serial, true) {
+            Some(reply) if reply.carries_data() => (reply, dir_latency + dram_latency),
+            Some(reply) => (reply, dir_latency),
+            None => {
+                let activation = MsgBody::Activation {
+                    serial,
+                    acks_expected: 0,
+                    exclusive,
+                };
+                (Msg::new(addr, activation), dir_latency)
+            }
+        };
+        out.send_one_after(n, requester, delay, msg);
 
         if !fwd_targets.is_empty() {
             out.send_with(
@@ -539,12 +491,10 @@ impl PatchController {
         if let Some(busy) = &entry.busy {
             // Redirect everything to the active requester — including a
             // requester's own discarded tokens coming back after a tenure
-            // timeout that raced its activation. A put carries a version
-            // only with a dirty owner; a clean owner (a data-less return)
-            // means memory's copy is valid (Rule 5), so data is attached
-            // from memory.
-            let version = version.unwrap_or(entry.memory.version);
-            let redirect = token_reply(addr, id, busy.serial, tokens, version, true);
+            // timeout that raced its activation.
+            let redirect = entry
+                .memory
+                .redirect(addr, id, busy.serial, tokens, version, true);
             out.send_one_after(n, busy.requester, dir_latency, redirect);
         } else {
             // Absorb into memory. If the returning node was the
@@ -629,7 +579,6 @@ impl Controller for PatchController {
                 requester,
                 serial,
                 new_owner,
-                ..
             } => {
                 self.process_deactivate(addr, requester, serial, new_owner, out);
             }
@@ -705,7 +654,7 @@ impl Controller for PatchController {
                     }
                 }
             }
-            MsgBody::WbAck { .. } => unreachable!("PATCH writebacks are unacknowledged"),
+            MsgBody::WbAck => unreachable!("PATCH writebacks are unacknowledged"),
             MsgBody::PersistentActivate { .. } | MsgBody::PersistentDeactivate { .. } => {
                 unreachable!("persistent requests are TokenB-only")
             }
@@ -726,7 +675,8 @@ impl Controller for PatchController {
                 // home (Rule 4 of token tenure).
                 if let Some((tokens, version)) = self.cache.take_all(key.addr) {
                     self.counters.tenure_timeouts += 1;
-                    self.put_tokens(key.addr, tokens, version, out);
+                    let (id, n) = (self.id, self.n());
+                    put_home(key.addr, id, n, tokens, version, &mut self.counters, out);
                 }
             }
             TimerKind::DeactWindow => {
@@ -1130,7 +1080,6 @@ mod tests {
                     node: NodeId::new(3),
                     tokens: TokenSet::plain(2),
                     version: None,
-                    dirty: false,
                 },
             ),
             Cycle::new(50),
@@ -1167,7 +1116,6 @@ mod tests {
                     requester: NodeId::new(1),
                     serial: 0,
                     new_owner: true,
-                    keeps_copy: true,
                 },
             ),
             Cycle::new(10),
@@ -1182,7 +1130,6 @@ mod tests {
                     node: NodeId::new(1),
                     tokens: TokenSet::full(4, OwnerStatus::Dirty),
                     version: Some(5),
-                    dirty: true,
                 },
             ),
             Cycle::new(20),
@@ -1442,7 +1389,6 @@ mod tests {
                     requester: NodeId::new(1),
                     serial: 0,
                     new_owner: true,
-                    keeps_copy: true,
                 },
             ),
             Cycle::new(10),

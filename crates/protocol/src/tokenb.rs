@@ -41,7 +41,7 @@ use crate::controller::{
     Completion, Controller, CoreResponse, MemOp, Outbox, ProtocolCounters, ProtocolGauges,
     SpanMarks, TimerKey, TimerKind,
 };
-use crate::tokens::{token_put, token_reply, Memory, TokenCache};
+use crate::tokens::{put_home, token_reply, Memory, TokenCache};
 use crate::{Msg, MsgBody, ProtocolConfig, RequestStyle};
 
 #[derive(Debug)]
@@ -58,6 +58,10 @@ struct TbTbe {
     marks: SpanMarks,
 }
 
+/// A persistent request: the starver, what it needs, and the serial of
+/// the miss that invoked it.
+type Persistent = (NodeId, AccessKind, u64);
+
 /// Home-side persistent-request arbitration (centralized, per block).
 ///
 /// Entries carry the starver's transaction serial so that, on an unordered
@@ -65,8 +69,11 @@ struct TbTbe {
 /// can never tear down a newer activation.
 #[derive(Debug, Default)]
 struct ArbEntry {
-    active: Option<(NodeId, AccessKind, u64)>,
-    queue: VecDeque<(NodeId, AccessKind, u64)>,
+    active: Option<Persistent>,
+    queue: VecDeque<Persistent>,
+    /// Activations broadcast for this block so far; the active one's is
+    /// the latest.
+    epoch: u64,
 }
 
 /// The TokenB controller for one node: private cache, the node's slice of
@@ -83,7 +90,10 @@ pub struct TokenBController {
     arb: FxHashMap<BlockAddr, ArbEntry>,
     /// This node's persistent-request table: blocks whose tokens must be
     /// forwarded to a starver, keyed with the activation's serial.
-    table: FxHashMap<BlockAddr, (NodeId, AccessKind, u64)>,
+    table: FxHashMap<BlockAddr, Persistent>,
+    /// The newest arbiter epoch seen per block, from either an activation
+    /// or a deactivation.
+    epochs: FxHashMap<BlockAddr, u64>,
     latency: LatencyEstimator,
     counters: ProtocolCounters,
     next_serial: u64,
@@ -112,6 +122,7 @@ impl TokenBController {
             home: fx_map_with_capacity(home_cap),
             arb: FxHashMap::default(),
             table: FxHashMap::default(),
+            epochs: FxHashMap::default(),
             latency: LatencyEstimator::default(),
             counters: ProtocolCounters::default(),
             next_serial: 0,
@@ -204,13 +215,13 @@ impl TokenBController {
         let slice = self.home_slice(addr);
         // Writes take whatever memory holds; reads only an owner's data
         // (and then every token with it).
-        if slice.tokens.is_empty() || (!kind.is_write() && !slice.tokens.has_owner()) {
+        if !kind.is_write() && !slice.tokens.has_owner() {
             return;
         }
-        let tokens = slice.tokens.take_all();
-        let delay = if tokens.has_owner() { dram } else { lookup };
-        let reply = token_reply(addr, id, serial, tokens, slice.version, false);
-        out.send_one_after(n, requester, delay, reply);
+        if let Some(reply) = slice.reply(addr, id, serial, false) {
+            let delay = if reply.carries_data() { dram } else { lookup };
+            out.send_one_after(n, requester, delay, reply);
+        }
     }
 
     fn send_tokens(
@@ -225,17 +236,6 @@ impl TokenBController {
         debug_assert!(!tokens.is_empty());
         let reply = token_reply(addr, self.id, serial, tokens, version, false);
         out.send_one(self.n(), to, reply);
-    }
-
-    /// Returns tokens to the home memory slice (eviction or stray
-    /// arrivals).
-    fn put_tokens(&mut self, addr: BlockAddr, tokens: TokenSet, version: u64, out: &mut Outbox) {
-        if tokens.is_empty() {
-            return;
-        }
-        self.counters.writebacks += 1;
-        let home = addr.home(self.n());
-        out.send_one(self.n(), home, token_put(addr, self.id, tokens, version));
     }
 
     // ------------------------------------------------------------------
@@ -274,7 +274,8 @@ impl TokenBController {
         if let Some((addr, tokens, version)) =
             self.cache.absorb(addr, tokens, data_version, has_tbe)
         {
-            self.put_tokens(addr, tokens, version, out);
+            let (id, n) = (self.id, self.n());
+            put_home(addr, id, n, tokens, version, &mut self.counters, out);
             if !has_tbe {
                 return;
             }
@@ -304,7 +305,7 @@ impl TokenBController {
         if tbe.persistent {
             // Tell the home arbiter the starvation is over.
             let home = addr.home(self.n());
-            let done = Msg::deactivate(addr, self.id, tbe.serial, line.has_owner, true);
+            let done = Msg::deactivate(addr, self.id, tbe.serial, line.has_owner);
             out.send_one(self.n(), home, done);
         }
     }
@@ -313,36 +314,42 @@ impl TokenBController {
     // Persistent requests
     // ------------------------------------------------------------------
 
-    fn arb_activate(
-        &mut self,
-        addr: BlockAddr,
-        starver: NodeId,
-        kind: AccessKind,
-        serial: u64,
-        out: &mut Outbox,
-    ) {
-        out.send(
-            DestSet::all(self.n()),
-            Msg::new(
-                addr,
-                MsgBody::PersistentActivate {
-                    starver,
-                    kind,
-                    serial,
-                },
-            ),
-        );
+    /// Makes `next` the block's active persistent request and broadcasts
+    /// its activation under the block's next epoch.
+    fn arb_activate(&mut self, addr: BlockAddr, next: Persistent, out: &mut Outbox) {
+        let n = self.n();
+        let entry = self.arb.entry(addr).or_default();
+        entry.active = Some(next);
+        entry.epoch += 1;
+        let (starver, kind, serial) = next;
+        let activate = MsgBody::PersistentActivate {
+            starver,
+            kind,
+            serial,
+            epoch: entry.epoch,
+        };
+        out.send(DestSet::all(n), Msg::new(addr, activate));
+    }
+
+    /// Records `epoch` as seen for `addr`; whether it is newer than every
+    /// epoch seen for the block before.
+    fn note_epoch(&mut self, addr: BlockAddr, epoch: u64) -> bool {
+        let newest = self.epochs.entry(addr).or_default();
+        let fresh = epoch > *newest;
+        *newest = epoch.max(*newest);
+        fresh
     }
 
     fn handle_persistent_activate(
         &mut self,
         addr: BlockAddr,
-        starver: NodeId,
-        kind: AccessKind,
-        serial: u64,
+        request: Persistent,
+        epoch: u64,
         now: Cycle,
         out: &mut Outbox,
     ) {
+        let (starver, _, serial) = request;
+        let fresh = self.note_epoch(addr, epoch);
         if starver == self.id {
             // Only the transaction that invoked this persistent request may
             // consume the activation — matched by serial. Anything else
@@ -357,7 +364,7 @@ impl TokenBController {
                 .is_some_and(|t| t.addr == addr && t.persistent && t.serial == serial);
             if !ours {
                 let home = addr.home(self.config.num_nodes);
-                let release = Msg::deactivate(addr, self.id, serial, false, false);
+                let release = Msg::deactivate(addr, self.id, serial, false);
                 out.send_one(self.n(), home, release);
                 return;
             }
@@ -367,7 +374,16 @@ impl TokenBController {
                 tbe.marks.note_ordered(now);
             }
         }
-        self.table.insert(addr, (starver, kind, serial));
+        // Epoch guard: an activation no newer than the newest epoch seen
+        // for the block is dead — its own deactivation overtook it, or a
+        // later activation did. Entering it would funnel the block's
+        // tokens to a starver no deactivation will ever clear. (The
+        // starver's own live activation is always fresh: neither can be
+        // sent before it deactivates.)
+        if !fresh {
+            return;
+        }
+        self.table.insert(addr, request);
         if starver != self.id {
             // Surrender current cache holdings.
             if let Some((tokens, version)) = self.cache.take_all(addr) {
@@ -378,11 +394,8 @@ impl TokenBController {
         if addr.home(self.config.num_nodes) == self.id {
             let dram = self.config.dram_latency;
             let (n, id) = (self.n(), self.id);
-            let slice = self.home_slice(addr);
-            if !slice.tokens.is_empty() {
-                let tokens = slice.tokens.take_all();
-                let delay = if tokens.has_owner() { dram } else { 0 };
-                let reply = token_reply(addr, id, 0, tokens, slice.version, false);
+            if let Some(reply) = self.home_slice(addr).reply(addr, id, 0, false) {
+                let delay = if reply.carries_data() { dram } else { 0 };
                 out.send_one_after(n, starver, delay, reply);
             }
         }
@@ -419,8 +432,7 @@ impl Controller for TokenBController {
                     // Home-side arbitration.
                     let entry = self.arb.entry(addr).or_default();
                     if entry.active.is_none() {
-                        entry.active = Some((requester, kind, serial));
-                        self.arb_activate(addr, requester, kind, serial, out);
+                        self.arb_activate(addr, (requester, kind, serial), out);
                     } else {
                         entry.queue.push_back((requester, kind, serial));
                     }
@@ -452,20 +464,20 @@ impl Controller for TokenBController {
                 self.handle_token_arrival(addr, tokens, None, now, out);
             }
             MsgBody::Put {
-                node: _,
-                tokens,
-                version,
-                ..
+                tokens, version, ..
             } => {
                 // Tokens returned to memory. If a persistent request is
                 // active, funnel them onward to the starver.
-                if let Some(&(starver, _, _)) = self.table.get(&addr) {
-                    if !tokens.is_empty() {
-                        self.send_tokens(addr, starver, 0, tokens, version.unwrap_or(0), out);
+                let (n, id) = (self.n(), self.id);
+                let starver = self.table.get(&addr).map(|&(starver, _, _)| starver);
+                let slice = self.home_slice(addr);
+                match starver {
+                    Some(starver) => {
+                        let redirect = slice.redirect(addr, id, 0, tokens, version, false);
+                        out.send_one(n, starver, redirect);
                     }
-                    return;
+                    None => slice.absorb(tokens, version),
                 }
-                self.home_slice(addr).absorb(tokens, version);
             }
             MsgBody::Deactivate {
                 requester, serial, ..
@@ -485,34 +497,36 @@ impl Controller for TokenBController {
                     return;
                 }
                 entry.active = None;
-                out.send(
-                    DestSet::all(n),
-                    Msg::new(
-                        addr,
-                        MsgBody::PersistentDeactivate {
-                            starver: requester,
-                            serial,
-                        },
-                    ),
-                );
-                let next = entry.queue.pop_front();
-                if let Some((next_node, kind, next_serial)) = next {
-                    entry.active = Some((next_node, kind, next_serial));
-                    self.arb_activate(addr, next_node, kind, next_serial, out);
+                let deactivate = MsgBody::PersistentDeactivate {
+                    starver: requester,
+                    serial,
+                    epoch: entry.epoch,
+                };
+                out.send(DestSet::all(n), Msg::new(addr, deactivate));
+                if let Some(next) = entry.queue.pop_front() {
+                    self.arb_activate(addr, next, out);
                 }
             }
             MsgBody::PersistentActivate {
                 starver,
                 kind,
                 serial,
+                epoch,
             } => {
-                self.handle_persistent_activate(addr, starver, kind, serial, now, out);
+                self.handle_persistent_activate(addr, (starver, kind, serial), epoch, now, out);
             }
-            MsgBody::PersistentDeactivate { starver, serial } => {
+            MsgBody::PersistentDeactivate {
+                starver,
+                serial,
+                epoch,
+            } => {
                 // Guarded removal: on an unordered network this broadcast
                 // can arrive after the *next* starver's activation; a late
                 // deactivation for an old starver (or an old serial of the
-                // same starver) must not clobber the fresh entry.
+                // same starver) must not clobber the fresh entry. Its epoch
+                // still counts as seen, so the activation it ends is
+                // dropped should it arrive later still.
+                self.note_epoch(addr, epoch);
                 if self
                     .table
                     .get(&addr)
@@ -521,7 +535,7 @@ impl Controller for TokenBController {
                     self.table.remove(&addr);
                 }
             }
-            MsgBody::Fwd { .. } | MsgBody::Activation { .. } | MsgBody::WbAck { .. } => {
+            MsgBody::Fwd { .. } | MsgBody::Activation { .. } | MsgBody::WbAck => {
                 unreachable!("TokenB does not use {:?}", msg.body)
             }
         }
@@ -777,7 +791,7 @@ mod tests {
         // Broadcast activation for P0.
         assert!(out.sends.iter().any(|s| matches!(
             s.msg.body,
-            MsgBody::PersistentActivate { starver, .. } if starver == NodeId::new(0)
+            MsgBody::PersistentActivate { starver, epoch: 1, .. } if starver == NodeId::new(0)
         )));
         // P3's persistent request queues.
         let mut out = Outbox::new();
@@ -792,7 +806,6 @@ mod tests {
                     requester: NodeId::new(0),
                     serial: 0,
                     new_owner: true,
-                    keeps_copy: true,
                 },
             ),
             Cycle::new(10),
@@ -801,10 +814,10 @@ mod tests {
         assert!(out
             .sends
             .iter()
-            .any(|s| matches!(s.msg.body, MsgBody::PersistentDeactivate { .. })));
+            .any(|s| matches!(s.msg.body, MsgBody::PersistentDeactivate { epoch: 1, .. })));
         assert!(out.sends.iter().any(|s| matches!(
             s.msg.body,
-            MsgBody::PersistentActivate { starver, .. } if starver == NodeId::new(3)
+            MsgBody::PersistentActivate { starver, epoch: 2, .. } if starver == NodeId::new(3)
         )));
     }
 
@@ -820,6 +833,7 @@ mod tests {
                     starver: NodeId::new(3),
                     kind: AccessKind::Write,
                     serial: 0,
+                    epoch: 1,
                 },
             ),
             Cycle::ZERO,
@@ -852,6 +866,7 @@ mod tests {
                 MsgBody::PersistentDeactivate {
                     starver: NodeId::new(3),
                     serial: 0,
+                    epoch: 1,
                 },
             ),
             Cycle::new(10),
@@ -873,6 +888,7 @@ mod tests {
                     starver: NodeId::new(3),
                     kind: AccessKind::Write,
                     serial: 0,
+                    epoch: 1,
                 },
             ),
             Cycle::ZERO,

@@ -2,10 +2,12 @@
 //!
 //! Safety in both protocols rests on these rules alone: how a token
 //! holder answers a request, absorbs arriving tokens, performs an access
-//! and returns tokens to memory, and the two messages tokens travel in.
-//! Whom to ask, when to give up and who wins a race are *policy* and live
-//! in `patch.rs` (directory + token tenure) and `tokenb.rs` (broadcast +
-//! persistent requests); so do send delays.
+//! and returns tokens to memory, how memory hands its tokens and data back
+//! out, and the two messages tokens travel in. Whom to ask, when to give
+//! up and who wins a race are *policy* and live in `patch.rs` (directory +
+//! token tenure) and `tokenb.rs` (broadcast + persistent requests); so do
+//! send delays, the DRAM access included: a caller adds it exactly when
+//! the message it sends [carries data](Msg::carries_data).
 //!
 //! [`CacheArray::get_mut`] stamps the LRU clock and [`CacheArray::peek`]
 //! does not, so which of the two a method uses is behaviour: only
@@ -14,6 +16,7 @@
 use patchsim_mem::{AccessKind, BlockAddr, CacheArray, CacheGeometry, OwnerStatus, TokenSet};
 use patchsim_noc::NodeId;
 
+use crate::controller::{Outbox, ProtocolCounters};
 use crate::{Msg, MsgBody};
 
 /// One cache line's token state.
@@ -212,6 +215,39 @@ impl Memory {
         }
         self.tokens.merge(tokens);
     }
+
+    /// Hands everything memory holds to `serial`'s requester in one
+    /// [`token_reply`]; `None` when it holds nothing.
+    pub fn reply(
+        &mut self,
+        addr: BlockAddr,
+        from: NodeId,
+        serial: u64,
+        activation: bool,
+    ) -> Option<Msg> {
+        if self.tokens.is_empty() {
+            return None;
+        }
+        let (tokens, version) = (self.tokens.take_all(), self.version);
+        Some(token_reply(addr, from, serial, tokens, version, activation))
+    }
+
+    /// Sends tokens a `Put` returned on to `serial`'s requester instead
+    /// of absorbing them. A `Put` carries data only with a dirty owner; a
+    /// clean owner comes back data-less because memory's copy is current
+    /// (Rule 5), so memory's version goes with it.
+    pub fn redirect(
+        &self,
+        addr: BlockAddr,
+        from: NodeId,
+        serial: u64,
+        tokens: TokenSet,
+        put_version: Option<u64>,
+        activation: bool,
+    ) -> Msg {
+        let version = put_version.unwrap_or(self.version);
+        token_reply(addr, from, serial, tokens, version, activation)
+    }
 }
 
 /// A response carrying `tokens` to a requester: `Data` iff the owner token
@@ -248,20 +284,30 @@ pub(crate) fn token_reply(
     Msg::new(addr, body)
 }
 
-/// A return of `tokens` to the home memory; carries data iff the owner
-/// token is dirty (a clean owner's data is already valid in memory).
-#[inline]
-pub(crate) fn token_put(addr: BlockAddr, node: NodeId, tokens: TokenSet, version: u64) -> Msg {
-    let dirty = tokens.requires_data();
-    Msg::new(
-        addr,
-        MsgBody::Put {
-            node,
-            tokens,
-            version: dirty.then_some(version),
-            dirty,
-        },
-    )
+/// Returns `node`'s `tokens` to the home memory of `addr` (eviction,
+/// tenure timeout, stray arrival) and counts the writeback; an empty set
+/// sends nothing. The `Put` carries data iff the owner token is dirty (a
+/// clean owner's data is already valid in memory).
+pub(crate) fn put_home(
+    addr: BlockAddr,
+    node: NodeId,
+    num_nodes: u16,
+    tokens: TokenSet,
+    version: u64,
+    counters: &mut ProtocolCounters,
+    out: &mut Outbox,
+) {
+    if tokens.is_empty() {
+        return;
+    }
+    counters.writebacks += 1;
+    let version = tokens.requires_data().then_some(version);
+    let put = MsgBody::Put {
+        node,
+        tokens,
+        version,
+    };
+    out.send_one(num_nodes, addr.home(num_nodes), Msg::new(addr, put));
 }
 
 #[cfg(test)]
@@ -399,17 +445,72 @@ mod tests {
     }
 
     #[test]
-    fn token_put_carries_the_version_iff_the_owner_token_is_dirty() {
+    fn put_home_carries_the_version_iff_the_owner_token_is_dirty() {
         let node = NodeId::new(1);
         for (tokens, carried) in [
             (TokenSet::full(2, OwnerStatus::Dirty), Some(9)),
             (TokenSet::full(2, OwnerStatus::Clean), None),
             (TokenSet::plain(2), None),
         ] {
-            match token_put(a(0), node, tokens, 9).body {
-                MsgBody::Put { version, dirty, .. } => {
-                    assert_eq!((version, dirty), (carried, carried.is_some()));
+            let (mut counters, mut out) = (ProtocolCounters::default(), Outbox::new());
+            put_home(a(1), node, 4, tokens, 9, &mut counters, &mut out);
+            assert_eq!(counters.writebacks, 1);
+            let [send] = &out.sends[..] else {
+                panic!("{:?}", out.sends)
+            };
+            assert_eq!(send.dests.as_single(), Some(a(1).home(4)));
+            assert_eq!(
+                send.msg.body,
+                MsgBody::Put {
+                    node,
+                    tokens,
+                    version: carried
                 }
+            );
+        }
+        let (mut counters, mut out) = (ProtocolCounters::default(), Outbox::new());
+        put_home(a(1), node, 4, TokenSet::empty(), 9, &mut counters, &mut out);
+        assert!(out.is_empty() && counters.writebacks == 0, "nothing to put");
+    }
+
+    #[test]
+    fn memory_reply_hands_out_everything_with_memorys_version() {
+        let from = NodeId::new(2);
+        let mut m = Memory {
+            tokens: TokenSet::full(T, OwnerStatus::Clean),
+            version: 6,
+        };
+        let reply = m.reply(a(0), from, 3, true).expect("memory holds tokens");
+        assert_eq!(
+            reply,
+            token_reply(
+                a(0),
+                from,
+                3,
+                TokenSet::full(T, OwnerStatus::Clean),
+                6,
+                true
+            )
+        );
+        assert!(reply.carries_data() && m.tokens.is_empty());
+        assert_eq!(m.reply(a(0), from, 3, true), None, "nothing left");
+        m.tokens = TokenSet::plain(2);
+        let plain = m.reply(a(0), from, 3, false).expect("plain tokens");
+        assert!(!plain.carries_data(), "no owner, no data: {plain:?}");
+    }
+
+    #[test]
+    fn memory_redirect_attaches_memorys_version_for_a_clean_owner() {
+        let m = Memory {
+            tokens: TokenSet::empty(),
+            version: 6,
+        };
+        let from = NodeId::new(2);
+        let clean = TokenSet::full(2, OwnerStatus::Clean);
+        let dirty = TokenSet::full(2, OwnerStatus::Dirty);
+        for (tokens, put_version, version) in [(clean, None, 6), (dirty, Some(8), 8)] {
+            match m.redirect(a(0), from, 3, tokens, put_version, true).body {
+                MsgBody::Data { version: v, .. } => assert_eq!(v, version),
                 other => panic!("{other:?}"),
             }
         }

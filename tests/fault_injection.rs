@@ -5,7 +5,10 @@
 //! completes), replay exactly from `(spec, seed)`, and leave fault-free
 //! runs untouched.
 
-use patchsim::{run, FaultSpec, PredictorChoice, ProtocolKind, RunResult, SimConfig, WorkloadSpec};
+use patchsim::{
+    run, CacheGeometry, FaultSpec, PredictorChoice, ProtocolKind, RunResult, SimConfig,
+    WorkloadSpec,
+};
 
 /// A contended small-system configuration that exercises every protocol
 /// path (forwards, invalidations, token returns) in a debug-build-friendly
@@ -70,6 +73,58 @@ fn every_fault_preset_passes_safety_and_liveness_oracles() {
                 result.coherence_checks > 0,
                 "{kind:?} under '{preset}': coherence checker never ran"
             );
+        }
+    }
+}
+
+/// The timed counterpart of the adversarial eviction sweeps: a two-line
+/// cache under six blocks evicts on most fills, so every protocol's
+/// writeback and token-return paths race each fault preset, with both
+/// safety oracles and the liveness horizon armed. TokenB under `reorder`
+/// and `chaos` at 16 nodes is left out: most of its seeds there outlive
+/// this horizon on persistent-request latency alone (open in ROADMAP.md).
+#[test]
+fn evicting_caches_pass_the_oracles_under_every_preset() {
+    let rows = [
+        (ProtocolKind::Directory, PredictorChoice::None),
+        (ProtocolKind::TokenB, PredictorChoice::None),
+        (ProtocolKind::Patch, PredictorChoice::None),
+        (ProtocolKind::Patch, PredictorChoice::All),
+    ];
+    // One seed per cell, a different one for each, to fit a debug build.
+    let mut seed = 0;
+    for (kind, predictor) in rows {
+        for preset in FaultSpec::PRESETS {
+            for n in [4u16, 16] {
+                if kind == ProtocolKind::TokenB && n == 16 && matches!(preset, "reorder" | "chaos")
+                {
+                    continue;
+                }
+                seed += 1;
+                // Captured unless the cell fails: the last line names it.
+                eprintln!(
+                    "cell: {kind}/{} '{preset}' n={n} seed={seed}",
+                    predictor.label()
+                );
+                let mut config = SimConfig::new(kind, n)
+                    .with_predictor(predictor)
+                    .with_workload(WorkloadSpec::Microbenchmark {
+                        table_blocks: 6,
+                        write_frac: 0.5,
+                        think_mean: 10,
+                    })
+                    .with_ops_per_core(300)
+                    .with_checks()
+                    .with_liveness_horizon(200_000)
+                    .with_faults(FaultSpec::parse(preset).expect("shipped preset parses"))
+                    .with_seed(seed);
+                config.protocol = config
+                    .protocol
+                    .with_cache_geometry(CacheGeometry::new(2, 1));
+                let result = run(&config);
+                assert_eq!(result.ops_completed, u64::from(n) * 300);
+                assert!(result.counters.writebacks > 0, "nothing was evicted");
+            }
         }
     }
 }

@@ -4,10 +4,13 @@
 //! test carries the analysis, and `docs/faults.md` ("Worked example")
 //! re-creates bugs 3a/3b through the fault layer.
 
-use patchsim::{AccessKind, BlockAddr, Cycle, NodeId, PredictorChoice, ProtocolKind};
+use patchsim::{
+    AccessKind, BlockAddr, CacheGeometry, Cluster, Cycle, NodeId, PredictorChoice, ProtocolKind,
+};
 use patchsim_mem::{OwnerStatus, TokenSet};
 use patchsim_protocol::{
-    Controller, MemOp, Msg, MsgBody, Outbox, PatchController, ProtocolConfig, TokenBController,
+    Controller, MemOp, Msg, MsgBody, Outbox, PatchController, ProtocolConfig, RequestStyle,
+    TokenBController,
 };
 
 fn patch(n: u16, node: u16) -> PatchController {
@@ -202,6 +205,7 @@ fn reordered_persistent_deactivate_does_not_clobber_next_starver() {
                 starver: NodeId::new(3),
                 kind: AccessKind::Write,
                 serial: 0,
+                epoch: 2,
             },
         ),
         Cycle::new(10),
@@ -215,6 +219,7 @@ fn reordered_persistent_deactivate_does_not_clobber_next_starver() {
             MsgBody::PersistentDeactivate {
                 starver: NodeId::new(0),
                 serial: 0,
+                epoch: 1,
             },
         ),
         Cycle::new(20),
@@ -257,7 +262,7 @@ fn stale_persistent_activation_is_released_by_starver() {
                 kind: AccessKind::Write,
                 requester: NodeId::new(1),
                 serial: 5,
-                style: patchsim_protocol::RequestStyle::Persistent,
+                style: RequestStyle::Persistent,
             },
         ),
         Cycle::new(10),
@@ -279,6 +284,7 @@ fn stale_persistent_activation_is_released_by_starver() {
                 starver: NodeId::new(1),
                 kind: AccessKind::Write,
                 serial: 5,
+                epoch: 1,
             },
         ),
         Cycle::new(20),
@@ -319,7 +325,7 @@ fn arbiter_ignores_foreign_deactivations() {
                 kind: AccessKind::Write,
                 requester: NodeId::new(1),
                 serial: 0,
-                style: patchsim_protocol::RequestStyle::Persistent,
+                style: RequestStyle::Persistent,
             },
         ),
         Cycle::new(10),
@@ -334,7 +340,6 @@ fn arbiter_ignores_foreign_deactivations() {
                 requester: NodeId::new(3),
                 serial: 0,
                 new_owner: false,
-                keeps_copy: false,
             },
         ),
         Cycle::new(20),
@@ -342,4 +347,125 @@ fn arbiter_ignores_foreign_deactivations() {
     );
     assert!(out.sends.is_empty(), "node 1's entry must stay active");
     assert!(!home.is_quiescent());
+}
+
+/// Delivers `body` for `addr` to `c` at cycle `at`; returns what it sent.
+fn deliver(c: &mut impl Controller, addr: BlockAddr, body: MsgBody, at: u64) -> Outbox {
+    let mut out = Outbox::new();
+    c.handle_message(Msg::new(addr, body), Cycle::new(at), &mut out);
+    out
+}
+
+/// Bug 4 (DIRECTORY): a writeback ghost takes the transition its line
+/// would. P1 evicts its M copy of block 0 and the PUT is held back; P2's
+/// read is forwarded to P1's ghost, which hands ownership over and stays a
+/// sharer; P3's write then invalidates P1 with the owner. The ghost used
+/// to answer that as owner still — `Data` instead of the `Ack` P3 was
+/// promised — and P3 waited for its ack forever.
+#[test]
+fn writeback_ghost_acks_a_write_after_losing_ownership_to_a_read() {
+    let config = ProtocolConfig::new(ProtocolKind::Directory, 4)
+        .with_cache_geometry(CacheGeometry::new(1, 1));
+    let mut c = Cluster::new(&config);
+    let (p1, p2, p3) = (NodeId::new(1), NodeId::new(2), NodeId::new(3));
+    let op = |addr, kind| MemOp {
+        addr: BlockAddr::new(addr),
+        kind,
+    };
+    let not_put = |_: NodeId, m: &Msg| !matches!(m.body, MsgBody::Put { .. });
+    c.issue(p1, op(0, AccessKind::Write), Cycle::new(0));
+    c.drain(Cycle::new(10));
+    // Block 1's fill evicts block 0, whose PUT stays in flight throughout.
+    c.issue(p1, op(1, AccessKind::Write), Cycle::new(20));
+    while c.deliver_first(Cycle::new(30), not_put) {}
+    c.issue(p2, op(0, AccessKind::Read), Cycle::new(40));
+    while c.deliver_first(Cycle::new(50), not_put) {}
+    c.issue(p3, op(0, AccessKind::Write), Cycle::new(60));
+    while c.deliver_first(Cycle::new(70), not_put) {}
+    assert_eq!(c.completions, [p1, p1, p2, p3], "P3 collected its ack");
+    c.drain(Cycle::new(80));
+    c.assert_quiescent();
+}
+
+/// Bug 5 (TokenB): a clean owner's `Put` carries no data, because
+/// memory's copy is current (Table 1, Rule 5), so the home forwarding it
+/// to a persistent starver must attach memory's version. It used to send
+/// version 0, the block's initial contents, and the starver read or wrote
+/// on top of `v0`.
+#[test]
+fn clean_owner_put_is_redirected_to_the_starver_with_memorys_version() {
+    let mut home = tokenb(4, 2);
+    let addr = BlockAddr::new(2);
+    let request = |kind, requester: u16| MsgBody::Request {
+        kind,
+        requester: NodeId::new(requester),
+        serial: 0,
+        style: RequestStyle::Direct,
+    };
+    let put = |node: u16, tokens, version| MsgBody::Put {
+        node: NodeId::new(node),
+        tokens,
+        version,
+    };
+    // P1 takes every token from memory and writes version 5 back.
+    deliver(&mut home, addr, request(AccessKind::Write, 1), 0);
+    let dirty = TokenSet::full(4, OwnerStatus::Dirty);
+    deliver(&mut home, addr, put(1, dirty, Some(5)), 10);
+    // P3's read takes every token again, owner clean; then P1 starves.
+    deliver(&mut home, addr, request(AccessKind::Read, 3), 20);
+    let activate = MsgBody::PersistentActivate {
+        starver: NodeId::new(1),
+        kind: AccessKind::Write,
+        serial: 1,
+        epoch: 1,
+    };
+    assert!(deliver(&mut home, addr, activate, 30).sends.is_empty());
+    // P3 evicts: a clean owner's data-less return, funnelled to P1.
+    let clean = TokenSet::full(4, OwnerStatus::Clean);
+    let out = deliver(&mut home, addr, put(3, clean, None), 40);
+    let [redirect] = &out.sends[..] else {
+        panic!("one redirect expected: {:?}", out.sends)
+    };
+    assert_eq!(redirect.dests.as_single(), Some(NodeId::new(1)));
+    match redirect.msg.body {
+        MsgBody::Data { version, .. } => assert_eq!(version, 5, "memory's version"),
+        ref other => panic!("a clean owner travels with data: {other:?}"),
+    }
+}
+
+/// Bug 6 (TokenB): a `PersistentActivate` overtaken by its own
+/// `PersistentDeactivate` used to enter a table entry that nothing would
+/// ever clear, and every token of the block that reached the node was
+/// funnelled to a starver long done — with an entry elsewhere naming this
+/// node, the tokens bounced between the two forever. The activation's
+/// epoch is no newer than the deactivation's, so it is dropped.
+#[test]
+fn persistent_activation_after_its_deactivation_leaves_no_entry() {
+    let mut c = tokenb(4, 1);
+    let addr = BlockAddr::new(2);
+    let (starver, serial, epoch) = (NodeId::new(3), 19, 1);
+    let deactivate = MsgBody::PersistentDeactivate {
+        starver,
+        serial,
+        epoch,
+    };
+    deliver(&mut c, addr, deactivate, 10);
+    let activate = MsgBody::PersistentActivate {
+        starver,
+        kind: AccessKind::Write,
+        serial,
+        epoch,
+    };
+    deliver(&mut c, addr, activate, 20);
+    assert_eq!(c.gauges().persistent_entries, 0);
+    // Stray tokens go home, not to the departed starver.
+    let ack = MsgBody::Ack {
+        from: NodeId::new(2),
+        serial: 0,
+        tokens: TokenSet::plain(2),
+        activation: false,
+    };
+    let out = deliver(&mut c, addr, ack, 30);
+    assert_eq!(out.sends.len(), 1);
+    assert_eq!(out.sends[0].dests.as_single(), Some(addr.home(4)));
 }
