@@ -417,17 +417,27 @@ impl TokenAuditor {
         assert_eq!(
             held.tokens + flight.tokens,
             self.total as u64,
-            "token conservation violated for {addr}: {} held + {} in flight != {}",
+            "token conservation violated for {addr}: {} held + {} in flight != {}; holders: {}",
             held.tokens,
             flight.tokens,
-            self.total
+            self.total,
+            holders(nodes, addr),
         );
         // Widened: a u32 sum could wrap back to exactly 1.
         let owners = u64::from(held.owners) + u64::from(flight.owners);
         assert_eq!(
-            owners, 1,
-            "owner token count for {addr} is {owners} (must be exactly 1)"
+            owners,
+            1,
+            "owner token count for {addr} is {owners} (must be exactly 1); holders: {}",
+            holders(nodes, addr),
         );
+    }
+
+    /// Blocks with tokens still in flight, and how many. Empty on a
+    /// coarse auditor, which keeps no per-block state.
+    pub(crate) fn blocks_in_flight(&self) -> impl Iterator<Item = (BlockAddr, u64)> + '_ {
+        let blocks = self.in_flight.iter();
+        blocks.filter_map(|(&addr, flight)| (flight.tokens > 0).then_some((addr, flight.tokens)))
     }
 
     /// Number of audits performed.
@@ -443,6 +453,26 @@ impl TokenAuditor {
                 || self.net_tokens == self.in_flight.values().map(|f| f.tokens).sum::<u64>()
         );
         self.net_tokens
+    }
+}
+
+/// Who holds `addr`'s tokens, as `P3 t=2 P5 t=2(+Oc)`: every node with a
+/// non-empty holding, `none` if no node holds any, `untracked` for a
+/// tokenless protocol. For failure messages.
+pub(crate) fn holders(nodes: &[Box<dyn Controller + Send>], addr: BlockAddr) -> String {
+    let mut listed = Vec::new();
+    for (i, node) in nodes.iter().enumerate() {
+        let Some(tokens) = node.held_tokens(addr) else {
+            return "untracked".into();
+        };
+        if !tokens.is_empty() {
+            listed.push(format!("P{i} {tokens}"));
+        }
+    }
+    if listed.is_empty() {
+        "none".into()
+    } else {
+        listed.join(" ")
     }
 }
 

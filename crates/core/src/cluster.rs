@@ -415,4 +415,31 @@ mod tests {
         let c = Cluster::with_mutant(&one_line_patch(), P1, Bug::DropsVictims);
         write_two_blocks(c).assert_quiescent();
     }
+
+    /// A sweep failure names who still holds the block: here P2, whose
+    /// read copy is all that is left of block 0 once P1's eviction drops
+    /// the rest.
+    #[test]
+    fn a_sweep_failure_names_the_remaining_holders() {
+        let mut c = Cluster::with_mutant(&one_line_patch(), P1, Bug::DropsVictims);
+        let read = MemOp {
+            addr: BlockAddr::new(0),
+            kind: AccessKind::Read,
+        };
+        c.issue(P1, read, Cycle::new(0));
+        c.drain(Cycle::new(10));
+        c.issue(NodeId::new(2), read, Cycle::new(20));
+        c.drain(Cycle::new(30));
+        let evict = MemOp {
+            addr: BlockAddr::new(2),
+            ..WRITE
+        };
+        c.issue(P1, evict, Cycle::new(40));
+        c.drain(Cycle::new(50));
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c.assert_quiescent()))
+            .expect_err("the dropped victim trips the sweep");
+        let line = panic.downcast_ref::<String>().expect("a formatted panic");
+        let expected = "violated for 0x0: 1 held + 0 in flight != 4; holders: P2 t=1(+Oc)";
+        assert!(line.contains(expected), "{line}");
+    }
 }

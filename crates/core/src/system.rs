@@ -5,7 +5,7 @@
 //! run returns lives in `result.rs`. The closed-loop statements here are
 //! mirrored one for one by `benchmark/src/shadow.rs`.
 
-use std::path::PathBuf;
+use std::fmt::Write;
 use std::time::{Duration, Instant};
 
 use patchsim_kernel::stats::Histogram;
@@ -18,7 +18,7 @@ use patchsim_protocol::{
 use patchsim_trace::TraceWriter;
 use patchsim_workload::{Generator, WorkItem, WorkloadSpec};
 
-use crate::checker::{CoherenceChecker, TokenAuditor};
+use crate::checker::{holders, CoherenceChecker, TokenAuditor};
 use crate::config::{CheckLevel, SimConfig};
 use crate::open_loop::{OpenLoop, Step};
 use crate::result::{RunError, RunResult};
@@ -145,7 +145,7 @@ impl System {
             )),
             _ => None,
         };
-        let telemetry = Observer::new(&config, protocol_name(&nodes));
+        let telemetry = Observer::new(&config, nodes[0].protocol_name());
         // With per-event checking off, the auditor only needs the global
         // in-flight count (end-of-run drain check), not per-block state.
         let auditor = if config.check == CheckLevel::Assert {
@@ -343,15 +343,13 @@ impl System {
         if let Some(horizon) = self.config.liveness_horizon {
             let waited = now.saturating_since(completion.issued_at);
             if waited > horizon {
-                let dump = self.dump_fdr("liveness violation");
-                panic!(
+                let why = format!(
                     "liveness violation: {} miss on core {} took {waited} cycles \
-                     (> horizon {horizon}){}{}",
+                     (> horizon {horizon})",
                     self.nodes[node.index()].protocol_name(),
                     node.index(),
-                    self.context_suffix(),
-                    dump_suffix(&dump),
                 );
+                self.fail("liveness violation", why);
             }
         }
         if self.in_measurement(node) {
@@ -389,23 +387,61 @@ impl System {
         self.auditor.end_action(&self.nodes);
     }
 
-    /// Dumps the flight recorder (if armed and not yet dumped),
-    /// returning the dump path.
-    fn dump_fdr(&mut self, reason: &str) -> Option<PathBuf> {
-        self.telemetry.as_mut().and_then(|t| t.dump(reason))
+    /// The run's one failing exit: dumps the flight recorder under `reason`,
+    /// then panics with `why`, the run context, each stuck block (a miss's,
+    /// or one with tokens in flight; eight, then a count) with who holds
+    /// its tokens, and the dump path last.
+    #[cold]
+    fn fail(&mut self, reason: &str, why: String) -> ! {
+        const LISTED: usize = 8;
+        let dump = self.telemetry.as_mut().and_then(|t| t.dump(reason));
+        let (nodes, config) = (&self.nodes, &self.config);
+        let mut msg = format!(
+            "{why} [protocol={}, fabric={}, workload={}, seed={}]",
+            nodes[0].protocol_name(),
+            config.protocol.fabric.label(),
+            config.workload.name(),
+            config.seed,
+        );
+        let misses = self.cores.iter().enumerate().filter_map(|(i, core)| {
+            let (op, since) = (core.outstanding?, core.outstanding_since);
+            let what = format!("core {i} {:?} {} since {since}", op.kind, op.addr);
+            Some((what, op.addr))
+        });
+        let flights = (self.auditor.blocks_in_flight())
+            .map(|(addr, tokens)| (format!("{addr} t={tokens} in flight"), addr));
+        let stuck: Vec<_> = misses.chain(flights).collect();
+        for (what, addr) in stuck.iter().take(LISTED) {
+            let _ = write!(msg, "; {what} holders: {}", holders(nodes, *addr));
+        }
+        if stuck.len() > LISTED {
+            let _ = write!(msg, "; {} more stuck", stuck.len() - LISTED);
+        }
+        if let Some(path) = dump {
+            let _ = write!(msg, "; flight recorder: {}", path.display());
+        }
+        panic!("{msg}")
     }
 
-    /// Run context appended to oracle-failure messages: protocol,
-    /// fabric, workload, and seed, so a failure line alone identifies
-    /// the failing cell.
-    fn context_suffix(&self) -> String {
-        format!(
-            " [protocol={}, fabric={}, workload={}, seed={}]",
-            protocol_name(&self.nodes),
-            self.config.protocol.fabric.label(),
-            self.config.workload.name(),
-            self.config.seed,
-        )
+    /// The postconditions of a drained queue: every core done, every
+    /// controller quiescent, no token in flight, every block conserved.
+    fn check_drained(&mut self) {
+        let unfinished = (self.cores.iter()).position(|c| !c.finished || c.outstanding.is_some());
+        if let Some(i) = unfinished {
+            let (done, of) = (self.cores[i].ops_done, self.quota());
+            let why = format!("core {i} never finished: completed {done} of {of} ops (deadlock)");
+            self.fail("deadlock", why);
+        }
+        if let Some(i) = self.nodes.iter().position(|node| !node.is_quiescent()) {
+            let why = format!("controller {i} not quiescent at end of run");
+            self.fail("deadlock", why);
+        }
+        let tokens = self.auditor.tokens_in_flight();
+        if tokens != 0 {
+            let why = format!("tokens still in flight after drain: {tokens}");
+            self.fail("token drain", why);
+        }
+        self.auditor.sweep(&self.nodes);
     }
 
     /// Processes one popped event: the livelock bound, then dispatch —
@@ -414,13 +450,11 @@ impl System {
     #[inline]
     fn step(&mut self, now: Cycle, event: Event) {
         if now.as_u64() > self.config.max_cycles {
-            let dump = self.dump_fdr("livelock");
-            panic!(
-                "simulation exceeded {} cycles: livelock or runaway protocol{}{}",
-                self.config.max_cycles,
-                self.context_suffix(),
-                dump_suffix(&dump),
+            let why = format!(
+                "simulation exceeded {} cycles: livelock or runaway protocol",
+                self.config.max_cycles
             );
+            self.fail("livelock", why);
         }
         if self.telemetry.is_some() {
             self.observed_dispatch(now, event);
@@ -533,26 +567,20 @@ impl System {
                 // more than the horizon when the scan fires is a liveness
                 // failure — this catches deadlocked misses that would
                 // otherwise only trip the (much larger) max_cycles bound.
-                let horizon = self
-                    .config
-                    .liveness_horizon
-                    .expect("watchdog event without an armed horizon");
+                let Some(horizon) = self.config.liveness_horizon else {
+                    unreachable!("watchdog event without an armed horizon");
+                };
                 let starved = self.cores.iter().enumerate().find_map(|(i, core)| {
-                    core.outstanding.and_then(|op| {
-                        let waited = now.saturating_since(core.outstanding_since);
-                        (waited > horizon).then_some((i, op, waited))
-                    })
+                    let waited = now.saturating_since(core.outstanding_since);
+                    Some((i, core.outstanding?, waited)).filter(|_| waited > horizon)
                 });
                 if let Some((i, op, waited)) = starved {
-                    let dump = self.dump_fdr("starvation watchdog");
-                    panic!(
+                    let why = format!(
                         "liveness violation: core {i} miss outstanding for \
-                         {waited} cycles (> horizon {horizon}) on {:?} {:?}{}{}",
-                        op.kind,
-                        op.addr,
-                        self.context_suffix(),
-                        dump_suffix(&dump),
+                         {waited} cycles (> horizon {horizon}) on {:?} {:?}",
+                        op.kind, op.addr,
                     );
+                    self.fail("starvation watchdog", why);
                 }
                 if self.cores.iter().any(|c| !c.finished) {
                     self.queue.push(now + horizon, Event::Watchdog);
@@ -611,34 +639,16 @@ impl System {
                     if countdown == 0 {
                         countdown = DEADLINE_CHECK_EVENTS;
                         if Instant::now() >= deadline {
-                            self.dump_fdr("wall-clock timeout");
+                            if let Some(telemetry) = &mut self.telemetry {
+                                telemetry.dump("wall-clock timeout");
+                            }
                             return Err(RunError::Timeout { limit });
                         }
                     }
                 }
             }
         }
-        // Forward-progress postconditions.
-        for (i, core) in self.cores.iter().enumerate() {
-            assert!(
-                core.finished && core.outstanding.is_none(),
-                "core {i} never finished: completed {} of {} ops (deadlock)",
-                core.ops_done,
-                self.quota()
-            );
-        }
-        for (i, node) in self.nodes.iter().enumerate() {
-            assert!(
-                node.is_quiescent(),
-                "controller {i} not quiescent at end of run"
-            );
-        }
-        assert_eq!(
-            self.auditor.tokens_in_flight(),
-            0,
-            "tokens still in flight after drain"
-        );
-        self.auditor.sweep(&self.nodes);
+        self.check_drained();
 
         if let Some(recorder) = self.recorder.take() {
             let path = self
@@ -698,18 +708,6 @@ fn class_of(event: &Event) -> (EventClass, u32) {
         Event::Arrival { node } => (EventClass::Arrival, node.index() as u32),
         Event::Watchdog => (EventClass::Watchdog, u32::MAX),
     }
-}
-
-/// The run's protocol display name, as its controllers report it.
-fn protocol_name(nodes: &[Box<dyn Controller + Send>]) -> &'static str {
-    nodes.first().map_or("?", |c| c.protocol_name())
-}
-
-/// Renders the flight-recorder pointer appended to oracle panics.
-fn dump_suffix(path: &Option<PathBuf>) -> String {
-    path.as_ref()
-        .map(|p| format!("; flight recorder: {}", p.display()))
-        .unwrap_or_default()
 }
 
 /// How many events [`System::try_run`] processes between wall-clock
@@ -952,5 +950,157 @@ mod tests {
         assert_eq!(results.len(), 3);
         let runtimes: Vec<u64> = results.iter().map(|r| r.runtime_cycles).collect();
         assert!(runtimes.windows(2).any(|w| w[0] != w[1]));
+    }
+
+    /// PATCH-All on four cores with a flight recorder in `dir`.
+    fn recorded(dir: &std::path::Path) -> SimConfig {
+        small(ProtocolKind::Patch)
+            .with_predictor(PredictorChoice::All)
+            .with_flight_recorder(dir)
+    }
+
+    /// `config`'s `System` stepped through its first `events` events.
+    fn stepped(config: SimConfig, events: usize) -> System {
+        let mut sys = System::new(config);
+        for _ in 0..events {
+            let (now, event) = sys.queue.pop().expect("the run is still going");
+            sys.step(now, event);
+        }
+        sys
+    }
+
+    /// Runs `exit` against a fresh recorder directory and returns its
+    /// failure line, having checked what every exit carries: the run
+    /// context, a non-empty token holder, and, last, the path of a dump
+    /// made under `reason`.
+    fn failure(name: &str, reason: &str, exit: impl FnOnce(&std::path::Path)) -> String {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let dir = std::env::temp_dir().join(format!("patchsim-{name}-{}", std::process::id()));
+        let panic = catch_unwind(AssertUnwindSafe(|| exit(&dir))).expect_err("the exit fires");
+        let line = panic
+            .downcast_ref::<String>()
+            .expect("a formatted panic")
+            .clone();
+        assert!(
+            line.contains(" [protocol=PATCH, fabric=torus, workload="),
+            "{line}"
+        );
+        assert!(line.contains(", seed=1]"), "{line}");
+        assert!(line.contains(" holders: P"), "{line}");
+        let (_, path) = line
+            .rsplit_once("; flight recorder: ")
+            .expect("a dump path");
+        assert!(path.ends_with(".fdr") && !path.contains("; "), "{line}");
+        let dump = std::fs::read_to_string(path).expect("the dump");
+        assert!(dump.contains(&format!("\"reason\":\"{reason}\"")), "{dump}");
+        std::fs::remove_dir_all(&dir).expect("remove the recorder directory");
+        line
+    }
+
+    #[test]
+    fn livelock_exit_names_the_run_and_its_stuck_misses() {
+        let line = failure("livelock", "livelock", |dir| {
+            let mut cfg = recorded(dir);
+            cfg.max_cycles = 10;
+            run(&cfg);
+        });
+        assert!(line.starts_with("simulation exceeded 10 cycles: livelock"));
+        assert!(line.contains("; core 0 "), "{line}");
+    }
+
+    #[test]
+    fn watchdog_exit_names_the_run_and_its_stuck_misses() {
+        let line = failure("watchdog", "starvation watchdog", |dir| {
+            run(&recorded(dir).with_liveness_horizon(10));
+        });
+        assert!(line.starts_with("liveness violation: core "), "{line}");
+    }
+
+    #[test]
+    fn late_completion_exit_names_the_run_and_its_stuck_misses() {
+        let line = failure("late-completion", "liveness violation", |dir| {
+            let mut sys = stepped(recorded(dir).with_liveness_horizon(1_000_000), 200);
+            let node = (0..4)
+                .map(NodeId::new)
+                .find(|n| sys.cores[n.index()].outstanding.is_some());
+            let node = node.expect("a miss is outstanding");
+            let op = sys.cores[node.index()].outstanding.expect("checked");
+            let completion = Completion {
+                addr: op.addr,
+                kind: op.kind,
+                version: 0,
+                issued_at: Cycle::ZERO,
+                marks: patchsim_protocol::SpanMarks::default(),
+            };
+            sys.finish_miss(node, completion, Cycle::new(2_000_000));
+        });
+        assert!(
+            line.starts_with("liveness violation: PATCH miss on core "),
+            "{line}"
+        );
+    }
+
+    #[test]
+    fn unfinished_core_exit_dumps_as_a_deadlock() {
+        let line = failure("unfinished", "deadlock", |dir| {
+            stepped(recorded(dir), 200).check_drained();
+        });
+        assert!(
+            line.starts_with("core 0 never finished: completed "),
+            "{line}"
+        );
+    }
+
+    #[test]
+    fn busy_controller_exit_names_the_blocks_in_flight() {
+        let line = failure("busy", "deadlock", |dir| {
+            // Step on until a block is split between the network and a node.
+            let mut sys = System::new(recorded(dir));
+            let split = |sys: &System| {
+                let mut blocks = sys.auditor.blocks_in_flight();
+                blocks.any(|(addr, _)| holders(&sys.nodes, addr) != "none")
+            };
+            while !split(&sys) {
+                let (now, event) = sys.queue.pop().expect("the run is still going");
+                sys.step(now, event);
+            }
+            for core in &mut sys.cores {
+                (core.finished, core.outstanding) = (true, None);
+            }
+            sys.check_drained();
+        });
+        assert!(line.contains(" not quiescent at end of run ["), "{line}");
+        assert!(line.contains(" in flight holders: P"), "{line}");
+    }
+
+    #[test]
+    fn stranded_tokens_exit_dumps_as_a_token_drain() {
+        use patchsim_mem::{BlockAddr, TokenSet};
+        use patchsim_protocol::MsgBody;
+
+        let line = failure("stranded", "token drain", |dir| {
+            // Tokens sent that nothing will deliver, with every controller
+            // idle: the one state that passes the two checks before.
+            let mut sys = System::new(recorded(dir));
+            let ack = MsgBody::Ack {
+                from: NodeId::new(1),
+                serial: 0,
+                tokens: TokenSet::plain(2),
+                activation: false,
+            };
+            sys.auditor.on_send(&Msg::new(BlockAddr::new(3), ack));
+            for core in &mut sys.cores {
+                core.finished = true;
+            }
+            sys.check_drained();
+        });
+        assert!(
+            line.starts_with("tokens still in flight after drain: 2 ["),
+            "{line}"
+        );
+        assert!(
+            line.contains("; 0x3 t=2 in flight holders: P3 t=4(+Oc)"),
+            "{line}"
+        );
     }
 }

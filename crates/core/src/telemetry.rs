@@ -525,9 +525,9 @@ impl Observer {
     }
 }
 
-/// The backstop for protocol-bug panics that do not pass through an
-/// explicit oracle dump site (invariant violations, quiescence failures):
-/// the flight recorder is dumped when a panic unwinds past the observer.
+/// The backstop for protocol-bug panics that do not pass through
+/// `System::fail` (coherence and token-audit violations): the flight
+/// recorder is dumped when a panic unwinds past the observer.
 impl Drop for Observer {
     fn drop(&mut self) {
         if std::thread::panicking() {

@@ -12,6 +12,8 @@
 //!    through the public scheduling callback: every scheduled event is a
 //!    source arrival (one per `send`), a hop arrival (one per link
 //!    traversal, which `TrafficStats` counts) or a link wake-up.
+//! 4. **Drops on multi-hop fabrics**: best-effort multicasts dropped
+//!    anywhere along their trees never cost a normal packet its delivery.
 
 use patchsim_kernel::{Cycle, EventQueue, SimRng};
 use patchsim_noc::{
@@ -413,4 +415,99 @@ fn unbounded_links_never_schedule_a_wakeup() {
     assert_eq!(run.busy_cycles, 0);
     // No serialization, no contention: all nine arrive together.
     assert!(run.deliveries.iter().all(|&(_, at)| at == 1 + 3));
+}
+
+// ---------------------------------------------------------------------------
+// Drops on multi-hop fabrics.
+// ---------------------------------------------------------------------------
+
+/// Seeded best-effort multicasts (hints, some of them broadcasts) mixed
+/// with normal unicasts on narrow links of an `n`-node `kind` fabric:
+/// every normal packet reaches its destination exactly once, no
+/// destination gets a best-effort packet twice or unasked, and the fabric
+/// drains. Returns the number of dropped packets.
+fn check_drops_strand_nothing(kind: FabricKind, n: u16, stale_after: u64) -> u64 {
+    let config = FabricConfig::new(kind, n)
+        .with_bandwidth(LinkBandwidth::BytesPerCycle(2.0))
+        .with_stale_drop_cycles(stale_after);
+    let mut net: Fabric<Probe> = Fabric::new(config);
+    let mut queue: EventQueue<NocEvent<Probe>> = EventQueue::new();
+    let mut rng = SimRng::from_seed(u64::from(n) ^ stale_after);
+    let packets = 4 * usize::from(n);
+    let mut sent = Vec::with_capacity(packets);
+    for _ in 0..packets {
+        let src = NodeId::new(rng.below(u64::from(n)) as u16);
+        let (dests, priority) = if rng.below(3) == 0 {
+            let dests = if rng.below(4) == 0 {
+                DestSet::all_except(n, src)
+            } else {
+                let picks = (0..1 + rng.below(8)).map(|_| rng.below(u64::from(n)) as u16);
+                DestSet::from_nodes(n, picks.map(NodeId::new).filter(|&d| d != src))
+            };
+            (dests, Priority::BestEffort)
+        } else {
+            let dst = (src.raw() + 1 + rng.below(u64::from(n) - 1) as u16) % n;
+            (DestSet::single(n, NodeId::new(dst)), Priority::Normal)
+        };
+        if dests.is_empty() {
+            continue;
+        }
+        let at = Cycle::new(rng.below(2 * u64::from(n)));
+        let size = [8, 72][rng.below(2) as usize];
+        let probe = Probe {
+            id: sent.len(),
+            size,
+        };
+        net.send(at, src, dests.clone(), priority, probe, &mut |at, ev| {
+            queue.push(at, ev)
+        });
+        sent.push((dests, priority));
+    }
+    let mut got: Vec<Vec<NodeId>> = vec![Vec::new(); sent.len()];
+    while let Some((now, ev)) = queue.pop() {
+        net.handle(
+            now,
+            ev,
+            &mut |at, ev| queue.push(at, ev),
+            &mut |node, probe: Probe| got[probe.id].push(node),
+        );
+    }
+    assert_eq!(net.queued_packets(), 0, "{kind}-{n}: the fabric drains");
+    for (id, ((dests, priority), mut reached)) in sent.into_iter().zip(got).enumerate() {
+        reached.sort_unstable();
+        let unique = reached.windows(2).all(|w| w[0] != w[1]);
+        assert!(
+            unique,
+            "{kind}-{n}: packet {id} delivered twice: {reached:?}"
+        );
+        assert!(
+            reached.iter().all(|&d| dests.contains(d)),
+            "{kind}-{n}: packet {id} reached a node it was not sent to"
+        );
+        if priority == Priority::Normal {
+            assert_eq!(reached.len(), 1, "{kind}-{n}: normal packet {id} stranded");
+        }
+    }
+    net.stats().dropped_packets()
+}
+
+/// Both multi-hop fabrics at `n` nodes, dropping every hint that waits
+/// at all and at the default bound.
+fn check_drops_on(n: u16) {
+    for kind in [FabricKind::Torus, FabricKind::Mesh2D] {
+        for stale_after in [0, FabricConfig::DEFAULT_STALE_DROP] {
+            let dropped = check_drops_strand_nothing(kind, n, stale_after);
+            assert!(dropped > 0, "{kind}-{n}/{stale_after}: no hint was dropped");
+        }
+    }
+}
+
+#[test]
+fn dropped_hints_never_strand_normal_packets_at_64_nodes() {
+    check_drops_on(64);
+}
+
+#[test]
+fn dropped_hints_never_strand_normal_packets_at_256_nodes() {
+    check_drops_on(256);
 }

@@ -59,7 +59,7 @@ use patchsim_noc::{DestSet, NodeId};
 /// and trains the predictor with the coherence traffic it observes:
 /// requests from other processors ([`Predictor::observe_request`]) and
 /// data/ack responses ([`Predictor::observe_response`]).
-pub trait Predictor {
+pub trait Predictor: std::fmt::Debug {
     /// The set of processors to send direct requests to for a miss on
     /// `addr` of kind `kind` issued by `requester`. Never includes
     /// `requester` itself. An empty set means "send no direct requests".

@@ -133,6 +133,7 @@ type DirHomeEntry = HomeEntry<u64, QueuedArrival>;
 /// node's slice of the distributed directory/memory.
 ///
 /// See the module-level documentation for the protocol description.
+#[derive(Debug)]
 pub struct DirectoryController {
     config: ProtocolConfig,
     id: NodeId,
@@ -147,16 +148,6 @@ pub struct DirectoryController {
     latency: LatencyEstimator,
     counters: ProtocolCounters,
     next_serial: u64,
-}
-
-impl std::fmt::Debug for DirectoryController {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DirectoryController")
-            .field("id", &self.id)
-            .field("demand", &self.demand)
-            .field("wb_pending", &self.wb.len())
-            .finish()
-    }
 }
 
 impl DirectoryController {

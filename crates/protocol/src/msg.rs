@@ -140,12 +140,10 @@ pub enum MsgBody {
     PersistentActivate {
         /// The starving node all tokens must flow to.
         starver: NodeId,
-        /// What the starver needs.
-        kind: AccessKind,
         /// The starver's transaction serial, as carried by its persistent
         /// request. On an unordered network this is what lets the starver
-        /// (and the arbiter, on deactivation) tell a live activation from
-        /// a stale one left over from an earlier miss on the same block.
+        /// tell a live activation from a stale one left over from an
+        /// earlier miss on the same block.
         serial: u64,
         /// The arbiter's count of activations for this block, this one
         /// included: a node drops an activation no newer than the newest
@@ -157,11 +155,9 @@ pub enum MsgBody {
     PersistentDeactivate {
         /// The node whose persistent request is done.
         starver: NodeId,
-        /// The transaction serial of the completed persistent request; a
-        /// late deactivation for an old serial must not clear a fresh
-        /// table entry for the same starver.
-        serial: u64,
-        /// The epoch of the activation this ends.
+        /// The epoch of the activation this ends: a node clears its table
+        /// entry only if that entry came from this epoch, so a late
+        /// deactivation never clears a fresh one.
         epoch: u64,
     },
 }

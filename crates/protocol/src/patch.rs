@@ -84,6 +84,7 @@ type PatchHomeEntry = HomeEntry<Memory, (AccessKind, NodeId, u64)>;
 /// slice of the distributed home.
 ///
 /// See the module-level documentation for the protocol description.
+#[derive(Debug)]
 pub struct PatchController {
     config: ProtocolConfig,
     id: NodeId,
@@ -103,15 +104,6 @@ pub struct PatchController {
     latency: LatencyEstimator,
     counters: ProtocolCounters,
     next_serial: u64,
-}
-
-impl std::fmt::Debug for PatchController {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PatchController")
-            .field("id", &self.id)
-            .field("open_tbes", &self.tbes.len())
-            .finish()
-    }
 }
 
 impl PatchController {

@@ -58,9 +58,9 @@ struct TbTbe {
     marks: SpanMarks,
 }
 
-/// A persistent request: the starver, what it needs, and the serial of
-/// the miss that invoked it.
-type Persistent = (NodeId, AccessKind, u64);
+/// A persistent request: the starver and the serial of the miss that
+/// invoked it.
+type Persistent = (NodeId, u64);
 
 /// Home-side persistent-request arbitration (centralized, per block).
 ///
@@ -69,7 +69,7 @@ type Persistent = (NodeId, AccessKind, u64);
 /// can never tear down a newer activation.
 #[derive(Debug, Default)]
 struct ArbEntry {
-    active: Option<Persistent>,
+    /// Persistent requests in arrival order; the head is the active one.
     queue: VecDeque<Persistent>,
     /// Activations broadcast for this block so far; the active one's is
     /// the latest.
@@ -81,6 +81,7 @@ struct ArbEntry {
 /// persistent-request arbiter.
 ///
 /// See the module-level documentation for the protocol description.
+#[derive(Debug)]
 pub struct TokenBController {
     config: ProtocolConfig,
     id: NodeId,
@@ -89,24 +90,15 @@ pub struct TokenBController {
     home: FxHashMap<BlockAddr, Memory>,
     arb: FxHashMap<BlockAddr, ArbEntry>,
     /// This node's persistent-request table: blocks whose tokens must be
-    /// forwarded to a starver, keyed with the activation's serial.
-    table: FxHashMap<BlockAddr, Persistent>,
+    /// forwarded to a starver, with the epoch of the activation that
+    /// entered it.
+    table: FxHashMap<BlockAddr, (NodeId, u64)>,
     /// The newest arbiter epoch seen per block, from either an activation
     /// or a deactivation.
     epochs: FxHashMap<BlockAddr, u64>,
     latency: LatencyEstimator,
     counters: ProtocolCounters,
     next_serial: u64,
-}
-
-impl std::fmt::Debug for TokenBController {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TokenBController")
-            .field("id", &self.id)
-            .field("demand", &self.demand)
-            .field("table_entries", &self.table.len())
-            .finish()
-    }
 }
 
 impl TokenBController {
@@ -252,7 +244,7 @@ impl TokenBController {
     ) {
         // Persistent-request table takes precedence: tokens for a starving
         // block are forwarded, not kept.
-        if let Some(&(starver, _, _)) = self.table.get(&addr) {
+        if let Some(&(starver, _)) = self.table.get(&addr) {
             if starver != self.id {
                 if !tokens.is_empty() {
                     self.send_tokens(addr, starver, 0, tokens, data_version.unwrap_or(0), out);
@@ -314,17 +306,15 @@ impl TokenBController {
     // Persistent requests
     // ------------------------------------------------------------------
 
-    /// Makes `next` the block's active persistent request and broadcasts
-    /// its activation under the block's next epoch.
-    fn arb_activate(&mut self, addr: BlockAddr, next: Persistent, out: &mut Outbox) {
+    /// Broadcasts the activation of the block's queue head, its active
+    /// persistent request, under the block's next epoch.
+    fn arb_activate(&mut self, addr: BlockAddr, out: &mut Outbox) {
         let n = self.n();
         let entry = self.arb.entry(addr).or_default();
-        entry.active = Some(next);
         entry.epoch += 1;
-        let (starver, kind, serial) = next;
+        let (starver, serial) = *entry.queue.front().expect("a request to activate");
         let activate = MsgBody::PersistentActivate {
             starver,
-            kind,
             serial,
             epoch: entry.epoch,
         };
@@ -343,12 +333,11 @@ impl TokenBController {
     fn handle_persistent_activate(
         &mut self,
         addr: BlockAddr,
-        request: Persistent,
+        (starver, serial): Persistent,
         epoch: u64,
         now: Cycle,
         out: &mut Outbox,
     ) {
-        let (starver, _, serial) = request;
         let fresh = self.note_epoch(addr, epoch);
         if starver == self.id {
             // Only the transaction that invoked this persistent request may
@@ -383,7 +372,7 @@ impl TokenBController {
         if !fresh {
             return;
         }
-        self.table.insert(addr, request);
+        self.table.insert(addr, (starver, epoch));
         if starver != self.id {
             // Surrender current cache holdings.
             if let Some((tokens, version)) = self.cache.take_all(addr) {
@@ -431,10 +420,9 @@ impl Controller for TokenBController {
                 if style == RequestStyle::Persistent {
                     // Home-side arbitration.
                     let entry = self.arb.entry(addr).or_default();
-                    if entry.active.is_none() {
-                        self.arb_activate(addr, (requester, kind, serial), out);
-                    } else {
-                        entry.queue.push_back((requester, kind, serial));
+                    entry.queue.push_back((requester, serial));
+                    if entry.queue.len() == 1 {
+                        self.arb_activate(addr, out);
                     }
                     return;
                 }
@@ -469,7 +457,7 @@ impl Controller for TokenBController {
                 // Tokens returned to memory. If a persistent request is
                 // active, funnel them onward to the starver.
                 let (n, id) = (self.n(), self.id);
-                let starver = self.table.get(&addr).map(|&(starver, _, _)| starver);
+                let starver = self.table.get(&addr).map(|&(starver, _)| starver);
                 let slice = self.home_slice(addr);
                 match starver {
                     Some(starver) => {
@@ -493,46 +481,39 @@ impl Controller for TokenBController {
                 // itself when it arrives (see PersistentActivate below).
                 let n = self.n();
                 let entry = self.arb.entry(addr).or_default();
-                if entry.active.map(|(node, _, s)| (node, s)) != Some((requester, serial)) {
+                if entry.queue.front() != Some(&(requester, serial)) {
                     return;
                 }
-                entry.active = None;
+                entry.queue.pop_front();
                 let deactivate = MsgBody::PersistentDeactivate {
                     starver: requester,
-                    serial,
                     epoch: entry.epoch,
                 };
                 out.send(DestSet::all(n), Msg::new(addr, deactivate));
-                if let Some(next) = entry.queue.pop_front() {
-                    self.arb_activate(addr, next, out);
+                if !entry.queue.is_empty() {
+                    self.arb_activate(addr, out);
                 }
             }
             MsgBody::PersistentActivate {
                 starver,
-                kind,
                 serial,
                 epoch,
             } => {
-                self.handle_persistent_activate(addr, (starver, kind, serial), epoch, now, out);
+                self.handle_persistent_activate(addr, (starver, serial), epoch, now, out);
             }
-            MsgBody::PersistentDeactivate {
-                starver,
-                serial,
-                epoch,
-            } => {
+            MsgBody::PersistentDeactivate { starver, epoch } => {
                 // Guarded removal: on an unordered network this broadcast
                 // can arrive after the *next* starver's activation; a late
-                // deactivation for an old starver (or an old serial of the
-                // same starver) must not clobber the fresh entry. Its epoch
-                // still counts as seen, so the activation it ends is
-                // dropped should it arrive later still.
+                // deactivation must not clobber the fresh entry. Each epoch
+                // names one activation, so only the entry's own epoch
+                // clears it. Its epoch still counts as seen, so the
+                // activation it ends is dropped should it arrive later still.
                 self.note_epoch(addr, epoch);
-                if self
-                    .table
-                    .get(&addr)
-                    .is_some_and(|&(active, _, s)| active == starver && s == serial)
-                {
-                    self.table.remove(&addr);
+                if let Some(&(active, entered)) = self.table.get(&addr) {
+                    if entered == epoch {
+                        debug_assert_eq!(active, starver, "one epoch, two starvers");
+                        self.table.remove(&addr);
+                    }
                 }
             }
             MsgBody::Fwd { .. } | MsgBody::Activation { .. } | MsgBody::WbAck => {
@@ -564,11 +545,7 @@ impl Controller for TokenBController {
     }
 
     fn is_quiescent(&self) -> bool {
-        self.demand.is_none()
-            && self
-                .arb
-                .values()
-                .all(|e| e.active.is_none() && e.queue.is_empty())
+        self.demand.is_none() && self.arb.values().all(|e| e.queue.is_empty())
     }
 
     fn held_tokens(&self, addr: BlockAddr) -> Option<TokenSet> {
@@ -831,7 +808,6 @@ mod tests {
                 a(2),
                 MsgBody::PersistentActivate {
                     starver: NodeId::new(3),
-                    kind: AccessKind::Write,
                     serial: 0,
                     epoch: 1,
                 },
@@ -865,7 +841,6 @@ mod tests {
                 a(2),
                 MsgBody::PersistentDeactivate {
                     starver: NodeId::new(3),
-                    serial: 0,
                     epoch: 1,
                 },
             ),
@@ -886,7 +861,6 @@ mod tests {
                 a(2),
                 MsgBody::PersistentActivate {
                     starver: NodeId::new(3),
-                    kind: AccessKind::Write,
                     serial: 0,
                     epoch: 1,
                 },

@@ -203,7 +203,6 @@ fn reordered_persistent_deactivate_does_not_clobber_next_starver() {
             addr,
             MsgBody::PersistentActivate {
                 starver: NodeId::new(3),
-                kind: AccessKind::Write,
                 serial: 0,
                 epoch: 2,
             },
@@ -218,7 +217,6 @@ fn reordered_persistent_deactivate_does_not_clobber_next_starver() {
             addr,
             MsgBody::PersistentDeactivate {
                 starver: NodeId::new(0),
-                serial: 0,
                 epoch: 1,
             },
         ),
@@ -282,7 +280,6 @@ fn stale_persistent_activation_is_released_by_starver() {
             addr,
             MsgBody::PersistentActivate {
                 starver: NodeId::new(1),
-                kind: AccessKind::Write,
                 serial: 5,
                 epoch: 1,
             },
@@ -415,7 +412,6 @@ fn clean_owner_put_is_redirected_to_the_starver_with_memorys_version() {
     deliver(&mut home, addr, request(AccessKind::Read, 3), 20);
     let activate = MsgBody::PersistentActivate {
         starver: NodeId::new(1),
-        kind: AccessKind::Write,
         serial: 1,
         epoch: 1,
     };
@@ -444,15 +440,10 @@ fn persistent_activation_after_its_deactivation_leaves_no_entry() {
     let mut c = tokenb(4, 1);
     let addr = BlockAddr::new(2);
     let (starver, serial, epoch) = (NodeId::new(3), 19, 1);
-    let deactivate = MsgBody::PersistentDeactivate {
-        starver,
-        serial,
-        epoch,
-    };
+    let deactivate = MsgBody::PersistentDeactivate { starver, epoch };
     deliver(&mut c, addr, deactivate, 10);
     let activate = MsgBody::PersistentActivate {
         starver,
-        kind: AccessKind::Write,
         serial,
         epoch,
     };
