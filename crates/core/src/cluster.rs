@@ -7,7 +7,7 @@ use patchsim_protocol::{
     build_controllers, Controller, CoreResponse, MemOp, Msg, Outbox, ProtocolConfig, TimerKey,
 };
 
-use crate::checker::{CoherenceChecker, TokenAuditor};
+use crate::checker::{holders, CoherenceChecker, TokenAuditor};
 
 /// `n` controllers with no fabric, event queue or clock between them:
 /// sent messages and armed timers pile up in [`Cluster::in_flight`] and
@@ -127,6 +127,13 @@ impl Cluster {
     /// The controller at `node`.
     pub fn node(&self, node: NodeId) -> &dyn Controller {
         &*self.nodes[node.index()]
+    }
+
+    /// Who holds `addr`'s tokens, in the format every failure line uses:
+    /// each node's non-empty holding (`P3 t=2(+Oc)`), `none` when all of
+    /// it is in flight, `untracked` under DIRECTORY.
+    pub fn holders(&self, addr: BlockAddr) -> String {
+        holders(&self.nodes, addr)
     }
 
     /// Asserts that no message is in flight, no token is unaccounted for
@@ -414,6 +421,18 @@ mod tests {
     fn a_silently_dropped_victim_trips_at_the_sweep() {
         let c = Cluster::with_mutant(&one_line_patch(), P1, Bug::DropsVictims);
         write_two_blocks(c).assert_quiescent();
+    }
+
+    #[test]
+    fn holders_lists_every_node_holding_the_block() {
+        let mut c = Cluster::new(&ProtocolConfig::new(ProtocolKind::Patch, N));
+        let addr = WRITE.addr;
+        assert_eq!(c.holders(addr), "P0 t=4(+Oc)", "untouched: all at home");
+        c.issue(P1, WRITE, Cycle::new(0));
+        c.drain(Cycle::new(10));
+        assert_eq!(c.holders(addr), "P1 t=4(+Od)");
+        let directory = Cluster::new(&ProtocolConfig::new(ProtocolKind::Directory, N));
+        assert_eq!(directory.holders(addr), "untracked");
     }
 
     /// A sweep failure names who still holds the block: here P2, whose

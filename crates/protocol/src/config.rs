@@ -189,10 +189,12 @@ impl ProtocolConfig {
     /// `1/num_nodes` slice of the working set. Clamped so degenerate
     /// hints can neither underprovision nor balloon memory.
     ///
-    /// Homes pre-size because they fill: a home entry, once created, stays
-    /// for the run, so a node's home table grows to its whole slice and
-    /// pre-sizing only spares the rehashes on the way. The transaction
-    /// tables start empty instead — PATCH's open misses and ignore windows,
+    /// Homes pre-size because they fill: a home entry (owner, sharers and
+    /// memory under DIRECTORY and PATCH, memory alone under TokenB), once
+    /// created, stays for the run, so a node's home table grows to its
+    /// whole slice and pre-sizing only spares the rehashes on the way. The
+    /// transaction tables start empty instead — the blocking home's busy
+    /// records and wait queues, PATCH's open misses and ignore windows,
     /// DIRECTORY's writebacks, TokenB's persistent-request table and
     /// arbiter. Their entries live while a transaction is open (the
     /// arbiter's, for blocks that ever starved), a node holds a handful at

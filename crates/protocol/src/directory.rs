@@ -37,7 +37,7 @@
 //! it reaches the head of the queue: an owner's writes memory back,
 //! anyone else's only leaves the sharer set.
 
-use patchsim_kernel::collections::{fx_map_with_capacity, FxHashMap};
+use patchsim_kernel::collections::FxHashMap;
 
 use patchsim_kernel::Cycle;
 use patchsim_mem::{AccessKind, BlockAddr, CacheArray, TokenSet};
@@ -48,7 +48,7 @@ use crate::controller::{
     resume, Completion, Controller, CoreResponse, MemOp, Outbox, ProtocolCounters, ProtocolGauges,
     SpanMarks, TimerKey,
 };
-use crate::home::HomeEntry;
+use crate::home::{BlockingHome, Home};
 use crate::{Msg, MsgBody, ProtocolConfig, RequestStyle};
 
 /// Stable cache states (I is represented by absence from the array).
@@ -112,9 +112,10 @@ struct DemandTbe {
     marks: SpanMarks,
 }
 
-/// A queued arrival at a busy home: either a request or a writeback.
+/// An arrival at the home that waits behind a busy block: either a request
+/// or a writeback.
 #[derive(Debug)]
-enum QueuedArrival {
+pub(crate) enum Arrival {
     Request {
         kind: AccessKind,
         requester: NodeId,
@@ -125,9 +126,6 @@ enum QueuedArrival {
         version: Option<u64>,
     },
 }
-
-/// A block's home entry; its memory is the last written-back version.
-type DirHomeEntry = HomeEntry<u64, QueuedArrival>;
 
 /// The DIRECTORY controller for one node: private cache side plus the
 /// node's slice of the distributed directory/memory.
@@ -143,7 +141,7 @@ pub struct DirectoryController {
     wb: FxHashMap<BlockAddr, DirLine>,
     /// A core op waiting for a writeback of the same block to finish.
     deferred: Option<MemOp>,
-    home: FxHashMap<BlockAddr, DirHomeEntry>,
+    home: Home<u64, Arrival>,
     migratory: MigratoryDetector,
     latency: LatencyEstimator,
     counters: ProtocolCounters,
@@ -153,17 +151,15 @@ pub struct DirectoryController {
 impl DirectoryController {
     /// Creates the controller for `node`.
     pub fn new(config: ProtocolConfig, node: NodeId) -> Self {
-        let cache = CacheArray::new(config.cache_geometry);
-        let home_cap = config.home_table_capacity();
         DirectoryController {
-            config,
+            cache: CacheArray::new(config.cache_geometry),
             id: node,
-            cache,
             demand: None,
             wb: FxHashMap::default(),
             deferred: None,
-            home: fx_map_with_capacity(home_cap),
-            migratory: MigratoryDetector::with_capacity(home_cap),
+            home: Home::new(&config, node, 0),
+            migratory: MigratoryDetector::with_capacity(config.home_table_capacity()),
+            config,
             latency: LatencyEstimator::default(),
             counters: ProtocolCounters::default(),
             next_serial: 0,
@@ -172,15 +168,6 @@ impl DirectoryController {
 
     fn n(&self) -> u16 {
         self.config.num_nodes
-    }
-
-    fn home_entry(&mut self, addr: BlockAddr) -> &mut DirHomeEntry {
-        debug_assert_eq!(addr.home(self.config.num_nodes), self.id);
-        let encoding = self.config.sharer_encoding;
-        let n = self.config.num_nodes;
-        self.home
-            .entry(addr)
-            .or_insert_with(|| HomeEntry::new(n, encoding, 0))
     }
 
     // ------------------------------------------------------------------
@@ -374,7 +361,7 @@ impl DirectoryController {
         } else {
             false
         };
-        let entry = self.home_entry(addr);
+        let entry = self.home.entry(addr);
         let invalidating = kind.is_write() || exclusive_grant;
         let owner = entry.owner;
         let targets = entry.forward_targets(n, requester, invalidating);
@@ -387,8 +374,9 @@ impl DirectoryController {
                 && targets.is_empty()
                 && entry.sharers.is_empty());
 
-        entry.activate(requester, serial, invalidating || exclusive);
         let mem_version = entry.memory;
+        self.home
+            .activate(addr, requester, serial, invalidating || exclusive);
 
         if !targets.is_empty() {
             let fwd_kind = kind;
@@ -462,8 +450,8 @@ impl DirectoryController {
     ) {
         let n = self.n();
         let dir_latency = self.config.dir_latency;
-        let entry = self.home_entry(addr);
-        debug_assert!(entry.busy.is_none());
+        debug_assert_eq!(self.home.active(addr), None);
+        let entry = self.home.entry(addr);
         if entry.owner == Some(node) {
             if let Some(v) = version {
                 entry.memory = v;
@@ -473,41 +461,24 @@ impl DirectoryController {
         entry.sharers.remove_if_exact(node);
         out.send_one_after(n, node, dir_latency, Msg::new(addr, MsgBody::WbAck));
     }
+}
 
-    /// Completes the busy transaction and drains the queue until it
-    /// blocks on the next request.
-    fn process_deactivate(
-        &mut self,
-        addr: BlockAddr,
-        requester: NodeId,
-        serial: u64,
-        out: &mut Outbox,
-    ) {
-        // DIRECTORY's requesters always take ownership.
-        self.home_entry(addr).deactivate(requester, serial, true);
-        self.drain_queue(addr, out);
+impl BlockingHome for DirectoryController {
+    type Memory = u64;
+    type Arrival = Arrival;
+
+    fn home_mut(&mut self) -> &mut Home<u64, Arrival> {
+        &mut self.home
     }
 
-    fn drain_queue(&mut self, addr: BlockAddr, out: &mut Outbox) {
-        loop {
-            let entry = self.home_entry(addr);
-            if entry.busy.is_some() {
-                return;
-            }
-            let Some(next) = entry.queue.pop_front() else {
-                return;
-            };
-            match next {
-                QueuedArrival::Put { node, version } => self.process_put(addr, node, version, out),
-                QueuedArrival::Request {
-                    kind,
-                    requester,
-                    serial,
-                } => {
-                    self.activate_request(addr, kind, requester, serial, out);
-                    return;
-                }
-            }
+    fn serve(&mut self, addr: BlockAddr, arrival: Arrival, out: &mut Outbox) {
+        match arrival {
+            Arrival::Request {
+                kind,
+                requester,
+                serial,
+            } => self.activate_request(addr, kind, requester, serial, out),
+            Arrival::Put { node, version } => self.process_put(addr, node, version, out),
         }
     }
 }
@@ -560,29 +531,21 @@ impl Controller for DirectoryController {
                     RequestStyle::Indirect,
                     "DIRECTORY has no direct requests"
                 );
-                let entry = self.home_entry(addr);
-                if entry.busy.is_some() {
-                    entry.queue.push_back(QueuedArrival::Request {
-                        kind,
-                        requester,
-                        serial,
-                    });
-                } else {
-                    self.activate_request(addr, kind, requester, serial, out);
-                }
+                let request = Arrival::Request {
+                    kind,
+                    requester,
+                    serial,
+                };
+                self.arrive(addr, request, out);
             }
             MsgBody::Put { node, version, .. } => {
-                let entry = self.home_entry(addr);
-                if entry.busy.is_some() {
-                    entry.queue.push_back(QueuedArrival::Put { node, version });
-                } else {
-                    self.process_put(addr, node, version, out);
-                }
+                self.arrive(addr, Arrival::Put { node, version }, out);
             }
             MsgBody::Deactivate {
                 requester, serial, ..
             } => {
-                self.process_deactivate(addr, requester, serial, out);
+                // DIRECTORY's requesters always take ownership.
+                self.retire(addr, requester, serial, true, out);
             }
 
             // ---------------- cache side ----------------
@@ -672,7 +635,7 @@ impl Controller for DirectoryController {
         self.demand.is_none()
             && self.wb.is_empty()
             && self.deferred.is_none()
-            && self.home.values().all(HomeEntry::is_idle)
+            && self.home.is_idle()
     }
 
     fn held_tokens(&self, _addr: BlockAddr) -> Option<TokenSet> {
@@ -713,10 +676,11 @@ mod tests {
         BlockAddr::new(n)
     }
 
-    /// The home table holds one entry per touched block.
+    /// The home table holds one entry per touched block; its memory is
+    /// the last written-back version.
     #[test]
     fn home_entry_layout_is_pinned() {
-        assert!(std::mem::size_of::<DirHomeEntry>() <= 104);
+        assert!(std::mem::size_of::<crate::home::HomeEntry<u64>>() <= 56);
     }
 
     #[test]
@@ -838,7 +802,7 @@ mod tests {
         let mut home = ctrl(4, 0);
         // Prime the directory: owner P1, sharers {P2, P3}.
         {
-            let entry = home.home_entry(a(0));
+            let entry = home.home.entry(a(0));
             entry.owner = Some(NodeId::new(1));
             entry.sharers.insert(NodeId::new(2));
             entry.sharers.insert(NodeId::new(3));
@@ -1001,6 +965,43 @@ mod tests {
         let mut out = Outbox::new();
         c.handle_message(Msg::new(a(0), MsgBody::WbAck), Cycle::new(10), &mut out);
         assert!(c.is_quiescent());
+    }
+
+    #[test]
+    fn a_blocked_home_is_not_quiescent_until_its_queued_put_is_served() {
+        let mut home = ctrl(4, 0);
+        let mut out = Outbox::new();
+        let request = MsgBody::Request {
+            kind: AccessKind::Write,
+            requester: NodeId::new(1),
+            serial: 0,
+            style: RequestStyle::Indirect,
+        };
+        home.handle_message(Msg::new(a(0), request), Cycle::ZERO, &mut out);
+        assert!(!home.is_quiescent(), "a request is active");
+        // P2's writeback arrives while P1's write is active: it waits.
+        let mut out = Outbox::new();
+        let put = MsgBody::Put {
+            node: NodeId::new(2),
+            tokens: TokenSet::empty(),
+            version: None,
+        };
+        home.handle_message(Msg::new(a(0), put), Cycle::new(5), &mut out);
+        assert!(out.sends.is_empty(), "the writeback is queued, not acked");
+        assert!(!home.is_quiescent());
+        // Retiring P1 serves the writeback and leaves the home idle.
+        let mut out = Outbox::new();
+        let deactivate = MsgBody::Deactivate {
+            requester: NodeId::new(1),
+            serial: 0,
+            new_owner: true,
+        };
+        home.handle_message(Msg::new(a(0), deactivate), Cycle::new(50), &mut out);
+        assert_eq!(out.sends.len(), 1);
+        assert!(matches!(out.sends[0].msg.body, MsgBody::WbAck));
+        assert_eq!(out.sends[0].dests.as_single(), Some(NodeId::new(2)));
+        assert!(home.is_quiescent());
+        assert_eq!(home.gauges().home_entries, 1, "the durable entry stays");
     }
 
     #[test]

@@ -42,7 +42,7 @@
 //!   for the block immediately bounces them to the home. Tenured owner
 //!   tokens therefore only rest at caches the directory knows about.
 
-use patchsim_kernel::collections::{fx_map_with_capacity, FxHashMap};
+use patchsim_kernel::collections::FxHashMap;
 
 use patchsim_kernel::Cycle;
 use patchsim_mem::{AccessKind, BlockAddr, TokenSet};
@@ -54,7 +54,7 @@ use crate::controller::{
     resume, Completion, Controller, CoreResponse, MemOp, Outbox, ProtocolCounters, ProtocolGauges,
     SpanMarks, TimerKey, TimerKind,
 };
-use crate::home::HomeEntry;
+use crate::home::{BlockingHome, Home};
 use crate::tokens::{put_home, token_reply, Memory, TokenCache};
 use crate::{Msg, MsgBody, ProtocolConfig, RequestStyle};
 
@@ -75,10 +75,9 @@ struct PatchTbe {
     marks: SpanMarks,
 }
 
-/// A block's home entry: memory holds tokens, and only requests — as
-/// `(kind, requester, serial)` — queue behind a busy block (returned tokens
-/// are redirected at once).
-type PatchHomeEntry = HomeEntry<Memory, (AccessKind, NodeId, u64)>;
+/// A request waiting behind a busy block, as `(kind, requester, serial)`.
+/// Only requests wait: returned tokens are redirected at once.
+type Arrival = (AccessKind, NodeId, u64);
 
 /// The PATCH controller for one node: private cache side plus the node's
 /// slice of the distributed home.
@@ -95,7 +94,7 @@ pub struct PatchController {
     tbes: FxHashMap<BlockAddr, PatchTbe>,
     /// A core op waiting for this block's open transaction to close.
     deferred: Option<MemOp>,
-    home: FxHashMap<BlockAddr, PatchHomeEntry>,
+    home: Home<Memory, Arrival>,
     /// Blocks whose post-deactivation direct-request ignore window is
     /// still open (maps to the window's end).
     deact_windows: FxHashMap<BlockAddr, Cycle>,
@@ -121,18 +120,16 @@ impl PatchController {
         node: NodeId,
         predictor: Box<dyn Predictor + Send>,
     ) -> Self {
-        let cache = TokenCache::new(config.cache_geometry, config.total_tokens);
-        let home_cap = config.home_table_capacity();
         PatchController {
-            config,
+            cache: TokenCache::new(config.cache_geometry, config.total_tokens),
             id: node,
-            cache,
             tbes: FxHashMap::default(),
             deferred: None,
-            home: fx_map_with_capacity(home_cap),
+            home: Home::new(&config, node, Memory::full(config.total_tokens)),
             deact_windows: FxHashMap::default(),
             predictor,
-            migratory: MigratoryDetector::with_capacity(home_cap),
+            migratory: MigratoryDetector::with_capacity(config.home_table_capacity()),
+            config,
             latency: LatencyEstimator::default(),
             counters: ProtocolCounters::default(),
             next_serial: 0,
@@ -141,16 +138,6 @@ impl PatchController {
 
     fn n(&self) -> u16 {
         self.config.num_nodes
-    }
-
-    fn home_entry(&mut self, addr: BlockAddr) -> &mut PatchHomeEntry {
-        debug_assert_eq!(addr.home(self.config.num_nodes), self.id);
-        let encoding = self.config.sharer_encoding;
-        let n = self.config.num_nodes;
-        let total = self.config.total_tokens;
-        self.home
-            .entry(addr)
-            .or_insert_with(|| HomeEntry::new(n, encoding, Memory::full(total)))
     }
 
     fn tenure_timeout(&self) -> u64 {
@@ -424,9 +411,8 @@ impl PatchController {
             false
         };
         let invalidating = kind.is_write() || exclusive;
-        let entry = self.home_entry(addr);
+        let entry = self.home.entry(addr);
         let fwd_targets = entry.forward_targets(n, requester, invalidating);
-        entry.activate(requester, serial, invalidating);
 
         // The home contributes everything it holds, with the activation
         // bit riding along; if it holds nothing, a standalone activation
@@ -443,6 +429,7 @@ impl PatchController {
                 (Msg::new(addr, activation), dir_latency)
             }
         };
+        self.home.activate(addr, requester, serial, invalidating);
         out.send_one_after(n, requester, delay, msg);
 
         if !fwd_targets.is_empty() {
@@ -478,16 +465,17 @@ impl PatchController {
         let n = self.n();
         let id = self.id;
         let dir_latency = self.config.dir_latency;
-        let entry = self.home_entry(addr);
+        let active = self.home.active(addr);
+        let entry = self.home.entry(addr);
         entry.sharers.remove_if_exact(node);
-        if let Some(busy) = &entry.busy {
+        if let Some((requester, serial)) = active {
             // Redirect everything to the active requester — including a
             // requester's own discarded tokens coming back after a tenure
             // timeout that raced its activation.
             let redirect = entry
                 .memory
-                .redirect(addr, id, busy.serial, tokens, version, true);
-            out.send_one_after(n, busy.requester, dir_latency, redirect);
+                .redirect(addr, id, serial, tokens, version, true);
+            out.send_one_after(n, requester, dir_latency, redirect);
         } else {
             // Absorb into memory. If the returning node was the
             // directory's owner pointer, ownership reverts to memory.
@@ -497,30 +485,18 @@ impl PatchController {
             entry.memory.absorb(tokens, version);
         }
     }
+}
 
-    fn process_deactivate(
-        &mut self,
-        addr: BlockAddr,
-        requester: NodeId,
-        serial: u64,
-        new_owner: bool,
-        out: &mut Outbox,
-    ) {
-        // Requesters always keep at least one token on completion, so one
-        // that did not become the owner is tracked as a sharer.
-        self.home_entry(addr)
-            .deactivate(requester, serial, new_owner);
-        self.drain_queue(addr, out);
+impl BlockingHome for PatchController {
+    type Memory = Memory;
+    type Arrival = Arrival;
+
+    fn home_mut(&mut self) -> &mut Home<Memory, Arrival> {
+        &mut self.home
     }
 
-    fn drain_queue(&mut self, addr: BlockAddr, out: &mut Outbox) {
-        let entry = self.home_entry(addr);
-        if entry.busy.is_some() {
-            return;
-        }
-        if let Some((kind, requester, serial)) = entry.queue.pop_front() {
-            self.activate_request(addr, kind, requester, serial, out);
-        }
+    fn serve(&mut self, addr: BlockAddr, (kind, requester, serial): Arrival, out: &mut Outbox) {
+        self.activate_request(addr, kind, requester, serial, out);
     }
 }
 
@@ -552,12 +528,7 @@ impl Controller for PatchController {
                 serial,
                 style: RequestStyle::Indirect,
             } => {
-                let entry = self.home_entry(addr);
-                if entry.busy.is_some() {
-                    entry.queue.push_back((kind, requester, serial));
-                } else {
-                    self.activate_request(addr, kind, requester, serial, out);
-                }
+                self.arrive(addr, (kind, requester, serial), out);
             }
             MsgBody::Put {
                 node,
@@ -572,7 +543,10 @@ impl Controller for PatchController {
                 serial,
                 new_owner,
             } => {
-                self.process_deactivate(addr, requester, serial, new_owner, out);
+                // Requesters always keep at least one token on completion,
+                // so one that did not become the owner is tracked as a
+                // sharer.
+                self.retire(addr, requester, serial, new_owner, out);
             }
 
             // ------------- cache side -------------
@@ -685,16 +659,13 @@ impl Controller for PatchController {
     }
 
     fn is_quiescent(&self) -> bool {
-        self.tbes.is_empty()
-            && self.deferred.is_none()
-            && self.home.values().all(HomeEntry::is_idle)
+        self.tbes.is_empty() && self.deferred.is_none() && self.home.is_idle()
     }
 
     fn held_tokens(&self, addr: BlockAddr) -> Option<TokenSet> {
         let mut held = self.cache.held(addr);
         if addr.home(self.config.num_nodes) == self.id {
-            let untouched = Memory::full(self.config.total_tokens);
-            held.merge(self.home.get(&addr).map_or(untouched, |e| e.memory).tokens);
+            held.merge(self.home.memory(addr).tokens);
         }
         Some(held)
     }
@@ -739,11 +710,12 @@ mod tests {
         c.cache.absorb(addr, tokens, Some(version), true);
     }
 
-    /// The home table holds one entry per touched block.
+    /// The home table holds one entry per touched block; its memory holds
+    /// tokens.
     #[test]
     fn home_entry_layout_is_pinned() {
         assert_eq!(std::mem::size_of::<Memory>(), 16);
-        assert!(std::mem::size_of::<PatchHomeEntry>() <= 112);
+        assert!(std::mem::size_of::<crate::home::HomeEntry<Memory>>() <= 64);
     }
 
     #[test]
@@ -1081,6 +1053,41 @@ mod tests {
         let redirect = &out.sends[0];
         assert_eq!(redirect.dests.as_single(), Some(NodeId::new(1)));
         assert_eq!(redirect.msg.tokens().count(), 2);
+    }
+
+    #[test]
+    fn a_blocked_home_is_not_quiescent_until_its_last_request_retires() {
+        let mut home = ctrl(4, 0);
+        let request = |r: u16| {
+            let body = MsgBody::Request {
+                kind: AccessKind::Write,
+                requester: NodeId::new(r),
+                serial: 0,
+                style: RequestStyle::Indirect,
+            };
+            Msg::new(a(0), body)
+        };
+        let deactivate = |r: u16| {
+            let body = MsgBody::Deactivate {
+                requester: NodeId::new(r),
+                serial: 0,
+                new_owner: true,
+            };
+            Msg::new(a(0), body)
+        };
+        let mut out = Outbox::new();
+        home.handle_message(request(1), Cycle::ZERO, &mut out);
+        home.handle_message(request(2), Cycle::ZERO, &mut out);
+        assert!(!home.is_quiescent());
+        // P2's request is activated by P1's retirement, not before.
+        let mut out = Outbox::new();
+        home.handle_message(deactivate(1), Cycle::new(50), &mut out);
+        assert!(!home.is_quiescent(), "P2's request is now active");
+        assert!(out.sends.iter().any(|s| {
+            matches!(s.msg.body, MsgBody::Fwd { requester, .. } if requester == NodeId::new(2))
+        }));
+        home.handle_message(deactivate(2), Cycle::new(90), &mut Outbox::new());
+        assert!(home.is_quiescent());
     }
 
     #[test]

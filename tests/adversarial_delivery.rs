@@ -125,15 +125,8 @@ impl Scheduler {
             eprintln!("timer at {node}, due {deadline}: {key:?}");
         }
         for b in 0..BLOCKS {
-            for i in 0..self.ops_left.len() {
-                let node = self.cluster.node(NodeId::new(i as u16));
-                if let Some(t) = node
-                    .held_tokens(BlockAddr::new(b))
-                    .filter(|t| !t.is_empty())
-                {
-                    eprintln!("block {b}: node {i} holds {t}");
-                }
-            }
+            let holders = self.cluster.holders(BlockAddr::new(b));
+            eprintln!("block {b} holders: {holders}");
         }
     }
 }
