@@ -1,8 +1,7 @@
 //! Helpers shared by the protocol implementations.
 
-use patchsim_kernel::collections::{fx_map_with_capacity, FxHashMap};
 use patchsim_kernel::stats::Ewma;
-use patchsim_mem::{AccessKind, BlockAddr};
+use patchsim_mem::AccessKind;
 use patchsim_noc::NodeId;
 
 /// A running estimate of miss round-trip latency, used for PATCH's
@@ -42,78 +41,39 @@ impl Default for LatencyEstimator {
     }
 }
 
-/// Per-block migratory-sharing detection at the home (§5.1: DIRECTORY
-/// "supports ... a migratory sharing optimization", which PATCH inherits).
+/// A block's migratory-sharing state at its home (§5.1: DIRECTORY
+/// "supports ... a migratory sharing optimization", which PATCH inherits);
+/// one field of the block's home entry.
 ///
 /// The classic pattern is a chain of read-modify-write pairs by different
-/// processors. Detection: a write by the same processor that issued the
-/// immediately preceding read marks the block migratory; from then on
-/// reads are upgraded to exclusive grants, so each processor's pair costs
-/// one miss instead of two. Two plain reads in a row mark the block as
-/// genuinely shared again.
-#[derive(Debug, Default)]
-pub struct MigratoryDetector {
-    state: FxHashMap<BlockAddr, MigState>,
+/// processors. A write by the processor that issued the immediately
+/// preceding request, a read, marks the block migratory; from then on
+/// every read is upgraded to an exclusive grant, so each processor's pair
+/// costs one miss instead of two. `Migratory` is terminal: no later read
+/// or write, by any node, makes the block shared again.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Sharing {
+    /// No request observed yet.
+    Untouched,
+    /// The last request observed, by whom.
+    Last(NodeId, AccessKind),
+    /// Reads are upgraded, for good.
+    Migratory,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct MigState {
-    last: Option<(NodeId, AccessKind)>,
-    migratory: bool,
-}
-
-impl MigratoryDetector {
-    /// Creates an empty detector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty detector pre-sized for `capacity` tracked blocks.
-    pub fn with_capacity(capacity: usize) -> Self {
-        MigratoryDetector {
-            state: fx_map_with_capacity(capacity),
+impl Sharing {
+    /// Records a request the home is about to activate and returns whether
+    /// it is a read to upgrade to an exclusive grant.
+    pub fn observe(&mut self, requester: NodeId, kind: AccessKind) -> bool {
+        if *self == Sharing::Migratory {
+            return kind == AccessKind::Read;
         }
-    }
-
-    /// Records a request the home is about to process and returns whether
-    /// a read should be upgraded to an exclusive grant. `effective_kind`
-    /// should be what the requester will effectively receive (reads that
-    /// get upgraded count as writes for subsequent pattern detection).
-    pub fn observe(&mut self, addr: BlockAddr, requester: NodeId, kind: AccessKind) -> bool {
-        let entry = self.state.entry(addr).or_insert(MigState {
-            last: None,
-            migratory: false,
-        });
-        match kind {
-            AccessKind::Write => {
-                if let Some((prev_node, AccessKind::Read)) = entry.last {
-                    if prev_node == requester {
-                        entry.migratory = true;
-                    }
-                }
-                entry.last = Some((requester, AccessKind::Write));
-                false
-            }
-            AccessKind::Read => {
-                if entry.migratory {
-                    // Upgrade to exclusive; record as a write so the chain
-                    // is not broken by the next processor's read.
-                    entry.last = Some((requester, AccessKind::Write));
-                    true
-                } else {
-                    if let Some((_, AccessKind::Read)) = entry.last {
-                        entry.migratory = false;
-                    }
-                    entry.last = Some((requester, AccessKind::Read));
-                    false
-                }
-            }
-        }
-    }
-
-    /// Whether `addr` is currently classified migratory.
-    pub fn is_migratory(&self, addr: BlockAddr) -> bool {
-        self.state.get(&addr).is_some_and(|s| s.migratory)
+        *self = if kind.is_write() && *self == Sharing::Last(requester, AccessKind::Read) {
+            Sharing::Migratory
+        } else {
+            Sharing::Last(requester, kind)
+        };
+        false
     }
 }
 
@@ -121,9 +81,6 @@ impl MigratoryDetector {
 mod tests {
     use super::*;
 
-    fn a(n: u64) -> BlockAddr {
-        BlockAddr::new(n)
-    }
     fn p(n: u16) -> NodeId {
         NodeId::new(n)
     }
@@ -139,46 +96,52 @@ mod tests {
 
     #[test]
     fn detects_read_write_pair() {
-        let mut d = MigratoryDetector::new();
-        assert!(!d.observe(a(1), p(0), AccessKind::Read));
-        assert!(!d.observe(a(1), p(0), AccessKind::Write));
-        assert!(d.is_migratory(a(1)));
+        let mut s = Sharing::Untouched;
+        assert!(!s.observe(p(0), AccessKind::Read));
+        assert!(!s.observe(p(0), AccessKind::Write));
+        assert_eq!(s, Sharing::Migratory);
         // Next processor's read is upgraded.
-        assert!(d.observe(a(1), p(1), AccessKind::Read));
+        assert!(s.observe(p(1), AccessKind::Read));
         // And the chain continues to a third processor.
-        assert!(d.observe(a(1), p(2), AccessKind::Read));
+        assert!(s.observe(p(2), AccessKind::Read));
     }
 
     #[test]
     fn different_processors_do_not_trigger() {
-        let mut d = MigratoryDetector::new();
-        d.observe(a(1), p(0), AccessKind::Read);
-        d.observe(a(1), p(1), AccessKind::Write);
-        assert!(!d.is_migratory(a(1)), "read and write by different nodes");
+        let mut s = Sharing::Untouched;
+        s.observe(p(0), AccessKind::Read);
+        s.observe(p(1), AccessKind::Write);
+        assert_ne!(s, Sharing::Migratory, "read and write by different nodes");
     }
 
     #[test]
-    fn two_reads_break_migratory() {
-        let mut d = MigratoryDetector::new();
-        d.observe(a(1), p(0), AccessKind::Read);
-        d.observe(a(1), p(0), AccessKind::Write);
-        assert!(d.is_migratory(a(1)));
-        // An upgraded read counts as a write, so break the pattern with a
-        // block that was never migratory.
-        let mut d2 = MigratoryDetector::new();
-        d2.observe(a(2), p(0), AccessKind::Read);
-        d2.observe(a(2), p(1), AccessKind::Read);
-        d2.observe(a(2), p(1), AccessKind::Write); // prev read was same node? no: p1 read then p1 write
-        assert!(d2.is_migratory(a(2)));
+    fn migratory_is_terminal() {
+        let mut s = Sharing::Untouched;
+        s.observe(p(0), AccessKind::Read);
+        s.observe(p(0), AccessKind::Write);
+        // Reads and writes by any node, the first migrant included, keep
+        // the block migratory: every read is upgraded, no write is.
+        for (node, kind) in [
+            (0, AccessKind::Read),
+            (1, AccessKind::Read),
+            (1, AccessKind::Read),
+            (2, AccessKind::Write),
+            (3, AccessKind::Write),
+            (3, AccessKind::Read),
+            (0, AccessKind::Write),
+        ] {
+            assert_eq!(s.observe(p(node), kind), kind == AccessKind::Read);
+            assert_eq!(s, Sharing::Migratory);
+        }
     }
 
     #[test]
     fn blocks_are_independent() {
-        let mut d = MigratoryDetector::new();
-        d.observe(a(1), p(0), AccessKind::Read);
-        d.observe(a(1), p(0), AccessKind::Write);
-        assert!(d.is_migratory(a(1)));
-        assert!(!d.is_migratory(a(2)));
-        assert!(!d.observe(a(2), p(1), AccessKind::Read));
+        let (mut s1, mut s2) = (Sharing::Untouched, Sharing::Untouched);
+        s1.observe(p(0), AccessKind::Read);
+        s1.observe(p(0), AccessKind::Write);
+        assert_eq!(s1, Sharing::Migratory);
+        assert_eq!(s2, Sharing::Untouched);
+        assert!(!s2.observe(p(1), AccessKind::Read));
     }
 }

@@ -189,14 +189,14 @@ impl ProtocolConfig {
     /// `1/num_nodes` slice of the working set. Clamped so degenerate
     /// hints can neither underprovision nor balloon memory.
     ///
-    /// Homes pre-size because they fill: a home entry (owner, sharers and
-    /// memory under DIRECTORY and PATCH, memory alone under TokenB), once
-    /// created, stays for the run, so a node's home table grows to its
-    /// whole slice and pre-sizing only spares the rehashes on the way. The
-    /// transaction tables start empty instead — the blocking home's busy
-    /// records and wait queues, PATCH's open misses and ignore windows,
-    /// DIRECTORY's writebacks, TokenB's persistent-request table and
-    /// arbiter. Their entries live while a transaction is open (the
+    /// Homes pre-size because they fill: a home entry (owner, sharers,
+    /// memory and migratory state under DIRECTORY and PATCH, memory alone
+    /// under TokenB), once created, stays for the run, so a node's home
+    /// table grows to its whole slice and pre-sizing only spares the
+    /// rehashes on the way. The transaction tables start empty instead —
+    /// the blocking home's busy records and wait queues, PATCH's open
+    /// misses and ignore windows, DIRECTORY's writebacks, TokenB's
+    /// persistent-request table and arbiter. Their entries live while a transaction is open (the
     /// arbiter's, for blocks that ever starved), a node holds a handful at
     /// once, and capacity reserved for more is resident memory no run uses.
     pub fn home_table_capacity(&self) -> usize {

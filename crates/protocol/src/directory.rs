@@ -41,14 +41,14 @@ use patchsim_kernel::collections::FxHashMap;
 
 use patchsim_kernel::Cycle;
 use patchsim_mem::{AccessKind, BlockAddr, CacheArray, TokenSet};
-use patchsim_noc::NodeId;
+use patchsim_noc::{NodeId, Priority};
 
-use crate::common::{LatencyEstimator, MigratoryDetector};
+use crate::common::LatencyEstimator;
 use crate::controller::{
     resume, Completion, Controller, CoreResponse, MemOp, Outbox, ProtocolCounters, ProtocolGauges,
     SpanMarks, TimerKey,
 };
-use crate::home::{BlockingHome, Home};
+use crate::home::{BlockingHome, Home, Opening};
 use crate::{Msg, MsgBody, ProtocolConfig, RequestStyle};
 
 /// Stable cache states (I is represented by absence from the array).
@@ -142,7 +142,6 @@ pub struct DirectoryController {
     /// A core op waiting for a writeback of the same block to finish.
     deferred: Option<MemOp>,
     home: Home<u64, Arrival>,
-    migratory: MigratoryDetector,
     latency: LatencyEstimator,
     counters: ProtocolCounters,
     next_serial: u64,
@@ -158,7 +157,6 @@ impl DirectoryController {
             wb: FxHashMap::default(),
             deferred: None,
             home: Home::new(&config, node, 0),
-            migratory: MigratoryDetector::with_capacity(config.home_table_capacity()),
             config,
             latency: LatencyEstimator::default(),
             counters: ProtocolCounters::default(),
@@ -352,87 +350,55 @@ impl DirectoryController {
         serial: u64,
         out: &mut Outbox,
     ) {
-        let dir_latency = self.config.dir_latency;
-        let dram_latency = self.config.dram_latency;
-        let migratory_opt = self.config.migratory_opt;
-        let n = self.n();
-        let exclusive_grant = if migratory_opt {
-            self.migratory.observe(addr, requester, kind)
-        } else {
-            false
-        };
-        let entry = self.home.entry(addr);
-        let invalidating = kind.is_write() || exclusive_grant;
-        let owner = entry.owner;
-        let targets = entry.forward_targets(n, requester, invalidating);
-        let owner_responds = owner.is_some() && owner != Some(requester);
+        let (n, dir_latency) = (self.n(), self.config.dir_latency);
+        let Opening {
+            entry,
+            exclusive: upgraded,
+            invalidating,
+            targets,
+        } = self.home.open(addr, requester, kind);
+        let (owner, mem_version) = (entry.owner, entry.memory);
+        let owner_responds = owner.is_some_and(|o| o != requester);
         let acks_expected = (targets.len() as u32).saturating_sub(u32::from(owner_responds));
-
-        let exclusive = exclusive_grant
-            || (kind == AccessKind::Read
-                && owner.is_none()
-                && targets.is_empty()
-                && entry.sharers.is_empty());
-
-        let mem_version = entry.memory;
+        // A read of a block nobody holds is granted exclusively (E).
+        let exclusive =
+            upgraded || (kind == AccessKind::Read && owner.is_none() && entry.sharers.is_empty());
         self.home
             .activate(addr, requester, serial, invalidating || exclusive);
 
         if !targets.is_empty() {
-            let fwd_kind = kind;
-            out.send_with(
-                targets,
-                patchsim_noc::Priority::Normal,
-                dir_latency,
-                Msg::new(
-                    addr,
-                    MsgBody::Fwd {
-                        kind: fwd_kind,
-                        requester,
-                        serial,
-                        acks_expected,
-                        exclusive: exclusive_grant,
-                    },
-                ),
-            );
+            let fwd = MsgBody::Fwd {
+                kind,
+                requester,
+                serial,
+                acks_expected,
+                exclusive: upgraded,
+            };
+            out.send_with(targets, Priority::Normal, dir_latency, Msg::new(addr, fwd));
         }
-
         if owner.is_none() {
             // Memory is the owner: supply data from DRAM.
-            out.send_one_after(
-                n,
-                requester,
-                dir_latency + dram_latency,
-                Msg::new(
-                    addr,
-                    MsgBody::Data {
-                        from: self.id,
-                        serial,
-                        tokens: TokenSet::empty(),
-                        version: mem_version,
-                        acks_expected,
-                        exclusive,
-                        dirty: false,
-                        activation: true,
-                    },
-                ),
-            );
+            let data = MsgBody::Data {
+                from: self.id,
+                serial,
+                tokens: TokenSet::empty(),
+                version: mem_version,
+                acks_expected,
+                exclusive,
+                dirty: false,
+                activation: true,
+            };
+            let delay = dir_latency + self.config.dram_latency;
+            out.send_one_after(n, requester, delay, Msg::new(addr, data));
         } else if owner == Some(requester) {
             // Upgrade miss: the requester already has the data; tell it
             // how many acks to expect.
-            out.send_one_after(
-                n,
-                requester,
-                dir_latency,
-                Msg::new(
-                    addr,
-                    MsgBody::Activation {
-                        serial,
-                        acks_expected,
-                        exclusive: exclusive_grant || kind.is_write(),
-                    },
-                ),
-            );
+            let activation = MsgBody::Activation {
+                serial,
+                acks_expected,
+                exclusive: invalidating,
+            };
+            out.send_one_after(n, requester, dir_latency, Msg::new(addr, activation));
         }
         // Otherwise the owner's data response (carrying acks_expected)
         // reaches the requester directly.

@@ -10,17 +10,19 @@
 //! stay in `directory.rs` and `patch.rs`.
 //!
 //! A block's state is split by lifetime. Its [`HomeEntry`] — owner,
-//! sharers, memory — outlives every request and stays for the run. The
-//! active request and the arrivals waiting behind it exist only while the
-//! block is blocked, so they live in a second table that holds a record
-//! per blocked block and is empty whenever the home is idle.
+//! sharers, memory and migratory-sharing state — outlives every request
+//! and stays for the run. The active request and the arrivals waiting
+//! behind it exist only while the block is blocked, so they live in a
+//! second table that holds a record per blocked block and is empty
+//! whenever the home is idle.
 
 use std::collections::VecDeque;
 
 use patchsim_kernel::collections::{fx_map_with_capacity, FxHashMap};
-use patchsim_mem::{BlockAddr, SharerEncoding, SharerSet};
+use patchsim_mem::{AccessKind, BlockAddr, SharerEncoding, SharerSet};
 use patchsim_noc::{DestSet, NodeId};
 
+use crate::common::Sharing;
 use crate::{Outbox, ProtocolConfig};
 
 /// One block's durable directory state at its home. `M` is what the
@@ -33,24 +35,22 @@ pub(crate) struct HomeEntry<M> {
     /// A superset of the other caches that may hold a copy.
     pub sharers: SharerSet,
     pub memory: M,
+    /// Migratory-sharing state, kept by [`Home::open`].
+    sharing: Sharing,
 }
 
-impl<M> HomeEntry<M> {
-    /// Whom a request is forwarded to: the owner (for data) plus, when
+/// A request the home is activating: its block's entry and what the
+/// prologue every policy shares decided (see [`Home::open`]).
+pub(crate) struct Opening<'a, M> {
+    pub entry: &'a mut HomeEntry<M>,
+    /// A read upgraded to an exclusive grant by the migratory optimisation.
+    pub exclusive: bool,
+    /// A write or an upgraded read: every other copy goes.
+    pub invalidating: bool,
+    /// Whom the request is forwarded to: the owner (for data) plus, when
     /// `invalidating`, every — possibly stale — sharer. The requester never
     /// receives its own forward.
-    pub fn forward_targets(&self, n: u16, requester: NodeId, invalidating: bool) -> DestSet {
-        let mut targets = if invalidating {
-            self.sharers.members()
-        } else {
-            DestSet::empty(n)
-        };
-        if let Some(owner) = self.owner {
-            targets.insert(owner);
-        }
-        targets.remove(requester);
-        targets
-    }
+    pub targets: DestSet,
 }
 
 /// The request a busy home is serving.
@@ -83,6 +83,7 @@ pub(crate) struct Home<M, Q> {
     node: NodeId,
     num_nodes: u16,
     encoding: SharerEncoding,
+    migratory_opt: bool,
     /// Memory's state for a block nobody has touched.
     untouched: M,
 }
@@ -97,6 +98,7 @@ impl<M: Copy, Q> Home<M, Q> {
             node,
             num_nodes: config.num_nodes,
             encoding: config.sharer_encoding,
+            migratory_opt: config.migratory_opt,
             untouched,
         }
     }
@@ -109,7 +111,34 @@ impl<M: Copy, Q> Home<M, Q> {
             owner: None,
             sharers: SharerSet::new(n, encoding),
             memory,
+            sharing: Sharing::Untouched,
         })
+    }
+
+    /// Opens `requester`'s `kind` request on the idle block `addr`: records
+    /// it in the block's migratory state (when the optimisation is on) and
+    /// says whom to forward to. The policy then sends its messages and
+    /// calls [`activate`](Self::activate).
+    pub fn open(&mut self, addr: BlockAddr, requester: NodeId, kind: AccessKind) -> Opening<'_, M> {
+        let (n, migratory_opt) = (self.num_nodes, self.migratory_opt);
+        let entry = self.entry(addr);
+        let exclusive = migratory_opt && entry.sharing.observe(requester, kind);
+        let invalidating = kind.is_write() || exclusive;
+        let mut targets = if invalidating {
+            entry.sharers.members()
+        } else {
+            DestSet::empty(n)
+        };
+        if let Some(owner) = entry.owner {
+            targets.insert(owner);
+        }
+        targets.remove(requester);
+        Opening {
+            entry,
+            exclusive,
+            invalidating,
+            targets,
+        }
     }
 
     /// Memory's state for `addr`, touched or not.
@@ -334,7 +363,12 @@ mod tests {
     }
 
     fn targets(p: &mut Policy, requester: u16, invalidating: bool) -> Vec<u16> {
-        let set = p.entry().forward_targets(N, node(requester), invalidating);
+        let kind = if invalidating {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        };
+        let set = p.home.open(A, node(requester), kind).targets;
         set.iter().map(|n| n.raw()).collect()
     }
 
@@ -371,6 +405,22 @@ mod tests {
         let mut overflowed = shared(SharerEncoding::LimitedPointer { pointers: 1 });
         let everyone_else: Vec<u16> = (0..N).filter(|&n| n != 5).collect();
         assert_eq!(targets(&mut overflowed, 5, true), everyone_else);
+    }
+
+    #[test]
+    fn a_migratory_read_opens_exclusive_and_invalidating() {
+        for migratory_opt in [true, false] {
+            let mut p = shared(SharerEncoding::FullMap);
+            p.home.migratory_opt = migratory_opt;
+            assert!(!p.home.open(A, node(5), AccessKind::Read).exclusive);
+            assert!(!p.home.open(A, node(5), AccessKind::Write).exclusive);
+            let read = p.home.open(A, node(6), AccessKind::Read);
+            assert_eq!(read.exclusive, migratory_opt);
+            assert_eq!(read.invalidating, migratory_opt);
+            let targets: Vec<u16> = read.targets.iter().map(|n| n.raw()).collect();
+            let want: &[u16] = if migratory_opt { &[1, 2, 3] } else { &[1] };
+            assert_eq!(targets, want);
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ mod patch;
 mod tokenb;
 mod tokens;
 
-pub use common::{LatencyEstimator, MigratoryDetector};
+pub use common::LatencyEstimator;
 pub use config::{ProtocolConfig, ProtocolKind, TenureConfig};
 pub use controller::{
     build_controller, build_controllers, Completion, Controller, CoreResponse, MemOp, OutMsg,

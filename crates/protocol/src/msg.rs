@@ -121,9 +121,12 @@ pub enum MsgBody {
         /// directory ownership).
         new_owner: bool,
     },
-    /// Cache → home: writeback / token return. Carries all of the
-    /// sender's tokens for the block; `version` is `Some` when the
-    /// message carries data, which is exactly when that data is dirty.
+    /// Cache → home: writeback / token return. An eviction or a tenure
+    /// timeout returns all of the sender's tokens for the block; a PATCH
+    /// cache with no transaction open on the block returns only the tokens
+    /// that just arrived, and keeps its tenured line. `version` is `Some`
+    /// when the message carries data, which is exactly when that data is
+    /// dirty.
     Put {
         /// The evicting/discarding node.
         node: NodeId,

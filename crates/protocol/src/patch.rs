@@ -49,12 +49,12 @@ use patchsim_mem::{AccessKind, BlockAddr, TokenSet};
 use patchsim_noc::{NodeId, Priority};
 use patchsim_predictor::Predictor;
 
-use crate::common::{LatencyEstimator, MigratoryDetector};
+use crate::common::LatencyEstimator;
 use crate::controller::{
     resume, Completion, Controller, CoreResponse, MemOp, Outbox, ProtocolCounters, ProtocolGauges,
     SpanMarks, TimerKey, TimerKind,
 };
-use crate::home::{BlockingHome, Home};
+use crate::home::{BlockingHome, Home, Opening};
 use crate::tokens::{put_home, token_reply, Memory, TokenCache};
 use crate::{Msg, MsgBody, ProtocolConfig, RequestStyle};
 
@@ -99,7 +99,6 @@ pub struct PatchController {
     /// still open (maps to the window's end).
     deact_windows: FxHashMap<BlockAddr, Cycle>,
     predictor: Box<dyn Predictor + Send>,
-    migratory: MigratoryDetector,
     latency: LatencyEstimator,
     counters: ProtocolCounters,
     next_serial: u64,
@@ -128,7 +127,6 @@ impl PatchController {
             home: Home::new(&config, node, Memory::full(config.total_tokens)),
             deact_windows: FxHashMap::default(),
             predictor,
-            migratory: MigratoryDetector::with_capacity(config.home_table_capacity()),
             config,
             latency: LatencyEstimator::default(),
             counters: ProtocolCounters::default(),
@@ -359,10 +357,11 @@ impl PatchController {
             self.predictor.observe_response(addr, from);
         }
         let Some(tbe) = self.tbes.get_mut(&addr) else {
-            // No transaction outstanding: bounce stray tokens to the home
-            // immediately (an instant probation expiry). This keeps
-            // tenured owner tokens only where the directory can find
-            // them.
+            // No transaction outstanding: bounce the arriving tokens to
+            // the home immediately (an instant probation expiry). They
+            // were never tenured here; the line's tenured tokens stay, and
+            // the home keeps this node among the sharers. This keeps
+            // tenured tokens only where the directory can find them.
             let version = data_version.unwrap_or(0);
             let (id, n) = (self.id, self.n());
             put_home(addr, id, n, tokens, version, &mut self.counters, out);
@@ -402,23 +401,19 @@ impl PatchController {
         serial: u64,
         out: &mut Outbox,
     ) {
-        let (n, id) = (self.n(), self.id);
-        let dir_latency = self.config.dir_latency;
-        let dram_latency = self.config.dram_latency;
-        let exclusive = if self.config.migratory_opt {
-            self.migratory.observe(addr, requester, kind)
-        } else {
-            false
-        };
-        let invalidating = kind.is_write() || exclusive;
-        let entry = self.home.entry(addr);
-        let fwd_targets = entry.forward_targets(n, requester, invalidating);
+        let (n, id, dir_latency) = (self.n(), self.id, self.config.dir_latency);
+        let Opening {
+            entry,
+            exclusive,
+            invalidating,
+            targets,
+        } = self.home.open(addr, requester, kind);
 
         // The home contributes everything it holds, with the activation
         // bit riding along; if it holds nothing, a standalone activation
         // is sent.
         let (msg, delay) = match entry.memory.reply(addr, id, serial, true) {
-            Some(reply) if reply.carries_data() => (reply, dir_latency + dram_latency),
+            Some(reply) if reply.carries_data() => (reply, dir_latency + self.config.dram_latency),
             Some(reply) => (reply, dir_latency),
             None => {
                 let activation = MsgBody::Activation {
@@ -432,22 +427,15 @@ impl PatchController {
         self.home.activate(addr, requester, serial, invalidating);
         out.send_one_after(n, requester, delay, msg);
 
-        if !fwd_targets.is_empty() {
-            out.send_with(
-                fwd_targets,
-                Priority::Normal,
-                dir_latency,
-                Msg::new(
-                    addr,
-                    MsgBody::Fwd {
-                        kind,
-                        requester,
-                        serial,
-                        acks_expected: 0,
-                        exclusive,
-                    },
-                ),
-            );
+        if !targets.is_empty() {
+            let fwd = MsgBody::Fwd {
+                kind,
+                requester,
+                serial,
+                acks_expected: 0,
+                exclusive,
+            };
+            out.send_with(targets, Priority::Normal, dir_latency, Msg::new(addr, fwd));
         }
     }
 
@@ -462,12 +450,12 @@ impl PatchController {
         version: Option<u64>,
         out: &mut Outbox,
     ) {
-        let n = self.n();
-        let id = self.id;
-        let dir_latency = self.config.dir_latency;
+        let (n, id, dir_latency) = (self.n(), self.id, self.config.dir_latency);
         let active = self.home.active(addr);
+        // The sender stays among the sharers: a `Put` may return only
+        // stray arrivals while its tenured line stays. A stale sharer
+        // costs at most one ignored forward.
         let entry = self.home.entry(addr);
-        entry.sharers.remove_if_exact(node);
         if let Some((requester, serial)) = active {
             // Redirect everything to the active requester — including a
             // requester's own discarded tokens coming back after a tenure

@@ -33,6 +33,15 @@ trace=${AB_TRACE-torus16_patch}
 dir=${AB_DIR:-${TMPDIR:-/tmp}/patchsim-ab}
 
 sha=$(git -C "$root" rev-parse --verify "$rev^{commit}")
+# The change side is named by HEAD and, when the tree is not clean, a hash
+# of every uncommitted edit and untracked file, taken before the build.
+change=$(git -C "$root" rev-parse HEAD)
+if [ -n "$(git -C "$root" status --porcelain)" ]; then
+    edits=$(cd "$root" && { git diff --binary HEAD
+        git ls-files -z --others --exclude-standard | xargs -0 -r sha256sum; } |
+        sha256sum | cut -c1-16)
+    change="$change+edits.$edits"
+fi
 rm -rf "$dir/parent" "$dir/runs"
 mkdir -p "$dir/parent" "$dir/runs"
 git -C "$root" archive "$sha" | tar -x -C "$dir/parent"
@@ -73,9 +82,6 @@ for w in "$@"; do
         done
     fi
 done
-
-change=$(git -C "$root" rev-parse HEAD)
-[ -z "$(git -C "$root" status --porcelain)" ] || change="$change+uncommitted"
 
 python3 - "$root/BENCHMARK.json" "$dir/runs" "$sha" "$change" "$seed" "$pairs" "$@" <<'PY'
 import json, os, re, statistics, sys

@@ -8,10 +8,9 @@
 //! runs the production `CoherenceChecker` and `TokenAuditor` after every
 //! issue, delivery and timer; each run ends by asserting quiescence.
 //!
-//! Tier-1 runs 25 seeds per row (Owner: 8). The ignored
-//! `adversarial_sweep_300_seeds` runs 300 for every other row and is meant
-//! for a release build: `cargo test --release -p patchsim --test
-//! adversarial_delivery -- --include-ignored`.
+//! Tier-1 runs 25 seeds per row. The ignored `adversarial_sweep_300_seeds`
+//! runs 300 for every row and is meant for a release build: `cargo test
+//! --release -p patchsim --test adversarial_delivery -- --include-ignored`.
 
 use patchsim::{
     AccessKind, BlockAddr, CacheGeometry, Cluster, Cycle, NodeId, PredictorChoice, ProtocolKind,
@@ -180,7 +179,7 @@ fn adversarial_patch_all() {
 
 #[test]
 fn adversarial_patch_owner() {
-    fuzz(ProtocolKind::Patch, PredictorChoice::Owner, None, 0..8);
+    fuzz(ProtocolKind::Patch, PredictorChoice::Owner, None, 0..25);
 }
 
 #[test]
@@ -207,7 +206,7 @@ fn adversarial_patch_bcast_if_shared() {
 fn adversarial_evictions_patch() {
     fuzz(ProtocolKind::Patch, PredictorChoice::None, tiny(), 0..25);
     fuzz(ProtocolKind::Patch, PredictorChoice::All, tiny(), 0..25);
-    fuzz(ProtocolKind::Patch, PredictorChoice::Owner, tiny(), 0..8);
+    fuzz(ProtocolKind::Patch, PredictorChoice::Owner, tiny(), 0..25);
     fuzz(
         ProtocolKind::Patch,
         PredictorChoice::BroadcastIfShared,
@@ -231,8 +230,7 @@ fn adversarial_evictions_tokenb() {
     fuzz(ProtocolKind::TokenB, PredictorChoice::None, tiny(), 0..25);
 }
 
-/// Every row but PATCH-Owner over 300 seeds, with and without evictions.
-/// Owner stays at 8 seeds until its lost-token finding is fixed.
+/// Every row over 300 seeds, with and without evictions.
 #[test]
 #[ignore = "300-seed sweep, seconds in release: run with --release -- --include-ignored"]
 fn adversarial_sweep_300_seeds() {
@@ -241,6 +239,7 @@ fn adversarial_sweep_300_seeds() {
         (ProtocolKind::TokenB, PredictorChoice::None),
         (ProtocolKind::Patch, PredictorChoice::None),
         (ProtocolKind::Patch, PredictorChoice::All),
+        (ProtocolKind::Patch, PredictorChoice::Owner),
         (ProtocolKind::Patch, PredictorChoice::BroadcastIfShared),
     ] {
         for cache in [None, tiny()] {

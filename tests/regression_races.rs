@@ -5,7 +5,8 @@
 //! re-creates bugs 3a/3b through the fault layer.
 
 use patchsim::{
-    AccessKind, BlockAddr, CacheGeometry, Cluster, Cycle, NodeId, PredictorChoice, ProtocolKind,
+    run, AccessKind, BlockAddr, CacheGeometry, Cluster, Cycle, FabricKind, NodeId, PredictorChoice,
+    ProtocolKind, SimConfig, WorkloadSpec,
 };
 use patchsim_mem::{OwnerStatus, TokenSet};
 use patchsim_protocol::{
@@ -459,4 +460,84 @@ fn persistent_activation_after_its_deactivation_leaves_no_entry() {
     let out = deliver(&mut c, addr, ack, 30);
     assert_eq!(out.sends.len(), 1);
     assert_eq!(out.sends[0].dests.as_single(), Some(addr.home(4)));
+}
+
+/// Bug 7 (PATCH): a `Put` bouncing stray tokens does not make the home
+/// forget a tenured sharer. P2's read takes every token from memory, and
+/// its direct request to P3 stays in flight; P3's read then takes the
+/// owner token, so P2 is a sharer holding the three plain tokens. The
+/// stale direct request reaches P3, which answers it: the owner token
+/// lands at P2 with no transaction open, and P2 bounces that token, and
+/// only that token, home. The home used to drop P2 from the sharers on
+/// that `Put`, so P1's write was forwarded to P3 alone and waited for P2's
+/// three tokens forever — unless a lucky direct request found them.
+#[test]
+fn a_stray_token_leaves_its_tenured_sharer_among_the_sharers() {
+    let config = ProtocolConfig::new(ProtocolKind::Patch, 4).with_predictor(PredictorChoice::All);
+    let mut c = Cluster::new(&config);
+    let (p1, p2, p3) = (NodeId::new(1), NodeId::new(2), NodeId::new(3));
+    let addr = BlockAddr::new(0);
+    let op = |kind| MemOp { addr, kind };
+    let direct = |m: &Msg| {
+        matches!(
+            m.body,
+            MsgBody::Request {
+                style: RequestStyle::Direct,
+                ..
+            }
+        )
+    };
+    let held_back = |d: NodeId, m: &Msg| d == p3 && direct(m);
+    c.issue(p2, op(AccessKind::Read), Cycle::new(0));
+    while c.deliver_first(Cycle::new(10), |d, m| !held_back(d, m)) {}
+    c.issue(p3, op(AccessKind::Read), Cycle::new(20));
+    while c.deliver_first(Cycle::new(30), |d, m| !held_back(d, m)) {}
+    assert_eq!(c.completions, [p2, p3]);
+    // Close the deactivation windows, then let the stale request in.
+    while !c.timers.is_empty() {
+        c.fire(0, Cycle::new(100_000));
+    }
+    c.drain(Cycle::new(100_010));
+    assert_eq!(c.holders(addr), "P0 t=1(+Oc) P2 t=3");
+    // P1's write must collect P2's tokens through the home's forward.
+    c.issue(p1, op(AccessKind::Write), Cycle::new(100_020));
+    while c.deliver_first(Cycle::new(100_030), |_, m| !direct(m)) {}
+    assert_eq!(c.completions, [p2, p3, p1], "P1 waits for P2's tokens");
+    c.drain(Cycle::new(100_040));
+    c.assert_quiescent();
+}
+
+/// Runs PATCH-All on the microbenchmark at Fig. 8's system sizes, with
+/// `ops` measured ops per core after `warmup`, seed 7.
+fn patch_all_at_scale(fabric: FabricKind, n: u16, table_blocks: u64, ops: u64, warmup: u64) {
+    let config = SimConfig::new(ProtocolKind::Patch, n)
+        .with_predictor(PredictorChoice::All)
+        .with_fabric(fabric)
+        .with_workload(WorkloadSpec::Microbenchmark {
+            table_blocks,
+            write_frac: 0.3,
+            think_mean: 10,
+        })
+        .with_ops_per_core(ops)
+        .with_warmup(warmup)
+        .with_seed(7);
+    let result = run(&config);
+    assert_eq!(result.ops_completed, u64::from(n) * ops);
+}
+
+/// Bug 7 at 512 nodes: the same dropped sharer deadlocked core 37
+/// ("completed 17 of 37 ops"; P301 held 511 tokens the home had
+/// forgotten).
+#[test]
+#[ignore = "about 10 s in release: run with --release -- --ignored"]
+fn patch_all_completes_on_the_512_node_torus() {
+    patch_all_at_scale(FabricKind::Torus, 512, 4096, 30, 7);
+}
+
+/// Bug 7 at 256 nodes: core 204 deadlocked ("completed 160 of 187 ops";
+/// P46 held 255 tokens the home had forgotten).
+#[test]
+#[ignore = "about 7 s in release: run with --release -- --ignored"]
+fn patch_all_completes_on_the_256_node_mesh() {
+    patch_all_at_scale(FabricKind::Mesh2D, 256, 16 * 1024, 150, 37);
 }
