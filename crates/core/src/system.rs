@@ -97,31 +97,22 @@ pub struct System {
 
 impl System {
     /// Builds the system described by `config`.
-    pub fn new(mut config: SimConfig) -> Self {
+    pub fn new(config: SimConfig) -> Self {
         let n = config.protocol.num_nodes;
-        // Pre-size the controllers' block-keyed tables from the workload's
-        // actual footprint (a hint only — results are unaffected). An
-        // explicit user-supplied hint wins over the derived estimate.
-        if config.protocol.working_set_hint.is_none() {
-            config.protocol.working_set_hint = Some(config.workload.working_set_blocks(n));
-        }
+        // What a recorded trace's header states as the working set: the
+        // explicit hint if one was set, else the workload's footprint.
+        let working_set = config
+            .protocol
+            .working_set_hint
+            .unwrap_or_else(|| config.workload.working_set_blocks(n));
         let noc = Fabric::new(config.fabric_config());
         // Recording sits at the generator seam: the trace captures the
         // items generators hand the cores, so replaying it reproduces
-        // the identical event sequence. The stored working-set hint is
-        // the one this run sizes its tables with (derived or explicit),
-        // so replays pre-size identically too.
-        let recorder = config.record_trace.as_ref().map(|_| {
-            TraceWriter::new(
-                config.workload.name(),
-                config.seed,
-                n,
-                config
-                    .protocol
-                    .working_set_hint
-                    .expect("working-set hint derived above"),
-            )
-        });
+        // the identical event sequence.
+        let recorder = config
+            .record_trace
+            .as_ref()
+            .map(|_| TraceWriter::new(config.workload.name(), config.seed, n, working_set));
         let root_rng = SimRng::from_seed(config.seed).fork(streams::WORKLOAD);
         let nodes = build_controllers(&config.protocol);
         let cores = (0..n)

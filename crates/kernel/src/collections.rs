@@ -38,11 +38,6 @@ pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 /// A `HashSet` keyed with the deterministic [`FxHasher`].
 pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
-/// Creates an [`FxHashMap`] pre-sized for at least `capacity` entries.
-pub fn fx_map_with_capacity<K, V>(capacity: usize) -> FxHashMap<K, V> {
-    FxHashMap::with_capacity_and_hasher(capacity, BuildHasherDefault::default())
-}
-
 /// The multiplicative constant of the Fx hash: a 64-bit approximation of
 /// 2^64 / φ, which spreads consecutive integers across the hash space.
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -155,19 +150,6 @@ mod tests {
         let mut c = FxHasher::default();
         c.write(&[1, 2, 3]);
         assert_ne!(c.finish(), FxHasher::default().finish());
-    }
-
-    #[test]
-    fn map_roundtrip_and_presize() {
-        let mut m = fx_map_with_capacity::<u64, u64>(1000);
-        assert!(m.capacity() >= 1000);
-        for i in 0..1000u64 {
-            m.insert(i, i * 2);
-        }
-        assert_eq!(m.len(), 1000);
-        for i in 0..1000u64 {
-            assert_eq!(m.get(&i), Some(&(i * 2)));
-        }
     }
 
     #[test]

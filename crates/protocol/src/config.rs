@@ -133,11 +133,14 @@ pub struct ProtocolConfig {
     /// TokenB: transient reissues before escalating to a persistent
     /// request.
     pub reissues_before_persistent: u32,
-    /// Expected distinct blocks the workload touches, used to pre-size
-    /// the controllers' block-keyed tables so the event loop never grows
-    /// a hash map mid-run. A hint, not a bound: tables still grow past it
-    /// correctly. `None` (the default) lets the simulation core derive it
-    /// from the workload's footprint; setting it explicitly wins.
+    /// Distinct blocks the workload touches, as a recorded trace states it
+    /// in its header. No controller reads it: every block-keyed table
+    /// starts empty and grows with the blocks a run touches. `None` (the
+    /// default) lets the simulation core derive it from the workload's
+    /// footprint; setting it explicitly wins. The field stays because
+    /// the benchmark harness sets it, and because this config's `Debug`
+    /// string, which includes it, is folded into the experiment store's
+    /// keys.
     pub working_set_hint: Option<u64>,
 }
 
@@ -168,39 +171,6 @@ impl ProtocolConfig {
             reissues_before_persistent: 2,
             working_set_hint: None,
         }
-    }
-
-    /// Sets the expected working-set size in blocks (pre-sizes the
-    /// controllers' block-keyed tables). Overrides the simulation core's
-    /// workload-derived estimate.
-    pub fn with_working_set_hint(mut self, blocks: u64) -> Self {
-        self.working_set_hint = Some(blocks);
-        self
-    }
-
-    /// The working-set hint, defaulting to the paper's 16k-block
-    /// microbenchmark table when neither the user nor the simulation
-    /// core supplied one.
-    fn working_set(&self) -> u64 {
-        self.working_set_hint.unwrap_or(16 * 1024)
-    }
-
-    /// Pre-size for a home-side table: each node homes an interleaved
-    /// `1/num_nodes` slice of the working set. Clamped so degenerate
-    /// hints can neither underprovision nor balloon memory.
-    ///
-    /// Homes pre-size because they fill: a home entry (owner, sharers,
-    /// memory and migratory state under DIRECTORY and PATCH, memory alone
-    /// under TokenB), once created, stays for the run, so a node's home
-    /// table grows to its whole slice and pre-sizing only spares the
-    /// rehashes on the way. The transaction tables start empty instead —
-    /// the blocking home's busy records and wait queues, PATCH's open
-    /// misses and ignore windows, DIRECTORY's writebacks, TokenB's
-    /// persistent-request table and arbiter. Their entries live while a transaction is open (the
-    /// arbiter's, for blocks that ever starved), a node holds a handful at
-    /// once, and capacity reserved for more is resident memory no run uses.
-    pub fn home_table_capacity(&self) -> usize {
-        (self.working_set() / self.num_nodes as u64).clamp(64, 1 << 16) as usize
     }
 
     /// Sets the destination-set predictor (PATCH).
@@ -300,25 +270,6 @@ mod tests {
         assert_eq!(cfg.direct_priority, Priority::Normal);
         assert!(!cfg.deact_window);
         assert!(!cfg.ack_elision);
-    }
-
-    #[test]
-    fn table_capacities_scale_and_clamp() {
-        let cfg = ProtocolConfig::new(ProtocolKind::Patch, 16).with_working_set_hint(16 * 1024);
-        assert_eq!(cfg.home_table_capacity(), 1024);
-        // Tiny hints clamp up, giant hints clamp down.
-        assert_eq!(
-            ProtocolConfig::new(ProtocolKind::Patch, 64)
-                .with_working_set_hint(1)
-                .home_table_capacity(),
-            64
-        );
-        assert_eq!(
-            ProtocolConfig::new(ProtocolKind::Patch, 1)
-                .with_working_set_hint(u64::MAX)
-                .home_table_capacity(),
-            1 << 16
-        );
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 use std::collections::VecDeque;
 
-use patchsim_kernel::collections::{fx_map_with_capacity, FxHashMap};
+use patchsim_kernel::collections::FxHashMap;
 use patchsim_mem::{AccessKind, BlockAddr, SharerEncoding, SharerSet};
 use patchsim_noc::{DestSet, NodeId};
 
@@ -75,6 +75,8 @@ struct Blocked<Q> {
 /// block, and a transient record per blocked one.
 #[derive(Debug)]
 pub(crate) struct Home<M, Q> {
+    /// Starts empty and gains an entry the first time a request reaches
+    /// its block, so a home costs what a run touches of its slice.
     entries: FxHashMap<BlockAddr, HomeEntry<M>>,
     /// Starts empty and holds a record only while a request is active on
     /// its block or arrivals wait behind one; its capacity, once grown,
@@ -93,7 +95,7 @@ impl<M: Copy, Q> Home<M, Q> {
     /// state is `untouched`, with no sharers, and idle.
     pub fn new(config: &ProtocolConfig, node: NodeId, untouched: M) -> Self {
         Home {
-            entries: fx_map_with_capacity(config.home_table_capacity()),
+            entries: FxHashMap::default(),
             blocked: FxHashMap::default(),
             node,
             num_nodes: config.num_nodes,
@@ -370,6 +372,16 @@ mod tests {
         };
         let set = p.home.open(A, node(requester), kind).targets;
         set.iter().map(|n| n.raw()).collect()
+    }
+
+    /// A home costs what a run touches of it: no working-set hint, however
+    /// large, reserves entries up front.
+    #[test]
+    fn a_new_home_reserves_no_entries() {
+        let mut config = ProtocolConfig::new(ProtocolKind::Patch, N);
+        config.working_set_hint = Some(1 << 20);
+        let home: Home<(), Arrival> = Home::new(&config, A.home(N), ());
+        assert_eq!(home.entries.capacity(), 0);
     }
 
     #[test]

@@ -30,7 +30,7 @@
 
 use std::collections::VecDeque;
 
-use patchsim_kernel::collections::{fx_map_with_capacity, FxHashMap};
+use patchsim_kernel::collections::FxHashMap;
 
 use patchsim_kernel::Cycle;
 use patchsim_mem::{AccessKind, BlockAddr, TokenSet};
@@ -105,13 +105,12 @@ impl TokenBController {
     /// Creates the controller for `node`.
     pub fn new(config: ProtocolConfig, node: NodeId) -> Self {
         let cache = TokenCache::new(config.cache_geometry, config.total_tokens);
-        let home_cap = config.home_table_capacity();
         TokenBController {
             config,
             id: node,
             cache,
             demand: None,
-            home: fx_map_with_capacity(home_cap),
+            home: FxHashMap::default(),
             arb: FxHashMap::default(),
             table: FxHashMap::default(),
             epochs: FxHashMap::default(),
@@ -590,6 +589,16 @@ mod tests {
 
     fn a(x: u64) -> BlockAddr {
         BlockAddr::new(x)
+    }
+
+    /// Memory's slice of the home starts empty whatever the working-set
+    /// hint says, and grows with the blocks a run touches.
+    #[test]
+    fn a_new_home_reserves_no_entries() {
+        let mut config = config(16);
+        config.working_set_hint = Some(1 << 20);
+        let c = TokenBController::new(config, NodeId::new(0));
+        assert_eq!(c.home.capacity(), 0);
     }
 
     #[test]

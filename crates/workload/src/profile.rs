@@ -122,10 +122,10 @@ impl WorkloadSpec {
     }
 
     /// Approximate number of distinct blocks an `num_nodes`-core run of
-    /// this workload touches. Used to pre-size the controllers' per-block
-    /// tables; an estimate (region sizes, ignoring partial coverage), not
-    /// a bound. For traces this is the *recording run's* estimate,
-    /// reproduced verbatim so replayed table capacities match exactly.
+    /// this workload touches: an estimate (region sizes, ignoring partial
+    /// coverage), not a bound, which a recorded trace stores in its
+    /// header. For traces this is the *recording run's* estimate,
+    /// reproduced verbatim so a trace recorded from a replay keeps it.
     pub fn working_set_blocks(&self, num_nodes: u16) -> u64 {
         match self {
             WorkloadSpec::Microbenchmark { table_blocks, .. } => *table_blocks,

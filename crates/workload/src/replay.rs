@@ -30,10 +30,9 @@ pub struct TraceData {
     /// The recorded system's core count. A trace only replays on a
     /// system of exactly this size.
     pub num_nodes: u16,
-    /// The working-set estimate (in blocks) the recording run pre-sized
-    /// its protocol tables with. Replays reuse it verbatim so table
-    /// capacities — and therefore every capacity-sensitive detail of the
-    /// run — match the recording exactly.
+    /// The recording run's working-set estimate, in blocks: its explicit
+    /// hint, else its workload's footprint. Metadata only; no table is
+    /// sized from it, and a replay reports it verbatim.
     pub working_set_blocks: u64,
     /// One recorded [`WorkItem`] stream per core, in issue order.
     pub streams: Vec<Vec<WorkItem>>,
@@ -57,9 +56,10 @@ impl TraceData {
         self.streams.iter().map(|s| s.len() as u64).sum()
     }
 
-    /// Number of distinct blocks the trace touches (an exact count, used
-    /// in summaries; table pre-sizing uses
-    /// [`working_set_blocks`](TraceData::working_set_blocks) instead).
+    /// Number of distinct blocks the trace touches: an exact count, used
+    /// in summaries, where
+    /// [`working_set_blocks`](TraceData::working_set_blocks) is the
+    /// recording run's estimate.
     pub fn distinct_blocks(&self) -> u64 {
         let mut blocks: Vec<u64> = self
             .streams

@@ -148,3 +148,36 @@ fn recording_is_invisible_to_the_recorded_run() {
     std::fs::remove_file(&path).ok();
     assert_eq!(plain.digest(), recorded.digest());
 }
+
+/// A trace header states the recording run's working set: the explicit
+/// hint when one is set, else the workload's footprint. The hint is
+/// metadata only, so a replay without it reproduces the recording.
+#[test]
+fn the_trace_header_states_the_working_set() {
+    let config = SimConfig::new(ProtocolKind::Patch, 8)
+        .with_predictor(PredictorChoice::BroadcastIfShared)
+        .with_workload(presets::barnes())
+        .with_ops_per_core(40)
+        .with_warmup(10)
+        .with_seed(11);
+    let record = |config: &SimConfig, name: &str| {
+        let path = scratch(name);
+        let result = run(&config.clone().with_record_trace(&path));
+        let trace = TraceReader::read_path(&path).expect("recorded trace decodes");
+        std::fs::remove_file(&path).ok();
+        (result, trace)
+    };
+
+    let footprint = config.workload.working_set_blocks(8);
+    let (_, trace) = record(&config, "ws_derived");
+    assert_eq!(trace.working_set_blocks, footprint);
+
+    let mut hinted = config.clone();
+    hinted.protocol.working_set_hint = Some(12_345);
+    assert_ne!(footprint, 12_345);
+    let (recorded, trace) = record(&hinted, "ws_hinted");
+    assert_eq!(trace.working_set_blocks, 12_345);
+
+    let replay = config.with_workload(WorkloadSpec::trace(trace));
+    assert_eq!(run(&replay).digest(), recorded.digest());
+}
