@@ -3,9 +3,9 @@
 //!
 //! The container this workspace builds in has no network access to
 //! crates.io, so the real `criterion` crate cannot be vendored. This module
-//! implements the slice of its API the `benches/` targets use —
-//! [`Criterion`], [`BenchmarkGroup`], [`Bencher::iter`],
-//! [`Bencher::iter_batched`], [`BatchSize`], and the
+//! implements the slice of its API the `benches/` target uses —
+//! [`Criterion`], [`Bencher::iter`], [`Bencher::iter_batched`],
+//! [`BatchSize`], and the
 //! [`criterion_group!`](crate::criterion_group)/
 //! [`criterion_main!`](crate::criterion_main) macros — timing each benchmark
 //! with [`std::time::Instant`] and printing a one-line summary
@@ -15,32 +15,26 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Default number of timed samples per benchmark.
-const DEFAULT_SAMPLE_SIZE: usize = 10;
+/// Number of timed samples per benchmark.
+const SAMPLE_SIZE: usize = 10;
 
-/// Batch sizing hint, accepted for criterion compatibility.
-///
-/// The harness always materialises one setup value per measured iteration,
-/// so the variants are behaviourally identical here.
+/// Batch sizing hint, accepted for criterion compatibility. The harness
+/// always materialises one setup value per measured iteration.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BatchSize {
     /// Small per-iteration state (criterion's default choice in this repo).
     #[default]
     SmallInput,
-    /// Larger per-iteration state.
-    LargeInput,
 }
 
 /// Top-level benchmark driver, analogous to `criterion::Criterion`.
 #[derive(Debug, Default)]
-pub struct Criterion {
-    sample_size: Option<usize>,
-}
+pub struct Criterion;
 
 impl Criterion {
-    /// Creates a driver with default settings.
+    /// Creates a driver.
     pub fn new() -> Self {
-        Self::default()
+        Criterion
     }
 
     /// Runs a single named benchmark.
@@ -48,54 +42,9 @@ impl Criterion {
     where
         F: FnMut(&mut Bencher),
     {
-        run_one(
-            name.as_ref(),
-            self.sample_size.unwrap_or(DEFAULT_SAMPLE_SIZE),
-            f,
-        );
+        run_one(name.as_ref(), SAMPLE_SIZE, f);
         self
     }
-
-    /// Opens a named group of related benchmarks.
-    pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
-        BenchmarkGroup {
-            name: name.into(),
-            sample_size: self.sample_size.unwrap_or(DEFAULT_SAMPLE_SIZE),
-            _parent: self,
-        }
-    }
-}
-
-/// A named collection of benchmarks sharing configuration.
-#[derive(Debug)]
-pub struct BenchmarkGroup<'a> {
-    name: String,
-    sample_size: usize,
-    _parent: &'a mut Criterion,
-}
-
-impl BenchmarkGroup<'_> {
-    /// Sets the number of timed samples per benchmark in this group.
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.sample_size = n.max(1);
-        self
-    }
-
-    /// Runs a benchmark within the group (reported as `group/name`).
-    pub fn bench_function<F>(&mut self, name: impl AsRef<str>, f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        run_one(
-            &format!("{}/{}", self.name, name.as_ref()),
-            self.sample_size,
-            f,
-        );
-        self
-    }
-
-    /// Finishes the group (no-op; provided for criterion compatibility).
-    pub fn finish(self) {}
 }
 
 /// Per-benchmark measurement context handed to the closure.

@@ -12,8 +12,8 @@
 //! |---|---|---|
 //! | Figure 4 (runtime, 5 workloads × 6 configs) | `fig4_runtime` | [`figure4_plan`] |
 //! | Figure 5 (traffic breakdown) | `runplan fig5` | [`figure4_plan`] |
-//! | Figure 6 (bandwidth sweep, ocean) | `runplan fig6` | [`bandwidth_plan`] |
-//! | Figure 7 (bandwidth sweep, jbb) | `runplan fig7` | [`bandwidth_plan`] |
+//! | Figure 6 (bandwidth sweep, ocean) | `runplan fig6` | [`PLANS`] row `fig6` |
+//! | Figure 7 (bandwidth sweep, jbb) | `runplan fig7` | [`PLANS`] row `fig7` |
 //! | Figure 8 (4–512 core scalability) | `runplan fig8` | [`PLANS`] row `fig8` |
 //! | Figure 9 (inexact-encoding runtime) | `runplan fig9` | [`PLANS`] row `fig9` |
 //! | Figure 10 (inexact-encoding traffic) | `runplan fig10` | [`PLANS`] row `fig10` |
@@ -30,8 +30,8 @@
 //! subcommands `runplan merge-store` and `runplan store-stats`
 //! ([`StoreCommand`]) read theirs with the same flag reader.
 //!
-//! `cargo bench` additionally runs scaled-down versions of every figure
-//! plus microbenchmarks of the simulator's core data structures.
+//! `cargo bench` additionally runs microbenchmarks of the simulator's core
+//! data structures.
 //!
 //! The crate is split by job: `cli` parses command lines, `plans` holds
 //! [`Scale`], the constructors and the registry, and `columns` the
@@ -46,8 +46,7 @@ mod plans;
 pub use cli::{BenchArgs, PerfArgs, StoreCommand};
 pub use columns::{with_runtime_columns, with_saturation_columns, with_standard_columns};
 pub use plans::{
-    adaptivity_protocol_axis, bandwidth_plan, coarseness_value, decorate, faults_plan,
-    figure4_plan, inexact_protocol_axis, plan_by_name, saturation_plan, service_plan,
+    decorate, faults_plan, figure4_plan, plan_by_name, saturation_plan, service_plan,
     RegisteredPlan, Scale, PLANS, SERVICE_BURST,
 };
 

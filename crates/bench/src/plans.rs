@@ -127,7 +127,7 @@ fn figure4_protocol_axis() -> Vec<AxisValue> {
 
 /// The three competing configurations of Figures 6–8: DIRECTORY,
 /// non-adaptive PATCH-All, and adaptive PATCH-All.
-pub fn adaptivity_protocol_axis() -> Vec<AxisValue> {
+fn adaptivity_protocol_axis() -> Vec<AxisValue> {
     vec![
         AxisValue::new("Directory", |c| c.with_kind(ProtocolKind::Directory)),
         AxisValue::new("PATCH-All-NA", |c| {
@@ -216,7 +216,7 @@ fn fault_protocol_axis() -> Vec<AxisValue> {
 
 /// An axis value selecting a sharer-encoding coarseness of `k` cores per
 /// bit (`k == 1` is the full map), labeled by `k`.
-pub fn coarseness_value(k: u16) -> AxisValue {
+fn coarseness_value(k: u16) -> AxisValue {
     AxisValue::new(k.to_string(), move |c: SimConfig| {
         let encoding = if k <= 1 {
             SharerEncoding::FullMap
@@ -248,7 +248,7 @@ pub(crate) const BANDWIDTH_SWEEP: [f64; 6] = [300.0, 600.0, 900.0, 2000.0, 4000.
 
 /// The Figure 6/7 grid for one workload: the paper's six link bandwidths ×
 /// {DIRECTORY, PATCH-All-NA, PATCH-All}.
-pub fn bandwidth_plan(scale: Scale, workload: WorkloadSpec) -> ExperimentPlan {
+pub(crate) fn bandwidth_plan(scale: Scale, workload: WorkloadSpec) -> ExperimentPlan {
     let name = format!(
         "Bandwidth adaptivity on {} ({} cores)",
         workload.name(),
@@ -305,7 +305,7 @@ fn coarseness_axis() -> Vec<AxisValue> {
 }
 
 /// The protocol axis of Figures 9–10: DIRECTORY vs (predictorless) PATCH.
-pub fn inexact_protocol_axis() -> Vec<AxisValue> {
+fn inexact_protocol_axis() -> Vec<AxisValue> {
     vec![
         AxisValue::new("Directory", |c| c.with_kind(ProtocolKind::Directory)),
         AxisValue::new("PATCH", |c| c.with_kind(ProtocolKind::Patch)),
@@ -539,7 +539,7 @@ fn ablation_tenure_timeout_plan(scale: Scale) -> ExperimentPlan {
         ("fixed-200", TenureConfig::Fixed(200)),
         ("fixed-800", TenureConfig::Fixed(800)),
         ("fixed-3200", TenureConfig::Fixed(3200)),
-        ("adaptive-2x", TenureConfig::paper_default()),
+        ("adaptive-2x", TenureConfig::Adaptive),
     ];
     Sweep::new(
         "Ablation: tenure timeout policy (PATCH-All, contended)",

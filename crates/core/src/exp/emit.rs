@@ -1,4 +1,5 @@
-//! Pluggable result emitters: aligned text, CSV, and JSON.
+//! Result emitters: aligned text, CSV, and JSON, one function per
+//! [`Format`].
 //!
 //! All three serializers are hand-rolled (the build environment has no
 //! crates.io access, so `serde` is unavailable); the formats are small
@@ -60,31 +61,12 @@ impl Format {
             Format::Json => "json",
         }
     }
-
-    /// The emitter implementing this format.
-    pub fn emitter(self) -> Box<dyn Emitter> {
-        match self {
-            Format::Text => Box::new(TextEmitter),
-            Format::Csv => Box::new(CsvEmitter),
-            Format::Json => Box::new(JsonEmitter),
-        }
-    }
 }
 
 impl fmt::Display for Format {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())
     }
-}
-
-/// Renders a [`Table`] to a byte stream.
-pub trait Emitter {
-    /// Writes `table` to `out`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `out`.
-    fn emit(&self, table: &Table, out: &mut dyn Write) -> io::Result<()>;
 }
 
 /// Formats one table value with the column's precision.
@@ -97,79 +79,74 @@ fn format_value(value: Value, precision: usize) -> String {
 }
 
 /// Human-readable aligned columns, with notes as trailing `#` lines.
-#[derive(Debug, Default)]
-pub struct TextEmitter;
+pub(super) fn text(table: &Table, out: &mut dyn Write) -> io::Result<()> {
+    // Pre-render every cell so column widths can be computed.
+    let headers: Vec<String> = table
+        .axes()
+        .iter()
+        .cloned()
+        .chain(table.columns().iter().map(|c| c.name().to_string()))
+        .collect();
+    let rows: Vec<Vec<String>> = (0..table.cells().len())
+        .map(|row| {
+            let mut fields: Vec<String> = table.cells()[row].labels.clone();
+            for (col, column) in table.columns().iter().enumerate() {
+                fields.push(format_value(table.value(row, col), column.precision()));
+            }
+            fields
+        })
+        .collect();
+    let widths: Vec<usize> = headers
+        .iter()
+        .enumerate()
+        .map(|(i, h)| {
+            rows.iter()
+                .map(|r| r[i].len())
+                .chain(std::iter::once(h.len()))
+                .max()
+                .unwrap_or(0)
+        })
+        .collect();
+    let num_axes = table.axes().len();
 
-impl Emitter for TextEmitter {
-    fn emit(&self, table: &Table, out: &mut dyn Write) -> io::Result<()> {
-        // Pre-render every cell so column widths can be computed.
-        let headers: Vec<String> = table
-            .axes()
-            .iter()
-            .cloned()
-            .chain(table.columns().iter().map(|c| c.name().to_string()))
-            .collect();
-        let rows: Vec<Vec<String>> = (0..table.cells().len())
-            .map(|row| {
-                let mut fields: Vec<String> = table.cells()[row].labels.clone();
-                for (col, column) in table.columns().iter().enumerate() {
-                    fields.push(format_value(table.value(row, col), column.precision()));
-                }
-                fields
-            })
-            .collect();
-        let widths: Vec<usize> = headers
-            .iter()
-            .enumerate()
-            .map(|(i, h)| {
-                rows.iter()
-                    .map(|r| r[i].len())
-                    .chain(std::iter::once(h.len()))
-                    .max()
-                    .unwrap_or(0)
-            })
-            .collect();
-        let num_axes = table.axes().len();
-
-        writeln!(out, "{}", table.title())?;
-        writeln!(out)?;
+    writeln!(out, "{}", table.title())?;
+    writeln!(out)?;
+    let mut line = String::new();
+    for (i, h) in headers.iter().enumerate() {
+        if i > 0 {
+            line.push_str("  ");
+        }
+        if i < num_axes {
+            line.push_str(&format!("{h:<width$}", width = widths[i]));
+        } else {
+            line.push_str(&format!("{h:>width$}", width = widths[i]));
+        }
+    }
+    writeln!(out, "{}", line.trim_end())?;
+    for row in &rows {
         let mut line = String::new();
-        for (i, h) in headers.iter().enumerate() {
+        for (i, field) in row.iter().enumerate() {
             if i > 0 {
                 line.push_str("  ");
             }
             if i < num_axes {
-                line.push_str(&format!("{h:<width$}", width = widths[i]));
+                line.push_str(&format!("{field:<width$}", width = widths[i]));
             } else {
-                line.push_str(&format!("{h:>width$}", width = widths[i]));
+                line.push_str(&format!("{field:>width$}", width = widths[i]));
             }
         }
         writeln!(out, "{}", line.trim_end())?;
-        for row in &rows {
-            let mut line = String::new();
-            for (i, field) in row.iter().enumerate() {
-                if i > 0 {
-                    line.push_str("  ");
-                }
-                if i < num_axes {
-                    line.push_str(&format!("{field:<width$}", width = widths[i]));
-                } else {
-                    line.push_str(&format!("{field:>width$}", width = widths[i]));
-                }
-            }
-            writeln!(out, "{}", line.trim_end())?;
-        }
-        for note in table.notes() {
-            writeln!(out, "# {note}")?;
-        }
-        if !table.failures().is_empty() {
-            writeln!(out, "# FAILED CELLS ({})", table.failures().len())?;
-            for failure in table.failures() {
-                writeln!(out, "{}", failure_comment(failure))?;
-            }
-        }
-        Ok(())
     }
+    for note in table.notes() {
+        writeln!(out, "# {note}")?;
+    }
+    if !table.failures().is_empty() {
+        writeln!(out, "# FAILED CELLS ({})", table.failures().len())?;
+        for failure in table.failures() {
+            writeln!(out, "{}", failure_comment(failure))?;
+        }
+    }
+    Ok(())
 }
 
 /// Quotes a CSV field when it contains a delimiter, quote, or newline.
@@ -182,43 +159,38 @@ fn csv_field(s: &str) -> String {
 }
 
 /// RFC-4180-style CSV: a header row, then one record per cell.
-#[derive(Debug, Default)]
-pub struct CsvEmitter;
-
-impl Emitter for CsvEmitter {
-    fn emit(&self, table: &Table, out: &mut dyn Write) -> io::Result<()> {
-        let mut header: Vec<String> = table.axes().iter().map(|a| csv_field(a)).collect();
-        for column in table.columns() {
-            header.push(csv_field(column.name()));
-            if column.has_ci() {
-                header.push(csv_field(&format!("{}_ci95", column.name())));
-            }
+pub(super) fn csv(table: &Table, out: &mut dyn Write) -> io::Result<()> {
+    let mut header: Vec<String> = table.axes().iter().map(|a| csv_field(a)).collect();
+    for column in table.columns() {
+        header.push(csv_field(column.name()));
+        if column.has_ci() {
+            header.push(csv_field(&format!("{}_ci95", column.name())));
         }
-        writeln!(out, "{}", header.join(","))?;
-        for row in 0..table.cells().len() {
-            let mut fields: Vec<String> = table.cells()[row]
-                .labels
-                .iter()
-                .map(|l| csv_field(l))
-                .collect();
-            for (col, column) in table.columns().iter().enumerate() {
-                let precision = column.precision();
-                match table.value(row, col) {
-                    Value::Num(v) => fields.push(format!("{v:.precision$}")),
-                    Value::Ci(ci) => {
-                        fields.push(format!("{:.precision$}", ci.mean));
-                        fields.push(format!("{:.precision$}", ci.half_width));
-                    }
-                    Value::Missing => fields.push(String::new()),
-                }
-            }
-            writeln!(out, "{}", fields.join(","))?;
-        }
-        for failure in table.failures() {
-            writeln!(out, "{}", failure_comment(failure))?;
-        }
-        Ok(())
     }
+    writeln!(out, "{}", header.join(","))?;
+    for row in 0..table.cells().len() {
+        let mut fields: Vec<String> = table.cells()[row]
+            .labels
+            .iter()
+            .map(|l| csv_field(l))
+            .collect();
+        for (col, column) in table.columns().iter().enumerate() {
+            let precision = column.precision();
+            match table.value(row, col) {
+                Value::Num(v) => fields.push(format!("{v:.precision$}")),
+                Value::Ci(ci) => {
+                    fields.push(format!("{:.precision$}", ci.mean));
+                    fields.push(format!("{:.precision$}", ci.half_width));
+                }
+                Value::Missing => fields.push(String::new()),
+            }
+        }
+        writeln!(out, "{}", fields.join(","))?;
+    }
+    for failure in table.failures() {
+        writeln!(out, "{}", failure_comment(failure))?;
+    }
+    Ok(())
 }
 
 /// Escapes a string for inclusion in a JSON string literal.
@@ -250,75 +222,70 @@ fn json_number(v: f64, precision: usize) -> String {
 
 /// A single JSON object: `{"title", "axes", "notes", "rows": [...]}`,
 /// each row an object keyed by axis and column names.
-#[derive(Debug, Default)]
-pub struct JsonEmitter;
-
-impl Emitter for JsonEmitter {
-    fn emit(&self, table: &Table, out: &mut dyn Write) -> io::Result<()> {
-        writeln!(out, "{{")?;
-        writeln!(out, "  \"title\": \"{}\",", json_escape(table.title()))?;
-        let axes: Vec<String> = table
+pub(super) fn json(table: &Table, out: &mut dyn Write) -> io::Result<()> {
+    writeln!(out, "{{")?;
+    writeln!(out, "  \"title\": \"{}\",", json_escape(table.title()))?;
+    let axes: Vec<String> = table
+        .axes()
+        .iter()
+        .map(|a| format!("\"{}\"", json_escape(a)))
+        .collect();
+    writeln!(out, "  \"axes\": [{}],", axes.join(", "))?;
+    let notes: Vec<String> = table
+        .notes()
+        .iter()
+        .map(|n| format!("\"{}\"", json_escape(n)))
+        .collect();
+    writeln!(out, "  \"notes\": [{}],", notes.join(", "))?;
+    // Rendered only when present, so complete runs keep their exact
+    // historical output.
+    if !table.failures().is_empty() {
+        writeln!(out, "  \"failures\": [")?;
+        let n = table.failures().len();
+        for (i, failure) in table.failures().iter().enumerate() {
+            let comma = if i + 1 < n { "," } else { "" };
+            writeln!(
+                out,
+                "    {{\"cell\": \"{}\", \"kind\": \"{}\", \"attempts\": {}, \"error\": \"{}\"}}{comma}",
+                json_escape(&failure.labels.join("/")),
+                failure.kind,
+                failure.attempts,
+                json_escape(&failure.error)
+            )?;
+        }
+        writeln!(out, "  ],")?;
+    }
+    writeln!(out, "  \"rows\": [")?;
+    let rows = table.cells().len();
+    for row in 0..rows {
+        let mut fields: Vec<String> = table
             .axes()
             .iter()
-            .map(|a| format!("\"{}\"", json_escape(a)))
+            .zip(table.cells()[row].labels.iter())
+            .map(|(a, l)| format!("\"{}\": \"{}\"", json_escape(a), json_escape(l)))
             .collect();
-        writeln!(out, "  \"axes\": [{}],", axes.join(", "))?;
-        let notes: Vec<String> = table
-            .notes()
-            .iter()
-            .map(|n| format!("\"{}\"", json_escape(n)))
-            .collect();
-        writeln!(out, "  \"notes\": [{}],", notes.join(", "))?;
-        // Rendered only when present, so complete runs keep their exact
-        // historical output.
-        if !table.failures().is_empty() {
-            writeln!(out, "  \"failures\": [")?;
-            let n = table.failures().len();
-            for (i, failure) in table.failures().iter().enumerate() {
-                let comma = if i + 1 < n { "," } else { "" };
-                writeln!(
-                    out,
-                    "    {{\"cell\": \"{}\", \"kind\": \"{}\", \"attempts\": {}, \"error\": \"{}\"}}{comma}",
-                    json_escape(&failure.labels.join("/")),
-                    failure.kind,
-                    failure.attempts,
-                    json_escape(&failure.error)
-                )?;
-            }
-            writeln!(out, "  ],")?;
-        }
-        writeln!(out, "  \"rows\": [")?;
-        let rows = table.cells().len();
-        for row in 0..rows {
-            let mut fields: Vec<String> = table
-                .axes()
-                .iter()
-                .zip(table.cells()[row].labels.iter())
-                .map(|(a, l)| format!("\"{}\": \"{}\"", json_escape(a), json_escape(l)))
-                .collect();
-            for (col, column) in table.columns().iter().enumerate() {
-                let name = json_escape(column.name());
-                let precision = column.precision();
-                match table.value(row, col) {
-                    Value::Num(v) => {
-                        fields.push(format!("\"{name}\": {}", json_number(v, precision)));
-                    }
-                    Value::Missing => fields.push(format!("\"{name}\": null")),
-                    Value::Ci(ci) => fields.push(format!(
-                        "\"{name}\": {{\"mean\": {}, \"ci95\": {}, \"n\": {}}}",
-                        json_number(ci.mean, precision),
-                        json_number(ci.half_width, precision),
-                        ci.n
-                    )),
+        for (col, column) in table.columns().iter().enumerate() {
+            let name = json_escape(column.name());
+            let precision = column.precision();
+            match table.value(row, col) {
+                Value::Num(v) => {
+                    fields.push(format!("\"{name}\": {}", json_number(v, precision)));
                 }
+                Value::Missing => fields.push(format!("\"{name}\": null")),
+                Value::Ci(ci) => fields.push(format!(
+                    "\"{name}\": {{\"mean\": {}, \"ci95\": {}, \"n\": {}}}",
+                    json_number(ci.mean, precision),
+                    json_number(ci.half_width, precision),
+                    ci.n
+                )),
             }
-            let comma = if row + 1 < rows { "," } else { "" };
-            writeln!(out, "    {{{}}}{comma}", fields.join(", "))?;
         }
-        writeln!(out, "  ]")?;
-        writeln!(out, "}}")?;
-        Ok(())
+        let comma = if row + 1 < rows { "," } else { "" };
+        writeln!(out, "    {{{}}}{comma}", fields.join(", "))?;
     }
+    writeln!(out, "  ]")?;
+    writeln!(out, "}}")?;
+    Ok(())
 }
 
 #[cfg(test)]

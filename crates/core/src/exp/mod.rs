@@ -13,10 +13,9 @@
 //!    [`replicate_seed`](patchsim_kernel::replicate_seed) from the cell's
 //!    base seed, never from execution order, so parallel and serial runs
 //!    produce identical results.
-//! 3. [`Table`] holds one summarized row per cell and renders through the
-//!    pluggable [`Emitter`]s — aligned text, CSV, or JSON — with
-//!    baseline-normalized and confidence-interval columns declared by the
-//!    caller.
+//! 3. [`Table`] holds one summarized row per cell and renders it in a
+//!    [`Format`] — aligned text, CSV, or JSON — with baseline-normalized
+//!    and confidence-interval columns declared by the caller.
 //!
 //! Two robustness layers make long sweeps practical:
 //!
@@ -73,12 +72,10 @@ mod runner;
 pub mod store;
 mod table;
 
-pub use emit::{CsvEmitter, Emitter, Format, JsonEmitter, TextEmitter};
+pub use emit::Format;
 pub use plan::{AxisValue, Cell, ConfigTransform, ExperimentPlan, Sweep};
 pub use runner::Runner;
 pub use store::{
     cell_key, LoadOutcome, MergeReport, ResultStore, StoreError, StoreStatsReport, CODE_VERSION,
 };
-pub use table::{
-    CellFailure, CellResult, CiMetric, Column, FailureKind, Metric, Table, TableError, Value,
-};
+pub use table::{CellFailure, CellResult, CiMetric, Column, FailureKind, Metric, Table, Value};

@@ -6,7 +6,7 @@ use std::io::{self, Write};
 
 use patchsim_kernel::stats::ConfidenceInterval;
 
-use crate::exp::emit::Format;
+use crate::exp::emit::{self, Format};
 use crate::{RunSummary, SimConfig};
 
 /// The measured outcome of one grid cell: its axis labels, the
@@ -71,34 +71,6 @@ pub struct CellFailure {
     /// The panic payload, timeout description, or I/O error text.
     pub error: String,
 }
-
-/// Typed errors from table construction: a normalization column declared
-/// against an axis the table does not have.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum TableError {
-    /// The requested normalization axis is not one of the table's axes.
-    UnknownAxis {
-        /// The axis name the caller passed.
-        axis: String,
-        /// The table's actual axes.
-        axes: Vec<String>,
-    },
-}
-
-impl fmt::Display for TableError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TableError::UnknownAxis { axis, axes } => write!(
-                f,
-                "unknown normalization axis '{axis}' (table axes: {})",
-                axes.join(", ")
-            ),
-        }
-    }
-}
-
-impl std::error::Error for TableError {}
 
 /// A scalar metric extractor over one cell.
 pub type Metric = Box<dyn Fn(&CellResult) -> f64>;
@@ -339,46 +311,20 @@ impl Table {
     /// # Panics
     ///
     /// Panics if `axis` is not one of the table's axes or if `name`
-    /// repeats an existing column or axis name. Callers handling
-    /// user-supplied axis names should use
-    /// [`try_normalized_column`](Table::try_normalized_column).
+    /// repeats an existing column or axis name.
     pub fn with_normalized_column(
-        self,
-        name: impl Into<String>,
-        precision: usize,
-        axis: &str,
-        baseline_label: &str,
-        metric: impl Fn(&CellResult) -> f64 + 'static,
-    ) -> Self {
-        self.try_normalized_column(name, precision, axis, baseline_label, metric)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`with_normalized_column`](Table::with_normalized_column):
-    /// a bad axis comes back as a [`TableError`] naming it instead of a
-    /// panic.
-    ///
-    /// # Errors
-    ///
-    /// [`TableError::UnknownAxis`] when `axis` is not a table axis.
-    ///
-    /// # Panics
-    ///
-    /// Still panics if `name` repeats an existing column or axis name —
-    /// that is a programming error in the plan, not a data condition.
-    pub fn try_normalized_column(
         mut self,
         name: impl Into<String>,
         precision: usize,
         axis: &str,
         baseline_label: &str,
         metric: impl Fn(&CellResult) -> f64 + 'static,
-    ) -> Result<Self, TableError> {
+    ) -> Self {
         let Some(axis_idx) = self.axes.iter().position(|a| a == axis) else {
-            return Err(TableError::UnknownAxis {
-                axis: axis.to_string(),
-                axes: self.axes.clone(),
-            });
+            panic!(
+                "unknown normalization axis '{axis}' (table axes: {})",
+                self.axes.join(", ")
+            );
         };
         self.push_column(
             name.into(),
@@ -389,7 +335,7 @@ impl Table {
                 metric: Box::new(metric),
             },
         );
-        Ok(self)
+        self
     }
 
     /// The row index of the baseline cell for `row` on `axis`: identical
@@ -434,7 +380,11 @@ impl Table {
     ///
     /// Propagates I/O errors from `out`.
     pub fn emit(&self, format: Format, out: &mut dyn Write) -> io::Result<()> {
-        format.emitter().emit(self, out)
+        match format {
+            Format::Text => emit::text(self, out),
+            Format::Csv => emit::csv(self, out),
+            Format::Json => emit::json(self, out),
+        }
     }
 }
 
@@ -508,26 +458,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown normalization axis")]
+    #[should_panic(expected = "unknown normalization axis 'nope' (table axes: config, think)")]
     fn unknown_axis_rejected() {
         let _ = tiny_table().with_normalized_column("n", 3, "nope", "Directory", |_| 0.0);
-    }
-
-    #[test]
-    fn try_normalized_column_names_the_bad_axis() {
-        let err = tiny_table()
-            .try_normalized_column("n", 3, "nope", "Directory", |_| 0.0)
-            .unwrap_err();
-        assert_eq!(
-            err,
-            TableError::UnknownAxis {
-                axis: "nope".into(),
-                axes: vec!["config".into(), "think".into()],
-            }
-        );
-        assert!(err
-            .to_string()
-            .contains("unknown normalization axis 'nope'"));
     }
 
     /// `tiny_table` without the cells `drop` selects.

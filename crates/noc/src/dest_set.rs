@@ -187,27 +187,6 @@ impl DestSet {
         self.words_mut().iter_mut().for_each(|w| *w = 0);
     }
 
-    /// In-place union with `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two sets were created for different system sizes.
-    pub fn union_with(&mut self, other: &DestSet) {
-        assert_eq!(self.num_nodes, other.num_nodes, "mismatched system sizes");
-        for (a, b) in self.words_mut().iter_mut().zip(other.words()) {
-            *a |= b;
-        }
-    }
-
-    /// Returns `true` if every member of `self` is also in `other`.
-    pub fn is_subset_of(&self, other: &DestSet) -> bool {
-        assert_eq!(self.num_nodes, other.num_nodes, "mismatched system sizes");
-        self.words()
-            .iter()
-            .zip(other.words())
-            .all(|(a, b)| a & !b == 0)
-    }
-
     /// Whether any member's bit is set in `mask`: bit words over this
     /// set's node numbering, as many as the system needs.
     #[inline]
@@ -464,16 +443,6 @@ mod tests {
             Some(NodeId::new(199))
         );
         assert_eq!(DestSet::all(200).as_single(), None);
-    }
-
-    #[test]
-    fn union_and_subset() {
-        let mut a = DestSet::from_nodes(70, [NodeId::new(1), NodeId::new(69)]);
-        let b = DestSet::from_nodes(70, [NodeId::new(2)]);
-        assert!(!b.is_subset_of(&a));
-        a.union_with(&b);
-        assert!(b.is_subset_of(&a));
-        assert_eq!(a.len(), 3);
     }
 
     #[test]

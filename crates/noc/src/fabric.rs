@@ -196,6 +196,10 @@ pub struct LinkParams {
     pub bandwidth: LinkBandwidth,
 }
 
+/// Latency in cycles of a node sending a message to itself (e.g. to its
+/// own home-directory slice).
+const SELF_SEND_LATENCY: u64 = 1;
+
 /// Configuration of an interconnect fabric: topology, link parameters,
 /// and the best-effort staleness bound.
 ///
@@ -219,10 +223,6 @@ pub struct FabricConfig {
     /// link latency, matching the paper's torus.
     hop_latency: Option<u64>,
     bandwidth: LinkBandwidth,
-    /// Inter-cluster link override (hierarchical only). `None` derives
-    /// `4×` the local latency at half the local bandwidth.
-    global_link: Option<LinkParams>,
-    local_latency: u64,
     stale_drop_cycles: u64,
     faults: FaultSpec,
     fault_seed: u64,
@@ -254,15 +254,13 @@ impl FabricConfig {
             num_nodes,
             hop_latency: None,
             bandwidth: Self::DEFAULT_BANDWIDTH,
-            global_link: None,
-            local_latency: 1,
             stale_drop_cycles: Self::DEFAULT_STALE_DROP,
             faults: FaultSpec::none(),
             fault_seed: 0,
         }
     }
 
-    /// Sets the link bandwidth (of `Local` links; a derived `Global`
+    /// Sets the link bandwidth (of `Local` links; the derived `Global`
     /// class scales from it).
     pub fn with_bandwidth(mut self, bandwidth: LinkBandwidth) -> Self {
         self.bandwidth = bandwidth;
@@ -272,19 +270,6 @@ impl FabricConfig {
     /// Pins the per-hop propagation latency instead of auto-calibrating.
     pub fn with_hop_latency(mut self, cycles: u64) -> Self {
         self.hop_latency = Some(cycles);
-        self
-    }
-
-    /// Overrides the inter-cluster link parameters (hierarchical only).
-    pub fn with_global_link(mut self, params: LinkParams) -> Self {
-        self.global_link = Some(params);
-        self
-    }
-
-    /// Sets the latency of a node sending a message to itself (e.g. to
-    /// its own home-directory slice).
-    pub fn with_local_latency(mut self, cycles: u64) -> Self {
-        self.local_latency = cycles;
         self
     }
 
@@ -330,11 +315,6 @@ impl FabricConfig {
     /// Explicit per-hop latency, or `None` when auto-calibrated.
     pub fn hop_latency(&self) -> Option<u64> {
         self.hop_latency
-    }
-
-    /// Self-send latency in cycles.
-    pub fn local_latency(&self) -> u64 {
-        self.local_latency
     }
 
     /// Best-effort staleness bound in cycles.
@@ -611,13 +591,13 @@ impl FabricSpec {
             latency: hop_latency,
             bandwidth: config.bandwidth,
         };
-        let global = config.global_link.unwrap_or(LinkParams {
+        let global = LinkParams {
             latency: hop_latency * 4,
             bandwidth: match config.bandwidth {
                 LinkBandwidth::BytesPerCycle(b) => LinkBandwidth::BytesPerCycle(b / 2.0),
                 LinkBandwidth::Unbounded => LinkBandwidth::Unbounded,
             },
-        });
+        };
         spec.set_class_params([local, global]);
         spec
     }
@@ -1127,7 +1107,7 @@ impl<M: Clone + NocPayload> Fabric<M> {
     /// each link of the routing tree carries the message once. Follow-up
     /// events are emitted through `sched`; feed them back via
     /// [`Fabric::handle`] at their timestamps. A destination equal to `src`
-    /// is delivered locally after the configured local latency without
+    /// is delivered locally after the one-cycle self-send latency without
     /// touching any link.
     ///
     /// # Panics
@@ -1157,12 +1137,12 @@ impl<M: Clone + NocPayload> Fabric<M> {
             priority,
         });
         // Local destinations never touch the network fabric; they arrive at
-        // this node's own router after the local latency. Remote
+        // this node's own router after the self-send latency. Remote
         // destinations start routing immediately. We express both by
         // scheduling the arrival at the source router: `Arrive` handles
         // local delivery and forwards the rest.
         sched(
-            now + self.config.local_latency,
+            now + SELF_SEND_LATENCY,
             NocEvent(Event::Arrive { node: src, packet }),
         );
     }
@@ -1484,19 +1464,6 @@ mod tests {
             LinkBandwidth::BytesPerCycle(8.0),
             "derived global bandwidth is half the 16 B/c default"
         );
-    }
-
-    #[test]
-    fn global_link_override_applies() {
-        let params = LinkParams {
-            latency: 42,
-            bandwidth: LinkBandwidth::BytesPerCycle(1.0),
-        };
-        let spec = FabricSpec::build(
-            &FabricConfig::new(FabricKind::Hierarchical { cluster: Some(4) }, 16)
-                .with_global_link(params),
-        );
-        assert_eq!(spec.class_params()[1], params);
     }
 
     #[test]

@@ -76,7 +76,6 @@ mod tests {
     fn unicast_latency_is_hops_times_latency_plus_serialization() {
         let cfg = torus(16)
             .with_hop_latency(5)
-            .with_local_latency(1)
             .with_bandwidth(LinkBandwidth::BytesPerCycle(8.0));
         let mut net = Fabric::new(cfg);
         // 4x4 torus: node 0 -> node 2 is 2 hops in x.
@@ -98,7 +97,7 @@ mod tests {
 
     #[test]
     fn self_send_is_local() {
-        let mut net = Fabric::new(torus(4).with_local_latency(3));
+        let mut net = Fabric::new(torus(4));
         let out = run(
             &mut net,
             vec![(
@@ -110,7 +109,7 @@ mod tests {
             )],
         );
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].0, 13);
+        assert_eq!(out[0].0, 11);
         assert_eq!(
             net.stats().total_bytes(),
             0,

@@ -117,13 +117,17 @@ fn unicast(at: u64, src: u16, dst: u16, size: u64, priority: Priority) -> Inject
 // The reference: one link, simulated cycle by cycle.
 // ---------------------------------------------------------------------------
 
+/// The fabric's fixed self-send latency: an injected packet reaches its
+/// source router this many cycles later, and only then contends for a
+/// link.
+const SELF_SEND_LATENCY: u64 = 1;
+
 /// The parameters of the 2-node test fabric, shared by the engine's
 /// configuration and the reference model.
 #[derive(Clone, Copy)]
 struct LinkModel {
     bytes_per_cycle: u64,
     hop_latency: u64,
-    local_latency: u64,
     stale_after: u64,
     /// `slowlinks` factor on every link (1 when healthy): stretches both
     /// serialization and latency.
@@ -135,7 +139,6 @@ impl LinkModel {
         let config = FabricConfig::new(FabricKind::FullyConnected, 2)
             .with_bandwidth(LinkBandwidth::BytesPerCycle(self.bytes_per_cycle as f64))
             .with_hop_latency(self.hop_latency)
-            .with_local_latency(self.local_latency)
             .with_stale_drop_cycles(self.stale_after);
         if self.slowdown == 1 {
             return config;
@@ -177,7 +180,7 @@ fn predict(model: LinkModel, injections: &[Injection], src: u16) -> Predicted {
         .iter()
         .enumerate()
         .filter(|(_, inj)| inj.src == src)
-        .map(|(id, inj)| (inj.at + model.local_latency, id))
+        .map(|(id, inj)| (inj.at + SELF_SEND_LATENCY, id))
         .collect();
     arrivals.sort_unstable();
     let mut arrivals = arrivals.into_iter().peekable();
@@ -292,7 +295,6 @@ fn check_against_reference(model: LinkModel, episodes: u64) {
 const HEALTHY: LinkModel = LinkModel {
     bytes_per_cycle: 4,
     hop_latency: 3,
-    local_latency: 1,
     stale_after: 12,
     slowdown: 1,
 };

@@ -32,6 +32,16 @@ impl std::fmt::Display for ProtocolKind {
     }
 }
 
+/// Directory lookup latency in cycles (paper §8: 16).
+pub(crate) const DIR_LATENCY: u64 = 16;
+
+/// DRAM access latency in cycles (paper §8: 80).
+pub(crate) const DRAM_LATENCY: u64 = 80;
+
+/// TokenB: transient reissues before escalating to a persistent request
+/// (Martin et al., *Token Coherence*, ISCA 2003: 2).
+pub(crate) const REISSUES_BEFORE_PERSISTENT: u32 = 2;
+
 /// Token-tenure timeout policy.
 ///
 /// The paper "adaptively sets the value of the tenure timeout to twice the
@@ -39,34 +49,19 @@ impl std::fmt::Display for ProtocolKind {
 /// the ablation benches.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum TenureConfig {
-    /// `multiplier ×` the node's running average miss round-trip, but
-    /// never below `floor` cycles.
-    Adaptive {
-        /// Multiple of the dynamic average round-trip (paper: 2.0).
-        multiplier: f64,
-        /// Lower bound in cycles, so cold-start estimates cannot produce
-        /// degenerate timeouts.
-        floor: u64,
-    },
+    /// Twice the node's running average miss round-trip (the paper's
+    /// policy), but never below 50 cycles, so cold-start estimates cannot
+    /// produce degenerate timeouts.
+    Adaptive,
     /// A fixed timeout in cycles.
     Fixed(u64),
 }
 
 impl TenureConfig {
-    /// The paper's adaptive policy (2× average round trip).
-    pub fn paper_default() -> Self {
-        TenureConfig::Adaptive {
-            multiplier: 2.0,
-            floor: 50,
-        }
-    }
-
     /// The timeout to use given the current average round-trip estimate.
     pub fn timeout(self, avg_round_trip: f64) -> u64 {
         match self {
-            TenureConfig::Adaptive { multiplier, floor } => {
-                ((avg_round_trip * multiplier) as u64).max(floor)
-            }
+            TenureConfig::Adaptive => ((avg_round_trip * 2.0) as u64).max(50),
             TenureConfig::Fixed(cycles) => cycles,
         }
     }
@@ -75,10 +70,11 @@ impl TenureConfig {
 /// Full configuration for one protocol instance.
 ///
 /// Defaults reproduce the paper's baseline system: per-node private 1MB
-/// 4-way caches with 64-byte blocks, a 16-cycle directory, 80-cycle DRAM,
-/// full-map sharer encoding, the migratory-sharing optimization on, and —
-/// for PATCH — best-effort direct requests with the adaptive tenure
-/// timeout and the post-deactivation ignore window.
+/// 4-way caches with 64-byte blocks, full-map sharer encoding, and — for
+/// PATCH — best-effort direct requests with the adaptive tenure timeout
+/// and the post-deactivation ignore window. The 16-cycle directory,
+/// 80-cycle DRAM and the migratory-sharing optimization are not settings:
+/// every configuration runs them.
 ///
 /// # Examples
 ///
@@ -107,14 +103,8 @@ pub struct ProtocolConfig {
     pub cache_geometry: CacheGeometry,
     /// Directory sharer encoding (Figures 9–10 sweep the coarse variants).
     pub sharer_encoding: SharerEncoding,
-    /// Directory lookup latency in cycles (paper: 16).
-    pub dir_latency: u64,
-    /// DRAM access latency in cycles (paper: 80).
-    pub dram_latency: u64,
     /// Private cache hit latency in cycles (paper: 12-cycle L2).
     pub cache_hit_latency: u64,
-    /// Whether the home applies the migratory-sharing optimization.
-    pub migratory_opt: bool,
     /// PATCH: destination-set prediction policy for direct requests.
     pub predictor: PredictorChoice,
     /// PATCH: delivery priority of direct requests. `BestEffort` is
@@ -130,9 +120,6 @@ pub struct ProtocolConfig {
     /// (`true`, the protocols' defining optimization) or sent anyway
     /// (`false`, for the ablation quantifying ack implosion).
     pub ack_elision: bool,
-    /// TokenB: transient reissues before escalating to a persistent
-    /// request.
-    pub reissues_before_persistent: u32,
     /// Distinct blocks the workload touches, as a recorded trace states it
     /// in its header. No controller reads it: every block-keyed table
     /// starts empty and grows with the blocks a run touches. `None` (the
@@ -159,16 +146,12 @@ impl ProtocolConfig {
             total_tokens: num_nodes as u32,
             cache_geometry: CacheGeometry::from_capacity(1 << 20, 64, 4),
             sharer_encoding: SharerEncoding::FullMap,
-            dir_latency: 16,
-            dram_latency: 80,
             cache_hit_latency: 12,
-            migratory_opt: true,
             predictor: PredictorChoice::None,
             direct_priority: Priority::BestEffort,
-            tenure: TenureConfig::paper_default(),
+            tenure: TenureConfig::Adaptive,
             deact_window: true,
             ack_elision: true,
-            reissues_before_persistent: 2,
             working_set_hint: None,
         }
     }
@@ -231,12 +214,13 @@ mod tests {
     #[test]
     fn defaults_match_paper() {
         let cfg = ProtocolConfig::new(ProtocolKind::Directory, 64);
-        assert_eq!(cfg.dir_latency, 16);
-        assert_eq!(cfg.dram_latency, 80);
+        assert_eq!(DIR_LATENCY, 16);
+        assert_eq!(DRAM_LATENCY, 80);
+        assert_eq!(REISSUES_BEFORE_PERSISTENT, 2);
         assert_eq!(cfg.cache_hit_latency, 12);
         assert_eq!(cfg.total_tokens, 64);
         assert_eq!(cfg.cache_geometry.blocks(), 16384); // 1MB / 64B
-        assert!(cfg.migratory_opt);
+        assert_eq!(cfg.tenure, TenureConfig::Adaptive);
         assert!(cfg.ack_elision);
         assert_eq!(cfg.sharer_encoding, SharerEncoding::FullMap);
         assert_eq!(cfg.fabric, FabricKind::Torus);
@@ -253,7 +237,7 @@ mod tests {
 
     #[test]
     fn tenure_timeout_policies() {
-        let adaptive = TenureConfig::paper_default();
+        let adaptive = TenureConfig::Adaptive;
         assert_eq!(adaptive.timeout(200.0), 400);
         assert_eq!(adaptive.timeout(1.0), 50, "floor applies");
         assert_eq!(TenureConfig::Fixed(123).timeout(9999.0), 123);

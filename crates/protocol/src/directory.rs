@@ -44,6 +44,7 @@ use patchsim_mem::{AccessKind, BlockAddr, CacheArray, TokenSet};
 use patchsim_noc::{NodeId, Priority};
 
 use crate::common::LatencyEstimator;
+use crate::config::{DIR_LATENCY, DRAM_LATENCY};
 use crate::controller::{
     resume, Completion, Controller, CoreResponse, MemOp, Outbox, ProtocolCounters, ProtocolGauges,
     SpanMarks, TimerKey,
@@ -350,7 +351,7 @@ impl DirectoryController {
         serial: u64,
         out: &mut Outbox,
     ) {
-        let (n, dir_latency) = (self.n(), self.config.dir_latency);
+        let n = self.n();
         let Opening {
             entry,
             exclusive: upgraded,
@@ -374,7 +375,7 @@ impl DirectoryController {
                 acks_expected,
                 exclusive: upgraded,
             };
-            out.send_with(targets, Priority::Normal, dir_latency, Msg::new(addr, fwd));
+            out.send_with(targets, Priority::Normal, DIR_LATENCY, Msg::new(addr, fwd));
         }
         if owner.is_none() {
             // Memory is the owner: supply data from DRAM.
@@ -388,7 +389,7 @@ impl DirectoryController {
                 dirty: false,
                 activation: true,
             };
-            let delay = dir_latency + self.config.dram_latency;
+            let delay = DIR_LATENCY + DRAM_LATENCY;
             out.send_one_after(n, requester, delay, Msg::new(addr, data));
         } else if owner == Some(requester) {
             // Upgrade miss: the requester already has the data; tell it
@@ -398,7 +399,7 @@ impl DirectoryController {
                 acks_expected,
                 exclusive: invalidating,
             };
-            out.send_one_after(n, requester, dir_latency, Msg::new(addr, activation));
+            out.send_one_after(n, requester, DIR_LATENCY, Msg::new(addr, activation));
         }
         // Otherwise the owner's data response (carrying acks_expected)
         // reaches the requester directly.
@@ -415,7 +416,6 @@ impl DirectoryController {
         out: &mut Outbox,
     ) {
         let n = self.n();
-        let dir_latency = self.config.dir_latency;
         debug_assert_eq!(self.home.active(addr), None);
         let entry = self.home.entry(addr);
         if entry.owner == Some(node) {
@@ -425,7 +425,7 @@ impl DirectoryController {
             entry.owner = None;
         }
         entry.sharers.remove_if_exact(node);
-        out.send_one_after(n, node, dir_latency, Msg::new(addr, MsgBody::WbAck));
+        out.send_one_after(n, node, DIR_LATENCY, Msg::new(addr, MsgBody::WbAck));
     }
 }
 

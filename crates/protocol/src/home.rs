@@ -85,7 +85,6 @@ pub(crate) struct Home<M, Q> {
     node: NodeId,
     num_nodes: u16,
     encoding: SharerEncoding,
-    migratory_opt: bool,
     /// Memory's state for a block nobody has touched.
     untouched: M,
 }
@@ -100,7 +99,6 @@ impl<M: Copy, Q> Home<M, Q> {
             node,
             num_nodes: config.num_nodes,
             encoding: config.sharer_encoding,
-            migratory_opt: config.migratory_opt,
             untouched,
         }
     }
@@ -118,13 +116,13 @@ impl<M: Copy, Q> Home<M, Q> {
     }
 
     /// Opens `requester`'s `kind` request on the idle block `addr`: records
-    /// it in the block's migratory state (when the optimisation is on) and
-    /// says whom to forward to. The policy then sends its messages and
-    /// calls [`activate`](Self::activate).
+    /// it in the block's migratory state and says whom to forward to. The
+    /// policy then sends its messages and calls
+    /// [`activate`](Self::activate).
     pub fn open(&mut self, addr: BlockAddr, requester: NodeId, kind: AccessKind) -> Opening<'_, M> {
-        let (n, migratory_opt) = (self.num_nodes, self.migratory_opt);
+        let n = self.num_nodes;
         let entry = self.entry(addr);
-        let exclusive = migratory_opt && entry.sharing.observe(requester, kind);
+        let exclusive = entry.sharing.observe(requester, kind);
         let invalidating = kind.is_write() || exclusive;
         let mut targets = if invalidating {
             entry.sharers.members()
@@ -421,18 +419,14 @@ mod tests {
 
     #[test]
     fn a_migratory_read_opens_exclusive_and_invalidating() {
-        for migratory_opt in [true, false] {
-            let mut p = shared(SharerEncoding::FullMap);
-            p.home.migratory_opt = migratory_opt;
-            assert!(!p.home.open(A, node(5), AccessKind::Read).exclusive);
-            assert!(!p.home.open(A, node(5), AccessKind::Write).exclusive);
-            let read = p.home.open(A, node(6), AccessKind::Read);
-            assert_eq!(read.exclusive, migratory_opt);
-            assert_eq!(read.invalidating, migratory_opt);
-            let targets: Vec<u16> = read.targets.iter().map(|n| n.raw()).collect();
-            let want: &[u16] = if migratory_opt { &[1, 2, 3] } else { &[1] };
-            assert_eq!(targets, want);
-        }
+        let mut p = shared(SharerEncoding::FullMap);
+        assert!(!p.home.open(A, node(5), AccessKind::Read).exclusive);
+        assert!(!p.home.open(A, node(5), AccessKind::Write).exclusive);
+        let read = p.home.open(A, node(6), AccessKind::Read);
+        assert!(read.exclusive);
+        assert!(read.invalidating);
+        let targets: Vec<u16> = read.targets.iter().map(|n| n.raw()).collect();
+        assert_eq!(targets, [1, 2, 3]);
     }
 
     #[test]

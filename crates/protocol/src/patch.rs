@@ -50,6 +50,7 @@ use patchsim_noc::{NodeId, Priority};
 use patchsim_predictor::Predictor;
 
 use crate::common::LatencyEstimator;
+use crate::config::{DIR_LATENCY, DRAM_LATENCY};
 use crate::controller::{
     resume, Completion, Controller, CoreResponse, MemOp, Outbox, ProtocolCounters, ProtocolGauges,
     SpanMarks, TimerKey, TimerKind,
@@ -236,12 +237,13 @@ impl PatchController {
             if line.has_tokens && !tbe.activated && !tbe.timer_armed {
                 tbe.timer_generation += 1;
                 tbe.timer_armed = true;
+                let generation = tbe.timer_generation;
                 out.arm_timer(
-                    now + self.config.tenure.timeout(self.latency.average()),
+                    now + self.tenure_timeout(),
                     TimerKey {
                         addr,
                         kind: TimerKind::Tenure,
-                        generation: tbe.timer_generation,
+                        generation,
                     },
                 );
             }
@@ -401,7 +403,7 @@ impl PatchController {
         serial: u64,
         out: &mut Outbox,
     ) {
-        let (n, id, dir_latency) = (self.n(), self.id, self.config.dir_latency);
+        let (n, id) = (self.n(), self.id);
         let Opening {
             entry,
             exclusive,
@@ -413,15 +415,15 @@ impl PatchController {
         // bit riding along; if it holds nothing, a standalone activation
         // is sent.
         let (msg, delay) = match entry.memory.reply(addr, id, serial, true) {
-            Some(reply) if reply.carries_data() => (reply, dir_latency + self.config.dram_latency),
-            Some(reply) => (reply, dir_latency),
+            Some(reply) if reply.carries_data() => (reply, DIR_LATENCY + DRAM_LATENCY),
+            Some(reply) => (reply, DIR_LATENCY),
             None => {
                 let activation = MsgBody::Activation {
                     serial,
                     acks_expected: 0,
                     exclusive,
                 };
-                (Msg::new(addr, activation), dir_latency)
+                (Msg::new(addr, activation), DIR_LATENCY)
             }
         };
         self.home.activate(addr, requester, serial, invalidating);
@@ -435,7 +437,7 @@ impl PatchController {
                 acks_expected: 0,
                 exclusive,
             };
-            out.send_with(targets, Priority::Normal, dir_latency, Msg::new(addr, fwd));
+            out.send_with(targets, Priority::Normal, DIR_LATENCY, Msg::new(addr, fwd));
         }
     }
 
@@ -450,7 +452,7 @@ impl PatchController {
         version: Option<u64>,
         out: &mut Outbox,
     ) {
-        let (n, id, dir_latency) = (self.n(), self.id, self.config.dir_latency);
+        let (n, id) = (self.n(), self.id);
         let active = self.home.active(addr);
         // The sender stays among the sharers: a `Put` may return only
         // stray arrivals while its tenured line stays. A stale sharer
@@ -463,7 +465,7 @@ impl PatchController {
             let redirect = entry
                 .memory
                 .redirect(addr, id, serial, tokens, version, true);
-            out.send_one_after(n, requester, dir_latency, redirect);
+            out.send_one_after(n, requester, DIR_LATENCY, redirect);
         } else {
             // Absorb into memory. If the returning node was the
             // directory's owner pointer, ownership reverts to memory.

@@ -37,6 +37,7 @@ use patchsim_mem::{AccessKind, BlockAddr, TokenSet};
 use patchsim_noc::{DestSet, NodeId};
 
 use crate::common::LatencyEstimator;
+use crate::config::{DIR_LATENCY, DRAM_LATENCY, REISSUES_BEFORE_PERSISTENT};
 use crate::controller::{
     Completion, Controller, CoreResponse, MemOp, Outbox, ProtocolCounters, ProtocolGauges,
     SpanMarks, TimerKey, TimerKind,
@@ -143,7 +144,7 @@ impl TokenBController {
         let mut dests = DestSet::all_except(n, id);
         if tbe.addr.home(num_nodes) == id {
             // Our own memory slice must also see the request; the
-            // interconnect delivers to self after the local latency.
+            // interconnect delivers to self after the self-send latency.
             dests.insert(id);
         }
         let msg = Msg::request(tbe.addr, tbe.kind, id, tbe.serial, style);
@@ -200,8 +201,6 @@ impl TokenBController {
         serial: u64,
         out: &mut Outbox,
     ) {
-        let lookup = self.config.dir_latency;
-        let dram = self.config.dram_latency + lookup;
         let (n, id) = (self.n(), self.id);
         let slice = self.home_slice(addr);
         // Writes take whatever memory holds; reads only an owner's data
@@ -210,7 +209,11 @@ impl TokenBController {
             return;
         }
         if let Some(reply) = slice.reply(addr, id, serial, false) {
-            let delay = if reply.carries_data() { dram } else { lookup };
+            let delay = if reply.carries_data() {
+                DRAM_LATENCY + DIR_LATENCY
+            } else {
+                DIR_LATENCY
+            };
             out.send_one_after(n, requester, delay, reply);
         }
     }
@@ -380,10 +383,13 @@ impl TokenBController {
         }
         // Surrender the memory slice's holdings too.
         if addr.home(self.config.num_nodes) == self.id {
-            let dram = self.config.dram_latency;
             let (n, id) = (self.n(), self.id);
             if let Some(reply) = self.home_slice(addr).reply(addr, id, 0, false) {
-                let delay = if reply.carries_data() { dram } else { 0 };
+                let delay = if reply.carries_data() {
+                    DRAM_LATENCY
+                } else {
+                    0
+                };
                 out.send_one_after(n, starver, delay, reply);
             }
         }
@@ -529,7 +535,7 @@ impl Controller for TokenBController {
         if tbe.addr != key.addr || tbe.timer_generation != key.generation || tbe.persistent {
             return;
         }
-        if tbe.reissues < self.config.reissues_before_persistent {
+        if tbe.reissues < REISSUES_BEFORE_PERSISTENT {
             tbe.reissues += 1;
             self.counters.reissues += 1;
             self.broadcast_request(RequestStyle::Reissue, now, out);
@@ -725,7 +731,7 @@ mod tests {
             &mut out,
         );
         let (mut at, mut key) = out.timers[0];
-        // Fire the timer config.reissues_before_persistent times: each
+        // Fire the timer REISSUES_BEFORE_PERSISTENT times: each
         // rebroadcasts.
         for i in 0..2 {
             let mut out = Outbox::new();

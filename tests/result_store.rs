@@ -10,9 +10,7 @@ use std::hash::Hasher;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use patchsim::exp::{
-    cell_key, Format, LoadOutcome, MergeReport, ResultStore, Runner, StoreError, TableError,
-};
+use patchsim::exp::{cell_key, Format, LoadOutcome, MergeReport, ResultStore, Runner, StoreError};
 use patchsim::{run, ProtocolKind, SimConfig, SimRng, WorkloadSpec};
 use patchsim_bench::{faults_plan, with_standard_columns, BenchArgs, Scale};
 use patchsim_kernel::collections::FxHasher;
@@ -377,24 +375,6 @@ fn store_does_not_swallow_trace_recording() {
         trace_path.exists(),
         "recording run must not be skipped by a cache hit"
     );
-}
-
-/// The table-level error paths introduced for user-supplied axes.
-#[test]
-fn table_errors_are_typed_not_panics() {
-    let plan = faults_plan(tiny());
-    let table = Runner::serial().run(&plan);
-    let err = table
-        .try_normalized_column("norm", 3, "bogus-axis", "none", |_| 1.0)
-        .unwrap_err();
-    match err {
-        TableError::UnknownAxis { ref axis, ref axes } => {
-            assert_eq!(axis, "bogus-axis");
-            assert_eq!(axes, &["config", "faults", "fabric"]);
-        }
-        ref other => panic!("expected UnknownAxis, got {other}"),
-    }
-    assert!(err.to_string().contains("bogus-axis"));
 }
 
 /// CLI surface: the new flags parse strictly.
