@@ -463,6 +463,23 @@ mod tests {
         let _ = tiny_table().with_normalized_column("n", 3, "nope", "Directory", |_| 0.0);
     }
 
+    #[test]
+    fn try_normalized_column_names_the_bad_axis() {
+        // The panic message is the whole diagnostic a caller gets, so it must
+        // name both the rejected axis and the axes the table does have.
+        let table = tiny_table();
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            table.with_normalized_column("n", 3, "nope", "Directory", |_| 0.0)
+        }))
+        .err()
+        .expect("an unknown axis must be rejected");
+        let msg = err
+            .downcast_ref::<String>()
+            .expect("the panic carries a formatted message");
+        assert!(msg.contains("'nope'"), "{msg}");
+        assert!(msg.contains("config, think"), "{msg}");
+    }
+
     /// `tiny_table` without the cells `drop` selects.
     fn tiny_table_without(drop: impl Fn(&CellResult) -> bool) -> Table {
         let full = tiny_table();
