@@ -471,8 +471,7 @@ mod tests {
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
             table.with_normalized_column("n", 3, "nope", "Directory", |_| 0.0)
         }))
-        .err()
-        .expect("an unknown axis must be rejected");
+        .expect_err("an unknown axis must be rejected");
         let msg = err
             .downcast_ref::<String>()
             .expect("the panic carries a formatted message");

@@ -1,5 +1,7 @@
 //! Set-associative cache arrays with LRU replacement.
 
+use patchsim_kernel::collections::FxHashMap;
+
 use crate::{BlockAddr, Chunked};
 
 /// The shape of a cache: number of sets × associativity.
@@ -94,25 +96,25 @@ pub struct Evicted<L> {
 /// # Host layout
 ///
 /// Memory follows residency, not geometry and not history. Construction
-/// allocates two per-set tables and nothing per way: one occupancy bit per
-/// set, and `slot_of_set`, a `u32` per set that is 0 while the set holds
-/// nothing. An [`insert`](CacheArray::insert) into an empty set gives it a
-/// *slot* in two [`Chunked`] arrays — one holds a set's tags followed by
-/// its LRU stamps, the other its payloads. A [`remove`](CacheArray::remove)
-/// that empties a set takes the slot back: the set's entry returns to 0 and
-/// the slot goes onto a free list. An insert into an empty set pops that
-/// list first, last freed first — the slot likeliest to still be in the
-/// host's caches — and only when it is empty hands out a new slot,
-/// `materialised`, the high-water mark. Storage therefore holds as many
-/// slots as sets were ever non-empty *at once*, not every set a run ever
-/// filled. That matters under token coherence: a write collects every
-/// token, which empties the block's set at every other node, so at any
-/// moment most sets a node has filled are empty again. Storage comes in
-/// chunks of 64 slots, allocated when their first slot is handed out and
-/// never moved or freed, so growth copies no line. A simulated system keeps
-/// one array per node and a run fills a sliver of each (150 of 4096 sets
-/// per node on a 128-node mesh), so storage sized by geometry was most of
-/// the simulator's resident set and nearly all of its construction time.
+/// allocates one occupancy bit per set and nothing else per set or per way.
+/// An [`insert`](CacheArray::insert) into an empty set gives it a *slot* in
+/// two [`Chunked`] arrays — one holds a set's tags followed by its LRU
+/// stamps, the other its payloads — and enters `set → slot` in `index`, a
+/// map that holds only the sets that hold a line. A
+/// [`remove`](CacheArray::remove) that empties a set takes the slot back:
+/// the set's entry leaves the index and the slot goes onto a free list. An
+/// insert into an empty set pops that list first, last freed first — the
+/// slot likeliest to still be in the host's caches — and only when it is
+/// empty hands out a new slot, `materialised`, the high-water mark. Storage
+/// therefore holds as many slots as sets were ever non-empty *at once*, not
+/// every set a run ever filled. That matters under token coherence: a write
+/// collects every token, which empties the block's set at every other node,
+/// so at any moment most sets a node has filled are empty again. Storage
+/// comes in chunks of 64 slots, allocated when their first slot is handed
+/// out and never moved or freed, so growth copies no line. A simulated
+/// system keeps one array per node and a run fills a sliver of each (150 of
+/// 4096 sets per node on a 128-node mesh), so anything sized by geometry
+/// would be most of what constructing a system allocates.
 ///
 /// A freed slot keeps the tags `remove` parked in it, and nothing else: its
 /// stamps are 0 and its payloads `None`, as in a slot never handed out, and
@@ -121,21 +123,22 @@ pub struct Evicted<L> {
 /// `len` cannot tell them apart.
 ///
 /// A probe reads the set's occupancy bit and stops there if the set is
-/// empty. Otherwise it reads the set's slot, then its tags — 32 contiguous
-/// bytes at the paper's 4 ways, with the stamps in the 32 after them —
-/// and touches the payloads only on a tag match. Most deliveries a
-/// coherence controller sees are requests for blocks it does not hold, and
-/// the arrays together are far larger than the host's caches, so every line
-/// a miss does not touch is a host cache miss saved. The bits (512 B at the
-/// paper's 4096 sets) stay host-cache resident at any node count.
+/// empty. Otherwise it looks the set's slot up in the index, then reads its
+/// tags — 32 contiguous bytes at the paper's 4 ways, with the stamps in the
+/// 32 after them — and touches the payloads only on a tag match. Most
+/// deliveries a coherence controller sees are requests for blocks it does
+/// not hold, and the arrays together are far larger than the host's caches,
+/// so every line a miss does not touch is a host cache miss saved. The bits
+/// (512 B at the paper's 4096 sets) stay host-cache resident at any node
+/// count.
 ///
-/// Invariants: the non-zero values of `slot_of_set` are distinct, and
-/// they (less one) and the entries of `free` together are exactly the
-/// slots `0..materialised`, each once; both arrays have storage for those
-/// slots. Way `w` of a slot is resident ⇔ its stamp is non-zero ⇔ its
-/// payload is `Some`. A set has a slot ⇔ it has a resident way ⇔ bit `s`
-/// of `occupied` is set, so the bit equals `slot_of_set[s] != 0`; a slot on
-/// the free list has no resident way.
+/// Invariants: the values of `index` are distinct, and they and the
+/// entries of `free` together are exactly the slots `0..materialised`,
+/// each once; both arrays have storage for those slots. Way `w` of a slot
+/// is resident ⇔ its stamp is non-zero ⇔ its payload is `Some`. A set has
+/// a slot ⇔ it has a resident way ⇔ bit `s` of `occupied` is set ⇔ `index`
+/// has a key `s`, so the index holds as many entries as `occupied` has set
+/// bits; a slot on the free list has no resident way.
 /// `lru_clock` is bumped before every stamp, so resident stamps are ≥ 1 and
 /// distinct, and 0 marks an empty way. The tag of an empty way is never
 /// trusted, which leaves every [`BlockAddr`] a legal key; `remove` only
@@ -157,7 +160,8 @@ pub struct Evicted<L> {
 pub struct CacheArray<L> {
     geometry: CacheGeometry,
     occupied: Vec<u64>,
-    slot_of_set: Vec<u32>,
+    /// Set → slot, for the sets that hold a line and no other.
+    index: FxHashMap<u32, u32>,
     /// Slots taken back from emptied sets, the last freed on top.
     free: Vec<u32>,
     /// How many slots were ever handed out: the most sets that held
@@ -194,15 +198,15 @@ fn placement(tags: &[u64], stamps: &[u64], addr: BlockAddr) -> Option<usize> {
 }
 
 impl<L> CacheArray<L> {
-    /// Creates an empty array with the given geometry. Allocates per set
-    /// (an occupancy bit and a slot index), never per way.
+    /// Creates an empty array with the given geometry. Allocates an
+    /// occupancy bit per set and nothing else per set or per way.
     pub fn new(geometry: CacheGeometry) -> Self {
         let sets = geometry.sets() as usize;
         let ways = geometry.ways() as usize;
         CacheArray {
             geometry,
             occupied: vec![0; sets.div_ceil(64)],
-            slot_of_set: vec![0; sets],
+            index: FxHashMap::default(),
             free: Vec::new(),
             materialised: 0,
             meta: Chunked::new(2 * ways),
@@ -218,7 +222,7 @@ impl<L> CacheArray<L> {
 
     /// `set`'s slot, if the set holds a line.
     fn slot_of(&self, set: usize) -> Option<usize> {
-        Some(self.slot_of_set[set].checked_sub(1)? as usize)
+        Some(*self.index.get(&(set as u32))? as usize)
     }
 
     /// The tags and the stamps of the set in `slot`.
@@ -236,7 +240,7 @@ impl<L> CacheArray<L> {
     fn occupied_set(&self, addr: BlockAddr) -> Option<usize> {
         let set = self.geometry.set_of(addr);
         let occupied = self.occupied[set / 64] >> (set % 64) & 1 != 0;
-        debug_assert_eq!(occupied, self.slot_of_set[set] != 0);
+        debug_assert_eq!(occupied, self.index.contains_key(&(set as u32)));
         occupied.then_some(set)
     }
 
@@ -246,9 +250,9 @@ impl<L> CacheArray<L> {
         self.peek_in(self.occupied_set(addr)?, addr)
     }
 
-    // What `peek` and `get_mut` do past the occupancy test — read the set's
-    // slot, then its tags, then a stamp and the payload where a tag matches
-    // — is kept out of line so that the test itself inlines into the
+    // What `peek` and `get_mut` do past the occupancy test — look the set's
+    // slot up, then read its tags, then a stamp and the payload where a tag
+    // matches — is kept out of line so that the test itself inlines into the
     // controllers: a probe that ends there should not pay for a call frame.
     #[inline(never)]
     fn peek_in(&self, set: usize, addr: BlockAddr) -> Option<&L> {
@@ -318,7 +322,7 @@ impl<L> CacheArray<L> {
                 slot
             }
         };
-        self.slot_of_set[set] = slot as u32 + 1;
+        self.index.insert(set as u32, slot as u32);
         slot
     }
 
@@ -344,7 +348,7 @@ impl<L> CacheArray<L> {
         tags[way] = !addr.raw();
         if stamps.iter().all(|&stamp| stamp == 0) {
             self.occupied[set / 64] &= !(1 << (set % 64));
-            self.slot_of_set[set] = 0;
+            self.index.remove(&(set as u32));
             self.free.push(slot as u32);
         }
         self.payloads[slot][way].take()
@@ -378,8 +382,12 @@ impl<L> CacheArray<L> {
     /// Iterates over `(address, payload)` pairs in ascending line order
     /// (set-major, then way), whatever order the sets were first filled in.
     pub fn iter(&self) -> impl Iterator<Item = (BlockAddr, &L)> {
-        (0..self.slot_of_set.len())
-            .filter_map(|set| self.slot_of(set))
+        let sets = self.occupied.iter().enumerate().flat_map(|(word, &bits)| {
+            (0..64)
+                .filter(move |bit| bits >> bit & 1 != 0)
+                .map(move |bit| word * 64 + bit)
+        });
+        sets.map(|set| self.slot_of(set).expect("an occupied set has a slot"))
             .flat_map(|slot| self.meta[slot].iter().zip(&self.payloads[slot]))
             .filter_map(|(&tag, payload)| Some((BlockAddr::new(tag), payload.as_ref()?)))
     }
@@ -732,6 +740,8 @@ mod tests {
                     _ => assert_eq!(new.contains(addr), old.contains(addr)),
                 }
                 assert_eq!(new.is_empty(), old.is_empty());
+                let occupied = new.occupied.iter().map(|bits| bits.count_ones());
+                assert_eq!(new.index.len(), occupied.sum::<u32>() as usize);
                 // The full scans are too slow to repeat per op on 16k lines.
                 if sets < 4096 {
                     assert_eq!(new.len(), old.len());
@@ -752,6 +762,19 @@ mod tests {
         // Vacuity guards: the sequences did reach the interesting paths.
         assert!(evictions > 500 && hits > 500 && extremes > 50 && refills > 50);
         assert!(recycled > 10_000, "{recycled} slots recycled");
+    }
+
+    /// Construction builds no index entry and no index storage, however
+    /// many sets the geometry has, and a set that empties again leaves the
+    /// index as it found it.
+    #[test]
+    fn a_new_cache_indexes_no_set() {
+        let mut c = CacheArray::<u64>::new(CacheGeometry::new(1 << 20, 4));
+        assert_eq!((c.index.len(), c.index.capacity()), (0, 0));
+        assert!(c.insert(a(12345), 1).is_none());
+        assert_eq!(c.index.len(), 1);
+        assert_eq!(c.remove(a(12345)), Some(1));
+        assert!(c.index.is_empty() && c.is_empty());
     }
 
     /// Memory follows residency: construction allocates no per-way storage

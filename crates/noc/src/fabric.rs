@@ -1004,19 +1004,11 @@ impl<M: Clone + NocPayload> Fabric<M> {
     /// Builds the interconnect for `config`.
     pub fn new(config: FabricConfig) -> Self {
         let spec = FabricSpec::build(&config);
-        // Unbounded links never queue (every packet starts transmitting
-        // at once); finite links get a little headroom so early
-        // contention does not reallocate.
         let links = (0..spec.num_links())
-            .map(|link| {
-                let unbounded = spec.class_params[spec.link_class(link)]
-                    .bandwidth
-                    .is_unbounded();
-                LinkState {
-                    free_at: Cycle::ZERO,
-                    queue: PriorityQueue::with_capacity(if unbounded { 0 } else { 16 }),
-                    busy_cycles: 0,
-                }
+            .map(|_| LinkState {
+                free_at: Cycle::ZERO,
+                queue: PriorityQueue::new(),
+                busy_cycles: 0,
             })
             .collect();
         let faults = (!config.faults.is_none()).then(|| {
@@ -1696,5 +1688,16 @@ mod tests {
         for &(a, b) in &tree.edges {
             assert!(spec.is_link(a, b), "tree edge {a}->{b} is not a link");
         }
+    }
+
+    /// A fabric reserves no wait queue: a finite link's queue allocates
+    /// when a packet first waits on it, not at construction.
+    #[test]
+    fn links_start_with_empty_queues() {
+        let cfg = FabricConfig::new(FabricKind::Torus, 64)
+            .with_bandwidth(LinkBandwidth::BytesPerCycle(2.0));
+        let net: Fabric<Probe> = Fabric::new(cfg);
+        assert_eq!(net.links.len(), 256);
+        assert!(net.links.iter().all(|link| link.queue.capacity() == 0));
     }
 }

@@ -36,11 +36,11 @@ pub(crate) struct PriorityQueue<P> {
 }
 
 impl<P> PriorityQueue<P> {
-    /// Creates a queue with `capacity` pre-reserved slots per level.
-    pub(crate) fn with_capacity(capacity: usize) -> Self {
+    /// Creates an empty queue. It allocates nothing until a packet waits.
+    pub(crate) fn new() -> Self {
         PriorityQueue {
-            normal: VecDeque::with_capacity(capacity),
-            best_effort: VecDeque::with_capacity(capacity),
+            normal: VecDeque::new(),
+            best_effort: VecDeque::new(),
         }
     }
 
@@ -85,6 +85,12 @@ impl<P> PriorityQueue<P> {
     pub(crate) fn len(&self) -> usize {
         self.normal.len() + self.best_effort.len()
     }
+
+    /// Packets the queue has room for without reallocating, both levels.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.normal.capacity() + self.best_effort.capacity()
+    }
 }
 
 #[cfg(test)]
@@ -97,7 +103,7 @@ mod tests {
 
     #[test]
     fn normal_precedes_best_effort() {
-        let mut q = PriorityQueue::with_capacity(0);
+        let mut q = PriorityQueue::new();
         q.push(c(0), Priority::BestEffort, "hint");
         q.push(c(1), Priority::Normal, "real");
         assert_eq!(q.pop(c(2), 100, |_| panic!("no drops")), Some("real"));
@@ -107,7 +113,7 @@ mod tests {
 
     #[test]
     fn fifo_within_level() {
-        let mut q = PriorityQueue::with_capacity(0);
+        let mut q = PriorityQueue::new();
         q.push(c(0), Priority::Normal, 1);
         q.push(c(0), Priority::Normal, 2);
         q.push(c(0), Priority::Normal, 3);
@@ -118,7 +124,7 @@ mod tests {
 
     #[test]
     fn stale_best_effort_is_dropped() {
-        let mut q = PriorityQueue::with_capacity(0);
+        let mut q = PriorityQueue::new();
         q.push(c(0), Priority::BestEffort, "old");
         q.push(c(90), Priority::BestEffort, "fresh");
         let mut dropped = Vec::new();
@@ -130,14 +136,14 @@ mod tests {
 
     #[test]
     fn exactly_at_bound_is_not_stale() {
-        let mut q = PriorityQueue::with_capacity(0);
+        let mut q = PriorityQueue::new();
         q.push(c(0), Priority::BestEffort, "edge");
         assert_eq!(q.pop(c(100), 100, |_| panic!("no drops")), Some("edge"));
     }
 
     #[test]
     fn normal_is_never_dropped() {
-        let mut q = PriorityQueue::with_capacity(0);
+        let mut q = PriorityQueue::new();
         q.push(c(0), Priority::Normal, "slow but sure");
         assert_eq!(
             q.pop(c(1_000_000), 100, |_| panic!("no drops")),
@@ -147,7 +153,7 @@ mod tests {
 
     #[test]
     fn len_counts_both_levels() {
-        let mut q = PriorityQueue::with_capacity(0);
+        let mut q = PriorityQueue::new();
         q.push(c(0), Priority::Normal, 1);
         q.push(c(0), Priority::BestEffort, 2);
         assert_eq!(q.len(), 2);
@@ -156,7 +162,7 @@ mod tests {
 
     #[test]
     fn pop_empty_returns_none() {
-        let mut q: PriorityQueue<u8> = PriorityQueue::with_capacity(0);
+        let mut q: PriorityQueue<u8> = PriorityQueue::new();
         assert_eq!(q.pop(c(0), 0, |_| ()), None);
     }
 }

@@ -16,7 +16,16 @@
 #       cargo build --release ...
 #
 # (same code generation, a target directory of its own). Without it the
-# table still resolves to whole functions from the symbol table.
+# table still resolves to whole functions from the symbol table. A test is
+# profiled the same way, through its binary: for PATCH-All on the 512-node
+# torus,
+#
+#   CARGO_PROFILE_RELEASE_DEBUG=limited CARGO_TARGET_DIR=<scratch> \
+#       cargo test --release -p patchsim --test regression_races --no-run
+#   scripts/sample_profile.sh <scratch>/release/deps/regression_races-<hash> \
+#       --ignored --exact patch_all_completes_on_the_512_node_torus
+#
+# (`--no-run` prints the binary's path).
 #
 # Environment:
 #   SAMPLE_TOP   rows printed per table (default 30)
