@@ -98,9 +98,9 @@ pub struct Evicted<L> {
 /// Memory follows residency, not geometry and not history. Construction
 /// allocates one occupancy bit per set and nothing else per set or per way.
 /// An [`insert`](CacheArray::insert) into an empty set gives it a *slot* in
-/// two [`Chunked`] arrays — one holds a set's tags followed by its LRU
-/// stamps, the other its payloads — and enters `set → slot` in `index`, a
-/// map that holds only the sets that hold a line. A
+/// two [`Chunked`] arrays — one holds a set's tags followed by its 32-bit
+/// LRU stamps, the other its payloads — and enters `set → slot` in `index`,
+/// a map that holds only the sets that hold a line. A
 /// [`remove`](CacheArray::remove) that empties a set takes the slot back:
 /// the set's entry leaves the index and the slot goes onto a free list. An
 /// insert into an empty set pops that list first, last freed first — the
@@ -125,7 +125,7 @@ pub struct Evicted<L> {
 /// A probe reads the set's occupancy bit and stops there if the set is
 /// empty. Otherwise it looks the set's slot up in the index, then reads its
 /// tags — 32 contiguous bytes at the paper's 4 ways, with the stamps in the
-/// 32 after them — and touches the payloads only on a tag match. Most
+/// 16 after them — and touches the payloads only on a tag match. Most
 /// deliveries a coherence controller sees are requests for blocks it does
 /// not hold, and the arrays together are far larger than the host's caches,
 /// so every line a miss does not touch is a host cache miss saved. The bits
@@ -140,9 +140,9 @@ pub struct Evicted<L> {
 /// has a key `s`, so the index holds as many entries as `occupied` has set
 /// bits; a slot on the free list has no resident way.
 /// `lru_clock` is bumped before every stamp, so resident stamps are ≥ 1 and
-/// distinct, and 0 marks an empty way. The tag of an empty way is never
-/// trusted, which leaves every [`BlockAddr`] a legal key; `remove` only
-/// makes it differ from the block that left.
+/// distinct within a set, the only place they are compared (at `u32::MAX` a
+/// bump first ranks them `1..=k`), and 0 marks an empty way. An empty way's
+/// tag is never trusted, so every [`BlockAddr`] is a legal key.
 ///
 /// # Examples
 ///
@@ -167,17 +167,25 @@ pub struct CacheArray<L> {
     /// How many slots were ever handed out: the most sets that held
     /// something at once. Slots `0..materialised` have storage.
     materialised: u32,
-    /// Per slot, the set's tags then its stamps.
+    /// Per slot, the set's tags then its stamps, two to a word.
     meta: Chunked<u64>,
     /// Per slot, the set's payloads.
     payloads: Chunked<Option<L>>,
-    lru_clock: u64,
+    lru_clock: u32,
+}
+
+fn stamp(stamps: &[u64], way: usize) -> u32 {
+    (stamps[way / 2] >> (way % 2 * 32)) as u32
+}
+
+fn set_stamp(stamps: &mut [u64], way: usize, stamp: u32) {
+    let (word, shift) = (&mut stamps[way / 2], way % 2 * 32);
+    *word = *word & !(u64::from(u32::MAX) << shift) | u64::from(stamp) << shift;
 }
 
 /// The way holding `addr` in a set with these tags and stamps.
 fn way_of(tags: &[u64], stamps: &[u64], addr: BlockAddr) -> Option<usize> {
-    let holds = |(&tag, &stamp): (&u64, &u64)| tag == addr.raw() && stamp != 0;
-    tags.iter().zip(stamps).position(holds)
+    (0..tags.len()).find(|&way| tags[way] == addr.raw() && stamp(stamps, way) != 0)
 }
 
 /// Where [`CacheArray::insert`] would put `addr` in a set: the way with the
@@ -185,13 +193,14 @@ fn way_of(tags: &[u64], stamps: &[u64], addr: BlockAddr) -> Option<usize> {
 /// while the set has one, its LRU line otherwise — or `None` if `addr` is
 /// resident. One pass over the set's tags and stamps.
 fn placement(tags: &[u64], stamps: &[u64], addr: BlockAddr) -> Option<usize> {
-    let mut target = 0;
-    for (way, (&tag, &stamp)) in tags.iter().zip(stamps).enumerate() {
+    let (mut target, mut oldest) = (0, u32::MAX);
+    for (way, &tag) in tags.iter().enumerate() {
+        let stamp = stamp(stamps, way);
         if stamp != 0 && tag == addr.raw() {
             return None;
         }
-        if stamp < stamps[target] {
-            target = way;
+        if stamp < oldest {
+            (target, oldest) = (way, stamp);
         }
     }
     Some(target)
@@ -209,7 +218,7 @@ impl<L> CacheArray<L> {
             index: FxHashMap::default(),
             free: Vec::new(),
             materialised: 0,
-            meta: Chunked::new(2 * ways),
+            meta: Chunked::new(ways + ways.div_ceil(2)),
             payloads: Chunked::new(ways),
             lru_clock: 0,
         }
@@ -233,6 +242,29 @@ impl<L> CacheArray<L> {
     fn tags_and_stamps_mut(&mut self, slot: usize) -> (&mut [u64], &mut [u64]) {
         let ways = self.geometry.ways as usize;
         self.meta[slot].split_at_mut(ways)
+    }
+
+    fn tick(&mut self) -> u32 {
+        if self.lru_clock == u32::MAX {
+            self.renumber();
+        }
+        self.lru_clock += 1;
+        self.lru_clock
+    }
+
+    /// Ranks each set's resident stamps `1..=k`, in order, empty ways 0.
+    #[cold]
+    fn renumber(&mut self) {
+        for slot in 0..self.materialised as usize {
+            let stamps = self.tags_and_stamps_mut(slot).1;
+            let old = stamps.to_vec();
+            for way in 0..2 * old.len() {
+                let was = stamp(&old, way);
+                let older = (0..2 * old.len()).filter(|&w| (1..=was).contains(&stamp(&old, w)));
+                set_stamp(stamps, way, older.count() as u32);
+            }
+        }
+        self.lru_clock = self.geometry.ways;
     }
 
     /// The set `addr` maps to, if it holds anything: the occupancy test
@@ -265,17 +297,16 @@ impl<L> CacheArray<L> {
     /// Looks up `addr`, marking the line most-recently-used.
     #[inline]
     pub fn get_mut(&mut self, addr: BlockAddr) -> Option<&mut L> {
-        self.lru_clock += 1;
         self.get_mut_in(self.occupied_set(addr)?, addr)
     }
 
     #[inline(never)]
     fn get_mut_in(&mut self, set: usize, addr: BlockAddr) -> Option<&mut L> {
         let slot = self.slot_of(set).expect("an occupied set has a slot");
-        let now = self.lru_clock;
+        let now = self.tick();
         let (tags, stamps) = self.tags_and_stamps_mut(slot);
         let way = way_of(tags, stamps, addr)?;
-        stamps[way] = now;
+        set_stamp(stamps, way, now);
         self.payloads[slot][way].as_mut()
     }
 
@@ -294,13 +325,12 @@ impl<L> CacheArray<L> {
     pub fn insert(&mut self, addr: BlockAddr, payload: L) -> Option<Evicted<L>> {
         let set = self.geometry.set_of(addr);
         let slot = self.slot_of(set).unwrap_or_else(|| self.open_slot(set));
-        self.lru_clock += 1;
-        let now = self.lru_clock;
+        let now = self.tick();
         let (tags, stamps) = self.tags_and_stamps_mut(slot);
         let Some(way) = placement(tags, stamps, addr) else {
             panic!("block {addr} inserted while already resident");
         };
-        stamps[way] = now;
+        set_stamp(stamps, way, now);
         let old_addr = BlockAddr::new(std::mem::replace(&mut tags[way], addr.raw()));
         self.occupied[set / 64] |= 1 << (set % 64);
         let evicted = self.payloads[slot][way].replace(payload);
@@ -332,7 +362,7 @@ impl<L> CacheArray<L> {
         let slot = self.slot_of(self.geometry.set_of(addr))?;
         let (tags, stamps) = self.tags_and_stamps(slot);
         let way = placement(tags, stamps, addr)?;
-        (stamps[way] != 0).then(|| BlockAddr::new(tags[way]))
+        (stamp(stamps, way) != 0).then(|| BlockAddr::new(tags[way]))
     }
 
     /// Removes `addr`, returning its payload.
@@ -341,12 +371,12 @@ impl<L> CacheArray<L> {
         let slot = self.slot_of(set).expect("an occupied set has a slot");
         let (tags, stamps) = self.tags_and_stamps_mut(slot);
         let way = way_of(tags, stamps, addr)?;
-        stamps[way] = 0;
+        set_stamp(stamps, way, 0);
         // A block just given away is the likeliest to be probed again (its
         // old holders keep seeing requests for it): make that probe fail on
         // the tag alone.
         tags[way] = !addr.raw();
-        if stamps.iter().all(|&stamp| stamp == 0) {
+        if stamps.iter().all(|&word| word == 0) {
             self.occupied[set / 64] &= !(1 << (set % 64));
             self.index.remove(&(set as u32));
             self.free.push(slot as u32);
@@ -762,6 +792,78 @@ mod tests {
         // Vacuity guards: the sequences did reach the interesting paths.
         assert!(evictions > 500 && hits > 500 && extremes > 50 && refills > 50);
         assert!(recycled > 10_000, "{recycled} slots recycled");
+    }
+
+    /// The 32-bit clock's renumbering is invisible: started a few hundred
+    /// ticks below `u32::MAX`, and set back there after each renumber, the
+    /// array returns what the reference returns through three renumbers
+    /// per geometry, under `matches_line_array_oracle`'s op mix on blocks
+    /// that collide in a few sets. Right after each renumber every resident
+    /// stamp is at most `ways + 1`, and the whole of `iter`, and `victim_for`
+    /// and an insert of every pool block, still agree.
+    #[test]
+    fn lru_clock_wrap_matches_the_oracle() {
+        const START: u32 = u32::MAX - 300;
+        let mut rng = SimRng::from_seed(0xC10C);
+        for (sets, ways) in [(4, 2), (3, 5), (4096, 4)] {
+            let geometry = CacheGeometry::new(sets, ways);
+            let (mut new, mut old) = (CacheArray::new(geometry), oracle::LineArray::new(geometry));
+            let pool: Vec<u64> = (0..sets.min(6))
+                .flat_map(|set| (0..ways + 2).map(move |k| u64::from(set + k * sets)))
+                .collect();
+            let (mut renumbers, mut evictions, mut full_sets) = (0, 0, 0);
+            new.lru_clock = START;
+            for op in 0..20_000 {
+                let addr = a(pool[rng.below(pool.len() as u64) as usize]);
+                let before = new.lru_clock;
+                match rng.below(6) {
+                    0 if !old.contains(addr) => {
+                        let victim = new.insert(addr, op);
+                        assert_eq!(victim, old.insert(addr, op));
+                        evictions += victim.is_some() as u32;
+                    }
+                    1 => assert_eq!(new.get_mut(addr), old.get_mut(addr)),
+                    2 => assert_eq!(new.peek(addr), old.peek(addr)),
+                    3 => assert_eq!(new.remove(addr), old.remove(addr)),
+                    4 => assert_eq!(new.victim_for(addr), old.victim_for(addr)),
+                    _ => assert_eq!(new.contains(addr), old.contains(addr)),
+                }
+                if new.lru_clock >= before {
+                    continue;
+                }
+                renumbers += 1;
+                assert_eq!(new.lru_clock, ways + 1, "renumbered, then stamped");
+                for slot in 0..new.materialised as usize {
+                    let words = new.tags_and_stamps(slot).1;
+                    let stamps = (0..ways as usize).map(|way| stamp(words, way));
+                    assert!(stamps.clone().all(|stamp| stamp <= ways + 1));
+                    full_sets += stamps.clone().all(|stamp| stamp != 0) as u32;
+                }
+                assert!(new.iter().eq(old.iter()));
+                for &raw in &pool {
+                    assert_eq!(new.victim_for(a(raw)), old.victim_for(a(raw)));
+                }
+                for &raw in &pool {
+                    if !old.contains(a(raw)) {
+                        let victim = new.insert(a(raw), op);
+                        assert_eq!(victim, old.insert(a(raw), op));
+                        evictions += victim.is_some() as u32;
+                    }
+                }
+                if renumbers == 3 {
+                    break;
+                }
+                new.lru_clock = START;
+            }
+            assert_eq!(new.len(), old.len());
+            assert!(new.iter().eq(old.iter()));
+            // Vacuity guards: the clock wrapped, with full sets, and evicted.
+            assert_eq!(renumbers, 3, "renumbers on {sets}x{ways}");
+            assert!(
+                full_sets > 0 && evictions > 50,
+                "{full_sets} {evictions} on {sets}x{ways}"
+            );
+        }
     }
 
     /// Construction builds no index entry and no index storage, however

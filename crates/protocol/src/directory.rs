@@ -649,6 +649,12 @@ mod tests {
         assert!(std::mem::size_of::<crate::home::HomeEntry<u64>>() <= 56);
     }
 
+    /// A node's cache holds one of these per resident way.
+    #[test]
+    fn a_dir_line_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<Option<DirLine>>(), 16);
+    }
+
     #[test]
     fn read_miss_sends_indirect_request_to_home() {
         let mut c = ctrl(4, 1);

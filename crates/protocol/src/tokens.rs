@@ -19,21 +19,34 @@ use patchsim_noc::NodeId;
 use crate::controller::{Outbox, ProtocolCounters};
 use crate::{Msg, MsgBody};
 
-/// One cache line's token state.
+/// One cache line's token state, its [`TokenSet`] stored flat: nested, the
+/// set's padding would make the line 24 bytes, not 16.
 #[derive(Clone, Copy, Debug)]
 struct TokenLine {
-    tokens: TokenSet,
     version: u64,
+    count: u32,
+    owner: Option<OwnerStatus>,
     /// The valid-data bit (Rule 5).
     valid: bool,
 }
 
 impl TokenLine {
+    fn tokens(&self) -> TokenSet {
+        match self.owner {
+            Some(status) => TokenSet::full(self.count, status),
+            None => TokenSet::plain(self.count),
+        }
+    }
+
+    fn set_tokens(&mut self, tokens: TokenSet) {
+        (self.count, self.owner) = (tokens.count(), tokens.owner_status());
+    }
+
     fn permits(&self, kind: AccessKind, total: u32) -> bool {
         self.valid
             && match kind {
-                AccessKind::Read => self.tokens.can_read(),
-                AccessKind::Write => self.tokens.can_write(total),
+                AccessKind::Read => self.tokens().can_read(),
+                AccessKind::Write => self.tokens().can_write(total),
             }
     }
 
@@ -42,7 +55,9 @@ impl TokenLine {
     fn perform(&mut self, kind: AccessKind) -> u64 {
         if kind.is_write() {
             self.version += 1;
-            self.tokens.set_owner_dirty();
+            let mut tokens = self.tokens();
+            tokens.set_owner_dirty();
+            self.set_tokens(tokens);
         }
         self.version
     }
@@ -91,8 +106,8 @@ impl TokenCache {
             .peek(addr)
             .map_or_else(LineStatus::default, |line| LineStatus {
                 satisfied: line.permits(kind, self.total),
-                has_tokens: !line.tokens.is_empty(),
-                has_owner: line.tokens.has_owner(),
+                has_tokens: line.count > 0,
+                has_owner: line.owner.is_some(),
             })
     }
 
@@ -117,14 +132,15 @@ impl TokenCache {
         invalidating: bool,
     ) -> Option<(TokenSet, u64)> {
         let line = self.lines.get_mut(addr)?;
-        if line.tokens.is_empty() {
+        let mut held = line.tokens();
+        if held.is_empty() {
             self.lines.remove(addr);
             return None;
         }
         let tokens = if invalidating || kind.is_write() {
-            line.tokens.take_all()
-        } else if line.tokens.has_owner() {
-            line.tokens.split_owner(0)
+            held.take_all()
+        } else if held.has_owner() {
+            held.split_owner(0)
         } else {
             return None;
         };
@@ -132,8 +148,9 @@ impl TokenCache {
             !tokens.has_owner() || line.valid,
             "owner token implies valid data"
         );
+        line.set_tokens(held);
         let version = line.version;
-        if line.tokens.is_empty() {
+        if held.is_empty() {
             self.lines.remove(addr);
         }
         Some((tokens, version))
@@ -158,7 +175,9 @@ impl TokenCache {
         allocate: bool,
     ) -> Option<(BlockAddr, TokenSet, u64)> {
         if let Some(line) = self.lines.get_mut(addr) {
-            line.tokens.merge(tokens);
+            let mut held = line.tokens();
+            held.merge(tokens);
+            line.set_tokens(held);
             if let Some(v) = data_version {
                 line.valid = true;
                 line.version = v;
@@ -170,19 +189,20 @@ impl TokenCache {
             return Some((addr, tokens, version));
         }
         let line = TokenLine {
-            tokens,
             version,
+            count: tokens.count(),
+            owner: tokens.owner_status(),
             valid: data_version.is_some(),
         };
         let victim = self.lines.insert(addr, line)?;
-        Some((victim.addr, victim.payload.tokens, victim.payload.version))
+        Some((victim.addr, victim.payload.tokens(), victim.payload.version))
     }
 
     /// The tokens held for `addr` (for the conservation auditor).
     pub fn held(&self, addr: BlockAddr) -> TokenSet {
         self.lines
             .peek(addr)
-            .map_or_else(TokenSet::empty, |line| line.tokens)
+            .map_or_else(TokenSet::empty, TokenLine::tokens)
     }
 }
 
@@ -512,6 +532,88 @@ mod tests {
             match m.redirect(a(0), from, 3, tokens, put_version, true).body {
                 MsgBody::Data { version: v, .. } => assert_eq!(v, version),
                 other => panic!("{other:?}"),
+            }
+        }
+    }
+
+    /// A node's cache holds one of these per resident way.
+    #[test]
+    fn a_token_line_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<Option<TokenLine>>(), 16);
+    }
+
+    /// Every holding a line can have, with and without data, goes in
+    /// through `absorb` (the owner token arriving second, so `merge` runs)
+    /// and reads back unchanged through `held` and `status`; a read and a
+    /// write `surrender` hand out and leave behind what the rules say.
+    #[test]
+    fn every_holding_round_trips_through_the_line() {
+        use OwnerStatus::{Clean, Dirty};
+        let (empty, plain, full) = (TokenSet::empty(), TokenSet::plain, TokenSet::full);
+        // Held; read and write permitted given data; what a read
+        // surrender takes and what it leaves.
+        #[rustfmt::skip]
+        let rows = [
+            (empty,          false, false, None,                 empty),
+            (plain(1),       true,  false, None,                 plain(1)),
+            (plain(2),       true,  false, None,                 plain(2)),
+            (plain(3),       true,  false, None,                 plain(3)),
+            (plain(4),       true,  true,  None,                 plain(4)),
+            (full(1, Clean), true,  false, Some(full(1, Clean)), empty),
+            (full(2, Clean), true,  false, Some(full(1, Clean)), plain(1)),
+            (full(3, Clean), true,  false, Some(full(1, Clean)), plain(2)),
+            (full(4, Clean), true,  true,  Some(full(1, Clean)), plain(3)),
+            (full(1, Dirty), true,  false, Some(full(1, Dirty)), empty),
+            (full(2, Dirty), true,  false, Some(full(1, Dirty)), plain(1)),
+            (full(3, Dirty), true,  false, Some(full(1, Dirty)), plain(2)),
+            (full(4, Dirty), true,  true,  Some(full(1, Dirty)), plain(3)),
+        ];
+        for (held, read, write, taken, left) in rows {
+            for valid in [false, true] {
+                let version = if valid { 7 } else { 0 };
+                let data = valid.then_some(7);
+                let owner = held.owner_status();
+                let fill = || {
+                    let mut c = one_set(2);
+                    let (first, second) = match owner {
+                        Some(status) => (plain(held.count() - 1), full(1, status)),
+                        None => (held, empty),
+                    };
+                    assert_eq!(c.absorb(a(0), first, None, true), None);
+                    assert_eq!(c.absorb(a(0), second, data, true), None);
+                    c
+                };
+                let mut c = fill();
+                assert_eq!(c.held(a(0)), held);
+                for (kind, permitted) in [(AccessKind::Read, read), (AccessKind::Write, write)] {
+                    let status = LineStatus {
+                        satisfied: valid && permitted,
+                        has_tokens: !held.is_empty(),
+                        has_owner: owner.is_some(),
+                    };
+                    assert_eq!(c.status(a(0), kind), status, "{held} valid={valid}");
+                }
+                // All `T` tokens without the owner token is no holding a
+                // run can reach.
+                if valid && write && owner.is_some() {
+                    assert_eq!(c.hit(a(0), AccessKind::Write), Some(8));
+                    assert_eq!(c.held(a(0)), full(4, Dirty));
+                }
+                // An owner token without data is a protocol bug that
+                // `surrender`'s debug assertion reports.
+                if owner.is_some() && !valid {
+                    continue;
+                }
+                let mut c = fill();
+                let surrendered = c.surrender(a(0), AccessKind::Read, false);
+                assert_eq!(surrendered, taken.map(|t| (t, version)), "{held}");
+                assert_eq!(c.held(a(0)), left);
+                assert_eq!(c.lines.contains(a(0)), !left.is_empty());
+                let mut c = fill();
+                let surrendered = c.surrender(a(0), AccessKind::Write, false);
+                let all = (!held.is_empty()).then_some((held, version));
+                assert_eq!(surrendered, all, "{held}");
+                assert!(!c.lines.contains(a(0)));
             }
         }
     }
