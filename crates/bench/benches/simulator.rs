@@ -359,7 +359,7 @@ fn bench_predictor_broadcast(c: &mut Criterion) {
 
 fn bench_sharers(c: &mut Criterion) {
     c.bench_function("mem/sharer_set_coarse_decode_256", |b| {
-        let mut set = SharerSet::new(256, SharerEncoding::Coarse { cores_per_bit: 16 });
+        let mut set = SharerSet::new(256, SharerEncoding::Coarse { cores_per_bit: 16 }, [0]);
         for i in (0..256).step_by(5) {
             set.insert(NodeId::new(i));
         }

@@ -7,7 +7,6 @@
 
 use patchsim::exp::{CellResult, Table};
 use patchsim::{ProtocolCounters, TrafficClass};
-use patchsim_mem::SharerSet;
 
 pub(crate) fn figure5_columns(table: Table) -> Table {
     with_traffic_columns(
@@ -148,7 +147,7 @@ pub(crate) fn limited_pointer_columns(table: Table) -> Table {
         })
         .with_column("dir_bits_per_entry", 0, |cell| {
             let protocol = &cell.config.protocol;
-            SharerSet::new(protocol.num_nodes, protocol.sharer_encoding).bits_per_entry() as f64
+            protocol.sharer_encoding.bits_per_entry(protocol.num_nodes) as f64
         })
         .with_note(
             "norm_runtime is normalized to the full-map row of the same protocol; \

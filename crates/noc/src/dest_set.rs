@@ -7,8 +7,8 @@ use crate::NodeId;
 /// A set of destination nodes, stored as a bit vector.
 ///
 /// Destination sets appear on every multicast message (invalidation
-/// forwards, direct requests, persistent-request broadcasts) and in the
-/// directory's sharer bookkeeping. The representation supports systems up
+/// forwards, direct requests, persistent-request broadcasts) and are what
+/// a directory's sharer set decodes to. The representation supports systems up
 /// to any size; all sets in one system must be created with the same
 /// `num_nodes`.
 ///
@@ -104,6 +104,29 @@ impl DestSet {
         for n in nodes {
             s.insert(n);
         }
+        s
+    }
+
+    /// Creates the set whose bits are `words`: bit `i % 64` of word
+    /// `i / 64` stands for node `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `words` holds exactly the `num_nodes.div_ceil(64)`
+    /// words a `num_nodes`-node set has, with no bit at or above
+    /// `num_nodes` set.
+    pub fn from_words(num_nodes: u16, words: &[u64]) -> Self {
+        let mut s = Self::empty(num_nodes);
+        let len = (num_nodes as usize).div_ceil(64);
+        assert_eq!(words.len(), len, "{num_nodes} nodes take {len} words");
+        if let Some(&last) = words.last() {
+            let spare = len * 64 - num_nodes as usize;
+            assert!(
+                last.leading_zeros() as usize >= spare,
+                "a bit at or above node {num_nodes} is set"
+            );
+        }
+        s.words_mut()[..len].copy_from_slice(words);
         s
     }
 
@@ -354,6 +377,28 @@ mod tests {
         let s = DestSet::all(5);
         assert_eq!(s.len(), 5);
         assert!(!s.contains(NodeId::new(5)));
+    }
+
+    /// `from_words` reads the bits `iter` yields, on both sides of the
+    /// inline/spill boundary.
+    #[test]
+    fn from_words_round_trips() {
+        let mut rng = SimRng::from_seed(0xF0DE);
+        for n in [1u16, 64, 65, 128, 129, 300, 512] {
+            let nodes: Vec<u16> = random_nodes(&mut rng)
+                .into_iter()
+                .filter(|&i| i < n)
+                .collect();
+            let set = DestSet::from_nodes(n, nodes.iter().map(|&i| NodeId::new(i)));
+            let copy = DestSet::from_words(n, &set.words()[..(n as usize).div_ceil(64)]);
+            assert_eq!(copy, set, "{n} nodes");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at or above node 65")]
+    fn from_words_refuses_a_bit_past_the_last_node() {
+        DestSet::from_words(65, &[0, 2]);
     }
 
     /// `all`/`all_except` fill the second inline word exactly up to the

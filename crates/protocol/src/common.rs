@@ -51,9 +51,10 @@ impl Default for LatencyEstimator {
 /// every read is upgraded to an exclusive grant, so each processor's pair
 /// costs one miss instead of two. `Migratory` is terminal: no later read
 /// or write, by any node, makes the block shared again.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) enum Sharing {
     /// No request observed yet.
+    #[default]
     Untouched,
     /// The last request observed, by whom.
     Last(NodeId, AccessKind),

@@ -358,7 +358,7 @@ impl DirectoryController {
             invalidating,
             targets,
         } = self.home.open(addr, requester, kind);
-        let (owner, mem_version) = (entry.owner, entry.memory);
+        let (owner, mem_version) = (*entry.owner, *entry.memory);
         let owner_responds = owner.is_some_and(|o| o != requester);
         let acks_expected = (targets.len() as u32).saturating_sub(u32::from(owner_responds));
         // A read of a block nobody holds is granted exclusively (E).
@@ -417,12 +417,12 @@ impl DirectoryController {
     ) {
         let n = self.n();
         debug_assert_eq!(self.home.active(addr), None);
-        let entry = self.home.entry(addr);
-        if entry.owner == Some(node) {
+        let mut entry = self.home.entry(addr);
+        if *entry.owner == Some(node) {
             if let Some(v) = version {
-                entry.memory = v;
+                *entry.memory = v;
             }
-            entry.owner = None;
+            *entry.owner = None;
         }
         entry.sharers.remove_if_exact(node);
         out.send_one_after(n, node, DIR_LATENCY, Msg::new(addr, MsgBody::WbAck));
@@ -642,11 +642,12 @@ mod tests {
         BlockAddr::new(n)
     }
 
-    /// The home table holds one entry per touched block; its memory is
-    /// the last written-back version.
+    /// The home holds one record per touched block beside its sharer
+    /// words: owner, migratory state, and memory's last written-back
+    /// version.
     #[test]
-    fn home_entry_layout_is_pinned() {
-        assert!(std::mem::size_of::<crate::home::HomeEntry<u64>>() <= 56);
+    fn a_home_record_is_at_most_16_bytes() {
+        assert!(std::mem::size_of::<crate::home::Record<u64>>() <= 16);
     }
 
     /// A node's cache holds one of these per resident way.
@@ -774,8 +775,8 @@ mod tests {
         let mut home = ctrl(4, 0);
         // Prime the directory: owner P1, sharers {P2, P3}.
         {
-            let entry = home.home.entry(a(0));
-            entry.owner = Some(NodeId::new(1));
+            let mut entry = home.home.entry(a(0));
+            *entry.owner = Some(NodeId::new(1));
             entry.sharers.insert(NodeId::new(2));
             entry.sharers.insert(NodeId::new(3));
         }

@@ -469,8 +469,8 @@ impl PatchController {
         } else {
             // Absorb into memory. If the returning node was the
             // directory's owner pointer, ownership reverts to memory.
-            if tokens.has_owner() && entry.owner == Some(node) {
-                entry.owner = None;
+            if tokens.has_owner() && *entry.owner == Some(node) {
+                *entry.owner = None;
             }
             entry.memory.absorb(tokens, version);
         }
@@ -700,12 +700,12 @@ mod tests {
         c.cache.absorb(addr, tokens, Some(version), true);
     }
 
-    /// The home table holds one entry per touched block; its memory holds
-    /// tokens.
+    /// The home holds one record per touched block beside its sharer
+    /// words: owner, migratory state, and memory's tokens and version.
     #[test]
-    fn home_entry_layout_is_pinned() {
+    fn a_home_record_is_at_most_24_bytes() {
         assert_eq!(std::mem::size_of::<Memory>(), 16);
-        assert!(std::mem::size_of::<crate::home::HomeEntry<Memory>>() <= 64);
+        assert!(std::mem::size_of::<crate::home::Record<Memory>>() <= 24);
     }
 
     #[test]

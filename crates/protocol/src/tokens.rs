@@ -209,7 +209,7 @@ impl TokenCache {
 /// The home memory's token holdings for one block. It keeps no valid-data
 /// bit: memory's copy is read only while it holds the owner token, and the
 /// owner token never returns without current data (Rules 4 and 5).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub(crate) struct Memory {
     pub tokens: TokenSet,
     pub version: u64,
